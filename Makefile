@@ -1,5 +1,5 @@
-.PHONY: install test lint bench bench-kernels bench-transport bench-halo \
-    bench-serve bench-sweep experiments experiments-fast trace-demo \
+.PHONY: install test lint bench bench-smoke bench-kernels bench-transport \
+    bench-halo bench-serve bench-sweep experiments experiments-fast trace-demo \
     ckpt-demo serve-demo clean
 
 install:
@@ -16,6 +16,13 @@ lint:
 
 bench:
 	pytest benchmarks/ --benchmark-only
+
+# The end-to-end benchmark's own tests plus one 3 s untraced channel_seq
+# run.  `measure` exits non-zero when the run crashed or a result failed
+# verification (`failed != 0`); no timing is judged (shared runners).
+bench-smoke:
+	python -m pytest bench/tests -q
+	python -m bench measure --workload channel_seq --seed 1 --seconds 3 --trace 0
 
 # Side-by-side kernel-backend timings; writes BENCH_kernels.json.
 bench-kernels:

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from itertools import product
 
-from repro.lbm.backends.fused import _axis_roll_segments
 from repro.lbm.backends.registry import KernelBackend, register_backend
 from repro.lbm.backends.xp import get_namespace
 from repro.lbm.shan_chen import psi_identity
@@ -50,6 +49,18 @@ from repro.util.hotpath import hot_path
 
 _FULL = slice(None)
 _LEAD = (_FULL, _FULL)  # the (batch, component) axes of a roll plan
+
+
+def _axis_roll_segments(n, s):
+    """(dst, src) slice pairs so that ``dst_block = src_block`` implements
+    ``roll`` by *s* along one axis of extent *n*."""
+    s %= n
+    if s == 0:
+        return [(_FULL, _FULL)]
+    return [
+        (slice(s, None), slice(0, n - s)),
+        (slice(0, s), slice(n - s, None)),
+    ]
 
 
 def _roll_plan(shape, shift):

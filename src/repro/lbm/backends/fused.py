@@ -1,33 +1,56 @@
-"""The ``fused`` backend: an allocation-free LBM hot path.
+"""The ``fused`` backend: an allocation-free, BLAS-driven LBM hot path.
 
-Four memory-level optimisations over the reference kernels, all verified
-bit-compatible (<= 1e-12) by the differential tests in
-``tests/lbm/test_backends.py``:
+The step is memory-bound, so the kernels are organised around how many
+times they sweep a ``(Q, N)`` population block (N = grid points).  An
+elementwise ufunc pass moves about one element per nanosecond here; a
+dgemm with a small constant matrix reads its operand once and is
+several times cheaper per byte.  Per component and step:
 
-1. **Double-buffered streaming.**  Instead of 19 (Q-1) full-grid
-   ``np.roll`` temporaries per component per step, streaming writes
-   wrap-decomposed slice blocks straight into a preallocated second
-   population buffer and swaps buffers (callers rebind:
-   ``f = backend.stream(f)``).
+=================  ==============================  =======================
+kernel             polynomial form (before)        this module
+=================  ==============================  =======================
+collide            7 ufunc passes + 1 dgemm write  2 ufunc passes + 1 dgemm
+                   (``c.u``, poly, base, n, w,     write (``f *= 1-omega``;
+                   ``f *= 1-omega``, ``f += feq``)  ``f += omega feq``)
+moments            2 reads of ``f`` (sum + dgemm)  1 read (one dgemm)
+Shan-Chen          18 mostly diagonal rolls        12 unit-axis rolls
+=================  ==============================  =======================
 
-2. **Fused collide+equilibrium.**  The equilibrium is built in place in a
-   scratch ``(Q, *S)`` array (the ``c . u`` products go through one BLAS
-   ``matmul`` into scratch), immediately turned into the BGK increment
-   and added to ``f`` — one pass, zero temporaries.  The per-component
-   ``omega * mask`` product is cached keyed on the mask's identity.
+1. **Equilibrium as one dgemm.**  ``feq_k = w_k n (1 + c.u/cs2 +
+   (c.u)^2/(2 cs4) - u^2/(2 cs2))`` is linear in the ``1 + D +
+   D(D+1)/2`` monomial fields ``n, n u_i, n u_i u_j`` (10 for D3Q19, 6
+   for D2Q9 — N-sized, not Q x N-sized), so ``feq = M @ basis`` with a
+   constant ``(Q, nb)`` matrix built from ``lattice.w/cf/cs2``.  The
+   collision folds ``omega`` into ``n`` and finishes with the relaxed
+   BGK form ``f <- (1 - omega) f + omega feq``.
+2. **Moments as one dgemm.**  ``[1; c^T] @ f`` yields density and
+   momentum from a single read of ``f``; the mass scaling rides on the
+   write-out into the caller's arrays.
+3. **Separable Shan-Chen stencil.**  For single-speed lattices whose
+   moving directions are the axis links (weight ``w_axis``) and the
+   planar diagonals (``w_diag``) — D2Q9 and D3Q19 — the psi gradient
+   factors as ``S_d = G_d(x + e_d) - G_d(x - e_d)`` with ``G_d = w_axis
+   psi + w_diag sum_{e != d} (psi(x + e) + psi(x - e))``.
+4. **Flat-offset rolls and double-buffered streaming.**  A periodic
+   shift is one bulk copy of the flattened slab displaced by the shift's
+   flat offset plus block copies that repair the wrapped faces, written
+   straight into a second population buffer (callers rebind:
+   ``f = backend.stream(f)``).  Pure data movement: ``array_equal`` to
+   ``np.roll``.
 
-3. **Batched moments.**  ``rho`` and ``mom`` for *all* components come
-   from a single ``np.sum`` and a single broadcast ``matmul`` sweep over
-   the ``(C, Q, N)``-flattened populations.
+**Contract.**  Results agree with ``reference`` to <= 1e-12 (in practice
+a few ULP; the operation order differs) and every kernel is *piece
+independent*: applied to a contiguous x-slab of the grid it returns
+exactly the bits the full-grid call returns for those planes.  The
+parallel driver's overlapped schedule relies on that to stay bitwise
+equal to the sequential solver.
 
-4. **Pair-folded Shan-Chen differences.**  The lattice is antisymmetric
-   (``c_opp(k) = -c_k``), so the psi gradient needs only one central
-   difference per *direction pair* over the stacked ``(C, *S)`` psi
-   field — 9 subtractions for D3Q19 instead of 36 per-component rolls —
-   accumulated with pure ``+=``/``-=`` (velocity components are all
-   0/±1).  The shifted fields are materialised into contiguous scratch
-   by slice assignment first, because NumPy's ufunc machinery allocates
-   a transfer buffer for every non-contiguous operand.
+**The multiple-of-16 rule.**  OpenBLAS computes the last ``N mod 8``
+columns of a product with a different micro-kernel whose rounding
+differs, so a column's bits would depend on where its piece happens to
+end.  Every product therefore goes through :meth:`FusedBackend._matmul`,
+which hands BLAS a column count that is a multiple of 16 and routes the
+remainder through a 16-wide scratch block.
 
 Bounce-back gathers/scatters precomputed flat solid indices through a
 fixed scratch block, so the steady-state ``step()`` performs no
@@ -40,6 +63,7 @@ broadcasts): with NumPy >= 2 those broadcasts also buffer.
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -50,38 +74,80 @@ from repro.util.hotpath import hot_path
 
 _FULL = slice(None)
 
-
-def _axis_roll_segments(n: int, s: int) -> list[tuple[slice, slice]]:
-    """(dst, src) slice pairs so that ``dst_block = src_block`` implements
-    ``np.roll`` by *s* along one axis of extent *n*."""
-    s %= n
-    if s == 0:
-        return [(_FULL, _FULL)]
-    return [
-        (slice(s, None), slice(0, n - s)),
-        (slice(0, s), slice(n - s, None)),
-    ]
+#: Column granularity of every BLAS call (see the module docstring).
+_BLOCK = 16
 
 
-def _roll_plan(
-    shape: tuple[int, ...], shift: tuple[int, ...]
-) -> list[tuple[tuple[slice, ...], tuple[slice, ...]]]:
-    """Block-copy plan: ``buf[dst] = f[src]`` over all returned pairs
-    equals ``buf = np.roll(f, shift)`` on the spatial axes (periodic wrap),
-    applied to a ``(C, *S)`` slab — the leading slice spans components."""
-    per_axis = [_axis_roll_segments(n, s) for n, s in zip(shape, shift)]
-    return [
+_STEP_SEGMENTS = {  # per-axis (dst, src) pairs, the non-wrapping one first
+    0: [(_FULL, _FULL)],
+    1: [(slice(1, None), slice(0, -1)), (slice(0, 1), slice(-1, None))],
+    -1: [(slice(0, -1), slice(1, None)), (slice(-1, None), slice(0, 1))],
+}
+
+
+def _roll_plan(shape: tuple[int, ...], shift: tuple[int, ...]) -> tuple:
+    """Flat-offset plan ``(dst_flat, src_flat, fixups)`` for
+    ``buf = np.roll(f, shift)`` on the spatial axes of a ``(C, *S)`` slab
+    with ``|shift| <= 1`` per axis.  On the row-major flattened grid the
+    roll is a displacement by one flat offset wherever no axis wraps, so
+    a single bulk copy ``buf[:, dst_flat] = f[:, src_flat]`` does the
+    body (and scribbles on the wrapped faces); the *fixups* — block
+    copies with a leading component slice — then overwrite every site
+    where some axis did wrap."""
+    n_pts = prod(shape)
+    stride, off, per_axis = n_pts, 0, []
+    for n, s in zip(shape, shift):
+        stride //= n
+        s = 0 if n == 1 else int(s)
+        off += s * stride
+        per_axis.append(_STEP_SEGMENTS[s])
+    fixups = [
         (
             (_FULL,) + tuple(p[0] for p in combo),
             (_FULL,) + tuple(p[1] for p in combo),
         )
-        for combo in product(*per_axis)
+        for combo in list(product(*per_axis))[1:]  # [0] wraps nowhere
     ]
+    if off >= 0:
+        return slice(off, None), slice(0, n_pts - off), fixups
+    return slice(0, n_pts + off), slice(-off, None), fixups
+
+
+@hot_path
+def _roll_into(dst: np.ndarray, src: np.ndarray, plan: tuple) -> None:
+    """``dst = np.roll(src, shift)`` on ``(C, *S)`` slabs via *plan*."""
+    dst_flat, src_flat, fixups = plan
+    c = dst.shape[0]
+    dst.reshape(c, -1)[:, dst_flat] = src.reshape(c, -1)[:, src_flat]
+    for d, s in fixups:
+        dst[d] = src[s]
+
+
+def _stencil_weights(lat) -> tuple[float, float]:
+    """``(w_axis, w_diag)`` of a lattice whose moving directions are
+    exactly the 2D axis links and the 2D(D-1) planar diagonals, each
+    class with one weight — the precondition of the separable S-C form."""
+    D = lat.D
+    links = np.abs(lat.c[lat.moving]).sum(axis=1)
+    w = lat.w[lat.moving]
+    if (
+        np.abs(lat.c).max() > 1
+        or links.max() > 2
+        or (links == 1).sum() != 2 * D
+        or (links == 2).sum() != 2 * D * (D - 1)
+        or np.ptp(w[links == 1]) != 0.0
+        or np.ptp(w[links == 2]) != 0.0
+    ):
+        raise ValueError(
+            f"fused backend requires axis + planar-diagonal single-link "
+            f"velocities (D2Q9, D3Q19); lattice {lat.name} is not"
+        )
+    return float(w[links == 1][0]), float(w[links == 2][0])
 
 
 @register_backend
 class FusedBackend(KernelBackend):
-    """Preallocated-scratch, fused-kernel implementation."""
+    """Preallocated-scratch, BLAS-driven implementation."""
 
     name = "fused"
 
@@ -90,11 +156,7 @@ class FusedBackend(KernelBackend):
         lat = self.lattice
         C, Q, D, S = self.n_components, lat.Q, lat.D, self.shape
         N = self.n_points
-        if np.abs(lat.c).max() > 1:
-            raise ValueError(
-                f"fused backend requires single-link velocities, "
-                f"lattice {lat.name} has |c| > 1"
-            )
+        w_axis, w_diag = _stencil_weights(lat)
 
         # --- streaming ----------------------------------------------------
         self._rest = [int(k) for k in range(Q) if k not in set(lat.moving)]
@@ -125,88 +187,62 @@ class FusedBackend(KernelBackend):
             moving.size * self._n_solid, dtype=np.float64
         )
 
+        # --- BLAS tail scratch (see _matmul) ------------------------------
+        # Rows for the largest operand and result: (Q, n) populations or
+        # (C, n) component stacks.
+        self._tail_in = np.zeros((max(Q, C), _BLOCK), dtype=np.float64)
+        self._tail_out = np.zeros_like(self._tail_in)
+
         # --- equilibrium / collision --------------------------------------
-        self._inv_cs2 = 1.0 / lat.cs2
-        self._half_inv4 = 0.5 * self._inv_cs2 * self._inv_cs2
-        self._half_inv2 = 0.5 * self._inv_cs2
-        # The quadratic term is evaluated as s(s + gamma) with
-        # s = sqrt(1/(2 cs4)) c . u  (the 1/(2 cs4) factor pre-folded into
-        # the matmul matrix) and gamma = (1/cs2)/sqrt(1/(2 cs4)) — one
-        # fewer full (Q, *S) pass than the plain Horner form.
-        sqrt_h4 = float(np.sqrt(self._half_inv4))
-        self._gamma = self._inv_cs2 / sqrt_h4
-        self._c_scaled = np.ascontiguousarray(lat.cf * sqrt_h4)  # (Q, D)
-        # Per-direction scalar weights: a python loop of scalar multiplies
-        # is measurably faster than one broadcast by a (Q, 1, ..) column.
-        self._w_list = [float(wk) for wk in lat.w]
+        # feq = _feq_mat @ [n, n u_i, n u_i u_j (i <= j)]; nb <= Q rows.
+        self._pairs = [(i, j) for i in range(D) for j in range(i, D)]
+        nb = 1 + D + len(self._pairs)
+        inv_cs2 = 1.0 / lat.cs2
+        mat = np.empty((Q, nb), dtype=np.float64)
+        mat[:, 0] = 1.0
+        mat[:, 1 : 1 + D] = lat.cf * inv_cs2
+        for col, (i, j) in enumerate(self._pairs, 1 + D):
+            mat[:, col] = lat.cf[:, i] * lat.cf[:, j] * inv_cs2 * inv_cs2
+            if i == j:
+                mat[:, col] = 0.5 * mat[:, col] - 0.5 * inv_cs2
+        self._feq_mat = mat * lat.w[:, None]
+        self._basis = np.empty((nb,) + S, dtype=np.float64)
+        self._basis_flat = self._basis.reshape(nb, N)
         self._feq = np.empty((Q,) + S, dtype=np.float64)
-        self._cu = np.empty((Q,) + S, dtype=np.float64)
-        self._cu_flat = self._cu.reshape(Q, N)
-        self._usq = np.empty(S, dtype=np.float64)
-        self._sq = np.empty(S, dtype=np.float64)
-        self._nbuf = np.empty(S, dtype=np.float64)
+        self._feq_flat = self._feq.reshape(Q, N)
         self._omega = np.empty((C,) + S, dtype=np.float64)
         self._one_minus_omega = np.empty((C,) + S, dtype=np.float64)
         self._omega_key: object = None
 
         # --- Shan-Chen ----------------------------------------------------
-        # One representative per +/- direction pair (k < opp(k)); each
-        # entry carries the weight, the nonzero velocity components as
-        # (axis, sign) with sign in {-1, +1}, and the roll plans that
-        # materialise psi(x + c_k) / psi(x - c_k) into contiguous scratch
-        # (plain slice assignments never hit NumPy's ufunc buffering, so
-        # the subtraction then runs fully contiguous and allocation-free).
-        # Single-axis pairs subtract straight into svec[d] (then scale in
-        # place); multi-axis (diagonal) pairs accumulate via diff scratch.
-        self._axis_pairs = []  # (signed_weight, d, plan_plus, plan_minus)
-        self._diag_pairs = []  # (weight, [(d, sign), ...], plan_p, plan_m)
-        axis_dims = set()
-        for k in lat.moving:
-            k = int(k)
-            ko = int(lat.opp[k])
-            if k >= ko:
-                continue
-            dims = [
-                (d, 1 if lat.c[k, d] > 0 else -1)
-                for d in range(D)
-                if lat.c[k, d] != 0
-            ]
-            # buf = roll(psi, shifts[opp(k)]) reads psi(x + c_k) at x.
-            plan_p = _roll_plan(S, lat.shifts[ko])
-            plan_m = _roll_plan(S, lat.shifts[k])
-            if len(dims) == 1:
-                d, sign = dims[0]
-                if d in axis_dims:  # two axis pairs on one dim: accumulate
-                    self._diag_pairs.append(
-                        (float(lat.w[k]), dims, plan_p, plan_m)
-                    )
-                else:
-                    axis_dims.add(d)
-                    self._axis_pairs.append(
-                        (sign * float(lat.w[k]), d, plan_p, plan_m)
-                    )
-            else:
-                self._diag_pairs.append(
-                    (float(lat.w[k]), dims, plan_p, plan_m)
-                )
-        self._zero_dims = [d for d in range(D) if d not in axis_dims]
+        # Plans reading a field at x + e_d and x - e_d (buf = roll(psi, s)
+        # reads psi(x - s)).  Shifted fields are materialised into
+        # contiguous scratch by slice assignment, so every ufunc runs
+        # contiguous and allocation-free.  S is kept in units of w_diag:
+        # the common factor is folded, with the sign of F = -psi (g . S),
+        # into the coupling matrix.
+        unit = np.eye(D, dtype=int)
+        self._axis_plans = [
+            (_roll_plan(S, tuple(-unit[d])), _roll_plan(S, tuple(unit[d])))
+            for d in range(D)
+        ]
+        self._axis_ratio = w_axis / w_diag
+        self._neg_gw = -self.g_matrix * w_diag
         self._psis = np.empty((C,) + S, dtype=np.float64)
         self._roll_p = np.empty((C,) + S, dtype=np.float64)
         self._roll_m = np.empty((C,) + S, dtype=np.float64)
-        self._diff = np.empty((C,) + S, dtype=np.float64)
+        self._gsum = np.empty((C,) + S, dtype=np.float64)
         # Direction-major layout: svec[d] / coupled[d] are contiguous
         # (C, *S) slabs, so every in-place op on them stays buffer-free.
         self._svec = np.empty((D, C) + S, dtype=np.float64)
         self._svec_mat = self._svec.reshape(D, C, N)
         self._coupled = np.empty((D, C) + S, dtype=np.float64)
         self._coupled_mat = self._coupled.reshape(D, C, N)
-        # F = -psi (g . S): fold the minus sign into the coupling matrix
-        # (IEEE negation is exact, so this is bitwise identical) and save
-        # a full negation pass.
-        self._neg_g = np.ascontiguousarray(-self.g_matrix, dtype=np.float64)
 
         # --- moments / forces / velocities --------------------------------
-        self._cfT = np.ascontiguousarray(lat.cf.T)  # (D, Q)
+        # (1 + D, Q): the density row, then the momentum rows.
+        self._mom_mat = np.vstack([np.ones((1, Q), dtype=np.float64), lat.cf.T])
+        self._mbuf = np.empty((1 + D, N), dtype=np.float64)
         self._inv_tau_row = (1.0 / self.taus).reshape(1, C)
         self._tmp_cd = np.empty((C, D) + S, dtype=np.float64)
         self._tmp_d = np.empty((D,) + S, dtype=np.float64)
@@ -216,6 +252,25 @@ class FusedBackend(KernelBackend):
         self._ucommon_flat = self._ucommon.reshape(1, D * N)
         self._srho = np.empty(S, dtype=np.float64)
 
+    # ----------------------------------------------------------------- BLAS
+    @hot_path
+    def _matmul(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+        """``out = a @ b`` for a small constant ``a`` and 2-D ``(K, n)`` /
+        ``(M, n)`` views, with bits that do not depend on ``n``: BLAS only
+        ever sees column counts that are multiples of ``_BLOCK``.  Columns
+        are independent, so whatever the tail scratch holds beyond the
+        remainder is harmless."""
+        n = b.shape[1]
+        body = n - n % _BLOCK
+        if body:
+            np.matmul(a, b[:, :body], out=out[:, :body])
+        if body < n:
+            m, k = a.shape
+            tail_in, tail_out = self._tail_in[:k], self._tail_out[:m]
+            tail_in[:, : n - body] = b[:, body:]
+            np.matmul(a, tail_in, out=tail_out)
+            out[:, body:] = tail_out[:, : n - body]
+
     # ------------------------------------------------------------ streaming
     @hot_path
     def stream(self, f: np.ndarray) -> np.ndarray:
@@ -223,14 +278,11 @@ class FusedBackend(KernelBackend):
         if buf.shape != f.shape or buf is f:
             # repro: allow[REP001] -- cold fallback: the slab was resized by
             # plane migration, so next step's double buffer must be rebuilt
-            buf = np.empty_like(f)
+            buf = np.empty(f.shape, dtype=np.float64)
         for k in self._rest:
             buf[:, k] = f[:, k]
         for k, plan in self._stream_plans:
-            fk = f[:, k]
-            bk = buf[:, k]
-            for dst, src in plan:
-                bk[dst] = fk[src]
+            _roll_into(buf[:, k], f[:, k], plan)
         self._fbuf = f  # the old buffer becomes next step's target
         return buf
 
@@ -256,32 +308,23 @@ class FusedBackend(KernelBackend):
 
     # ---------------------------------------------------------- equilibrium
     @hot_path
-    def _feq_poly_into(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Velocity polynomial of the equilibrium, row-unscaled:
-        ``out_k <- s_k (s_k + gamma)`` with ``s = sqrt(1/(2 cs4)) c . u``,
-        which equals ``cu/cs2 + cu^2/(2 cs4)``.  Returns ``base =
-        1 - u^2/(2 cs2)`` in a spatial-size scratch buffer; callers add it
-        per row and apply the ``w n`` scaling (see the row-wise note in
-        the module docstring)."""
-        cu = self._cu
-        np.matmul(
-            self._c_scaled, u.reshape(self.lattice.D, -1), out=self._cu_flat
-        )
-        np.multiply(u[0], u[0], out=self._usq)
-        for d in range(1, self.lattice.D):
-            np.multiply(u[d], u[d], out=self._sq)
-            self._usq += self._sq
-        base = self._usq
-        base *= -self._half_inv2
-        base += 1.0
-        np.add(cu, self._gamma, out=out)
-        out *= cu
-        return base
+    def _feq_into(self, u: np.ndarray, out: np.ndarray) -> None:
+        """``out`` (a ``(Q, n_points)`` view) ``<- feq(n, u)`` where the
+        caller has already put the (possibly omega-scaled) number density
+        ``n`` into ``self._basis[0]``."""
+        basis = self._basis
+        D = self.lattice.D
+        for i in range(D):
+            np.multiply(basis[0], u[i], out=basis[1 + i])
+        for col, (i, j) in enumerate(self._pairs, 1 + D):
+            np.multiply(basis[1 + i], u[j], out=basis[col])
+        self._matmul(self._feq_mat, self._basis_flat, out)
 
     @hot_path
     def equilibrium(
         self, rho_n: np.ndarray, u: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
+        Q = self.lattice.Q
         if rho_n.shape != self.shape:
             raise ValueError(
                 f"rho shape {rho_n.shape} != backend grid {self.shape}"
@@ -293,15 +336,11 @@ class FusedBackend(KernelBackend):
         if out is None:
             # repro: allow[REP001] -- out=None is the cold convenience form
             # (diagnostics, tests); the step loop always passes a buffer
-            out = np.empty((self.lattice.Q,) + self.shape, dtype=np.float64)
-        base = self._feq_poly_into(u, out)
-        n = self._nbuf
-        n[:] = rho_n
-        for k, wk in enumerate(self._w_list):
-            row = out[k]
-            row += base
-            row *= n
-            row *= wk
+            out = np.empty((Q,) + self.shape, dtype=np.float64)
+        rows = out.view()
+        rows.shape = (Q, self.n_points)  # raises rather than copy
+        self._basis[0][...] = rho_n
+        self._feq_into(u, rows)
         return out
 
     # ------------------------------------------------------------ collision
@@ -322,69 +361,52 @@ class FusedBackend(KernelBackend):
                     1.0, self._omega[ci], out=self._one_minus_omega[ci]
                 )
             self._omega_key = mask
-        # BGK in the relaxed form f <- (1 - omega) f + omega feq: folding
-        # omega n into the equilibrium's row scaling saves the full-grid
-        # ``feq -= f`` pass of the incremental form.  Masked (solid) nodes
-        # have omega = 0, so f passes through unchanged there.
+        # BGK in the relaxed form f <- (1 - omega) f + omega feq, with
+        # omega folded into the number density the dgemm sees.  Masked
+        # (solid) nodes have omega = 0, so f passes through unchanged.
         feq = self._feq
+        n_omega = self._basis[0]
         for ci in range(self.n_components):
-            base = self._feq_poly_into(u_eq[ci], feq)
-            nom = self._nbuf
-            np.divide(rho[ci], self.masses[ci], out=nom)
-            nom *= self._omega[ci]
+            np.divide(rho[ci], self.masses[ci], out=n_omega)
+            n_omega *= self._omega[ci]
+            self._feq_into(u_eq[ci], self._feq_flat)
             om1 = self._one_minus_omega[ci]
             fci = f[ci]
-            for k, wk in enumerate(self._w_list):
-                row = feq[k]
-                row += base
-                row *= nom
-                row *= wk
+            for k in range(self.lattice.Q):
                 frow = fci[k]
                 frow *= om1
-                frow += row
+                frow += feq[k]
 
     # ------------------------------------------------------------ Shan-Chen
     @hot_path
     def shan_chen_force(
         self, psis: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
+        D = self.lattice.D
         if out is None:
             # repro: allow[REP001] -- out=None is the cold convenience form
             # (diagnostics, tests); the step loop always passes a buffer
             out = np.empty(
-                (self.n_components, self.lattice.D) + self.shape,
-                dtype=np.float64,
+                (self.n_components, D) + self.shape, dtype=np.float64
             )
-        svec = self._svec
-        diff = self._diff
-        rp, rm = self._roll_p, self._roll_m
-        for swk, d, plan_p, plan_m in self._axis_pairs:
-            for dst, src in plan_p:
-                rp[dst] = psis[src]
-            for dst, src in plan_m:
-                rm[dst] = psis[src]
-            target = svec[d]
-            np.subtract(rp, rm, out=target)
-            target *= swk
-        for d in self._zero_dims:
-            svec[d] = 0.0
-        for wk, dims, plan_p, plan_m in self._diag_pairs:
-            for dst, src in plan_p:
-                rp[dst] = psis[src]
-            for dst, src in plan_m:
-                rm[dst] = psis[src]
-            np.subtract(rp, rm, out=diff)
-            diff *= wk
-            for d, sign in dims:
-                if sign > 0:
-                    svec[d] += diff
-                else:
-                    svec[d] -= diff
-        # coupled[d] = -g . S[d]  (one batched matmul over the D stack)
-        np.matmul(self._neg_g, self._svec_mat, out=self._coupled_mat)
-        coupled = self._coupled
-        for d in range(self.lattice.D):
-            cd = coupled[d]
+        rp, rm, gsum = self._roll_p, self._roll_m, self._gsum
+        nbr = self._coupled  # psi(x+e) + psi(x-e); free until the product below
+        for e, (plan_p, plan_m) in enumerate(self._axis_plans):
+            _roll_into(rp, psis, plan_p)
+            _roll_into(rm, psis, plan_m)
+            np.add(rp, rm, out=nbr[e])
+        for d, (plan_p, plan_m) in enumerate(self._axis_plans):
+            np.multiply(psis, self._axis_ratio, out=gsum)
+            for e in range(D):
+                if e != d:
+                    gsum += nbr[e]
+            _roll_into(rp, gsum, plan_p)
+            _roll_into(rm, gsum, plan_m)
+            np.subtract(rp, rm, out=self._svec[d])
+        for d in range(D):
+            # coupled[d] = -(g w_diag) . S[d]
+            self._matmul(self._neg_gw, self._svec_mat[d], self._coupled_mat[d])
+            cd = self._coupled[d]
             cd *= psis
             out[:, d] = cd
         return out
@@ -395,22 +417,19 @@ class FusedBackend(KernelBackend):
         self, f: np.ndarray, rho_out: np.ndarray, mom_out: np.ndarray
     ) -> None:
         C, Q = f.shape[:2]
-        fv = f.reshape(C, Q, -1)
-        rho_flat = rho_out.reshape(C, -1)
-        mom_flat = mom_out.reshape(C, self.lattice.D, -1)
-        np.sum(fv, axis=1, out=rho_flat)
-        np.matmul(self._cfT, fv, out=mom_flat)
-        # Non-contiguous outs (the overlapped driver's edge/interior
-        # pieces) reshape to fresh copies, so the reductions above land in
-        # a buffer the caller never sees: write them back through the
-        # views.  Contiguous outs reshape to views and skip this.
-        if not np.may_share_memory(rho_flat, rho_out):
-            rho_out[...] = rho_flat.reshape(rho_out.shape)
-        if not np.may_share_memory(mom_flat, mom_out):
-            mom_out[...] = mom_flat.reshape(mom_out.shape)
-        for ci in range(C):  # scalar scale per component: buffer-free
-            rho_out[ci] *= self.masses[ci]
-            mom_out[ci] *= self.masses[ci]
+        piece = rho_out.shape[1:]
+        for ci in range(C):
+            fv = f[ci].reshape(Q, -1)
+            mbuf = self._mbuf[:, : fv.shape[1]]
+            self._matmul(self._mom_mat, fv, mbuf)
+            # Mass scaling on the write-out, row by row: contiguous and
+            # buffer-free for x-slab pieces too.
+            mass = self.masses[ci]
+            np.multiply(mbuf[0].reshape(piece), mass, out=rho_out[ci])
+            for d in range(self.lattice.D):
+                np.multiply(
+                    mbuf[1 + d].reshape(piece), mass, out=mom_out[ci, d]
+                )
 
     @hot_path
     def forces_and_velocities(
@@ -429,7 +448,7 @@ class FusedBackend(KernelBackend):
         C, D = self.n_components, self.lattice.D
         psis = self._psis
         if self.psi is psi_identity:
-            for ci in range(C):  # row-wise: see _feq_into
+            for ci in range(C):  # row-wise: see the module docstring
                 np.multiply(rho[ci], psi_mask, out=psis[ci])
         else:
             for ci in range(C):
@@ -450,8 +469,8 @@ class FusedBackend(KernelBackend):
                     self._tmp_d *= g_ads
                     force[ci] -= self._tmp_d
 
-        np.matmul(self._inv_tau_row, rho.reshape(C, -1), out=self._denom_flat)
-        np.matmul(self._inv_tau_row, mom.reshape(C, -1), out=self._ucommon_flat)
+        self._matmul(self._inv_tau_row, rho.reshape(C, -1), self._denom_flat)
+        self._matmul(self._inv_tau_row, mom.reshape(C, -1), self._ucommon_flat)
         np.maximum(self._denom, 1e-300, out=self._denom)
         ucommon = self._ucommon
         for d in range(D):

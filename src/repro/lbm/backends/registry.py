@@ -17,10 +17,11 @@ Four backends ship with the package:
     against.
 
 ``fused``
-    Allocation-free hot path: double-buffered slice streaming, fused
-    in-place collide+equilibrium, batched BLAS moments, and pair-folded
-    Shan-Chen central differences over a preallocated scratch pool
-    (see :mod:`repro.lbm.backends.fused`).
+    Allocation-free, BLAS-driven hot path: double-buffered flat-offset
+    streaming, equilibrium and moments as one dgemm each, and the
+    separable Shan-Chen stencil over a preallocated scratch pool; every
+    kernel gives an x-slab of the grid the bits the full-grid call
+    gives (see :mod:`repro.lbm.backends.fused`).
 
 ``arrayapi``
     The reference operation order written against the array-API

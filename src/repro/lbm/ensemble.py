@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.lbm.backends.batched import BatchedBackend
-from repro.lbm.equilibrium import equilibrium
+from repro.lbm.equilibrium import rest_equilibrium
 from repro.lbm.forces import body_force_field, wall_force_field
 from repro.lbm.macroscopic import mixture_velocity
 from repro.lbm.solver import LBMConfig, MulticomponentLBM
@@ -277,11 +277,10 @@ class BatchedEnsemble:
         # Member state, initialised exactly as MulticomponentLBM.__init__:
         # rest equilibrium on fluid nodes, zero inside the solid.
         self.f = np.zeros((B, C, Q) + shape, dtype=np.float64)
-        zero_u = np.zeros((D,) + shape, dtype=np.float64)
         for ci, comp in enumerate(base.components):
             rho_init = np.where(self.fluid, comp.rho_init / comp.mass, 0.0)
             for b in range(B):
-                equilibrium(rho_init, zero_u, lat, out=self.f[b, ci])
+                rest_equilibrium(rho_init, lat, out=self.f[b, ci])
         self.rho = np.zeros((B, C) + shape, dtype=np.float64)
         self.mom = np.zeros((B, C, D) + shape, dtype=np.float64)
         self.force = np.zeros_like(self.mom)

@@ -65,3 +65,18 @@ def equilibrium(
     out *= rho  # broadcasts over Q
     out *= lattice.w.reshape((lattice.Q,) + (1,) * rho.ndim)
     return out
+
+
+def rest_equilibrium(
+    rho: np.ndarray, lattice: Lattice, out: np.ndarray
+) -> np.ndarray:
+    """Equilibrium of a fluid at rest, ``out[k] = w_k * rho`` — bit-equal
+    to ``equilibrium(rho, 0, lattice)`` (whose velocity terms are exact
+    zeros) without its ``(Q, *S)`` temporaries; the initial state of
+    every solver."""
+    if out.shape != (lattice.Q,) + rho.shape:
+        raise ValueError(
+            f"out has shape {out.shape}, expected {(lattice.Q,) + rho.shape}"
+        )
+    np.multiply(lattice.w.reshape((lattice.Q,) + (1,) * rho.ndim), rho, out=out)
+    return out

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.lbm.backends import create_backend, resolve_backend_name
 from repro.lbm.components import ComponentSpec
-from repro.lbm.equilibrium import equilibrium
+from repro.lbm.equilibrium import equilibrium, rest_equilibrium
 from repro.lbm.forces import WallForceSpec, body_force_field, wall_force_field
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import Lattice, D3Q19
@@ -217,11 +217,10 @@ class MulticomponentLBM:
 
         # Population arrays: uniform rest equilibrium on fluid nodes,
         # zero inside the solid (so total fluid mass is exactly conserved).
-        self.f = np.zeros((n_comp, lat.Q) + shape, dtype=np.float64)
-        zero_u = np.zeros((lat.D,) + shape, dtype=np.float64)
+        self.f = np.empty((n_comp, lat.Q) + shape, dtype=np.float64)
         for ci, comp in enumerate(config.components):
             rho_init = np.where(self.fluid, comp.rho_init / comp.mass, 0.0)
-            equilibrium(rho_init, zero_u, lat, out=self.f[ci])
+            rest_equilibrium(rho_init, lat, out=self.f[ci])
 
         self.rho = np.zeros((n_comp,) + shape, dtype=np.float64)
         self.mom = np.zeros((n_comp, lat.D) + shape, dtype=np.float64)

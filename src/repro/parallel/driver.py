@@ -54,7 +54,7 @@ from repro.ckpt.manifest import (
     config_fingerprint,
 )
 from repro.lbm.backends import create_backend
-from repro.lbm.equilibrium import equilibrium
+from repro.lbm.equilibrium import rest_equilibrium
 from repro.lbm.forces import body_force_field, wall_force_field
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.macroscopic import mixture_velocity
@@ -270,11 +270,10 @@ class ParallelLBM:
             shape = (ln + 2, *self.cross)
         self.f = np.zeros((n_comp, lat.Q, *shape), dtype=np.float64)
         self._alloc_state()
-        zero_u = np.zeros((lat.D, *shape), dtype=np.float64)
         fluid3 = ~self._solid3
         for ci, comp in enumerate(config.components):
             rho0 = np.where(fluid3, comp.rho_init / comp.mass, 0.0)
-            equilibrium(rho0, zero_u, lat, out=self.f[ci])
+            rest_equilibrium(rho0, lat, out=self.f[ci])
             self.f[ci, :, 0] = 0.0
             self.f[ci, :, -1] = 0.0
             if self.cols > 1:
@@ -406,9 +405,9 @@ class ParallelLBM:
         backend.collide_bgk(self.f[:, :, sl], rho, u_eq, mask)
 
     def _moments_piece(self, piece: tuple) -> None:
-        # Moments have no shape-bound scratch, so the full backend serves
-        # every piece; collision cannot (equilibrium scratch is sized to
-        # the grid), hence the per-piece instances.
+        # Moments accept any x-slab of the grid, so the full backend
+        # serves every piece; collision cannot (equilibrium scratch is
+        # sized to the grid), hence the per-piece instances.
         sl, _, _, rho, _, mom = piece
         self.backend.moments(self.f[:, :, sl], rho, mom)
 

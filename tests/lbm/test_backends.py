@@ -5,6 +5,7 @@ backend's allocation-free guarantee."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -22,25 +23,29 @@ from repro.lbm.backends import (
     get_backend_class,
     resolve_backend_name,
 )
+from repro.lbm.backends.fused import _roll_into, _roll_plan
 from repro.lbm.components import ComponentSpec
+from repro.lbm.diagnostics import effective_slip_fraction
 from repro.lbm.forces import WallForceSpec
 from repro.lbm.geometry import ChannelGeometry
-from repro.lbm.lattice import D2Q9, D3Q19
+from repro.lbm.lattice import D2Q9, D3Q19, Lattice
 from repro.lbm.obstacles import MaskedGeometry, cylinder_mask
 from repro.lbm.solver import LBMConfig, MulticomponentLBM
 
 ATOL = 1e-12
 
 
-def two_component_config(lattice, *, scenario="walls", backend=None):
+def two_component_config(
+    lattice, *, scenario="walls", backend=None, shape=None
+):
     """A small two-component channel for the given lattice, with the
     requested boundary/collision scenario."""
     if lattice.D == 2:
-        shape = (14, 12)
+        shape = shape or (14, 12)
         geometry = ChannelGeometry(shape=shape, wall_axes=(1,))
         accel = (2e-6, 0.0)
     else:
-        shape = (10, 9, 8)
+        shape = shape or (10, 9, 8)
         geometry = ChannelGeometry(shape=shape)
         accel = (2e-6, 0.0, 0.0)
 
@@ -123,6 +128,27 @@ class TestRegistry:
         assert isinstance(backend, FusedBackend)
 
 
+class TestFusedLatticeGuard:
+    """The separable Shan-Chen stencil holds for axis + planar-diagonal
+    single-link lattices with one weight per class; anything else must
+    be refused at construction, not silently miscomputed."""
+
+    @pytest.mark.parametrize("kind", ["wide", "uneven-weights"])
+    def test_unsupported_lattice_rejected(self, kind):
+        if kind == "wide":
+            lattice = Lattice("D2Q9-wide", D2Q9.c * 2, D2Q9.w)
+        else:
+            w = D2Q9.w.copy()
+            w[1:3] += 1e-3  # x links heavier than y links
+            w[3:5] -= 1e-3
+            lattice = Lattice("D2Q9-uneven", D2Q9.c, w)
+        cfg = dataclasses.replace(
+            two_component_config(D2Q9, backend="fused"), lattice=lattice
+        )
+        with pytest.raises(ValueError, match="single-link"):
+            FusedBackend(cfg, cfg.geometry.shape, cfg.geometry.solid_mask())
+
+
 def _pair(lattice, scenario, backend="fused"):
     """Reference and *backend* solvers for the same configuration."""
     cfg = two_component_config(lattice, scenario=scenario, backend="reference")
@@ -160,6 +186,26 @@ class TestDifferentialMatrix:
         np.testing.assert_allclose(fused.u_eq, ref.u_eq, rtol=0.0, atol=ATOL)
         np.testing.assert_allclose(
             fused.force, ref.force, rtol=0.0, atol=ATOL
+        )
+
+    @pytest.mark.parametrize(
+        "lattice,scenario",
+        [(D3Q19, "walls"), (D2Q9, "obstacles"), (D2Q9, "adhesion")],
+        ids=["D3Q19-walls", "D2Q9-obstacles", "D2Q9-adhesion"],
+    )
+    def test_long_run_parity_and_slip(self, lattice, scenario):
+        """The dgemm kernels reorder the arithmetic, so the few-ULP
+        differences must not grow: still <= 1e-12 after 200 phases, and
+        the measured slip — the number the paper is about — agrees to
+        1e-10 relative."""
+        ref, fused = _pair(lattice, scenario)
+        ref.run(200)
+        fused.run(200)
+        np.testing.assert_allclose(fused.f, ref.f, rtol=0.0, atol=ATOL)
+        np.testing.assert_allclose(fused.rho, ref.rho, rtol=0.0, atol=ATOL)
+        np.testing.assert_allclose(fused.u_eq, ref.u_eq, rtol=0.0, atol=ATOL)
+        assert effective_slip_fraction(fused) == pytest.approx(
+            effective_slip_fraction(ref), rel=1e-10, abs=0.0
         )
 
     def test_wall_momentum_parity(self):
@@ -203,6 +249,21 @@ class TestKernelParity:
         out_ref = ref.stream(f.copy())
         out_fused = fused.stream(f.copy())
         assert np.array_equal(out_ref, out_fused)
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 4), (2, 3), (4, 1), (3, 1, 2), (2, 2, 2), (5, 4, 3)]
+    )
+    def test_flat_offset_roll_plan_equals_np_roll(self, shape):
+        """Bulk flat-offset copy + wrapped-face fix-ups, for every
+        single-link shift, down to extents 1 and 2 (one-plane pieces,
+        minimal slabs)."""
+        rng = np.random.default_rng(9)
+        src = rng.uniform(size=(2,) + shape)
+        axes = tuple(range(1, len(shape) + 1))
+        for shift in itertools.product((-1, 0, 1), repeat=len(shape)):
+            dst = np.full_like(src, np.nan)
+            _roll_into(dst, src, _roll_plan(shape, shift))
+            assert np.array_equal(dst, np.roll(src, shift, axis=axes)), shift
 
     @pytest.mark.parametrize("lattice", [D2Q9, D3Q19], ids=lambda l: l.name)
     def test_stream_twice_round_trips_buffers(self, lattice):
@@ -363,28 +424,146 @@ class TestBackendProperties:
         np.testing.assert_allclose(fused.f, ref.f, rtol=0.0, atol=ATOL)
 
 
+#: Cross-sections per lattice dimension with Y*Z % 16 of 0, 4 and 12: the
+#: remainder decides which BLAS micro-kernel a piece's last columns meet.
+PIECE_CROSS_SECTIONS = {
+    2: [(16,), (20,), (12,)],
+    3: [(4, 4), (5, 4), (3, 4)],
+}
+
+piece_cases = st.fixed_dictionaries(
+    {
+        "lattice": st.sampled_from([D2Q9, D3Q19]),
+        "cross": st.integers(0, 2),
+        "nx": st.integers(2, 9),
+        "seed": st.integers(0, 2**31 - 1),
+    }
+)
+
+
+class TestFusedPieceIndependence:
+    """The overlapped parallel schedule runs ``collide_bgk`` and
+    ``moments`` on x-slabs of a rank's grid and must get the bits the
+    full-grid call gives — everywhere, including the last sites of a
+    piece (no wall or ghost node hides them here: nothing is solid and
+    the collide mask is all ones)."""
+
+    @given(p=piece_cases, data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_slab_call_equals_full_grid_call(self, p, data):
+        lattice = p["lattice"]
+        nx = p["nx"]
+        shape = (nx,) + PIECE_CROSS_SECTIONS[lattice.D][p["cross"]]
+        a = data.draw(st.integers(0, nx - 1), label="a")
+        e = data.draw(st.integers(a + 1, nx), label="e")
+        cfg = LBMConfig(
+            geometry=ChannelGeometry(shape=shape, wall_axes=()),
+            components=(
+                ComponentSpec("water", tau=1.0, rho_init=1.0, mass=1.5),
+                ComponentSpec("air", tau=0.8, rho_init=0.03),
+            ),
+            g_matrix=np.array([[0.0, 0.9], [0.9, 0.0]]),
+            lattice=lattice,
+            backend="fused",
+        )
+        C, Q, D = 2, lattice.Q, lattice.D
+        no_solid = np.zeros(shape, dtype=bool)
+        full = FusedBackend(cfg, shape, no_solid)
+        piece = FusedBackend(cfg, (e - a,) + shape[1:], no_solid[a:e])
+        rng = np.random.default_rng(p["seed"])
+        f = rng.uniform(0.01, 1.0, size=(C, Q) + shape)
+        rho = rng.uniform(0.1, 2.0, size=(C,) + shape)
+        u = rng.uniform(-0.05, 0.05, size=(C, D) + shape)
+        mask = np.ones(shape)
+
+        # moments: the driver serves pieces from the full-grid backend.
+        rho_full, mom_full = np.empty_like(rho), np.empty_like(u)
+        full.moments(f, rho_full, mom_full)
+        rho_piece, mom_piece = np.empty_like(rho), np.empty_like(u)
+        full.moments(f[:, :, a:e], rho_piece[:, a:e], mom_piece[:, :, a:e])
+        assert np.array_equal(rho_piece[:, a:e], rho_full[:, a:e])
+        assert np.array_equal(mom_piece[:, :, a:e], mom_full[:, :, a:e])
+
+        # collide: each piece has its own backend instance.
+        f_full, f_piece = f.copy(), f.copy()
+        full.collide_bgk(f_full, rho, u, mask)
+        piece.collide_bgk(
+            f_piece[:, :, a:e], rho[:, a:e], u[:, :, a:e], mask[a:e]
+        )
+        assert np.array_equal(f_piece[:, :, a:e], f_full[:, :, a:e])
+
+        feq_full = full.equilibrium(rho[0], u[0])
+        feq_piece = piece.equilibrium(
+            np.ascontiguousarray(rho[0, a:e]),
+            np.ascontiguousarray(u[0][:, a:e]),
+        )
+        assert np.array_equal(feq_piece, feq_full[:, a:e])
+
+
+def _traced_peak(fn):
+    """(peak, retained) traced bytes over one call of *fn*."""
+    tracemalloc.start()
+    try:
+        baseline, _ = tracemalloc.get_traced_memory()
+        fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - baseline, current - baseline
+
+
 class TestFusedAllocationFree:
+    @staticmethod
+    def _assert_steady_steps_allocate_nothing(cfg):
+        solver = MulticomponentLBM(cfg)
+        solver.run(3)  # warm caches (omega tables, ufunc buffers)
+        peak, retained = _traced_peak(lambda: solver.run(5))
+        field_bytes = cfg.lattice.Q * np.prod(cfg.geometry.shape) * 8
+        assert peak < min(64 * 1024, field_bytes / 4)
+        # And nothing is retained across steps.
+        assert retained < 16 * 1024
+
     def test_step_allocates_nothing_substantial(self):
         """At steady state a fused step must not allocate any field-sized
         array: everything lives in scratch buffers sized at construction.
         A (Q, *S) field here is ~107 KiB; allow a few KiB of slack for
         interpreter bookkeeping (views, scalars, frames)."""
         cfg = two_component_config(D3Q19, scenario="walls", backend="fused")
+        self._assert_steady_steps_allocate_nothing(cfg)
+
+    def test_padded_tail_step_allocates_nothing_substantial(self):
+        """630 points (N % 16 == 6): every BLAS call also goes through
+        the 16-wide tail scratch."""
+        cfg = two_component_config(
+            D3Q19, scenario="walls", backend="fused", shape=(10, 9, 7)
+        )
+        self._assert_steady_steps_allocate_nothing(cfg)
+
+    def test_one_plane_piece_allocates_nothing_substantial(self):
+        """The overlapped schedule's boundary strips: a one-plane backend
+        colliding a slab view of ``f``, and the full backend taking that
+        slab's moments (63 columns: body and tail of the BLAS split)."""
+        cfg = two_component_config(
+            D3Q19, scenario="walls", backend="fused", shape=(10, 9, 7)
+        )
         solver = MulticomponentLBM(cfg)
-        solver.run(3)  # warm caches (omega tables, ufunc buffers)
+        solver.run(3)
+        sl = slice(4, 5)
+        strip = FusedBackend(
+            cfg, (1, 9, 7), np.ascontiguousarray(solver.solid[sl])
+        )
+        args = (solver.rho[:, sl], solver.u_eq[:, :, sl], solver._fluid_f[sl])
+        mom = solver.mom[:, :, sl]
 
-        tracemalloc.start()
-        try:
-            baseline, _ = tracemalloc.get_traced_memory()
-            solver.run(5)
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        def strip_phase():
+            for _ in range(5):
+                strip.collide_bgk(solver.f[:, :, sl], *args)
+                solver.backend.moments(solver.f[:, :, sl], args[0], mom)
 
-        field_bytes = cfg.lattice.Q * np.prod(cfg.geometry.shape) * 8
-        assert peak - baseline < min(64 * 1024, field_bytes / 4)
-        # And nothing is retained across steps.
-        assert current - baseline < 16 * 1024
+        strip_phase()  # warm the omega tables
+        peak, retained = _traced_peak(strip_phase)
+        assert peak < 64 * 1024
+        assert retained < 16 * 1024
 
     def test_scratch_reused_across_steps(self):
         """The double buffer must alternate between exactly two arrays."""
@@ -411,17 +590,10 @@ class TestFusedAllocationFree:
         assert type(solver.backend) is FusedBackend
         solver.run(3)
 
-        tracemalloc.start()
-        try:
-            baseline, _ = tracemalloc.get_traced_memory()
-            solver.run(5)
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-
+        peak, retained = _traced_peak(lambda: solver.run(5))
         field_bytes = cfg.lattice.Q * np.prod(cfg.geometry.shape) * 8
-        assert peak - baseline < min(64 * 1024, field_bytes / 4)
-        assert current - baseline < 16 * 1024
+        assert peak < min(64 * 1024, field_bytes / 4)
+        assert retained < 16 * 1024
 
     def test_enabled_observer_records_kernel_timings(self):
         """Opting in wraps the backend and fills per-kernel histograms —

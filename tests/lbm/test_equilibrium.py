@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.lbm.equilibrium import equilibrium
+from repro.lbm.equilibrium import equilibrium, rest_equilibrium
 from repro.lbm.lattice import D2Q9, D3Q19
 
 
@@ -81,3 +81,21 @@ class TestPositivity:
         rho = np.ones((3, 3))
         u = np.full((2, 3, 3), 0.05)
         assert (equilibrium(rho, u, D2Q9) > 0).all()
+
+
+class TestRestEquilibrium:
+    """Every solver starts from ``rest_equilibrium``; it must hand every
+    backend the bits the general formula gives at u = 0."""
+
+    @pytest.mark.parametrize("lattice,shape", [(D2Q9, (6, 5)), (D3Q19, (4, 3, 3))])
+    def test_bit_equal_to_equilibrium_at_zero_velocity(self, lattice, shape):
+        rho, _ = random_fields(lattice, shape)
+        rho[0] = 0.0  # solid nodes start empty
+        out = np.full((lattice.Q, *shape), np.nan)
+        assert rest_equilibrium(rho, lattice, out) is out
+        expected = equilibrium(rho, np.zeros((lattice.D, *shape)), lattice)
+        assert np.array_equal(out, expected)
+
+    def test_out_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="out has shape"):
+            rest_equilibrium(np.ones((4, 4)), D2Q9, np.empty((9, 4, 5)))
