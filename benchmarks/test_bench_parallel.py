@@ -10,7 +10,7 @@ from repro.lbm.components import ComponentSpec
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import D2Q9
 from repro.lbm.solver import LBMConfig, MulticomponentLBM
-from repro.parallel.migration import pack_planes, unpack_planes
+from repro.parallel.migration import pack_band, unpack_band
 
 
 def channel_config(nx=48, ny=40):
@@ -50,8 +50,8 @@ def test_bench_migration_roundtrip(benchmark):
     f[:, :, 1:-1] = rng.random((2, 19, 20, 200, 20))
 
     def roundtrip():
-        package, rest = pack_planes(f, "right", 5)
-        return unpack_planes(rest, package, "right")
+        package, rest = pack_band(f, 2, "high", 5, (2,))
+        return unpack_band(rest, package, 2, "high", (2,))
 
     benchmark(roundtrip)
     plane_bytes = 2 * 19 * 200 * 20 * 8

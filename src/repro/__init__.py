@@ -49,7 +49,7 @@ from repro.cluster import (
     fixed_slow_traces,
     transient_spike_traces,
 )
-from repro.parallel import CommunicatorTimeout, run_parallel_lbm
+from repro.parallel import CommunicatorTimeout
 from repro.api import EnsembleRunResult, RunResult, RunSpec, run, run_batch
 
 __version__ = "1.0.0"
@@ -85,7 +85,6 @@ __all__ = [
     "transient_spike_traces",
     # parallel
     "CommunicatorTimeout",
-    "run_parallel_lbm",
     # api
     "EnsembleRunResult",
     "RunSpec",

@@ -67,9 +67,7 @@ SANCTIONED: dict[str, frozenset[str]] = {
             "HaloExchanger._exchange_scalar_y",
         }
     ),
-    "repro/parallel/migration.py": frozenset(
-        {"pack_planes", "unpack_planes"}
-    ),
+    "repro/parallel/migration.py": frozenset({"pad_with_ghosts"}),
     "repro/parallel/process.py": frozenset(
         {"_Link.pull_bytes", "_rank_entry"}
     ),

@@ -18,10 +18,9 @@ the parallel driver (``ranks > 1``) on either transport::
 Environment overlay: unset dispatch fields are filled from the
 ``REPRO_*`` variables via :func:`repro.config.from_env` (transport from
 ``REPRO_TRANSPORT``, checkpointing from the ``REPRO_CKPT_*`` family);
-explicit spec values always win.  The legacy entry points —
-:func:`repro.parallel.driver.run_parallel_lbm`, the experiments runner's
-CLI flags — are deprecation shims that build a ``RunSpec`` and land
-here, so every path through the library executes the same code.
+explicit spec values always win.  The experiments runner's CLI flags
+build a ``RunSpec`` and land here too, so every path through the library
+executes the same code.
 
 Parameter sweeps: :func:`run_batch` takes a list of specs, groups the
 ones that differ only in the swept scalar knobs (coupling matrix, wall
@@ -290,10 +289,9 @@ def run(spec: RunSpec) -> RunResult:
 
 
 def execute_parallel(spec: RunSpec) -> list[ParallelRunResult]:
-    """Run *spec* on the parallel driver regardless of ``ranks`` (the
-    shim behind the deprecated ``run_parallel_lbm``, whose historical
-    contract runs a 1-rank *parallel* world rather than the sequential
-    solver) and return the raw per-rank results."""
+    """Run *spec* on the parallel driver regardless of ``ranks`` — a
+    1-rank *parallel* world where :func:`run` would dispatch to the
+    sequential solver — and return the raw per-rank results."""
     spec = config_mod.from_env().overlay(spec)
     config = spec.resolved_config()
     return _run_parallel(spec, config, _store_for(spec, config))

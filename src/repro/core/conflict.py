@@ -6,6 +6,17 @@ deploys a conflict resolution between the two nodes to "redistribute a
 proper amount"; we net the two proposals.  Afterwards, flows are rounded
 to whole planes and clamped so no node is driven below its minimum
 allocation even when it gives on both edges simultaneously.
+
+Two clamps exist because two executors exist.  Real ranks *send before
+they receive* (every rank ships its outgoing planes first, so no one
+waits on a chain of relays): a rank cannot forward planes it has not
+got, and :func:`clamp_to_owned` bounds each node's outflow by what it
+owns **before** the round — one pass, computable by a rank from its own
+count alone.  That is the clamp of the windowed (conservative/filtered)
+schemes on both substrates.  :func:`clamp_plane_flows` is the looser
+bookkeeping clamp — it credits a node with what it is about to receive,
+so relayed through-traffic survives — used by the centrally computed
+``global`` and ``diffusion`` baselines.
 """
 
 from __future__ import annotations
@@ -48,12 +59,56 @@ def net_edge_proposals(
 
 def flows_to_planes(point_flows: np.ndarray, plane_points: int) -> np.ndarray:
     """Round point flows toward zero to whole planes (lazy: partial planes
-    never move)."""
+    never move): floor division of the magnitude, so the two endpoints
+    of an edge, which see the same net with opposite signs, agree."""
     if plane_points <= 0:
         raise ValueError("plane_points must be positive")
-    return np.trunc(np.asarray(point_flows, dtype=np.float64) / plane_points).astype(
-        np.int64
-    )
+    flows = np.asarray(point_flows, dtype=np.float64)
+    planes = (np.abs(flows) // plane_points).astype(np.int64)
+    return np.where(flows < 0, -planes, planes)
+
+
+def clamp_outflows(out_left: int, out_right: int, spare: int) -> tuple[int, int]:
+    """Cut one node's two outflows to at most *spare* planes in total.
+
+    The cut is split in proportion to the outflows (so an evacuation
+    spreads to both neighbours instead of lopsidedly to one), the odd
+    plane going against the right edge (ceil there, remainder left).
+    """
+    total = out_left + out_right
+    if total <= spare:
+        return out_left, out_right
+    need = total - max(spare, 0)
+    cut_right = min(out_right, -(-need * out_right // total))  # ceil
+    cut_left = min(out_left, need - cut_right)
+    return out_left - cut_left, out_right - cut_right
+
+
+def clamp_to_owned(flows: np.ndarray, partition: SlicePartition) -> np.ndarray:
+    """Reduce flows so every node ships at most what it owns now, less
+    ``min_planes`` — the send-before-receive clamp (module docstring).
+
+    One pass over the *unclamped* flows: each edge is an outflow of
+    exactly one node, so the per-node cuts never interact and a real
+    rank reaches the same numbers knowing only its own count and its own
+    two edges.  Returns a new flow vector (never mutates the input).
+    """
+    flows = np.asarray(flows, dtype=np.int64)
+    n = partition.n_nodes
+    if flows.shape != (n - 1,):
+        raise ValueError(f"need {n - 1} flows, got {flows.shape}")
+    out = flows.copy()
+    for i in range(n):
+        out_left = max(-int(flows[i - 1]), 0) if i > 0 else 0
+        out_right = max(int(flows[i]), 0) if i < n - 1 else 0
+        keep_left, keep_right = clamp_outflows(
+            out_left, out_right, partition.max_outflow(i)
+        )
+        if keep_left != out_left:
+            out[i - 1] = -keep_left
+        if keep_right != out_right:
+            out[i] = keep_right
+    return out
 
 
 def clamp_plane_flows(
@@ -92,11 +147,11 @@ def clamp_plane_flows(
                 f"node {worst} infeasible without any outflow to reduce "
                 f"(counts={counts.tolist()}, flows={flows.tolist()})"
             )
-        need = min(need, total_out)
-        cut_right = min(out_right, -(-need * out_right // total_out))  # ceil
-        cut_left = min(out_left, need - cut_right)
-        if cut_right:
-            flows[worst] -= cut_right
-        if cut_left:
-            flows[worst - 1] += cut_left
+        keep_left, keep_right = clamp_outflows(
+            out_left, out_right, total_out - need
+        )
+        if keep_right != out_right:
+            flows[worst] = keep_right
+        if keep_left != out_left:
+            flows[worst - 1] = -keep_left
     raise RuntimeError("flow clamping failed to converge (internal error)")

@@ -7,10 +7,17 @@ integer *edge flows*: ``flows[i]`` planes move from node i to node i+1
 the virtual-time cluster simulator and the real parallel driver both call
 them and then charge/perform the migration themselves.
 
-The distributed driver does not see global arrays; it reuses
-:func:`window_proposal` on each rank's own three-node window, which is
-exactly what the centralized ``decide`` evaluates per node — so the two
-substrates make identical decisions given identical load indices.
+Wherever the driver has gathered the load indices (a 2-D grid's rows and
+columns, the ``global`` scheme) it calls ``make_policy(name,
+cfg).decide(...)`` — the simulator's own objects.  A 1-D chain running a
+windowed scheme keeps the paper's neighbour-only exchange and never sees
+global arrays; there each rank evaluates its own slice of the same
+pipeline — :func:`window_proposal` on its three-node window, the
+per-edge netting, :func:`~repro.core.conflict.flows_to_planes` and
+:func:`~repro.core.conflict.clamp_outflows` — so the substrates make
+identical decisions given identical load indices
+(``tests/properties/test_decision_parity.py`` runs both on real
+messages).
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import numpy as np
 
 from repro.core.conflict import (
     clamp_plane_flows,
+    clamp_to_owned,
     flows_to_planes,
     net_edge_proposals,
 )
@@ -233,8 +241,9 @@ class NoRemappingPolicy(RemappingPolicy):
 class _LocalWindowPolicy(RemappingPolicy):
     """Shared machinery of the conservative and filtered schemes: each node
     balances its (i-1, i, i+1) window via :func:`window_proposal`, the
-    proposals are netted per edge (conflict resolution) and clamped to
-    feasibility."""
+    proposals are netted per edge (conflict resolution), rounded to whole
+    planes and clamped to what each node owns (real ranks send before
+    they receive — see :mod:`repro.core.conflict`)."""
 
     #: Set by subclasses: whether window_proposal runs in filtered mode.
     filtered_mode = False
@@ -270,7 +279,7 @@ class _LocalWindowPolicy(RemappingPolicy):
 
         point_flows = net_edge_proposals(give_right, give_left)
         plane_flows = flows_to_planes(point_flows, partition.plane_points)
-        return clamp_plane_flows(plane_flows, partition)
+        return clamp_to_owned(plane_flows, partition)
 
 
 class ConservativePolicy(_LocalWindowPolicy):

@@ -1,6 +1,6 @@
-"""Message-passing substrate: an MPI-like communicator, slab decomposition
-with ghost planes, halo exchange, plane migration, and the parallel LBM
-driver mirroring the paper's Figure 2 pseudocode.
+"""Message-passing substrate: an MPI-like communicator, the cartesian
+decomposition with ghost planes, halo exchange, band migration, and the
+parallel LBM driver mirroring the paper's Figure 2 pseudocode.
 
 mpi4py and a physical cluster are unavailable in this reproduction, so
 the world runs inside one machine on either of two transports sharing
@@ -26,10 +26,8 @@ from repro.parallel.process import (
     run_spmd_processes,
 )
 from repro.parallel.launch import TRANSPORTS, launch_spmd, resolve_transport
-from repro.parallel.decomposition import SlabDecomposition, slab_shape
 from repro.parallel.halo import HaloExchanger
-from repro.parallel.migration import pack_planes, unpack_planes
-from repro.parallel.driver import ParallelLBM, ParallelRunResult, run_parallel_lbm
+from repro.parallel.driver import ParallelLBM, ParallelRunResult
 
 __all__ = [
     "Communicator",
@@ -44,12 +42,7 @@ __all__ = [
     "TRANSPORTS",
     "launch_spmd",
     "resolve_transport",
-    "SlabDecomposition",
-    "slab_shape",
     "HaloExchanger",
-    "pack_planes",
-    "unpack_planes",
     "ParallelLBM",
     "ParallelRunResult",
-    "run_parallel_lbm",
 ]

@@ -1,118 +1,25 @@
 """Domain-decomposition bookkeeping for the parallel solver.
 
-:class:`SlabDecomposition` is the paper's 1-D scheme: axis 0 (x, the
-flow direction) is cut into contiguous runs of planes, one per rank;
-every rank pads its slab with one ghost plane on each side to receive
-neighbour boundary data (the halo).  The physical domain is periodic
-along x, so the halo topology is a ring even though the remapping
-topology (who balances with whom) is the linear chain of the paper.
+The paper's scheme is 1-D: axis 0 (x, the flow direction) is cut into
+contiguous runs of planes, one per rank; every rank pads its slab with
+one ghost plane on each side to receive neighbour boundary data (the
+halo).  The physical domain is periodic along x, so the halo topology
+is a ring even though the remapping topology (who balances with whom)
+is the linear chain of the paper.
 
-:class:`CartTopology` generalizes this to a 2-D cartesian grid: axis 0
-is cut into *rows* bands of planes and the first cross-section axis
-(axis 1, e.g. y) into *cols* bands of columns, so each rank owns a
-rectangle.  ``rows × 1`` degenerates exactly to the slab scheme —
-same rank order, same neighbour rings — which the differential tests
-exploit for bit-identity between the decompositions.
+:class:`CartTopology` is the one vocabulary for it and for its 2-D
+generalization: axis 0 is cut into *rows* bands of planes and the first
+cross-section axis (axis 1, e.g. y) into *cols* bands of columns, so
+each rank owns a rectangle.  ``rows × 1`` *is* the slab scheme — same
+rank order, same neighbour rings — which the differential tests exploit
+for bit-identity between the decompositions.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.util.validation import check_integer
-
-
-def slab_shape(
-    local_planes: int, cross_section: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Local array spatial shape including the two ghost planes."""
-    check_integer(local_planes, "local_planes", minimum=1)
-    return (local_planes + 2, *cross_section)
-
-
-class SlabDecomposition:
-    """Maps ranks to global plane ranges.
-
-    Parameters
-    ----------
-    plane_counts:
-        Planes per rank, in rank order (all >= 1).
-    """
-
-    def __init__(self, plane_counts: Sequence[int]):
-        counts = [check_integer(c, "plane count", minimum=1) for c in plane_counts]
-        if not counts:
-            raise ValueError("need at least one rank")
-        self._counts = list(counts)
-
-    @property
-    def size(self) -> int:
-        return len(self._counts)
-
-    @property
-    def total_planes(self) -> int:
-        return sum(self._counts)
-
-    def planes(self, rank: int) -> int:
-        return self._counts[rank]
-
-    def start(self, rank: int) -> int:
-        """Global index of this rank's first plane (Figure 2's ``s``)."""
-        self._check_rank(rank)
-        return sum(self._counts[:rank])
-
-    def end(self, rank: int) -> int:
-        """One past this rank's last plane (Figure 2's ``e``)."""
-        return self.start(rank) + self._counts[rank]
-
-    def left_neighbour(self, rank: int) -> int:
-        """Ring neighbour supplying the low-x halo."""
-        self._check_rank(rank)
-        return (rank - 1) % self.size
-
-    def right_neighbour(self, rank: int) -> int:
-        """Ring neighbour supplying the high-x halo."""
-        self._check_rank(rank)
-        return (rank + 1) % self.size
-
-    def interior(self) -> slice:
-        """Slice selecting the interior planes of a padded local array."""
-        return slice(1, -1)
-
-    def global_slice(self, rank: int) -> slice:
-        """Slice of the global x axis owned by *rank*."""
-        return slice(self.start(rank), self.end(rank))
-
-    def adjust(self, rank: int, delta: int) -> None:
-        """Grow/shrink *rank*'s allocation by *delta* planes (used by the
-        migration bookkeeping; neighbour adjustments are the caller's
-        responsibility)."""
-        new = self._counts[rank] + delta
-        if new < 1:
-            raise ValueError(f"rank {rank} would drop to {new} planes")
-        self._counts[rank] = new
-
-    def counts(self) -> list[int]:
-        return list(self._counts)
-
-    def _check_rank(self, rank: int) -> None:
-        if not 0 <= rank < self.size:
-            raise IndexError(f"rank {rank} out of range [0, {self.size})")
-
-    def assemble(self, pieces: Sequence[np.ndarray], axis: int = 0) -> np.ndarray:
-        """Concatenate per-rank interior arrays back into the global field
-        (inverse of the decomposition; used by gather/tests)."""
-        if len(pieces) != self.size:
-            raise ValueError(f"need {self.size} pieces, got {len(pieces)}")
-        for r, piece in enumerate(pieces):
-            if piece.shape[axis] != self._counts[r]:
-                raise ValueError(
-                    f"piece {r} has {piece.shape[axis]} planes, "
-                    f"expected {self._counts[r]}"
-                )
-        return np.concatenate(list(pieces), axis=axis)
 
 
 def even_split(total: int, parts: int) -> list[int]:

@@ -2,24 +2,27 @@
 
 Each rank owns an x-slab of the channel — or, under a 2-D
 :class:`~repro.parallel.decomposition.CartTopology`, a rectangle of x
-planes × cross-section columns — plus ghost cells, and runs, per phase:
-collision, halo exchange of the boundary distribution functions,
-streaming + bounce-back, moment update, halo exchange of the number
-densities, force and velocity computation.  Every ``REMAPPING_INTERVAL``
-phases the ranks exchange load indices with their chain neighbours (or
-allgather for the global scheme), agree on plane transfers using exactly
-the window logic of :mod:`repro.core.policies`, and migrate raw
-population planes; a 2-D grid rebalances each axis' bands the same way
-from one shared allgather.
+planes × cross-section columns — plus ghost cells, and runs, per phase,
+one sequence (:meth:`ParallelLBM.step_phase`): collide the boundary
+pieces, post the halo exchange of their distribution functions, collide
+the interior while the messages fly, wait, stream + bounce back, then
+the same split for the moment update around the exchange of the number
+densities, and finally forces and velocities.  Every
+``REMAPPING_INTERVAL`` phases the ranks plan plane transfers — from
+load indices exchanged with their chain neighbours only (1-D windowed
+schemes, the paper's protocol) or from one allgather (``global``, and a
+2-D grid, which rebalances each axis' bands) — with the planner of
+:mod:`repro.core.policies`, and migrate raw population bands along each
+decomposed axis (:meth:`ParallelLBM.maybe_remap`).
 
-By default the halo exchange is *overlapped*: each rank collides its
-one-plane x-boundary strips first, posts the nonblocking f exchange,
-collides the interior while the messages fly, and only then waits — the
-same split applies to the moment update around the density exchange.
-Both schedules are bit-identical (collision and moments are pointwise),
-so ``halo_overlap=False`` changes timing only; fault-injection runs
-force the blocking schedule so the ``mid_phase`` fault point fires with
-no messages in flight.
+``halo_overlap`` chooses the piece list, not the code path: overlapped
+(the default), the boundary pieces are the one-plane x strips and the
+interior is what lies between; blocking, the only piece is the whole
+padded slab — every plane is a boundary piece and nothing is left to
+hide the transfer behind.  Collision and moments are pointwise and
+every backend is piece-independent, so the two are bit-identical and
+the choice changes timing only; fault-injection runs force the blocking
+list so the ``mid_phase`` fault point fires with no messages in flight.
 
 The transport is the in-process :class:`~repro.parallel.threads.LocalCluster`;
 to make remapping *behaviour* testable without real background jobs, a
@@ -30,21 +33,17 @@ index (the physics is unaffected — only the remapping decisions see it).
 from __future__ import annotations
 
 import time
-import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from repro.core.exchange import proportional_targets
+from repro.core.conflict import clamp_outflows, clamp_to_owned, flows_to_planes
+from repro.core.exchange import speeds_from
 from repro.core.history import PhaseTimeHistory
 from repro.core.partition import SlicePartition
-from repro.core.policies import (
-    GlobalPolicy,
-    RemappingConfig,
-    window_proposal,
-)
+from repro.core.policies import RemappingConfig, make_policy, window_proposal
 from repro.ckpt.manifest import (
     CheckpointError,
     CheckpointRejected,
@@ -67,24 +66,28 @@ from repro.obs.observer import (
 )
 from repro.obs.sink import JsonlSink, MemorySink
 from repro.parallel.api import Communicator
-from repro.parallel.decomposition import (
-    CartTopology,
-    SlabDecomposition,
-    even_split,
-    grid_for,
-)
+from repro.parallel.decomposition import CartTopology, even_split, grid_for
 from repro.parallel.halo import HaloExchanger
 from repro.parallel.launch import launch_spmd, resolve_transport
 from repro.parallel.migration import (
+    interior_of,
     pack_band,
-    pack_planes,
+    pad_with_ghosts,
     unpack_band,
-    unpack_planes,
 )
 from repro.util.validation import check_integer
 
 #: Load-index hook: (rank, phase, points) -> seconds.
 LoadTimeFn = Callable[[int, int, int], float]
+
+#: One edge of a rank's subdomain in a remap round: ``(peer, due, out)``.
+#: *due* is the signed band count the netted proposals call for (> 0:
+#: this rank sends, < 0: it receives); *out* is what it actually ships
+#: once clamped to what it owns (0 <= out <= due when sending, else 0).
+Edge = tuple[int | None, int, int]
+SIDES = ("low", "high")
+#: Decomposed axes of ``f`` as named in trace events.
+AXIS_NAMES = {2: "x", 3: "y"}
 
 
 @dataclass
@@ -181,14 +184,16 @@ class ParallelLBM:
         self.config = config
         self.policy_name = policy
         self.remap_config = remap_config or RemappingConfig()
+        #: The planner every gathered decision calls — the simulator's
+        #: own object (an unknown policy name fails here, not mid-run).
+        self._policy = make_policy(policy, self.remap_config)
         self.load_time_fn = load_time_fn
         self.topo = topo
         self.rows = topo.rows
         self.cols = topo.cols
         self.row, self.col = topo.coords(comm.rank)
-        self.decomp = SlabDecomposition(
-            [topo.planes(topo.coords(r)[0]) for r in range(comm.size)]
-        )
+        #: Axes of ``f`` that carry ghost cells.
+        self._padded = (2, 3) if self.cols > 1 else (2,)
         #: Checkpointing (see :mod:`repro.ckpt`): a shared store plus the
         #: interval in phases; 0 disables periodic snapshots.
         self.checkpoint_every = checkpoint_every
@@ -196,9 +201,9 @@ class ParallelLBM:
         #: Fault-injection plan (:class:`repro.ckpt.FaultPlan`) shared by
         #: every rank; ``None`` in production.
         self.faults = faults
-        #: Overlapped halo schedule (see the module docstring).  Fault
-        #: injection forces the blocking schedule: the ``mid_phase``
-        #: fault point's contract is that no messages are in flight.
+        #: Overlapped piece list (see the module docstring).  Fault
+        #: injection forces the blocking one: the ``mid_phase`` fault
+        #: point's contract is that no messages are in flight.
         self._overlap = bool(halo_overlap) and faults is None
         #: Global indices of this rank's first interior plane/column.
         #: Maintained incrementally through migrations (the topology
@@ -218,6 +223,8 @@ class ParallelLBM:
         lat = config.lattice
         self.cross = geo.shape[1:]
         self.plane_points = int(np.prod(self.cross))
+        #: Lattice points per (plane, first-cross-axis column) line.
+        self._line_points = int(np.prod(self.cross[1:]))
         self.halo = HaloExchanger(lat, comm, observer=obs, topo=topo)
         self.history = PhaseTimeHistory(self.remap_config.history)
 
@@ -274,11 +281,7 @@ class ParallelLBM:
         for ci, comp in enumerate(config.components):
             rho0 = np.where(fluid3, comp.rho_init / comp.mass, 0.0)
             rest_equilibrium(rho0, lat, out=self.f[ci])
-            self.f[ci, :, 0] = 0.0
-            self.f[ci, :, -1] = 0.0
-            if self.cols > 1:
-                self.f[ci, :, :, 0] = 0.0
-                self.f[ci, :, :, -1] = 0.0
+        self.f = pad_with_ghosts(self._interior_view(), self._padded)
         self.phase = 0
         self.planes_sent = 0
         self.planes_received = 0
@@ -342,15 +345,12 @@ class ParallelLBM:
         # Interior-only collide mask (ghosts excluded); psi keeps the
         # fluid pattern on ghosts (their densities are real neighbour
         # data needed by the S-C force).
-        fluid3 = ~solid3
-        self._psi_mask = fluid3.astype(np.float64)
-        collide_mask = fluid3.copy()
-        collide_mask[0] = False
-        collide_mask[-1] = False
-        if self.cols > 1:
-            collide_mask[:, 0] = False
-            collide_mask[:, -1] = False
-        self._collide_mask = collide_mask.astype(np.float64)
+        psi_mask = (~solid3).astype(np.float64)
+        self._psi_mask = psi_mask
+        spatial = tuple(axis - 2 for axis in self._padded)
+        self._collide_mask = pad_with_ghosts(
+            interior_of(psi_mask, spatial), spatial
+        )
         # Ranks inherit the backend from the shared config; scratch is
         # sized for the local slab, so rebuild after every migration.
         self.backend = create_backend(
@@ -359,32 +359,33 @@ class ParallelLBM:
         self._build_pieces(shape)
 
     def _build_pieces(self, shape: tuple[int, ...]) -> None:
-        """The overlapped schedule's x pieces: one-plane boundary strips
-        (collided first, so their data can travel while the interior
-        computes) and the interior block between them.  Each strip gets
-        its own backend instance — kernel scratch is shape-bound — plus
-        stable views of the derived fields; ``f`` itself is re-sliced at
-        every use because streaming rebinds it."""
-        self._edge_pieces: list[tuple] = []
+        """The phase schedule's x pieces: boundary pieces (collided
+        first, so their data can travel while the interior computes) and
+        the interior block between them.  Overlapped, the boundary
+        pieces are the one-plane strips, each with its own backend
+        instance — kernel scratch is shape-bound; blocking, the one
+        boundary piece is the whole padded slab on the rank's own
+        backend and there is no interior.  A piece carries stable views
+        of the derived fields; ``f`` itself is re-sliced at every use
+        because streaming rebinds it."""
         self._mid_piece: tuple | None = None
         if not self._overlap:
+            self._edge_pieces = [self._make_piece(slice(None), self.backend)]
             return
         ln = shape[0] - 2
         edges = [slice(1, 2)]
         if ln >= 2:
             edges.append(slice(ln, ln + 1))
-        self._edge_pieces = [self._make_piece(sl, shape) for sl in edges]
+        self._edge_pieces = [self._make_piece(sl) for sl in edges]
         if ln > 2:
-            self._mid_piece = self._make_piece(slice(2, ln), shape)
+            self._mid_piece = self._make_piece(slice(2, ln))
 
-    def _make_piece(self, sl: slice, shape: tuple[int, ...]) -> tuple:
-        piece_shape = (sl.stop - sl.start, *shape[1:])
-        backend = create_backend(
-            self.config,
-            piece_shape,
-            np.ascontiguousarray(self._solid3[sl]),
-            observer=self.observer,
-        )
+    def _make_piece(self, sl: slice, backend=None) -> tuple:
+        if backend is None:
+            solid = np.ascontiguousarray(self._solid3[sl])
+            backend = create_backend(
+                self.config, solid.shape, solid, observer=self.observer
+            )
         return (
             sl,
             backend,
@@ -395,11 +396,6 @@ class ParallelLBM:
         )
 
     # -------------------------------------------------------------- physics
-    def _collide(self) -> None:
-        self.backend.collide_bgk(
-            self.f, self.rho, self.u_eq, self._collide_mask
-        )
-
     def _collide_piece(self, piece: tuple) -> None:
         sl, backend, mask, rho, u_eq, _ = piece
         backend.collide_bgk(self.f[:, :, sl], rho, u_eq, mask)
@@ -411,15 +407,19 @@ class ParallelLBM:
         sl, _, _, rho, _, mom = piece
         self.backend.moments(self.f[:, :, sl], rho, mom)
 
-    def _stream_and_bounce(self) -> None:
-        self.f = self.backend.stream(self.f)
-        self.backend.bounce_back(self.f)
-
-    def _moments_and_forces(self, tag: object) -> None:
-        """Moment update + density halo + force/velocity computation (the
-        second half of a phase; also rerun after migration)."""
-        self.backend.moments(self.f, self.rho, self.mom)
-        self.halo.exchange_scalar(self.rho, tag, "halo_rho")
+    def _moments_and_forces(self, tag: object) -> tuple[float, float]:
+        """The second half of a phase — boundary moments, density halo
+        posted, interior moments, halo awaited, forces and velocities —
+        also rerun after initialisation, migration and restore.  Returns
+        the clock reads bracketing the halo wait."""
+        for piece in self._edge_pieces:
+            self._moments_piece(piece)
+        pending = self.halo.begin_scalar(self.rho, tag, "halo_rho")
+        if self._mid_piece is not None:
+            self._moments_piece(self._mid_piece)
+        t_posted = time.perf_counter()
+        self.halo.finish_scalar(pending)
+        t_filled = time.perf_counter()
         self.backend.forces_and_velocities(
             self.rho,
             self.mom,
@@ -429,115 +429,44 @@ class ParallelLBM:
             psi_mask=self._psi_mask,
             vel_mask=self._collide_mask,
         )
+        return t_posted, t_filled
 
     def step_phase(self) -> float:
-        """One full phase; returns the load-index sample for this phase."""
-        if self.observer.enabled:
-            t_compute = self._timed_phase()
-        elif self._overlap:
-            t0 = time.perf_counter()
-            for piece in self._edge_pieces:
-                self._collide_piece(piece)
-            pending_f = self.halo.begin_f(self.f, self.phase)
-            if self._mid_piece is not None:
-                self._collide_piece(self._mid_piece)
-            t_compute = time.perf_counter() - t0
-            self.halo.finish_f(pending_f)
+        """One full phase — the only spelling of the sequence; returns
+        the load-index sample for this phase.
 
-            t1 = time.perf_counter()
-            self._stream_and_bounce()
-            for piece in self._edge_pieces:
-                self._moments_piece(piece)
-            pending_rho = self.halo.begin_scalar(
-                self.rho, self.phase, "halo_rho"
-            )
-            if self._mid_piece is not None:
-                self._moments_piece(self._mid_piece)
-            self.halo.finish_scalar(pending_rho)
-            self.backend.forces_and_velocities(
-                self.rho,
-                self.mom,
-                self.force,
-                self.u_eq,
-                accel=self._accel,
-                psi_mask=self._psi_mask,
-                vel_mask=self._collide_mask,
-            )
-            t_compute += time.perf_counter() - t1
-        else:
-            t0 = time.perf_counter()
-            self._collide()
-            t_compute = time.perf_counter() - t0
-
-            if self.faults is not None:
-                # Between collision and the halo exchange: the state is
-                # mid-update and no messages are in flight, so a job kill
-                # here cannot strand a peer in a blocking recv.
-                self.faults.fire(
-                    "mid_phase", rank=self.comm.rank, at=self.phase
-                )
-            self.halo.exchange_f(self.f, self.phase)
-
-            t1 = time.perf_counter()
-            self._stream_and_bounce()
-            self._moments_and_forces(self.phase)
-            t_compute += time.perf_counter() - t1
-
-        self.phase += 1
-        if self.load_time_fn is not None:
-            sample = self.load_time_fn(
-                self.comm.rank, self.phase, self.local_planes * self.plane_points
-            )
-        else:
-            sample = max(t_compute, 1e-9)
-        self.comp_times.append(sample)
-        self.history.record(sample)
-        return sample
-
-    def _timed_phase(self) -> float:
-        """The same phase sequence with per-segment timings and halo byte
-        deltas emitted as one ``phase`` trace event.  Returns the compute
-        time with exactly the untraced composition (halo-f wait excluded,
-        density-halo wait included, matching the load-index semantics).
-
-        Under the overlapped schedule the event additionally carries
-        ``t_halo_wait`` — the exposed communication time, i.e. seconds
-        this phase actually blocked in halo waits after the interior
-        compute was used to hide the transfers."""
+        The sample is the phase's compute time: everything except the
+        wait for the population halo (the density-halo wait is included
+        — the load-index composition remapping has always seen).  The
+        clocks are always read (seven reads in a multi-millisecond
+        phase); tracing only decides whether the ``phase`` event is
+        emitted, so the traced path is the untraced one.  ``t_halo_wait``
+        in that event is the exposed communication time: seconds this
+        phase actually blocked in halo waits after the interior compute
+        was used to hide the transfers."""
         halo = self.halo
-        bf0, bs0 = halo.bytes_f, halo.bytes_scalar
-        if self._overlap:
-            wf0 = halo.wait_f_seconds
-            ws0 = halo.wait_scalar_seconds
-            t0 = time.perf_counter()
-            for piece in self._edge_pieces:
-                self._collide_piece(piece)
-            pending_f = halo.begin_f(self.f, self.phase)
-            if self._mid_piece is not None:
-                self._collide_piece(self._mid_piece)
-            t1 = time.perf_counter()
-            halo.finish_f(pending_f)
-            t2 = time.perf_counter()
-            self._stream_and_bounce()
-            t3 = time.perf_counter()
-            for piece in self._edge_pieces:
-                self._moments_piece(piece)
-            pending_rho = halo.begin_scalar(self.rho, self.phase, "halo_rho")
-            if self._mid_piece is not None:
-                self._moments_piece(self._mid_piece)
-            t4 = time.perf_counter()
-            halo.finish_scalar(pending_rho)
-            t5 = time.perf_counter()
-            self.backend.forces_and_velocities(
-                self.rho,
-                self.mom,
-                self.force,
-                self.u_eq,
-                accel=self._accel,
-                psi_mask=self._psi_mask,
-                vel_mask=self._collide_mask,
-            )
-            t6 = time.perf_counter()
+        bytes_f0, bytes_rho0 = halo.bytes_f, halo.bytes_scalar
+        wait0 = halo.wait_f_seconds + halo.wait_scalar_seconds
+        t0 = time.perf_counter()
+        for piece in self._edge_pieces:
+            self._collide_piece(piece)
+        if self.faults is not None:
+            # Fault plans force the blocking piece list, so every plane
+            # is collided and no message of this phase is posted yet: a
+            # job kill here cannot strand a peer in a blocking recv.
+            self.faults.fire("mid_phase", rank=self.comm.rank, at=self.phase)
+        pending_f = halo.begin_f(self.f, self.phase)
+        if self._mid_piece is not None:
+            self._collide_piece(self._mid_piece)
+        t1 = time.perf_counter()
+        halo.finish_f(pending_f)
+        t2 = time.perf_counter()
+        self.f = self.backend.stream(self.f)
+        self.backend.bounce_back(self.f)
+        t3 = time.perf_counter()
+        t4, t5 = self._moments_and_forces(self.phase)
+        t6 = time.perf_counter()
+        if self.observer.enabled:
             self.observer.emit(
                 "phase",
                 phase=self.phase,
@@ -548,57 +477,27 @@ class ParallelLBM:
                 t_moments=(t4 - t3) + (t6 - t5),
                 t_halo_rho=t5 - t4,
                 t_total=t6 - t0,
-                t_halo_wait=(halo.wait_f_seconds - wf0)
-                + (halo.wait_scalar_seconds - ws0),
-                halo_f_bytes=halo.bytes_f - bf0,
-                halo_rho_bytes=halo.bytes_scalar - bs0,
+                t_halo_wait=halo.wait_f_seconds
+                + halo.wait_scalar_seconds
+                - wait0,
+                halo_f_bytes=halo.bytes_f - bytes_f0,
+                halo_rho_bytes=halo.bytes_scalar - bytes_rho0,
             )
-            return (t1 - t0) + (t6 - t2)
-        t0 = time.perf_counter()
-        self._collide()
-        t1 = time.perf_counter()
-        if self.faults is not None:
-            self.faults.fire("mid_phase", rank=self.comm.rank, at=self.phase)
-        halo.exchange_f(self.f, self.phase)
-        t2 = time.perf_counter()
-        self._stream_and_bounce()
-        t3 = time.perf_counter()
-        # _moments_and_forces, split so the density-halo wait is visible.
-        self.backend.moments(self.f, self.rho, self.mom)
-        t4 = time.perf_counter()
-        halo.exchange_scalar(self.rho, self.phase, "halo_rho")
-        t5 = time.perf_counter()
-        self.backend.forces_and_velocities(
-            self.rho,
-            self.mom,
-            self.force,
-            self.u_eq,
-            accel=self._accel,
-            psi_mask=self._psi_mask,
-            vel_mask=self._collide_mask,
-        )
-        t6 = time.perf_counter()
-        self.observer.emit(
-            "phase",
-            phase=self.phase,
-            planes=self.local_planes,
-            t_collide=t1 - t0,
-            t_halo_f=t2 - t1,
-            t_stream_bounce=t3 - t2,
-            t_moments=(t4 - t3) + (t6 - t5),
-            t_halo_rho=t5 - t4,
-            t_total=t6 - t0,
-            halo_f_bytes=halo.bytes_f - bf0,
-            halo_rho_bytes=halo.bytes_scalar - bs0,
-        )
-        return (t1 - t0) + (t6 - t2)
+
+        self.phase += 1
+        if self.load_time_fn is not None:
+            sample = self.load_time_fn(
+                self.comm.rank, self.phase, self.local_planes * self.plane_points
+            )
+        else:
+            sample = max((t1 - t0) + (t6 - t2), 1e-9)
+        self.comp_times.append(sample)
+        self.history.record(sample)
+        return sample
 
     def _interior_view(self) -> np.ndarray:
-        """This rank's ghost-free populations (both padded axes stripped
-        under a 2-D decomposition)."""
-        if self.cols > 1:
-            return self.f[:, :, 1:-1, 1:-1]
-        return self.f[:, :, 1:-1]
+        """This rank's ghost-free populations."""
+        return interior_of(self.f, self._padded)
 
     def _interior_invariants(self) -> tuple[list[float], list[list[float]]]:
         """Per-component interior mass and momentum — the conserved
@@ -622,387 +521,182 @@ class ParallelLBM:
             mass=mass, momentum=momentum,
         )
 
-    def _emit_migrate(
-        self, rnd: int, action: str, direction: str, package: np.ndarray
-    ) -> None:
-        self.observer.emit(
-            "migrate",
-            round=rnd,
-            action=action,
-            direction=direction,
-            planes=int(package.shape[2]),
-            bytes=int(package.nbytes),
-        )
-        self.observer.counter("migration.planes").add(package.shape[2])
-        if action == "send":
-            self.observer.counter("migration.bytes").add(package.nbytes)
-
     # ------------------------------------------------------------ remapping
-    def _predicted_time(self) -> float:
-        return self.remap_config.predictor.predict(self.history)
-
     def maybe_remap(self) -> None:
         """Run the remapping protocol if this phase sits on the interval
-        boundary (call after :meth:`step_phase`)."""
+        boundary (call after :meth:`step_phase`): plan the round's
+        transfers, migrate along each decomposed axis, refresh the
+        derived state."""
         if self.policy_name == "no-remap":
             return
         if self.phase % self.remap_config.interval != 0:
             return
+        rnd = self.phase
         traced = self.observer.enabled
         if traced:
-            self._emit_remap_state("remap_begin", self.phase)
-        if self.cols > 1:
-            self._remap_cart()
-        elif self.policy_name == "global":
-            self._remap_global()
-        else:
-            self._remap_local()
+            self._emit_remap_state("remap_begin", rnd)
+        moved = False
+        # Rows before columns: a column package spans the x extent its
+        # row has just settled on.
+        for axis, edges in self._plan_remap(rnd):
+            moved |= self._migrate_axis(rnd, axis, edges)
+        if moved:
+            # Once per round however many transfers took part, and not
+            # at all on a quiet round: rebuilding the fields and kernel
+            # scratch every round measurably slows a run and grows it.
+            self._alloc_state()
+        self._moments_and_forces(("post_remap", rnd))
         if traced:
-            self._emit_remap_state("remap_end", self.phase)
+            self._emit_remap_state("remap_end", rnd)
         self.plane_history.append(self.local_planes)
 
-    def _remap_local(self) -> None:
-        """Distributed conservative/filtered remapping: neighbour load-index
-        exchange, window proposals, per-edge conflict netting, migration."""
-        comm = self.comm
-        rank, size = comm.rank, comm.size
-        if size == 1:
-            return
-        rnd = self.phase
-        my_points = self.local_planes * self.plane_points
-        my_time = self._predicted_time()
+    def _plan_remap(self, rnd: int) -> list[tuple[int, list[Edge]]]:
+        """This round's transfers as ``(axis of f, [low edge, high
+        edge])`` per decomposed axis.
 
-        # 1. Load-index exchange with chain neighbours.
-        payload = (my_points, my_time)
-        left = rank - 1 if rank > 0 else None
-        right = rank + 1 if rank < size - 1 else None
-        if left is not None:
-            comm.send(left, ("loadidx", rnd, "L"), payload)
-        if right is not None:
-            comm.send(right, ("loadidx", rnd, "R"), payload)
-        info_left = comm.recv(left, ("loadidx", rnd, "R")) if left is not None else None
-        info_right = (
-            comm.recv(right, ("loadidx", rnd, "L")) if right is not None else None
-        )
-
-        # 2. Window proposals (same code the centralized policy runs).
-        window: list[tuple[int, float]] = []
-        my_idx = 0
-        if info_left is not None:
-            window.append(info_left)
-            my_idx = 1
-        window.append(payload)
-        if info_right is not None:
-            window.append(info_right)
-        counts = np.array([w[0] for w in window], dtype=np.float64)
-        times = np.array([w[1] for w in window], dtype=np.float64)
-        speeds = counts / times
-        threshold = self.remap_config.threshold_points_for(self.plane_points)
-        filtered = self.policy_name == "filtered"
-
-        def propose(local_j: int) -> float:
-            return window_proposal(
-                counts,
-                speeds,
-                my_idx,
-                local_j,
-                self.remap_config,
-                threshold,
-                filtered=filtered,
-            )
-
-        give_left_pts = propose(my_idx - 1) if info_left is not None else 0.0
-        give_right_pts = propose(my_idx + 1) if info_right is not None else 0.0
-
-        # 3. Conflict resolution: exchange proposals per edge and net them.
-        if left is not None:
-            comm.send(left, ("proposal", rnd, "L"), give_left_pts)
-        if right is not None:
-            comm.send(right, ("proposal", rnd, "R"), give_right_pts)
-        opposing_left = (
-            comm.recv(left, ("proposal", rnd, "R")) if left is not None else 0.0
-        )
-        opposing_right = (
-            comm.recv(right, ("proposal", rnd, "L")) if right is not None else 0.0
-        )
-        # Net flow on my left edge (positive: I send leftward) and right
-        # edge (positive: I send rightward); both endpoints compute the
-        # same values from the same two proposals.
-        net_left = give_left_pts - opposing_left
-        net_right = give_right_pts - opposing_right
-        out_left = int(net_left // self.plane_points) if net_left > 0 else 0
-        out_right = int(net_right // self.plane_points) if net_right > 0 else 0
-        in_left = int((-net_left) // self.plane_points) if net_left < 0 else 0
-        in_right = int((-net_right) // self.plane_points) if net_right < 0 else 0
-
-        # 4. Clamp own outflows so at least one interior plane stays.
-        max_out = self.local_planes - 1
-        total_out = out_left + out_right
-        if total_out > max_out:
-            need = total_out - max_out
-            cut_right = min(out_right, -(-need * out_right // max(total_out, 1)))
-            cut_left = min(out_left, need - cut_right)
-            out_right -= cut_right
-            out_left -= cut_left
-
-        traced = self.observer.enabled
-        if traced:
-            self.observer.emit(
-                "remap_decision",
-                round=rnd,
-                policy=self.policy_name,
-                load_index=my_time,
-                points=my_points,
-                give_left_pts=float(give_left_pts),
-                give_right_pts=float(give_right_pts),
-                net_left=float(net_left),
-                net_right=float(net_right),
-                out_left=out_left,
-                out_right=out_right,
-                in_left=in_left,
-                in_right=in_right,
-            )
-
-        # 5. Migration (senders include the package; receivers always get a
-        # message when the netting said a transfer is due, possibly empty
-        # because of the sender's clamp).
-        if out_left > 0 or (left is not None and net_left > 0):
-            package = None
-            if out_left > 0:
-                package, self.f = pack_planes(self.f, "left", out_left)
-                # Bookkeeping before reallocation: _alloc_state slices the
-                # geometry provider by the *new* plane_start.
-                self.plane_start += out_left
-                self._after_resize(-out_left)
-                self.planes_sent += out_left
-                if traced:
-                    self._emit_migrate(rnd, "send", "left", package)
-            comm.send(left, ("migrate", rnd, "L"), package)
-        if out_right > 0 or (right is not None and net_right > 0):
-            package = None
-            if out_right > 0:
-                package, self.f = pack_planes(self.f, "right", out_right)
-                self._after_resize(-out_right)
-                self.planes_sent += out_right
-                if traced:
-                    self._emit_migrate(rnd, "send", "right", package)
-            comm.send(right, ("migrate", rnd, "R"), package)
-        if in_left > 0:
-            package = comm.recv(left, ("migrate", rnd, "R"))
-            if package is not None:
-                self.f = unpack_planes(self.f, package, "left")
-                self.plane_start -= package.shape[2]
-                self._after_resize(package.shape[2])
-                self.planes_received += package.shape[2]
-                if traced:
-                    self._emit_migrate(rnd, "recv", "left", package)
-        if in_right > 0:
-            package = comm.recv(right, ("migrate", rnd, "L"))
-            if package is not None:
-                self.f = unpack_planes(self.f, package, "right")
-                self._after_resize(package.shape[2])
-                self.planes_received += package.shape[2]
-                if traced:
-                    self._emit_migrate(rnd, "recv", "right", package)
-
-        # 6. Refresh derived state for the (possibly) new slab.
-        self._moments_and_forces(("post_remap", rnd))
-
-    def _remap_global(self) -> None:
-        """Global scheme: allgather load indices, every rank evaluates the
-        same proportional-target decision, then pairwise edge migrations."""
-        comm = self.comm
-        rank, size = comm.rank, comm.size
-        if size == 1:
-            return
-        rnd = self.phase
-        my_planes = self.local_planes
-        gathered = comm.allgather(
-            (my_planes, self._predicted_time()), ("remap_global", rnd)
-        )
-        counts = [g[0] for g in gathered]
-        times = np.array([g[1] for g in gathered])
-        partition = SlicePartition(counts, self.plane_points)
-        flows = GlobalPolicy(self.remap_config).decide(partition, times)
-        traced = self.observer.enabled
-        if traced:
-            self.observer.emit(
-                "remap_decision",
-                round=rnd,
-                policy=self.policy_name,
-                load_index=float(times[rank]),
-                points=my_planes * self.plane_points,
-                flows=[int(x) for x in flows],
-            )
-
-        # Apply this rank's edges, left first (matching flow semantics:
-        # flows[e] planes go from rank e to rank e+1).
-        if rank > 0:
-            flow = int(flows[rank - 1])
-            if flow > 0:  # receiving from the left
-                package = comm.recv(rank - 1, ("migrate", rnd, "R"))
-                self.f = unpack_planes(self.f, package, "left")
-                self.plane_start -= package.shape[2]
-                self._after_resize(package.shape[2])
-                self.planes_received += package.shape[2]
-                if traced:
-                    self._emit_migrate(rnd, "recv", "left", package)
-            elif flow < 0:  # sending leftward
-                package, self.f = pack_planes(self.f, "left", -flow)
-                self.plane_start += -flow
-                self._after_resize(flow)
-                self.planes_sent += -flow
-                comm.send(rank - 1, ("migrate", rnd, "L"), package)
-                if traced:
-                    self._emit_migrate(rnd, "send", "left", package)
-        if rank < size - 1:
-            flow = int(flows[rank])
-            if flow > 0:  # sending rightward
-                package, self.f = pack_planes(self.f, "right", flow)
-                self._after_resize(-flow)
-                self.planes_sent += flow
-                comm.send(rank + 1, ("migrate", rnd, "R"), package)
-                if traced:
-                    self._emit_migrate(rnd, "send", "right", package)
-            elif flow < 0:  # receiving from the right
-                package = comm.recv(rank + 1, ("migrate", rnd, "L"))
-                self.f = unpack_planes(self.f, package, "right")
-                self._after_resize(package.shape[2])
-                self.planes_received += package.shape[2]
-                if traced:
-                    self._emit_migrate(rnd, "recv", "right", package)
-        self._moments_and_forces(("post_remap", rnd))
-
-    def _remap_cart(self) -> None:
-        """Remapping on a 2-D grid: one allgather of every subdomain's
-        load index, from which *all* ranks derive identical per-axis
-        chain flows — rows rebalance x planes, columns rebalance
-        cross-section bands — then bands move pairwise along each axis
-        (rows exchange with the vertical neighbour in the same column
-        and vice versa, so the grid stays cartesian by construction)."""
-        comm = self.comm
-        rnd = self.phase
-        rows, cols = self.rows, self.cols
-        my_time = self._predicted_time()
-        gathered = comm.allgather(
-            (
-                self.row,
-                self.col,
+        A 1-D chain running a windowed scheme decides the paper's way,
+        from neighbour messages only (:func:`neighbour_window_edges`).
+        Everything else decides from one allgather: ``global`` needs all
+        load indices by definition, and a grid's row must move its planes
+        in lock-step across all its columns (and vice versa), which a
+        per-rank window cannot guarantee."""
+        load_index = self.remap_config.predictor.predict(self.history)
+        if self.cols == 1 and self.policy_name in ("filtered", "conservative"):
+            edges = neighbour_window_edges(
+                self.comm,
+                rnd,
                 self.local_planes,
-                self.local_cols,
-                my_time,
-            ),
-            ("remap_cart", rnd),
-        )
-        row_planes = [0] * rows
-        col_bands = [0] * cols
-        row_times: list[list[float]] = [[] for _ in range(rows)]
-        col_times: list[list[float]] = [[] for _ in range(cols)]
-        for r, c, planes, bands, t in gathered:
-            row_planes[r] = planes
-            col_bands[c] = bands
-            row_times[r].append(t)
-            col_times[c].append(t)
-        rest_points = int(np.prod(self.cross[1:])) if len(self.cross) > 1 else 1
-        flows_r = _chain_flows(
-            row_planes,
-            [float(np.mean(ts)) for ts in row_times],
-            int(self.cross[0]) * rest_points,
-            self.policy_name,
-            self.remap_config,
-        )
-        flows_c = _chain_flows(
-            col_bands,
-            [float(np.mean(ts)) for ts in col_times],
-            int(self.config.geometry.shape[0]) * rest_points,
-            self.policy_name,
-            self.remap_config,
-        )
-        traced = self.observer.enabled
-        if traced:
+                load_index,
+                self.plane_points,
+                self.policy_name,
+                self.remap_config,
+            )
+            plan = [(2, edges)]
+        else:
+            gathered = self.comm.allgather(
+                (self.local_planes, self.local_cols, load_index),
+                ("remap", rnd),
+            )
+            # Rank order is row-major: (rows, cols) load indices, and a
+            # band's extent read off its first member.
+            times = np.array([g[2] for g in gathered]).reshape(
+                self.rows, self.cols
+            )
+            planes = [g[0] for g in gathered[:: self.cols]]
+            plan = [(2, self._gathered_edges(0, planes, self.plane_points, times))]
+            if self.cols > 1:
+                bands = [g[1] for g in gathered[: self.cols]]
+                column_points = self.config.geometry.shape[0] * self._line_points
+                plan.append(
+                    (3, self._gathered_edges(1, bands, column_points, times.T))
+                )
+        if self.observer.enabled:
             self.observer.emit(
                 "remap_decision",
                 round=rnd,
                 policy=self.policy_name,
-                load_index=float(my_time),
-                points=self.local_planes * self.local_cols * rest_points,
-                row_flows=[int(x) for x in flows_r],
-                col_flows=[int(x) for x in flows_c],
+                load_index=float(load_index),
+                points=self.local_planes * self.local_cols * self._line_points,
+                # per axis: [due, out] on the low and the high edge
+                edges={
+                    AXIS_NAMES[axis]: [edge[1:] for edge in edges]
+                    for axis, edges in plan
+                },
             )
-        topo = self.topo
-        row, col = self.row, self.col
-        # Row axis: x planes move between vertically adjacent rows (low
-        # edge first, matching the 1-D chain protocol's ordering).
-        if row > 0:
-            flow = int(flows_r[row - 1])
-            peer = topo.rank_of(row - 1, col)
-            if flow > 0:  # receiving planes from the row above
-                package = comm.recv(peer, ("migrate", rnd, "R"))
-                self.f = unpack_band(self.f, package, 2, "low")
-                self.plane_start -= package.shape[2]
-                self.planes_received += package.shape[2]
-                if traced:
-                    self._emit_migrate(rnd, "recv", "left", package)
-            elif flow < 0:  # sending planes upward
-                package, self.f = pack_band(self.f, 2, "low", -flow)
-                self.plane_start += -flow
-                self.planes_sent += -flow
-                comm.send(peer, ("migrate", rnd, "L"), package)
-                if traced:
-                    self._emit_migrate(rnd, "send", "left", package)
-        if row < rows - 1:
-            flow = int(flows_r[row])
-            peer = topo.rank_of(row + 1, col)
-            if flow > 0:  # sending planes downward
-                package, self.f = pack_band(self.f, 2, "high", flow)
-                self.planes_sent += flow
-                comm.send(peer, ("migrate", rnd, "R"), package)
-                if traced:
-                    self._emit_migrate(rnd, "send", "right", package)
-            elif flow < 0:
-                package = comm.recv(peer, ("migrate", rnd, "L"))
-                self.f = unpack_band(self.f, package, 2, "high")
-                self.planes_received += package.shape[2]
-                if traced:
-                    self._emit_migrate(rnd, "recv", "right", package)
-        # Column axis: cross-section bands move between horizontally
-        # adjacent columns.
-        if col > 0:
-            flow = int(flows_c[col - 1])
-            peer = topo.rank_of(row, col - 1)
-            if flow > 0:
-                package = comm.recv(peer, ("migrate", rnd, "U"))
-                self.f = unpack_band(self.f, package, 3, "low")
-                self.col_start -= package.shape[3]
-                if traced:
-                    self._emit_migrate(rnd, "recv", "down", package)
-            elif flow < 0:
-                package, self.f = pack_band(self.f, 3, "low", -flow)
-                self.col_start += -flow
-                comm.send(peer, ("migrate", rnd, "D"), package)
-                if traced:
-                    self._emit_migrate(rnd, "send", "down", package)
-        if col < cols - 1:
-            flow = int(flows_c[col])
-            peer = topo.rank_of(row, col + 1)
-            if flow > 0:
-                package, self.f = pack_band(self.f, 3, "high", flow)
-                comm.send(peer, ("migrate", rnd, "U"), package)
-                if traced:
-                    self._emit_migrate(rnd, "send", "up", package)
-            elif flow < 0:
-                package = comm.recv(peer, ("migrate", rnd, "D"))
-                self.f = unpack_band(self.f, package, 3, "high")
-                if traced:
-                    self._emit_migrate(rnd, "recv", "up", package)
-        # One reallocation after both axes settle (the 1-D paths realloc
-        # per transfer; here a rank can take part in up to four).
-        self._alloc_state()
-        self._moments_and_forces(("post_remap", rnd))
+        return plan
 
-    def _after_resize(self, delta: int) -> None:
-        self.decomp.adjust(self.comm.rank, delta)
-        self._alloc_state()
+    def _gathered_edges(
+        self, axis: int, counts: list[int], band_points: int, times: np.ndarray
+    ) -> list[Edge]:
+        """This rank's two edges along grid axis *axis* (0: rows, 1:
+        columns) from the gathered band extents *counts* and the
+        ``(bands, ranks per band)`` load indices *times*.  Every rank
+        evaluates the same :mod:`repro.core.policies` planner on the same
+        numbers, so all agree without a further message."""
+        partition = SlicePartition(counts, band_points)
+        # A band's load index is the mean over the ranks in it.
+        band_times = np.array([float(np.mean(band)) for band in times])
+        flows = self._policy.decide(partition, band_times)
+        # No-op after a windowed decide, which ends with this clamp; it
+        # cuts the relayed through-traffic ``global`` may plan — which a
+        # send-first executor cannot ship — to what each band owns now.
+        flows = clamp_to_owned(flows, partition)
+        mine = (self.row, self.col)[axis]
+        low = -int(flows[mine - 1]) if mine > 0 else 0
+        high = int(flows[mine]) if mine < len(flows) else 0
+        rank = self.comm.rank
+        return [
+            (self.topo.neighbour(rank, axis, -1), low, max(low, 0)),
+            (self.topo.neighbour(rank, axis, +1), high, max(high, 0)),
+        ]
+
+    def _migrate_axis(self, rnd: int, axis: int, edges: list[Edge]) -> bool:
+        """Ship and receive this round's bands along one decomposed axis
+        of ``f`` (2: x planes, 3: cross-section columns); returns whether
+        this rank's subdomain changed.
+
+        All sends go out before any receive, so no rank waits on a chain
+        of relays.  A sender whose clamp cut a due transfer to nothing
+        still sends ``None``: under the neighbour-only protocol the
+        receiver cannot know the sender's clamp and would wait in vain."""
+        comm = self.comm
+        moved = False
+        for side, (peer, due, out) in zip(SIDES, edges):
+            if due <= 0:
+                continue
+            package = None
+            if out > 0:
+                package, self.f = pack_band(
+                    self.f, axis, side, out, self._padded
+                )
+                self._account_transfer(rnd, axis, side, "send", package)
+                moved = True
+            comm.send(peer, ("migrate", rnd, axis, side), package)
+        for side, other, (peer, due, _) in zip(SIDES, SIDES[::-1], edges):
+            if due >= 0:
+                continue
+            package = comm.recv(peer, ("migrate", rnd, axis, other))
+            if package is not None:
+                self.f = unpack_band(
+                    self.f, package, axis, side, self._padded
+                )
+                self._account_transfer(rnd, axis, side, "recv", package)
+                moved = True
+        return moved
+
+    def _account_transfer(
+        self, rnd: int, axis: int, side: str, action: str, package: np.ndarray
+    ) -> None:
+        """Ownership bookkeeping for one packed/unpacked package, done on
+        the spot because reallocation re-slices an x-varying scenario's
+        geometry from ``plane_start``/``col_start``."""
+        bands = int(package.shape[axis])
+        if side == "low":
+            # Chain migration keeps ranks ordered along each axis, so
+            # low-edge transfers are the only thing that moves an origin.
+            shift = bands if action == "send" else -bands
+            if axis == 2:
+                self.plane_start += shift
+            else:
+                self.col_start += shift
+        if axis == 2:
+            if action == "send":
+                self.planes_sent += bands
+            else:
+                self.planes_received += bands
+        if self.observer.enabled:
+            self.observer.emit(
+                "migrate",
+                round=rnd,
+                action=action,
+                axis=AXIS_NAMES[axis],
+                direction=side,
+                planes=bands,
+                bytes=int(package.nbytes),
+            )
+            self.observer.counter("migration.planes").add(bands)
+            if action == "send":
+                self.observer.counter("migration.bytes").add(package.nbytes)
 
     # ---------------------------------------------------------- checkpoints
     def check_health(self, max_velocity: float = 0.4) -> None:
@@ -1088,24 +782,7 @@ class ParallelLBM:
         column *col_start*), then refresh all derived state — the same
         sequence a migration uses, so the next phase continues
         bit-identically."""
-        ln = int(f_interior.shape[2])
-        if self.cols > 1:
-            lc = int(f_interior.shape[3])
-            new_f = np.zeros(
-                f_interior.shape[:2] + (ln + 2, lc + 2, *self.cross[1:]),
-                dtype=np.float64,
-            )
-            new_f[:, :, 1:-1, 1:-1] = f_interior
-        else:
-            new_f = np.zeros(
-                f_interior.shape[:2] + (ln + 2, *self.cross),
-                dtype=np.float64,
-            )
-            new_f[:, :, 1:-1] = f_interior
-        delta = ln - self.local_planes
-        self.f = new_f
-        if delta:
-            self.decomp.adjust(self.comm.rank, delta)
+        self.f = pad_with_ghosts(f_interior, self._padded)
         self.plane_start = int(plane_start)
         self.col_start = int(col_start)
         self._alloc_state()
@@ -1193,40 +870,18 @@ class ParallelLBM:
                 for sample in arrays["history"]:
                     self.history.record(float(sample))
             else:
+                # The fingerprint check pinned the checkpoint's shape to
+                # this run's, which the constructor already split.
                 f_global = store.load_global_f(manifest)
+                start, count, cstart, ccount = CartTopology.from_shape(
+                    f_global.shape[2:], self.rows, self.cols
+                ).rectangle(comm.rank)
+                block = f_global[:, :, start : start + count]
                 if self.cols > 1:
-                    row_counts = even_split(f_global.shape[2], self.rows)
-                    col_counts = even_split(f_global.shape[3], self.cols)
-                    start = sum(row_counts[: self.row])
-                    cstart = sum(col_counts[: self.col])
-                    self._adopt_interior(
-                        f_global[
-                            :,
-                            :,
-                            start : start + row_counts[self.row],
-                            cstart : cstart + col_counts[self.col],
-                        ],
-                        start,
-                        ("restore", manifest.step),
-                        col_start=cstart,
-                    )
-                else:
-                    base, extra = divmod(f_global.shape[2], comm.size)
-                    if base < 1:
-                        raise CheckpointError(
-                            f"checkpoint has {f_global.shape[2]} planes, "
-                            f"too few for {comm.size} ranks"
-                        )
-                    counts = [
-                        base + (1 if r < extra else 0)
-                        for r in range(comm.size)
-                    ]
-                    start = sum(counts[: comm.rank])
-                    self._adopt_interior(
-                        f_global[:, :, start : start + counts[comm.rank]],
-                        start,
-                        ("restore", manifest.step),
-                    )
+                    block = block[:, :, :, cstart : cstart + ccount]
+                self._adopt_interior(
+                    block, start, ("restore", manifest.step), col_start=cstart
+                )
                 self.planes_sent = 0
                 self.planes_received = 0
                 self.plane_history = [self.local_planes]
@@ -1285,86 +940,57 @@ class ParallelLBM:
         )
 
 
-def _chain_flows(
-    counts: list[int],
-    times: list[float],
+def neighbour_window_edges(
+    comm: Communicator,
+    rnd: int,
+    planes: int,
+    load_index: float,
     band_points: int,
     policy: str,
-    remap_config: RemappingConfig,
-) -> list[int]:
-    """Edge flows for one decomposition axis: ``flows[e]`` bands move
-    from band *e* to band *e+1* (negative: the other way).  Every rank
-    evaluates this on the same allgathered data, so the decisions agree
-    without further communication.  ``"global"`` delegates to
-    :class:`~repro.core.policies.GlobalPolicy`; the windowed policies
-    replicate the distributed chain protocol — per-neighbour
-    ``window_proposal``, per-edge netting, per-band outflow clamp — in
-    one deterministic sweep."""
-    n = len(counts)
-    if n <= 1:
-        return []
-    times_arr = np.asarray(times, dtype=np.float64)
-    if policy == "global":
-        partition = SlicePartition(list(counts), band_points)
-        decided = GlobalPolicy(remap_config).decide(partition, times_arr)
-        return [int(x) for x in decided]
-    pts = np.asarray(counts, dtype=np.float64) * band_points
-    speeds = pts / times_arr
-    threshold = remap_config.threshold_points_for(band_points)
-    filtered = policy == "filtered"
-    give_left = [0.0] * n
-    give_right = [0.0] * n
-    for i in range(n):
-        lo = max(0, i - 1)
-        hi = min(n, i + 2)
-        my_idx = i - lo
-        if i > 0:
-            give_left[i] = window_proposal(
-                pts[lo:hi],
-                speeds[lo:hi],
-                my_idx,
-                my_idx - 1,
-                remap_config,
-                threshold,
-                filtered=filtered,
-            )
-        if i < n - 1:
-            give_right[i] = window_proposal(
-                pts[lo:hi],
-                speeds[lo:hi],
-                my_idx,
-                my_idx + 1,
-                remap_config,
-                threshold,
-                filtered=filtered,
-            )
-    flows = [0] * (n - 1)
-    for e in range(n - 1):
-        net = give_right[e] - give_left[e + 1]
-        if net > 0:
-            flows[e] = int(net // band_points)
-        elif net < 0:
-            flows[e] = -int((-net) // band_points)
-    # Per-band outflow clamp (at least one band must remain), computed
-    # from the pre-clamp flows exactly as each rank of the distributed
-    # protocol clamps its own outflows from the original nets.
-    orig = list(flows)
-    for i in range(n):
-        out_left = -orig[i - 1] if i > 0 and orig[i - 1] < 0 else 0
-        out_right = orig[i] if i < n - 1 and orig[i] > 0 else 0
-        max_out = counts[i] - 1
-        total_out = out_left + out_right
-        if total_out > max_out:
-            need = total_out - max_out
-            cut_right = min(
-                out_right, -(-need * out_right // max(total_out, 1))
-            )
-            cut_left = min(out_left, need - cut_right)
-            if cut_right:
-                flows[i] -= cut_right
-            if cut_left:
-                flows[i - 1] += cut_left
-    return flows
+    config: RemappingConfig,
+) -> list[Edge]:
+    """One rank's share of the paper's neighbour-only remap decision on
+    a 1-D chain: its low and high :data:`Edge`.
+
+    Two message rounds with rank ± 1 and nothing else — load indices,
+    then proposals — and each rank evaluates its own slice of exactly
+    the pipeline ``_LocalWindowPolicy.decide`` runs on global arrays:
+    :func:`~repro.core.policies.window_proposal` on its three-node
+    window, per-edge netting (both endpoints net the same two proposals,
+    so they agree on what is due without a further message), whole
+    planes, and the clamp to what it owns.  Needs only a communicator,
+    so the parity test runs it on bare threads."""
+    rank = comm.rank
+    peers = (
+        rank - 1 if rank > 0 else None,
+        rank + 1 if rank < comm.size - 1 else None,
+    )
+    mine = (planes * band_points, load_index)
+    infos = comm.exchange_with_neighbours(mine, mine, ("loadidx", rnd))
+    window = [info for info in (infos[0], mine, infos[1]) if info is not None]
+    me = 0 if infos[0] is None else 1
+    counts = np.array([info[0] for info in window], dtype=np.float64)
+    speeds = speeds_from(counts, [info[1] for info in window])
+    threshold = config.threshold_points_for(band_points)
+    give = [
+        0.0
+        if peer is None
+        else window_proposal(
+            counts,
+            speeds,
+            me,
+            me + step,
+            config,
+            threshold,
+            filtered=policy == "filtered",
+        )
+        for peer, step in zip(peers, (-1, +1))
+    ]
+    theirs = comm.exchange_with_neighbours(give[0], give[1], ("proposal", rnd))
+    net = [g - (t or 0.0) for g, t in zip(give, theirs)]
+    due = [int(d) for d in flows_to_planes(net, band_points)]
+    outs = clamp_outflows(max(due[0], 0), max(due[1], 0), planes - 1)
+    return list(zip(peers, due, outs))
 
 
 def _spec_observer(spec: Any) -> tuple[ObserverLike, bool]:
@@ -1459,10 +1085,9 @@ def _run_parallel(spec: Any, config: LBMConfig, store: Any) -> list[ParallelRunR
                 initial_counts = [s.plane_count for s in shards]
 
     if cols == 1 and initial_counts is None:
-        base, extra = divmod(total_planes, n_ranks)
-        if base < 1:
+        if n_ranks > total_planes:
             raise ValueError("more ranks than planes")
-        initial_counts = [base + (1 if r < extra else 0) for r in range(n_ranks)]
+        initial_counts = even_split(total_planes, n_ranks)
 
     obs, owns_observer = _spec_observer(spec)
     if obs.enabled:
@@ -1545,89 +1170,6 @@ def _run_parallel(spec: Any, config: LBMConfig, store: Any) -> list[ParallelRunR
     finally:
         if owns_observer:
             obs.close()
-
-
-def run_parallel_lbm(
-    n_ranks: int,
-    config: LBMConfig,
-    phases: int,
-    *,
-    transport: str | None = None,
-    policy: str = "filtered",
-    remap_config: RemappingConfig | None = None,
-    load_time_fn: LoadTimeFn | None = None,
-    initial_counts: list[int] | None = None,
-    decomp: str | tuple[int, int] = "auto",
-    timeout: float = 600.0,
-    observer: ObserverLike = NULL_OBSERVER,
-    trace_path: str | None = None,
-    checkpoint_every: int = 0,
-    checkpoint_store=None,
-    resume: bool = False,
-    faults=None,
-) -> list[ParallelRunResult]:
-    """Run the parallel LBM on an in-process cluster of *n_ranks* ranks.
-
-    .. deprecated::
-        This is a thin shim over the :mod:`repro.api` facade — build a
-        :class:`repro.api.RunSpec` and call :func:`repro.api.run`
-        instead.  Every keyword maps 1:1 onto a RunSpec field and the
-        results are identical.
-
-    *transport* selects ``"threads"`` or ``"processes"`` (default: the
-    ``REPRO_TRANSPORT`` environment variable, then threads).  Returns
-    the per-rank results in rank order; use :func:`assemble_global_f`
-    to reconstruct the global field.
-
-    Observability: pass an enabled :class:`repro.obs.Observer` (shared
-    sink; each rank gets a rank-stamped child), or *trace_path* to write
-    a self-contained JSONL trace (``run_start`` metadata, per-phase
-    timings and halo bytes, remap/migration events, metrics snapshots).
-    With neither, the ``REPRO_OBS_TRACE`` environment variable is
-    consulted; unset means zero instrumentation overhead.
-
-    Checkpointing (see :mod:`repro.ckpt`): pass a shared
-    :class:`~repro.ckpt.CheckpointStore` plus ``checkpoint_every`` to
-    snapshot periodically.  With ``resume=True``, *phases* is the TOTAL
-    phase target: the ranks restore the latest good generation (if any)
-    and run only the remainder — bit-exactly continuing the interrupted
-    run.  *faults* (a :class:`~repro.ckpt.FaultPlan`) injects failures
-    for recovery testing; injected :class:`~repro.ckpt.InjectedFault`
-    errors surface from the cluster wrapped in ``RuntimeError``.
-    """
-    warnings.warn(
-        "run_parallel_lbm is deprecated; build a repro.api.RunSpec and "
-        "call repro.api.run(spec)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro import api
-
-    spec = api.RunSpec(
-        config=config,
-        phases=phases,
-        ranks=n_ranks,
-        transport=transport,
-        policy=policy,
-        remap_config=remap_config,
-        load_time_fn=load_time_fn,
-        initial_counts=(
-            tuple(initial_counts) if initial_counts is not None else None
-        ),
-        decomp=decomp,
-        timeout=timeout,
-        observer=observer,
-        trace_path=trace_path,
-        checkpoint_every=checkpoint_every,
-        checkpoint_store=checkpoint_store,
-        resume=resume,
-        faults=faults,
-    )
-    if n_ranks == 1:
-        # Legacy semantics: a 1-rank *parallel-driver* run (the facade
-        # would dispatch ranks=1 to the sequential solver instead).
-        return api.execute_parallel(spec)
-    return api.run(spec).rank_results
 
 
 def assemble_global_f(results: list[ParallelRunResult]) -> np.ndarray:

@@ -1,9 +1,14 @@
-"""Plane migration: serializing lattice planes for transfer between ranks.
+"""Band migration: serializing lattice planes (or cross-section columns)
+for transfer between ranks.
 
 A migration package carries the raw populations of *k* contiguous interior
-planes taken from one side of a slab.  Moments, forces and equilibrium
+bands taken from one side of a subdomain.  Moments, forces and equilibrium
 velocities are recomputed by the receiver (cheaper than shipping them, and
 it keeps a single source of truth).
+
+Every helper takes *padded*: the axes of ``f`` that carry ghost cells at
+index 0 and -1 — ``(2,)`` for a 1-D slab (x planes only), ``(2, 3)`` for
+a 2-D rectangle (x planes and y columns).
 """
 
 from __future__ import annotations
@@ -11,114 +16,81 @@ from __future__ import annotations
 import numpy as np
 
 
-def pack_planes(f: np.ndarray, side: str, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split *k* interior planes off the given side of a padded slab.
+def interior_of(f: np.ndarray, padded: tuple[int, ...]) -> np.ndarray:
+    """View of *f* without the ghost cells of its *padded* axes."""
+    index = [slice(None)] * f.ndim
+    for axis in padded:
+        index[axis] = slice(1, -1)
+    return f[tuple(index)]
+
+
+def pad_with_ghosts(interior: np.ndarray, padded: tuple[int, ...]) -> np.ndarray:
+    """Wrap an interior block with zeroed ghost cells on the *padded*
+    axes (refilled by the next halo exchange before use)."""
+    shape = list(interior.shape)
+    for axis in padded:
+        shape[axis] += 2
+    out = np.zeros(shape, dtype=interior.dtype)
+    interior_of(out, padded)[...] = interior
+    return out
+
+
+def pack_band(
+    f: np.ndarray, axis: int, side: str, k: int, padded: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split *k* interior bands off one side of a padded subdomain.
 
     Parameters
     ----------
     f:
-        Local populations, shape ``(C, Q, ln+2, *cross)`` with ghost planes
-        at x-index 0 and -1.
+        Local populations, shape ``(C, Q, ln+2, *cross)`` (slab) or
+        ``(C, Q, ln+2, lc+2, *rest)`` (rectangle).
+    axis:
+        The padded axis to take bands from: 2 (x planes) or 3 (y columns).
     side:
-        ``"left"`` takes the lowest-x interior planes (to send to the left
-        neighbour), ``"right"`` the highest-x ones.
+        ``"low"`` takes the lowest-index interior bands (to send to the
+        low neighbour), ``"high"`` the highest-index ones.
     k:
-        Number of planes to extract (1 <= k <= ln - 1; a rank always keeps
-        at least one interior plane).
+        Number of bands to extract (1 <= k <= n - 1; a rank always keeps
+        at least one interior band).
 
     Returns
     -------
-    (package, remainder): the extracted planes ``(C, Q, k, *cross)`` and a
-    new padded slab with fresh (zeroed) ghost planes — ghosts are refilled
-    by the next halo exchange before use.
+    (package, remainder): the extracted bands — interior data only, no
+    ghosts on any axis — and a new padded subdomain with fresh (zeroed)
+    ghosts all round.
     """
-    interior = f[:, :, 1:-1]
-    ln = interior.shape[2]
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if not 1 <= k <= ln - 1:
-        raise ValueError(f"cannot extract {k} of {ln} interior planes")
-    if side == "left":
-        package = np.ascontiguousarray(interior[:, :, :k])
-        keep = interior[:, :, k:]
-    else:
-        package = np.ascontiguousarray(interior[:, :, ln - k:])
-        keep = interior[:, :, : ln - k]
-    remainder = _pad_with_ghosts(keep)
-    return package, remainder
-
-
-def unpack_planes(f: np.ndarray, package: np.ndarray, side: str) -> np.ndarray:
-    """Attach received planes to the given side of a padded slab; returns a
-    new padded slab (ghosts zeroed, refilled at the next halo exchange)."""
-    interior = f[:, :, 1:-1]
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if package.shape[:2] != interior.shape[:2] or package.shape[3:] != interior.shape[3:]:
-        raise ValueError(
-            f"package shape {package.shape} incompatible with slab "
-            f"{interior.shape}"
-        )
-    if side == "left":
-        merged = np.concatenate([package, interior], axis=2)
-    else:
-        merged = np.concatenate([interior, package], axis=2)
-    return _pad_with_ghosts(merged)
-
-
-def _pad_with_ghosts(interior: np.ndarray) -> np.ndarray:
-    """Wrap an interior block with zeroed ghost planes on the x axis."""
-    shape = list(interior.shape)
-    shape[2] += 2
-    padded = np.zeros(shape, dtype=interior.dtype)
-    padded[:, :, 1:-1] = interior
-    return padded
-
-
-# --------------------------------------------------------------------- 2-D
-# The 2-D driver pads both decomposed axes (x planes *and* y columns), so
-# its migration helpers take/attach bands along either axis of a doubly
-# padded array.  ``pack_planes``/``unpack_planes`` above stay exactly as
-# the 1-D chain-migration protocol uses them.
-
-
-def pack_band(
-    f: np.ndarray, axis: int, side: str, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split *k* interior bands off one side of a doubly padded subdomain.
-
-    *f* has shape ``(C, Q, ln+2, lc+2, *rest)`` with ghost cells at index
-    0 and -1 of both spatial axes; *axis* is 2 (x planes) or 3 (y
-    columns).  Returns ``(package, remainder)`` like :func:`pack_planes`
-    — the package carries interior data only (no ghosts on either axis),
-    the remainder is re-padded with zeroed ghosts all round.
-    """
-    _check_band_args(axis, side)
-    interior = f[:, :, 1:-1, 1:-1]
+    _check_band_args(axis, side, padded)
+    interior = interior_of(f, padded)
     n = interior.shape[axis]
     if not 1 <= k <= n - 1:
         raise ValueError(
             f"cannot extract {k} of {n} interior bands along axis {axis}"
         )
-    take_lo = [slice(None)] * interior.ndim
-    keep_lo = [slice(None)] * interior.ndim
+    take = [slice(None)] * interior.ndim
+    keep = [slice(None)] * interior.ndim
     if side == "low":
-        take_lo[axis] = slice(0, k)
-        keep_lo[axis] = slice(k, None)
+        take[axis] = slice(0, k)
+        keep[axis] = slice(k, None)
     else:
-        take_lo[axis] = slice(n - k, None)
-        keep_lo[axis] = slice(0, n - k)
-    package = np.ascontiguousarray(interior[tuple(take_lo)])
-    remainder = _pad_both_axes(interior[tuple(keep_lo)])
-    return package, remainder
+        take[axis] = slice(n - k, None)
+        keep[axis] = slice(0, n - k)
+    package = np.ascontiguousarray(interior[tuple(take)])
+    return package, pad_with_ghosts(interior[tuple(keep)], padded)
 
 
-def unpack_band(f: np.ndarray, package: np.ndarray, axis: int, side: str) -> np.ndarray:
-    """Attach received bands to one side of a doubly padded subdomain;
-    returns a new padded array (all ghosts zeroed, refilled at the next
-    halo exchange)."""
-    _check_band_args(axis, side)
-    interior = f[:, :, 1:-1, 1:-1]
+def unpack_band(
+    f: np.ndarray,
+    package: np.ndarray,
+    axis: int,
+    side: str,
+    padded: tuple[int, ...],
+) -> np.ndarray:
+    """Attach received bands to one side of a padded subdomain; returns a
+    new padded array (all ghosts zeroed, refilled at the next halo
+    exchange)."""
+    _check_band_args(axis, side, padded)
+    interior = interior_of(f, padded)
     expect = list(interior.shape)
     expect[axis] = package.shape[axis]
     if list(package.shape) != expect:
@@ -126,25 +98,14 @@ def unpack_band(f: np.ndarray, package: np.ndarray, axis: int, side: str) -> np.
             f"package shape {package.shape} incompatible with subdomain "
             f"{interior.shape} along axis {axis}"
         )
-    if side == "low":
-        merged = np.concatenate([package, interior], axis=axis)
-    else:
-        merged = np.concatenate([interior, package], axis=axis)
-    return _pad_both_axes(merged)
+    parts = [package, interior] if side == "low" else [interior, package]
+    return pad_with_ghosts(np.concatenate(parts, axis=axis), padded)
 
 
-def _check_band_args(axis: int, side: str) -> None:
-    if axis not in (2, 3):
-        raise ValueError(f"axis must be 2 (planes) or 3 (columns), got {axis}")
+def _check_band_args(axis: int, side: str, padded: tuple[int, ...]) -> None:
+    if axis not in padded:
+        raise ValueError(
+            f"axis {axis} is not decomposed here (padded axes: {padded})"
+        )
     if side not in ("low", "high"):
         raise ValueError(f"side must be 'low' or 'high', got {side!r}")
-
-
-def _pad_both_axes(interior: np.ndarray) -> np.ndarray:
-    """Wrap an interior block with zeroed ghosts on both spatial axes."""
-    shape = list(interior.shape)
-    shape[2] += 2
-    shape[3] += 2
-    padded = np.zeros(shape, dtype=interior.dtype)
-    padded[:, :, 1:-1, 1:-1] = interior
-    return padded

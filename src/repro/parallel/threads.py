@@ -27,8 +27,16 @@ class _World:
 
     def __init__(self, size: int):
         self.size = size
-        # One queue per (source, dest); messages carry their tag.
-        self.channels: dict[tuple[int, int], queue.Queue] = defaultdict(queue.Queue)
+        # One queue per (source, dest); messages carry their tag.  All
+        # made here: created on first use, a sender and a receiver
+        # racing for a fresh channel could each make their own queue
+        # and the message would sit in the one nobody reads.
+        self.channels: dict[tuple[int, int], queue.Queue] = {
+            (source, dest): queue.Queue()
+            for source in range(size)
+            for dest in range(size)
+            if source != dest
+        }
         self.barrier = threading.Barrier(size)
 
 

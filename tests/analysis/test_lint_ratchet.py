@@ -1,4 +1,5 @@
-"""tools/lint_ratchet.py: error-count ceilings only move down."""
+"""tools/lint_ratchet.py: error-count and line-count ceilings only move
+down."""
 
 from __future__ import annotations
 
@@ -97,3 +98,58 @@ def test_committed_ratchet_file_is_well_formed():
     assert set(doc["ceilings"]) == {"mypy", "ruff"}
     for value in doc["ceilings"].values():
         assert value is None or (isinstance(value, int) and value >= 0)
+
+
+# ------------------------------------------------------- line ceilings
+@pytest.fixture
+def loc_ratchet(monkeypatch, tmp_path) -> Path:
+    """A scratch repo with a 3-line and a 2-line module under ``pkg``
+    and a ratchet file pinning ``pkg`` at 5 lines."""
+    monkeypatch.setattr(lint_ratchet, "REPO", tmp_path)
+    (tmp_path / "pkg" / "sub").mkdir(parents=True)
+    (tmp_path / "pkg" / "a.py").write_text("x = 1\ny = 2\nz = 3\n")
+    (tmp_path / "pkg" / "sub" / "b.py").write_text("u = 1\nv = 2\n")
+    (tmp_path / "pkg" / "notes.txt").write_text("not\ncounted\n")
+    _with_counts(monkeypatch, {"mypy": None, "ruff": None})
+    path = tmp_path / "lint_ratchet.json"
+    lint_ratchet.save_ceilings({"mypy": 1, "ruff": 1}, path, {"pkg": 5})
+    return path
+
+
+def test_loc_counts_python_lines_recursively(loc_ratchet):
+    assert lint_ratchet.count_loc("pkg") == 5
+
+
+def test_loc_at_ceiling_passes_and_growth_fails(loc_ratchet, capsys):
+    assert lint_ratchet.main(["check", "--ratchet-file", str(loc_ratchet)]) == 0
+    assert "OK: pkg reports 5 lines" in capsys.readouterr().out
+    (loc_ratchet.parent / "pkg" / "c.py").write_text("w = 1\n")
+    assert lint_ratchet.main(["check", "--ratchet-file", str(loc_ratchet)]) == 1
+    assert "FAIL: pkg reports 6 lines" in capsys.readouterr().out
+
+
+def test_loc_update_only_lowers(loc_ratchet, capsys):
+    grown = loc_ratchet.parent / "pkg" / "c.py"
+    grown.write_text("w = 1\n")
+    lint_ratchet.main(["update", "--ratchet-file", str(loc_ratchet)])
+    assert lint_ratchet.load_loc(loc_ratchet) == {"pkg": 5}
+    assert "refusing" in capsys.readouterr().out
+    grown.unlink()
+    (loc_ratchet.parent / "pkg" / "sub" / "b.py").unlink()
+    lint_ratchet.main(["update", "--ratchet-file", str(loc_ratchet)])
+    assert lint_ratchet.load_loc(loc_ratchet) == {"pkg": 3}
+    # The tool ceilings ride along untouched.
+    assert lint_ratchet.load_ceilings(loc_ratchet) == {"mypy": 1, "ruff": 1}
+
+
+def test_ratchet_file_without_loc_section_has_no_line_ceilings(ratchet_file):
+    assert lint_ratchet.load_loc(ratchet_file) == {}
+
+
+def test_committed_loc_ceilings_hold():
+    """The gate itself: counting lines needs no tool, so the committed
+    ceilings are enforced by the test suite, not only by CI."""
+    loc = lint_ratchet.load_loc(REPO_ROOT / "lint_ratchet.json")
+    assert set(loc) == {"src/repro/parallel", "src/repro/core"}
+    for directory, ceiling in loc.items():
+        assert lint_ratchet.count_loc(directory) <= ceiling, directory

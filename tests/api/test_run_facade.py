@@ -1,7 +1,5 @@
 """The repro.api facade: RunSpec validation, sequential/parallel
-dispatch, environment overlay precedence, and the deprecation shims'
-round-trip guarantee (legacy entry points produce byte-identical
-results through the facade)."""
+dispatch and environment overlay precedence."""
 
 from __future__ import annotations
 
@@ -23,7 +21,6 @@ from repro.config import (
 )
 from repro.core.policies import RemappingConfig
 from repro.lbm.solver import MulticomponentLBM
-from repro.parallel.driver import assemble_global_f, run_parallel_lbm
 from repro.parallel.launch import resolve_transport
 
 
@@ -205,49 +202,3 @@ class TestEnvOverlay:
             ckpt_keep=env.ckpt_keep,
             decomp=env.decomp,
         )
-
-
-class TestDeprecationShims:
-    def test_run_parallel_lbm_warns_and_matches_facade(
-        self, two_component_config
-    ):
-        facade = run(
-            RunSpec(config=two_component_config, phases=8, ranks=3, **REMAP)
-        )
-        with pytest.warns(DeprecationWarning, match="RunSpec"):
-            legacy = run_parallel_lbm(3, two_component_config, 8, **REMAP)
-        assert np.array_equal(assemble_global_f(legacy), facade.f)
-        legacy_map = sorted(
-            (r.rank, r.plane_start, r.plane_count) for r in legacy
-        )
-        facade_map = sorted(
-            (r.rank, r.plane_start, r.plane_count)
-            for r in facade.rank_results
-        )
-        assert legacy_map == facade_map
-
-    def test_legacy_transport_kwarg_round_trips(self, two_component_config):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_parallel_lbm(
-                2, two_component_config, 4, transport="processes"
-            )
-        facade = run(RunSpec(
-            config=two_component_config,
-            phases=4,
-            ranks=2,
-            transport="processes",
-        ))
-        assert np.array_equal(assemble_global_f(legacy), facade.f)
-
-    def test_legacy_single_rank_keeps_parallel_world_semantics(
-        self, two_component_config
-    ):
-        """run_parallel_lbm(1, ...) historically ran a 1-rank *parallel*
-        world and returned per-rank results — the shim must not reroute
-        it to the sequential solver's return shape."""
-        with pytest.warns(DeprecationWarning):
-            legacy = run_parallel_lbm(1, two_component_config, 3)
-        assert isinstance(legacy, list) and len(legacy) == 1
-        direct = MulticomponentLBM(two_component_config)
-        direct.run(3)
-        assert np.array_equal(assemble_global_f(legacy), direct.f)

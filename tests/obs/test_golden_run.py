@@ -20,17 +20,17 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.api import RunSpec, run
 from repro.core.policies import RemappingConfig
 from repro.lbm.components import ComponentSpec
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import D2Q9
 from repro.lbm.solver import LBMConfig
 from repro.obs import MemorySink, Observer
-from repro.parallel.driver import assemble_global_f, run_parallel_lbm
+from repro.parallel.driver import assemble_global_f
 
 GOLDEN_PHASES = 8
 GOLDEN_INTERVAL = 4
-GOLDEN_COUNTS = [8, 8]
 
 #: sha256 of ``np.round(f_global, 8).tobytes()`` — identical for both
 #: backends (their differential tolerance is far below the rounding).
@@ -72,19 +72,18 @@ def golden_load_fn(rank: int, phase: int, points: int) -> float:
 
 def run_golden(backend: str):
     observer = Observer(sink=MemorySink())
-    results = run_parallel_lbm(
-        2,
-        golden_config(backend),
-        GOLDEN_PHASES,
+    spec = RunSpec(
+        config=golden_config(backend),
+        phases=GOLDEN_PHASES,
+        ranks=2,  # an even 8 + 8 planes
         policy="filtered",
         remap_config=RemappingConfig(
             interval=GOLDEN_INTERVAL, history=GOLDEN_INTERVAL
         ),
         load_time_fn=golden_load_fn,
-        initial_counts=list(GOLDEN_COUNTS),
         observer=observer,
     )
-    return results, observer.sink.events
+    return run(spec).rank_results, observer.sink.events
 
 
 def field_hash(f_global: np.ndarray) -> str:
@@ -118,7 +117,7 @@ class TestGoldenRun:
         assert len(phases) == 2 * GOLDEN_PHASES
         for ev in phases:
             for key in ("t_collide", "t_halo_f", "t_stream_bounce",
-                        "t_moments", "t_halo_rho", "t_total",
+                        "t_moments", "t_halo_rho", "t_total", "t_halo_wait",
                         "halo_f_bytes", "halo_rho_bytes"):
                 assert key in ev
             assert ev["halo_f_bytes"] > 0

@@ -39,12 +39,12 @@ def emit_run(observer, compute_scale=1.0):
                 t_total=2.1e-3, halo_f_bytes=5120, halo_rho_bytes=640,
             )
     observer.child(0).emit(
-        "migrate", round=1, action="send", direction="right", planes=1,
-        bytes=23040,
+        "migrate", round=1, action="send", axis="x", direction="high",
+        planes=1, bytes=23040,
     )
     observer.child(1).emit(
-        "migrate", round=1, action="receive", direction="left", planes=1,
-        bytes=23040,
+        "migrate", round=1, action="recv", axis="x", direction="low",
+        planes=1, bytes=23040,
     )
     hist = observer.histogram("kernel.fused.collide_bgk")
     hist.observe(4e-3 * compute_scale)

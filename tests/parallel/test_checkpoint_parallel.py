@@ -7,6 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import RunSpec, run
 from repro.ckpt import (
     CheckpointRejected,
     CheckpointStore,
@@ -18,11 +19,7 @@ from repro.lbm.components import ComponentSpec
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import D2Q9
 from repro.lbm.solver import LBMConfig, MulticomponentLBM
-from repro.parallel.driver import (
-    ParallelLBM,
-    assemble_global_f,
-    run_parallel_lbm,
-)
+from repro.parallel.driver import ParallelLBM, assemble_global_f
 from repro.parallel.threads import run_spmd
 
 
@@ -51,6 +48,10 @@ REMAP = dict(
 )
 
 
+def parallel_run(ranks, cfg, phases, **knobs):
+    return run(RunSpec(config=cfg, phases=phases, ranks=ranks, **knobs))
+
+
 class TestPeriodicParallelCheckpoints:
     def test_checkpoints_written_and_physics_exact(self, tmp_path):
         cfg = config()
@@ -58,10 +59,10 @@ class TestPeriodicParallelCheckpoints:
         seq = MulticomponentLBM(cfg)
         seq.run(12)
 
-        results = run_parallel_lbm(
+        result = parallel_run(
             3, cfg, 12, checkpoint_every=4, checkpoint_store=store, **REMAP
         )
-        assert np.array_equal(assemble_global_f(results), seq.f)
+        assert np.array_equal(result.f, seq.f)
         assert [i.step for i in store.generations()] == [4, 8, 12]
 
         # Every generation reassembles to the full domain and verifies.
@@ -75,7 +76,7 @@ class TestPeriodicParallelCheckpoints:
     ):
         cfg = config()
         store = CheckpointStore(tmp_path / "ckpt", keep_last=0)
-        run_parallel_lbm(
+        parallel_run(
             3, cfg, 12, checkpoint_every=12, checkpoint_store=store,
             decomp="slab", **REMAP  # shard bookkeeping asserted per plane
         )
@@ -97,7 +98,7 @@ class TestKillAndResume:
 
         store = CheckpointStore(tmp_path / "ckpt")
         with pytest.raises(RuntimeError, match="injected fault"):
-            run_parallel_lbm(
+            parallel_run(
                 3,
                 cfg,
                 20,
@@ -109,7 +110,7 @@ class TestKillAndResume:
             )
         assert store.latest_good().step == 12
 
-        results = run_parallel_lbm(
+        result = parallel_run(
             3,
             cfg,
             20,
@@ -118,7 +119,7 @@ class TestKillAndResume:
             resume=True,
             **REMAP,
         )
-        assert np.array_equal(assemble_global_f(results), seq.f)
+        assert np.array_equal(result.f, seq.f)
 
     def test_mid_phase_kill_never_corrupts_the_store(self, tmp_path):
         """Dying after collision but before the halo exchange — the state
@@ -129,7 +130,7 @@ class TestKillAndResume:
 
         store = CheckpointStore(tmp_path / "ckpt", keep_last=0)
         with pytest.raises(RuntimeError, match="mid_phase"):
-            run_parallel_lbm(
+            parallel_run(
                 3,
                 cfg,
                 16,
@@ -145,7 +146,7 @@ class TestKillAndResume:
             for i in store.generations()
         )
 
-        results = run_parallel_lbm(
+        result = parallel_run(
             3,
             cfg,
             16,
@@ -154,7 +155,7 @@ class TestKillAndResume:
             resume=True,
             **REMAP,
         )
-        assert np.array_equal(assemble_global_f(results), seq.f)
+        assert np.array_equal(result.f, seq.f)
 
     def test_corrupted_latest_generation_falls_back_one(self, tmp_path):
         cfg = config()
@@ -163,7 +164,7 @@ class TestKillAndResume:
 
         store = CheckpointStore(tmp_path / "ckpt", keep_last=0)
         with pytest.raises(RuntimeError):
-            run_parallel_lbm(
+            parallel_run(
                 3,
                 cfg,
                 16,
@@ -179,7 +180,7 @@ class TestKillAndResume:
         )
         assert store.latest_good().step == 8
 
-        results = run_parallel_lbm(
+        result = parallel_run(
             3,
             cfg,
             16,
@@ -188,7 +189,7 @@ class TestKillAndResume:
             resume=True,
             **REMAP,
         )
-        assert np.array_equal(assemble_global_f(results), seq.f)
+        assert np.array_equal(result.f, seq.f)
 
     def test_resume_into_different_rank_count(self, tmp_path):
         """A 3-rank checkpoint restores into a 2-rank job (global
@@ -199,7 +200,7 @@ class TestKillAndResume:
 
         store = CheckpointStore(tmp_path / "ckpt")
         with pytest.raises(RuntimeError):
-            run_parallel_lbm(
+            parallel_run(
                 3,
                 cfg,
                 16,
@@ -211,10 +212,10 @@ class TestKillAndResume:
             )
         assert store.latest_good().step == 8
 
-        results = run_parallel_lbm(
+        result = parallel_run(
             2, cfg, 16, checkpoint_store=store, resume=True, **REMAP
         )
-        assert np.array_equal(assemble_global_f(results), seq.f)
+        assert np.array_equal(result.f, seq.f)
 
     def test_resume_with_no_checkpoint_starts_from_scratch(
         self, tmp_path
@@ -223,14 +224,14 @@ class TestKillAndResume:
         seq = MulticomponentLBM(cfg)
         seq.run(8)
         store = CheckpointStore(tmp_path / "empty")
-        results = run_parallel_lbm(
+        result = parallel_run(
             3, cfg, 8, checkpoint_store=store, resume=True, **REMAP
         )
-        assert np.array_equal(assemble_global_f(results), seq.f)
+        assert np.array_equal(result.f, seq.f)
 
     def test_resume_requires_a_store(self):
         with pytest.raises(ValueError, match="needs a checkpoint_store"):
-            run_parallel_lbm(2, config(), 4, resume=True)
+            parallel_run(2, config(), 4, resume=True)
 
 
 class TestCollectiveRejection:
@@ -269,7 +270,9 @@ class TestCollectiveRejection:
 class TestOwnershipMap:
     def test_results_carry_a_tiling_ownership_map(self):
         # The walk below checks the 1-D x-axis tiling contract.
-        results = run_parallel_lbm(3, config(), 12, decomp="slab", **REMAP)
+        results = parallel_run(
+            3, config(), 12, decomp="slab", **REMAP
+        ).rank_results
         ordered = sorted(results, key=lambda r: r.plane_start)
         expect = 0
         for r in ordered:
@@ -282,7 +285,7 @@ class TestOwnershipMap:
         import dataclasses
 
         # The mutation below breaks the 1-D plane tiling specifically.
-        results = run_parallel_lbm(2, config(), 4, decomp="slab")
+        results = parallel_run(2, config(), 4, decomp="slab").rank_results
         broken = [
             dataclasses.replace(results[0], plane_start=3),
             results[1],

@@ -21,6 +21,7 @@ from repro.lbm.forces import WallForceSpec
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import D2Q9, D3Q19
 from repro.lbm.solver import LBMConfig, MulticomponentLBM
+from repro.obs import MemorySink, Observer
 from repro.parallel.decomposition import CartTopology
 from repro.parallel.driver import ParallelLBM, assemble_global_f
 from repro.parallel.threads import run_spmd
@@ -90,15 +91,16 @@ class TestDifferentialMatrix:
         assert np.array_equal(result.f, expected)
 
 
+def slow_first_rank(rank, phase, points):
+    t = points * 1e-6
+    return t / 0.25 if rank == 0 else t
+
+
 class TestRemapping2D:
     def test_active_row_and_column_remapping_stays_bitwise(self):
         cfg = config()
         expected = sequential_f(cfg, 40)
         topo = CartTopology.from_shape((20, 14), rows=2, cols=2)
-
-        def slow_first_rank(rank, phase, points):
-            t = points * 1e-6
-            return t / 0.25 if rank == 0 else t
 
         def rank_main(comm):
             return ParallelLBM(
@@ -115,6 +117,60 @@ class TestRemapping2D:
         )
         # …without perturbing a single bit of the physics.
         assert np.array_equal(assemble_global_f(results), expected)
+
+    def test_migrate_events_count_bands_along_the_migrated_axis(self):
+        """A ``migrate`` event reports how many bands moved along the
+        axis it names: per rank and round the events add up to the
+        change of that rank's extent on that axis, and per round and
+        axis everything sent is received."""
+        cfg = config()
+        topo = CartTopology.from_shape((20, 14), rows=2, cols=2)
+        observer = Observer(sink=MemorySink())
+
+        def rank_main(comm):
+            driver = ParallelLBM(
+                comm, cfg, None, topo=topo, policy="filtered",
+                remap_config=RemappingConfig(interval=5, history=5),
+                load_time_fn=slow_first_rank, observer=observer,
+            )
+            growth = {}
+            for _ in range(40):
+                driver.step_phase()
+                before = (driver.local_planes, driver.local_cols)
+                driver.maybe_remap()
+                growth[driver.phase] = {
+                    "x": driver.local_planes - before[0],
+                    "y": driver.local_cols - before[1],
+                }
+            return growth
+
+        growth = run_spmd(4, rank_main)
+        events = [e for e in observer.sink.events if e["type"] == "migrate"]
+        assert {e["axis"] for e in events} == {"x", "y"}
+        assert {e["action"] for e in events} == {"send", "recv"}
+        for rank in range(4):
+            for rnd, grown in growth[rank].items():
+                for axis in "xy":
+                    net = sum(
+                        e["planes"] if e["action"] == "recv" else -e["planes"]
+                        for e in events
+                        if (e["rank"], e["round"], e["axis"]) == (rank, rnd, axis)
+                    )
+                    assert net == grown[axis], (rank, rnd, axis)
+        for rnd in {e["round"] for e in events}:
+            for axis in "xy":
+                moved = {
+                    action: sum(
+                        e["planes"] for e in events
+                        if (e["round"], e["axis"], e["action"])
+                        == (rnd, axis, action)
+                    )
+                    for action in ("send", "recv")
+                }
+                assert moved["send"] == moved["recv"], (rnd, axis)
+        assert observer.counter("migration.planes").value == sum(
+            e["planes"] for e in events
+        )
 
 
 class TestCrossDecompositionRestore:

@@ -1,75 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.parallel.decomposition import (
-    CartTopology,
-    SlabDecomposition,
-    even_split,
-    grid_for,
-    slab_shape,
-)
-
-
-class TestSlabShape:
-    def test_adds_ghosts(self):
-        assert slab_shape(5, (8, 4)) == (7, 8, 4)
-
-    def test_minimum_one_plane(self):
-        with pytest.raises(ValueError):
-            slab_shape(0, (8,))
-
-
-class TestSlabDecomposition:
-    def test_start_end(self):
-        d = SlabDecomposition([3, 4, 5])
-        assert (d.start(0), d.end(0)) == (0, 3)
-        assert (d.start(1), d.end(1)) == (3, 7)
-        assert (d.start(2), d.end(2)) == (7, 12)
-        assert d.total_planes == 12
-
-    def test_ring_neighbours(self):
-        d = SlabDecomposition([2, 2, 2])
-        assert d.left_neighbour(0) == 2
-        assert d.right_neighbour(2) == 0
-        assert d.right_neighbour(0) == 1
-
-    def test_global_slice(self):
-        d = SlabDecomposition([3, 4])
-        arr = np.arange(7)
-        assert arr[d.global_slice(1)].tolist() == [3, 4, 5, 6]
-
-    def test_adjust(self):
-        d = SlabDecomposition([3, 4])
-        d.adjust(0, -2)
-        assert d.planes(0) == 1
-        with pytest.raises(ValueError):
-            d.adjust(0, -1)
-
-    def test_zero_planes_rejected(self):
-        with pytest.raises(ValueError):
-            SlabDecomposition([3, 0])
-
-    def test_rank_range_checked(self):
-        d = SlabDecomposition([3, 4])
-        with pytest.raises(IndexError):
-            d.start(2)
-
-    def test_assemble(self):
-        d = SlabDecomposition([2, 3])
-        pieces = [np.zeros((2, 4)), np.ones((3, 4))]
-        out = d.assemble(pieces)
-        assert out.shape == (5, 4)
-        assert out[0, 0] == 0 and out[-1, 0] == 1
-
-    def test_assemble_wrong_counts(self):
-        d = SlabDecomposition([2, 3])
-        with pytest.raises(ValueError):
-            d.assemble([np.zeros((1, 4)), np.ones((3, 4))])
-
-    def test_interior_slice(self):
-        d = SlabDecomposition([4])
-        arr = np.arange(6)
-        assert arr[d.interior()].tolist() == [1, 2, 3, 4]
+from repro.parallel.decomposition import CartTopology, even_split, grid_for
 
 
 class TestEvenSplit:
@@ -127,15 +59,15 @@ class TestCartTopology:
             topo.neighbour(0, 2, +1)
 
     def test_degenerate_single_column_matches_slab(self):
-        slab = SlabDecomposition([7, 7, 6])
         topo = CartTopology([7, 7, 6], [14])
         assert topo.cols == 1
-        for rank in range(3):
-            row, _ = topo.coords(rank)
-            assert topo.planes(row) == slab.planes(rank)
-            assert topo.plane_start(row) == slab.start(rank)
-            assert topo.neighbour(rank, 0, +1) == slab.right_neighbour(rank)
-            assert topo.neighbour(rank, 0, -1) == slab.left_neighbour(rank)
+        for rank, (planes, start) in enumerate([(7, 0), (7, 7), (6, 14)]):
+            assert topo.coords(rank) == (rank, 0)
+            assert topo.planes(rank) == planes
+            assert topo.plane_start(rank) == start
+            # The x ring of the paper's 1-D scheme.
+            assert topo.neighbour(rank, 0, +1) == (rank + 1) % 3
+            assert topo.neighbour(rank, 0, -1) == (rank - 1) % 3
 
     def test_adjusting_bands_keeps_the_grid_cartesian(self):
         topo = CartTopology.from_shape((20, 14), rows=2, cols=2)

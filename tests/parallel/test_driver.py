@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 
+from repro.api import RunSpec, execute_parallel
 from repro.core.policies import RemappingConfig
 from repro.lbm.components import ComponentSpec
 from repro.lbm.forces import WallForceSpec
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import D2Q9, D3Q19
 from repro.lbm.solver import LBMConfig, MulticomponentLBM
-from repro.parallel.driver import (
-    ParallelLBM,
-    assemble_global_f,
-    run_parallel_lbm,
-)
+from repro.parallel.driver import ParallelLBM, assemble_global_f
 from repro.parallel.threads import run_spmd
 
 
@@ -31,6 +28,15 @@ def small_config(nx=20, ny=14, with_forces=True):
     )
 
 
+def parallel_results(n_ranks, cfg, phases, **knobs):
+    """Per-rank results of a parallel-driver run (``execute_parallel``
+    keeps a 1-rank *parallel* world, which ``run`` would hand to the
+    sequential solver)."""
+    return execute_parallel(
+        RunSpec(config=cfg, phases=phases, ranks=n_ranks, **knobs)
+    )
+
+
 def slow_rank_load_fn(slow_rank, avail=0.35):
     def fn(rank, phase, points):
         t = points * 1e-6
@@ -45,14 +51,14 @@ class TestSequentialEquivalence:
         cfg = small_config()
         seq = MulticomponentLBM(cfg)
         seq.run(25)
-        results = run_parallel_lbm(n_ranks, cfg, 25, policy="no-remap")
+        results = parallel_results(n_ranks, cfg, 25, policy="no-remap")
         assert np.array_equal(assemble_global_f(results), seq.f)
 
     def test_migrating_bitwise_equal(self):
         cfg = small_config()
         seq = MulticomponentLBM(cfg)
         seq.run(40)
-        results = run_parallel_lbm(
+        results = parallel_results(
             4,
             cfg,
             40,
@@ -66,7 +72,7 @@ class TestSequentialEquivalence:
         cfg = small_config()
         seq = MulticomponentLBM(cfg)
         seq.run(30)
-        results = run_parallel_lbm(
+        results = parallel_results(
             3,
             cfg,
             30,
@@ -92,14 +98,14 @@ class TestSequentialEquivalence:
         )
         seq = MulticomponentLBM(cfg)
         seq.run(15)
-        results = run_parallel_lbm(3, cfg, 15, policy="no-remap")
+        results = parallel_results(3, cfg, 15, policy="no-remap")
         assert np.array_equal(assemble_global_f(results), seq.f)
 
 
 class TestMigrationBehaviour:
     def test_slow_rank_evacuated(self):
         cfg = small_config()
-        results = run_parallel_lbm(
+        results = parallel_results(
             4,
             cfg,
             40,
@@ -114,7 +120,7 @@ class TestMigrationBehaviour:
 
     def test_plane_conservation(self):
         cfg = small_config()
-        results = run_parallel_lbm(
+        results = parallel_results(
             4,
             cfg,
             40,
@@ -129,7 +135,7 @@ class TestMigrationBehaviour:
         cfg = small_config()
         seq = MulticomponentLBM(cfg)
         m0 = seq.total_mass()
-        results = run_parallel_lbm(
+        results = parallel_results(
             4,
             cfg,
             40,
@@ -141,7 +147,7 @@ class TestMigrationBehaviour:
 
     def test_no_migration_without_imbalance(self):
         cfg = small_config()
-        results = run_parallel_lbm(
+        results = parallel_results(
             4,
             cfg,
             30,
@@ -153,7 +159,7 @@ class TestMigrationBehaviour:
 
     def test_global_policy_balances_to_speed(self):
         cfg = small_config()
-        results = run_parallel_lbm(
+        results = parallel_results(
             4,
             cfg,
             40,
@@ -165,6 +171,38 @@ class TestMigrationBehaviour:
         # Slow rank ends with roughly half of the fast ranks' planes.
         fast = np.mean([by_rank[i].plane_count for i in (0, 2, 3)])
         assert by_rank[1].plane_count <= 0.75 * fast
+
+
+    @pytest.mark.parametrize(
+        "availabilities, settled",
+        [((1.0, 0.07, 0.43), [14, 1, 6]), ((0.43, 0.07, 1.0), [6, 1, 14])],
+        ids=["leftward", "rightward"],
+    )
+    def test_global_traffic_through_a_one_plane_rank(
+        self, availabilities, settled
+    ):
+        """``global`` plans four planes *through* the one-plane middle
+        rank.  A rank sends before it receives, so the relay is cut to
+        what the rank owns and completes a round later — in either
+        direction, bit-exactly."""
+        cfg = small_config(nx=21)
+        seq = MulticomponentLBM(cfg)
+        seq.run(10)
+
+        def load_fn(rank, phase, points):
+            return points * 1e-6 / availabilities[rank]
+
+        def rank_main(comm):
+            return ParallelLBM(
+                comm, cfg, [10, 1, 10], policy="global",
+                remap_config=RemappingConfig(interval=5, history=5),
+                load_time_fn=load_fn,
+            ).run(10)
+
+        results = run_spmd(3, rank_main, timeout=60.0)
+        assert [r.plane_count for r in results] == settled
+        assert [r.plane_history for r in results][1] == [1, 5, 1]
+        assert np.array_equal(assemble_global_f(results), seq.f)
 
 
 class TestDriverValidation:
@@ -188,16 +226,26 @@ class TestDriverValidation:
 
         assert all(run_spmd(2, fn))
 
+    def test_unknown_policy_rejected_at_construction(self):
+        cfg = small_config()
+
+        def fn(comm):
+            with pytest.raises(ValueError, match="unknown policy"):
+                ParallelLBM(comm, cfg, policy="filtred")
+            return True
+
+        assert all(run_spmd(2, fn))
+
     def test_more_ranks_than_planes(self):
         cfg = small_config(nx=3)
         # A 2-D grid could legally place 5 ranks on 3 planes (1x5), so
         # pin the slab: this test is about the 1-D plane-count limit.
         with pytest.raises(ValueError, match="more ranks"):
-            run_parallel_lbm(5, cfg, 2, decomp="slab")
+            parallel_results(5, cfg, 2, decomp="slab")
 
     def test_history_reported(self):
         cfg = small_config()
-        results = run_parallel_lbm(
+        results = parallel_results(
             2,
             cfg,
             20,

@@ -15,7 +15,6 @@ from repro.lbm.forces import WallForceSpec
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import D2Q9, D3Q19
 from repro.lbm.solver import LBMConfig, MulticomponentLBM
-from repro.parallel.driver import assemble_global_f, run_parallel_lbm
 
 
 def small_config(backend):
@@ -34,6 +33,12 @@ def small_config(backend):
     )
 
 
+def static_f(cfg, ranks, phases):
+    """Global populations of a no-remap parallel run."""
+    spec = api.RunSpec(config=cfg, phases=phases, ranks=ranks, policy="no-remap")
+    return api.run(spec).f
+
+
 def solver_with_state(config, f):
     """A sequential solver carrying the assembled parallel state (for
     running the profile diagnostics on a parallel result)."""
@@ -49,15 +54,12 @@ class TestParallelBackends:
         cfg = small_config(backend)
         seq = MulticomponentLBM(cfg)
         seq.run(25)
-        results = run_parallel_lbm(3, cfg, 25, policy="no-remap")
-        assert np.array_equal(assemble_global_f(results), seq.f)
+        assert np.array_equal(static_f(cfg, 3, 25), seq.f)
 
     def test_fused_matches_reference(self):
-        ref = run_parallel_lbm(3, small_config("reference"), 25, policy="no-remap")
-        fused = run_parallel_lbm(3, small_config("fused"), 25, policy="no-remap")
         np.testing.assert_allclose(
-            assemble_global_f(fused),
-            assemble_global_f(ref),
+            static_f(small_config("fused"), 3, 25),
+            static_f(small_config("reference"), 3, 25),
             rtol=0.0,
             atol=1e-12,
         )
@@ -73,22 +75,23 @@ class TestParallelBackends:
             t = points * 1e-6
             return t / 0.35 if rank == 1 else t
 
-        results = run_parallel_lbm(
-            4,
-            cfg,
-            40,
-            policy="filtered",
-            remap_config=RemappingConfig(interval=5, history=5),
-            load_time_fn=slow_rank,
+        result = api.run(
+            api.RunSpec(
+                config=cfg,
+                phases=40,
+                ranks=4,
+                policy="filtered",
+                remap_config=RemappingConfig(interval=5, history=5),
+                load_time_fn=slow_rank,
+            )
         )
-        assert np.array_equal(assemble_global_f(results), seq.f)
+        assert np.array_equal(result.f, seq.f)
 
     def test_identical_slip_profiles(self):
         profiles = {}
         for backend in ("reference", "fused"):
             cfg = small_config(backend)
-            results = run_parallel_lbm(2, cfg, 60, policy="no-remap")
-            carrier = solver_with_state(cfg, assemble_global_f(results))
+            carrier = solver_with_state(cfg, static_f(cfg, 2, 60))
             profiles[backend] = velocity_profile(carrier)
         ref, fused = profiles["reference"], profiles["fused"]
         np.testing.assert_array_equal(ref.positions, fused.positions)

@@ -5,12 +5,12 @@ throughout."""
 import numpy as np
 import pytest
 
+from repro.api import RunSpec, run
 from repro.core.policies import RemappingConfig
 from repro.lbm.components import ComponentSpec
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import D2Q9
 from repro.lbm.solver import LBMConfig, MulticomponentLBM
-from repro.parallel.driver import assemble_global_f, run_parallel_lbm
 
 
 def config(nx=24, ny=14):
@@ -28,6 +28,25 @@ def config(nx=24, ny=14):
     )
 
 
+def remapped_run(
+    cfg, phases, load_fn, policy="filtered", decomp="slab", **knobs
+):
+    """A 3-rank run with a 5-phase remap interval and history; the slab
+    is pinned wherever the caller's assertions count x planes."""
+    remap_config = RemappingConfig(interval=5, history=5, **knobs)
+    return run(
+        RunSpec(
+            config=cfg,
+            phases=phases,
+            ranks=3,
+            policy=policy,
+            remap_config=remap_config,
+            load_time_fn=load_fn,
+            decomp=decomp,
+        )
+    )
+
+
 class TestRecovery:
     def test_load_returns_after_recovery(self):
         """Rank 1 is slow for the first 40 phases, then recovers; by the
@@ -40,18 +59,8 @@ class TestRecovery:
             return t
 
         cfg = config()
-        results = run_parallel_lbm(
-            3,
-            cfg,
-            160,
-            policy="filtered",
-            remap_config=RemappingConfig(
-                interval=5, history=5, fast_to_slow_tolerance=0.1
-            ),
-            load_time_fn=load_fn,
-            decomp="slab",  # the assertions track plane-band movement
-        )
-        by_rank = sorted(results, key=lambda r: r.rank)
+        result = remapped_run(cfg, 160, load_fn, fast_to_slow_tolerance=0.1)
+        by_rank = sorted(result.rank_results, key=lambda r: r.rank)
         history = by_rank[1].plane_history
         assert min(history) <= 2  # was evacuated during the slowdown
         assert by_rank[1].plane_count >= 5  # and re-balanced afterwards
@@ -66,17 +75,10 @@ class TestRecovery:
         cfg = config()
         seq = MulticomponentLBM(cfg)
         seq.run(160)
-        results = run_parallel_lbm(
-            3,
-            cfg,
-            160,
-            policy="filtered",
-            remap_config=RemappingConfig(
-                interval=5, history=5, fast_to_slow_tolerance=0.1
-            ),
-            load_time_fn=load_fn,
+        result = remapped_run(
+            cfg, 160, load_fn, decomp="auto", fast_to_slow_tolerance=0.1
         )
-        assert np.array_equal(assemble_global_f(results), seq.f)
+        assert np.array_equal(result.f, seq.f)
 
     def test_alternating_slow_ranks(self):
         """The slow rank moves around; planes must keep being conserved
@@ -92,19 +94,9 @@ class TestRecovery:
         cfg = config()
         seq = MulticomponentLBM(cfg)
         seq.run(120)
-        results = run_parallel_lbm(
-            3,
-            cfg,
-            120,
-            policy="filtered",
-            remap_config=RemappingConfig(
-                interval=5, history=5, fast_to_slow_tolerance=0.1
-            ),
-            load_time_fn=load_fn,
-            decomp="slab",  # plane conservation is asserted per band
-        )
-        assert sum(r.plane_count for r in results) == 24
-        assert np.array_equal(assemble_global_f(results), seq.f)
+        result = remapped_run(cfg, 120, load_fn, fast_to_slow_tolerance=0.1)
+        assert sum(r.plane_count for r in result.rank_results) == 24
+        assert np.array_equal(result.f, seq.f)
 
     def test_conservative_policy_also_exact(self):
         def load_fn(rank, phase, points):
@@ -114,15 +106,7 @@ class TestRecovery:
         cfg = config()
         seq = MulticomponentLBM(cfg)
         seq.run(80)
-        results = run_parallel_lbm(
-            3,
-            cfg,
-            80,
-            policy="conservative",
-            remap_config=RemappingConfig(interval=5, history=5),
-            load_time_fn=load_fn,
-            decomp="slab",  # the shed-load bound below counts planes
-        )
-        assert np.array_equal(assemble_global_f(results), seq.f)
-        by_rank = sorted(results, key=lambda r: r.rank)
+        result = remapped_run(cfg, 80, load_fn, policy="conservative")
+        assert np.array_equal(result.f, seq.f)
+        by_rank = sorted(result.rank_results, key=lambda r: r.rank)
         assert by_rank[0].plane_count < 8  # shed some load conservatively

@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
 
-from repro.parallel.migration import pack_planes, unpack_planes
+from repro.parallel.migration import pack_band, unpack_band
+
+#: A 1-D slab pads the x axis of ``f`` only.
+SLAB = (2,)
+
+
+def split_off(f, side, k):
+    return pack_band(f, 2, side, k, SLAB)
+
+
+def attach(f, package, side):
+    return unpack_band(f, package, 2, side, SLAB)
 
 
 def padded(values):
@@ -20,30 +31,30 @@ def interior_values(f):
 class TestPackPlanes:
     def test_pack_left(self):
         f = padded([10, 11, 12, 13])
-        package, rest = pack_planes(f, "left", 2)
+        package, rest = split_off(f, "low", 2)
         assert package.shape[2] == 2
         assert float(package[0, 0, 0, 0]) == 10
         assert interior_values(rest) == [12, 13]
 
     def test_pack_right(self):
         f = padded([10, 11, 12, 13])
-        package, rest = pack_planes(f, "right", 1)
+        package, rest = split_off(f, "high", 1)
         assert float(package[0, 0, 0, 0]) == 13
         assert interior_values(rest) == [10, 11, 12]
 
     def test_keeps_at_least_one_plane(self):
         f = padded([1, 2])
         with pytest.raises(ValueError):
-            pack_planes(f, "left", 2)
+            split_off(f, "low", 2)
 
     def test_invalid_side(self):
         with pytest.raises(ValueError):
-            pack_planes(padded([1, 2]), "up", 1)
+            split_off(padded([1, 2]), "up", 1)
 
     def test_ghosts_zeroed(self):
         f = padded([1, 2, 3])
         f[:, :, 0] = 99
-        _, rest = pack_planes(f, "left", 1)
+        _, rest = split_off(f, "low", 1)
         assert not rest[:, :, 0].any()
         assert not rest[:, :, -1].any()
 
@@ -52,23 +63,23 @@ class TestUnpackPlanes:
     def test_attach_left(self):
         f = padded([20, 21])
         package = np.full((1, 2, 2, 3), 5.0)
-        out = unpack_planes(f, package, "left")
+        out = attach(f, package, "low")
         assert interior_values(out) == [5, 5, 20, 21]
 
     def test_attach_right(self):
         f = padded([20, 21])
         package = np.full((1, 2, 1, 3), 7.0)
-        out = unpack_planes(f, package, "right")
+        out = attach(f, package, "high")
         assert interior_values(out) == [20, 21, 7]
 
     def test_shape_mismatch(self):
         f = padded([20, 21])
         with pytest.raises(ValueError):
-            unpack_planes(f, np.zeros((1, 2, 1, 4)), "left")
+            attach(f, np.zeros((1, 2, 1, 4)), "low")
 
     def test_invalid_side(self):
         with pytest.raises(ValueError):
-            unpack_planes(padded([1]), np.zeros((1, 2, 1, 3)), "middle")
+            attach(padded([1]), np.zeros((1, 2, 1, 3)), "middle")
 
 
 class TestRoundTrip:
@@ -77,8 +88,8 @@ class TestRoundTrip:
         f = np.zeros((2, 9, 7, 4))
         f[:, :, 1:-1] = rng.random((2, 9, 5, 4))
         original = f[:, :, 1:-1].copy()
-        package, rest = pack_planes(f, "right", 2)
-        restored = unpack_planes(rest, package, "right")
+        package, rest = split_off(f, "high", 2)
+        restored = attach(rest, package, "high")
         assert np.array_equal(restored[:, :, 1:-1], original)
 
     def test_mass_preserved(self):
@@ -86,5 +97,22 @@ class TestRoundTrip:
         f = np.zeros((1, 9, 8, 3))
         f[:, :, 1:-1] = rng.random((1, 9, 6, 3))
         total = f.sum()
-        package, rest = pack_planes(f, "left", 3)
+        package, rest = split_off(f, "low", 3)
         assert package.sum() + rest.sum() == pytest.approx(total)
+
+    def test_column_bands_of_a_rectangle(self):
+        """A 2-D subdomain pads x and y; bands move along either, and an
+        axis without ghosts is not decomposed."""
+        rng = np.random.default_rng(2)
+        grid = (2, 3)
+        f = np.zeros((1, 9, 6, 7, 3))
+        f[:, :, 1:-1, 1:-1] = rng.random((1, 9, 4, 5, 3))
+        original = f[:, :, 1:-1, 1:-1].copy()
+        package, rest = pack_band(f, 3, "low", 2, grid)
+        assert package.shape == (1, 9, 4, 2, 3)
+        assert rest.shape == (1, 9, 6, 5, 3)
+        assert not rest[:, :, 0].any() and not rest[:, :, :, -1].any()
+        restored = unpack_band(rest, package, 3, "low", grid)
+        assert np.array_equal(restored[:, :, 1:-1, 1:-1], original)
+        with pytest.raises(ValueError, match="not decomposed"):
+            pack_band(f, 3, "low", 1, SLAB)

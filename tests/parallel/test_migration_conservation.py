@@ -13,13 +13,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import RunSpec, run
 from repro.core.policies import RemappingConfig
 from repro.lbm.components import ComponentSpec
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import D2Q9
 from repro.lbm.solver import LBMConfig
 from repro.obs import MemorySink, Observer
-from repro.parallel.driver import run_parallel_lbm
 
 
 def config(backend="reference"):
@@ -44,17 +44,19 @@ def forced_migration_load_fn(rank, phase, points):
 
 def traced_run(n_ranks=2, phases=10, interval=5, policy="filtered"):
     observer = Observer(sink=MemorySink())
-    run_parallel_lbm(
-        n_ranks,
-        config(),
-        phases,
-        policy=policy,
-        remap_config=RemappingConfig(interval=interval, history=interval),
-        load_time_fn=forced_migration_load_fn,
-        observer=observer,
-        # Plane migration needs >1 row band: pin the slab so a forced
-        # REPRO_DECOMP=grid overlay cannot leave 2 ranks in one row.
-        decomp="slab",
+    run(
+        RunSpec(
+            config=config(),
+            phases=phases,
+            ranks=n_ranks,
+            policy=policy,
+            remap_config=RemappingConfig(interval=interval, history=interval),
+            load_time_fn=forced_migration_load_fn,
+            observer=observer,
+            # Plane migration needs >1 row band: pin the slab so a forced
+            # REPRO_DECOMP=grid overlay cannot leave 2 ranks in one row.
+            decomp="slab",
+        )
     )
     return observer.sink.events
 

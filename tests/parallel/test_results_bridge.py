@@ -3,16 +3,22 @@
 import numpy as np
 import pytest
 
+from repro.api import RunSpec, run
 from repro.lbm.diagnostics import density_profile, velocity_profile
 from repro.lbm.solver import MulticomponentLBM
-from repro.parallel.driver import run_parallel_lbm, solver_from_results
+from repro.parallel.driver import solver_from_results
+
+
+def static_results(config, ranks, phases):
+    spec = RunSpec(config=config, phases=phases, ranks=ranks, policy="no-remap")
+    return run(spec).rank_results
 
 
 class TestSolverFromResults:
     def test_diagnostics_match_sequential(self, two_component_config):
         seq = MulticomponentLBM(two_component_config)
         seq.run(30)
-        results = run_parallel_lbm(3, two_component_config, 30, policy="no-remap")
+        results = static_results(two_component_config, 3, 30)
         bridged = solver_from_results(results, two_component_config)
         p_seq = velocity_profile(seq)
         p_par = velocity_profile(bridged)
@@ -22,13 +28,13 @@ class TestSolverFromResults:
         assert np.array_equal(d_seq.values, d_par.values)
 
     def test_moments_recomputed(self, two_component_config):
-        results = run_parallel_lbm(2, two_component_config, 10, policy="no-remap")
+        results = static_results(two_component_config, 2, 10)
         bridged = solver_from_results(results, two_component_config)
         # rho must equal the zeroth moment of the assembled populations.
         assert np.allclose(bridged.rho[0], bridged.f[0].sum(axis=0))
 
     def test_shape_mismatch_rejected(self, two_component_config, single_component_config):
-        results = run_parallel_lbm(2, two_component_config, 5, policy="no-remap")
+        results = static_results(two_component_config, 2, 5)
         with pytest.raises(ValueError, match="shape"):
             solver_from_results(results, single_component_config)
 
@@ -36,7 +42,7 @@ class TestSolverFromResults:
         """Parallel output can be checkpointed through the bridge."""
         from repro.lbm.checkpoint import load_checkpoint, save_checkpoint
 
-        results = run_parallel_lbm(2, two_component_config, 8, policy="no-remap")
+        results = static_results(two_component_config, 2, 8)
         bridged = solver_from_results(results, two_component_config)
         save_checkpoint(bridged, tmp_path / "par.npz")
         fresh = MulticomponentLBM(two_component_config)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,29 @@ class TestPointToPoint:
             return True
 
         assert all(run_spmd(2, fn))
+
+
+    def test_first_message_of_a_fresh_world_is_never_lost(self):
+        """Stress: a sender and a receiver touching a channel for the
+        first time at once must meet in the same queue.  More ranks than
+        cores, a shortened switch interval and many fresh worlds make a
+        check-then-create race on the channel table show."""
+
+        def fn(comm):
+            others = [r for r in range(comm.size) if r != comm.rank]
+            for peer in others:
+                comm.send(peer, "hello", comm.rank)
+            return [comm.recv(peer, "hello", timeout=2.0) for peer in others]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(200):
+                assert run_spmd(4, fn, timeout=10.0) == [
+                    [1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]
+                ]
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestCollectives:

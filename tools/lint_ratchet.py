@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Lint ratchet: mypy/ruff error counts may only go down.
+"""Lint ratchet: mypy/ruff error counts and per-package line counts may
+only go down.
 
     python tools/lint_ratchet.py check            # CI gate
     python tools/lint_ratchet.py update           # lower the ceilings
@@ -9,6 +10,11 @@ when a tool reports **more** errors than its ceiling; ``update`` lowers
 a ceiling to the measured count but refuses to raise it, so lint debt
 can ratchet down but never quietly grow (the same contract as
 ``tools/coverage_ratchet.py`` for coverage).
+
+The file's ``"loc"`` section holds the same kind of ceiling for the
+lines of ``*.py`` under a directory — a package that was deliberately
+shrunk cannot quietly regrow.  Counting lines needs no tool, so unlike
+mypy/ruff this entry is enforced everywhere.
 
 A ceiling of ``null`` means "not yet pinned": ``check`` passes but
 prints the measured count and nags to pin it.  A tool that is not
@@ -61,41 +67,62 @@ def measure(tool: str) -> int | None:
     return count
 
 
+def count_loc(directory: str) -> int:
+    """Lines of every ``*.py`` under the repo-relative *directory*."""
+    return sum(
+        len(path.read_text(encoding="utf-8").splitlines())
+        for path in (REPO / directory).rglob("*.py")
+    )
+
+
 def load_ceilings(path: Path = RATCHET_PATH) -> dict[str, int | None]:
     doc = json.loads(path.read_text(encoding="utf-8"))
     return {tool: doc["ceilings"].get(tool) for tool in COMMANDS}
 
 
+def load_loc(path: Path = RATCHET_PATH) -> dict[str, int | None]:
+    """The ``directory -> line ceiling`` section (absent: no ceilings)."""
+    return json.loads(path.read_text(encoding="utf-8")).get("loc", {})
+
+
 def save_ceilings(
-    ceilings: dict[str, int | None], path: Path = RATCHET_PATH
+    ceilings: dict[str, int | None],
+    path: Path = RATCHET_PATH,
+    loc: dict[str, int | None] | None = None,
 ) -> None:
-    doc = {
+    doc: dict = {
         "ceilings": ceilings,
         "note": (
-            "error-count ceilings; `python tools/lint_ratchet.py update` "
-            "lowers them, raising one requires editing this file in review"
+            "error-count and line-count ceilings; `python "
+            "tools/lint_ratchet.py update` lowers them, raising one "
+            "requires editing this file in review"
         ),
     }
+    if loc:
+        doc["loc"] = loc
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def evaluate(tool: str, count: int | None, ceiling: int | None) -> tuple[int, str]:
-    """Pure check logic: ``(exit_code, message)`` for one tool."""
+def evaluate(
+    tool: str, count: int | None, ceiling: int | None, unit: str = "errors"
+) -> tuple[int, str]:
+    """Pure check logic: ``(exit_code, message)`` for one measured entry
+    (a lint tool's *errors*, or a directory's *lines*)."""
     if count is None:
         return 0, f"SKIP: {tool} is not installed here (CI enforces it)"
     if ceiling is None:
         return 0, (
-            f"UNPINNED: {tool} reports {count} errors; pin the ceiling "
+            f"UNPINNED: {tool} reports {count} {unit}; pin the ceiling "
             "with `python tools/lint_ratchet.py update`"
         )
     if count > ceiling:
         return 1, (
-            f"FAIL: {tool} reports {count} errors, above the committed "
-            f"ceiling of {ceiling} — fix the new errors (or, if the rise "
+            f"FAIL: {tool} reports {count} {unit}, above the committed "
+            f"ceiling of {ceiling} — fix the new {unit} (or, if the rise "
             "is deliberate, raise the ceiling in lint_ratchet.json with a "
             "review-visible diff)"
         )
-    msg = f"OK: {tool} reports {count} errors (ceiling {ceiling})"
+    msg = f"OK: {tool} reports {count} {unit} (ceiling {ceiling})"
     if count < ceiling:
         msg += (
             " — consider `python tools/lint_ratchet.py update` to "
@@ -114,36 +141,40 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     ceilings = load_ceilings(args.ratchet_file)
-    counts = {tool: measure(tool) for tool in COMMANDS}
+    loc = load_loc(args.ratchet_file)
+    # (name, measured count, the section holding its ceiling, unit)
+    entries: list[tuple[str, int | None, dict[str, int | None], str]]
+    entries = [(tool, measure(tool), ceilings, "errors") for tool in COMMANDS]
+    entries += [(path, count_loc(path), loc, "lines") for path in loc]
 
     if args.command == "check":
         status = 0
-        for tool in COMMANDS:
-            code, msg = evaluate(tool, counts[tool], ceilings[tool])
+        for name, count, section, unit in entries:
+            code, msg = evaluate(name, count, section[name], unit)
             print(msg)
             status = max(status, code)
         return status
 
     # update: ceilings only move down (or get pinned for the first time)
     changed = False
-    for tool in COMMANDS:
-        count, ceiling = counts[tool], ceilings[tool]
+    for tool, count, section, _ in entries:
+        ceiling = section[tool]
         if count is None:
             print(f"{tool}: not installed, ceiling unchanged")
             continue
         if ceiling is None or count < ceiling:
             print(f"{tool}: ceiling {ceiling} -> {count}")
-            ceilings[tool] = count
+            section[tool] = count
             changed = True
         elif count > ceiling:
             print(
                 f"{tool}: measured {count} > ceiling {ceiling}; refusing "
-                "to raise — fix the errors or edit lint_ratchet.json"
+                "to raise — fix the rise or edit lint_ratchet.json"
             )
         else:
             print(f"{tool}: ceiling stays at {ceiling}")
     if changed:
-        save_ceilings(ceilings, args.ratchet_file)
+        save_ceilings(ceilings, args.ratchet_file, loc)
     return 0
 
 
