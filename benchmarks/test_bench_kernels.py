@@ -4,12 +4,12 @@ S-C force, full phase) — the per-point costs that the cluster model's
 throughput.
 
 Every kernel benchmark runs once per kernel backend (``reference``,
-``fused``, ``arrayapi``) so the backends are measured side by side; the
+``fused``) so the backends are measured side by side; the
 per-point timings land in ``BENCH_kernels.json`` at the repository
 root, with the full-phase speedup of ``fused`` over ``reference``
 computed when both are present.  The ensemble benchmarks run a
 wall-force sweep of N members end to end — once stacked through the
-``batched`` backend, once as N sequential ``fused`` solver runs — and
+ensemble's kernels, once as N sequential ``fused`` solver runs — and
 record µs per point per member step plus the scenarios-per-second
 throughput for each N, the amortisation curve of
 :mod:`repro.lbm.ensemble`.  Under ``--benchmark-disable`` everything
@@ -31,7 +31,7 @@ from repro.lbm.solver import LBMConfig, MulticomponentLBM
 
 SHAPE_3D = (32, 48, 12)
 POINTS = int(np.prod(SHAPE_3D))
-BACKENDS = ("reference", "fused", "arrayapi")
+BACKENDS = ("reference", "fused")
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 
 #: Ensemble benchmark scenario: a 2-D channel wall-force sweep.  The

@@ -21,7 +21,7 @@ def main(argv: list[str] | None = None) -> int:
             "Invariant checkers for this repo: per-file AST rules "
             "(REP001 hot-path allocation, REP002 cross-rank shared "
             "writes, REP003 determinism, REP004 dtype/observer "
-            "discipline, REP005-REP007) and whole-program call-graph "
+            "discipline, REP005-REP006) and whole-program call-graph "
             "rules (REP008 SPMD protocol, REP009 asyncio discipline, "
             "REP010 transitive hot-path allocation).  See "
             "docs/STATIC_ANALYSIS.md."

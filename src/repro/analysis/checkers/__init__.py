@@ -3,7 +3,6 @@ rule with :mod:`repro.analysis.core`."""
 
 from repro.analysis.checkers.asyncdiscipline import AsyncDisciplineChecker
 from repro.analysis.checkers.atomicwrite import AtomicWriteChecker
-from repro.analysis.checkers.backendns import BackendNamespaceChecker
 from repro.analysis.checkers.determinism import DeterminismChecker
 from repro.analysis.checkers.dtype import DtypeDisciplineChecker
 from repro.analysis.checkers.envaccess import EnvAccessChecker
@@ -15,7 +14,6 @@ from repro.analysis.checkers.spmd import SpmdProtocolChecker
 __all__ = [
     "AsyncDisciplineChecker",
     "AtomicWriteChecker",
-    "BackendNamespaceChecker",
     "DeterminismChecker",
     "DtypeDisciplineChecker",
     "EnvAccessChecker",

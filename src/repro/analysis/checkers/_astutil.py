@@ -4,12 +4,8 @@ from __future__ import annotations
 
 import ast
 
-#: Spellings of the numpy module accepted as a call root.  ``xp`` is the
-#: conventional local binding of the array-API namespace handle
-#: (:mod:`repro.lbm.backends.xp`) — under the default NumPy binding it
-#: has identical allocation/dtype semantics, so the allocation and dtype
-#: rules police it the same way.
-NUMPY_ALIASES = ("np", "numpy", "xp")
+#: Spellings of the numpy module accepted as a call root.
+NUMPY_ALIASES = ("np", "numpy")
 
 
 def dotted_name(node: ast.AST) -> str | None:

@@ -24,15 +24,15 @@ executes the same code.
 
 Parameter sweeps: :func:`run_batch` takes a list of specs, groups the
 ones that differ only in the swept scalar knobs (coupling matrix, wall
-force amplitude, body force) into stacked ensembles executed by the
-``batched`` kernel backend (:mod:`repro.lbm.ensemble`), and runs the
-rest through :func:`run` — returning per-spec results, bit-identical to
-running each spec alone, in input order.
+force amplitude, body force) into stacked ensembles
+(:mod:`repro.lbm.ensemble`), and runs the rest through :func:`run` —
+returning per-spec results, bit-identical to running each spec alone,
+in input order.  The ensemble's kernels are the stacked ``reference``
+arithmetic, so only ``reference``-backend specs are stacked.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -100,8 +100,6 @@ class RunSpec:
     halo_overlap: bool = True
     #: ``"threads"`` | ``"processes"`` | None (environment, then threads).
     transport: str | None = None
-    #: Kernel-backend override; None keeps ``config.backend``.
-    backend: str | None = None
     #: Remapping policy name (parallel): filtered/conservative/global/no-remap.
     policy: str = "filtered"
     remap_config: RemappingConfig | None = None
@@ -170,12 +168,6 @@ class RunSpec:
                 "pass either checkpoint_store or checkpoint_dir, not both"
             )
 
-    def resolved_config(self) -> LBMConfig:
-        """The configuration with this spec's backend override applied."""
-        if self.backend is None or self.backend == self.config.backend:
-            return self.config
-        return dataclasses.replace(self.config, backend=self.backend)
-
     def fingerprint(self) -> str:
         """Content hash of everything that determines this run's
         *result* (see :func:`spec_fingerprint`)."""
@@ -190,19 +182,24 @@ def canonical_spec_doc(spec: RunSpec) -> dict[str, Any]:
     which already canonicalizes geometry, components, coupling, forcing,
     collision and the wall scenario — its registry name plus *every*
     parameter, including a rough scenario's RNG seed, so the serve cache
-    can never conflate two scenarios that share the remaining knobs —
-    while excluding the kernel backend, an implementation choice, not a
-    model) and the phase target.  Execution knobs — rank
-    count, decomposition layout, halo-overlap schedule, transport,
-    remapping policy, checkpoint/trace/observer machinery — are
-    deliberately absent: the transports, backends and decompositions are
+    can never conflate two scenarios that share the remaining knobs),
+    the kernel backend and the phase target.  The backend is in because
+    ``fused`` is within 1e-12 of ``reference``, not the same bits: a
+    ``fused`` submission must never be answered with a ``reference``
+    result.  (A checkpoint is state, not a result, so
+    ``config_fingerprint`` itself stays blind to the backend and a run
+    may resume under the other one.)  Execution knobs — rank count,
+    decomposition layout, halo-overlap schedule, transport, remapping
+    policy, checkpoint/trace/observer machinery — are deliberately
+    absent: the transports, decompositions and schedules are
     bit-identical by contract, so two specs differing only there produce
     the same populations.  Consequently the environment overlay
     (:meth:`repro.config.EnvConfig.overlay`), which touches only
     dispatch fields, never changes a fingerprint.
     """
     return {
-        "physics": config_fingerprint(spec.resolved_config()),
+        "physics": config_fingerprint(spec.config),
+        "kernel": spec.config.backend,
         "phases": int(spec.phases),
     }
 
@@ -244,7 +241,7 @@ class RunResult:
         return self._solver
 
 
-def _store_for(spec: RunSpec, config: LBMConfig) -> Any:
+def _store_for(spec: RunSpec) -> Any:
     """The spec's checkpoint store: explicit, or built per-config under
     ``checkpoint_dir`` (same fingerprint-keyed layout as the
     ``REPRO_CKPT_DIR`` discovery path)."""
@@ -260,29 +257,28 @@ def _store_for(spec: RunSpec, config: LBMConfig) -> Any:
         resume=spec.resume,
         keep_last=spec.checkpoint_keep,
     )
-    return policy.store_for(config)
+    return policy.store_for(spec.config)
 
 
 def run(spec: RunSpec) -> RunResult:
     """Execute *spec* and return a :class:`RunResult`.
 
-    Applies the environment overlay, resolves the backend and the
-    checkpoint store once, then dispatches on ``spec.ranks``.
+    Applies the environment overlay, resolves the checkpoint store
+    once, then dispatches on ``spec.ranks``.
     """
     spec = config_mod.from_env().overlay(spec)
-    config = spec.resolved_config()
-    store = _store_for(spec, config)
+    store = _store_for(spec)
     if spec.resume and store is None:
         raise ValueError("resume=True needs a checkpoint_store or checkpoint_dir")
     if spec.ranks == 1:
         for name in ("load_time_fn", "faults", "initial_counts"):
             if getattr(spec, name) is not None:
                 raise ValueError(f"{name} requires ranks > 1")
-        return _run_sequential(spec, config, store)
-    results = _run_parallel(spec, config, store)
+        return _run_sequential(spec, store)
+    results = _run_parallel(spec, store)
     return RunResult(
         spec=spec,
-        config=config,
+        config=spec.config,
         f=assemble_global_f(results),
         rank_results=results,
     )
@@ -293,8 +289,7 @@ def execute_parallel(spec: RunSpec) -> list[ParallelRunResult]:
     1-rank *parallel* world where :func:`run` would dispatch to the
     sequential solver — and return the raw per-rank results."""
     spec = config_mod.from_env().overlay(spec)
-    config = spec.resolved_config()
-    return _run_parallel(spec, config, _store_for(spec, config))
+    return _run_parallel(spec, _store_for(spec))
 
 
 @dataclass
@@ -335,17 +330,19 @@ BATCH_EXCLUSION_REASONS = (
     "env-checkpoint",
     "collision",
     "adhesion",
+    "backend",
     "no-compatible-partner",
 )
 
 
-def batch_exclusion_reason(
-    spec: RunSpec, config: LBMConfig | None = None
-) -> str | None:
+def batch_exclusion_reason(spec: RunSpec) -> str | None:
     """Why *spec* cannot join a batched-ensemble group, or ``None`` when
     it is eligible: sequential, no checkpoint/resume/fault/trace
     machinery (neither explicit nor discovered from the environment),
-    BGK collision, no wall adhesion.
+    BGK collision, no wall adhesion, and the ``reference`` backend — the
+    ensemble's kernels are the stacked ``reference`` arithmetic, so a
+    ``fused`` spec would come back with other bits than :func:`run`
+    gives it.
 
     The reason lands on the fallback result
     (:attr:`RunResult.batch_fallback_reason`) and on the
@@ -353,8 +350,7 @@ def batch_exclusion_reason(
     build batches — the :mod:`repro.serve` coalescer above all — can see
     *why* a spec went down the sequential path instead of guessing.
     """
-    if config is None:
-        config = spec.resolved_config()
+    config = spec.config
     if spec.ranks != 1:
         return "parallel-ranks"
     if spec.checkpoint_store is not None or spec.checkpoint_dir is not None:
@@ -377,11 +373,9 @@ def batch_exclusion_reason(
         return "collision"
     if config.adhesion is not None:
         return "adhesion"
+    if config.backend != "reference":
+        return "backend"
     return None
-
-
-def _ensemble_eligible(spec: RunSpec, config: LBMConfig) -> bool:
-    return batch_exclusion_reason(spec, config) is None
 
 
 def batch_compatible(base: RunSpec, other: RunSpec) -> bool:
@@ -392,13 +386,11 @@ def batch_compatible(base: RunSpec, other: RunSpec) -> bool:
     handing them to :func:`run_batch`."""
     base = config_mod.from_env().overlay(base)
     other = config_mod.from_env().overlay(other)
-    base_cfg = base.resolved_config()
-    other_cfg = other.resolved_config()
     return (
-        batch_exclusion_reason(base, base_cfg) is None
-        and batch_exclusion_reason(other, other_cfg) is None
+        batch_exclusion_reason(base) is None
+        and batch_exclusion_reason(other) is None
         and base.phases == other.phases
-        and _member_delta(base_cfg, other_cfg) is not None
+        and _member_delta(base.config, other.config) is not None
     )
 
 
@@ -468,13 +460,16 @@ def run_batch(
     ensembles.
 
     Specs that are sequential, carry no checkpoint/fault/trace
-    machinery, and differ only in the swept scalar knobs — coupling
-    matrix, wall-force amplitude, body acceleration — with equal phase
-    targets are grouped and advanced by the ``batched`` kernel backend
-    as one ``(N, C, Q, *S)`` array pass per step
+    machinery, run the ``reference`` backend, and differ only in the
+    swept scalar knobs — coupling matrix, wall-force amplitude, body
+    acceleration — with equal phase targets are grouped and advanced as
+    one ``(N, C, Q, *S)`` array pass per step
     (:func:`repro.lbm.ensemble.run_ensemble`).  Everything else falls
-    back to :func:`run`.  Results come back in input order and are
-    bit-identical to running each spec individually.
+    back to :func:`run`, with the reason on the result
+    (:func:`batch_exclusion_reason`).  Results come back in input order
+    and are bit-identical to running each spec individually: the
+    ensemble's kernels are the stacked ``reference`` arithmetic, which
+    is why a ``fused`` spec is never stacked onto them.
 
     Parameters
     ----------
@@ -491,13 +486,12 @@ def run_batch(
 
     specs = list(specs)
     overlaid = [config_mod.from_env().overlay(s) for s in specs]
-    configs = [s.resolved_config() for s in overlaid]
+    configs = [s.config for s in overlaid]
     results: list[RunResult | None] = [None] * len(specs)
     fallback_reasons: dict[int, str] = {
         i: reason
         for i in range(len(specs))
-        if (reason := batch_exclusion_reason(overlaid[i], configs[i]))
-        is not None
+        if (reason := batch_exclusion_reason(overlaid[i])) is not None
     }
 
     grouped: list[list[tuple[int, Any]]] = []
@@ -560,12 +554,10 @@ def run_batch(
     return results
 
 
-def _run_sequential(
-    spec: RunSpec, config: LBMConfig, store: Any
-) -> RunResult:
+def _run_sequential(spec: RunSpec, store: Any) -> RunResult:
     obs, owns_observer = _spec_observer(spec)
     try:
-        solver = MulticomponentLBM(config, observer=obs)
+        solver = MulticomponentLBM(spec.config, observer=obs)
         if spec.resume:
             manifest = store.latest_good()
             if manifest is not None:
@@ -582,5 +574,9 @@ def _run_sequential(
         if owns_observer:
             obs.close()
     return RunResult(
-        spec=spec, config=config, f=solver.f, rank_results=None, _solver=solver
+        spec=spec,
+        config=spec.config,
+        f=solver.f,
+        rank_results=None,
+        _solver=solver,
     )

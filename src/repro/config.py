@@ -4,11 +4,8 @@ Every configuration channel the library honours through the environment
 is parsed here into one immutable :class:`EnvConfig` snapshot:
 
 ``REPRO_LBM_BACKEND``
-    Default kernel backend for configs that do not name one
-    (:mod:`repro.lbm.backends.registry`).
-``REPRO_LBM_ARRAY_NS``
-    Array-API namespace binding for the array-API kernel backends
-    (:mod:`repro.lbm.backends.xp`); unset means NumPy.
+    Default kernel backend, ``reference`` or ``fused``, for configs
+    that do not name one (:mod:`repro.lbm.backends.registry`).
 ``REPRO_OBS_TRACE``
     JSONL trace path enabling observability discovery
     (:mod:`repro.obs.observer`).
@@ -52,7 +49,6 @@ from dataclasses import dataclass
 from typing import Any
 
 ENV_BACKEND = "REPRO_LBM_BACKEND"
-ENV_ARRAY_NS = "REPRO_LBM_ARRAY_NS"
 ENV_TRACE = "REPRO_OBS_TRACE"
 ENV_TRANSPORT = "REPRO_TRANSPORT"
 ENV_DECOMP = "REPRO_DECOMP"
@@ -68,7 +64,6 @@ ENV_SERVE_CACHE = "REPRO_SERVE_CACHE"
 #: Every variable this module owns, for documentation and tests.
 ALL_ENV_VARS = (
     ENV_BACKEND,
-    ENV_ARRAY_NS,
     ENV_TRACE,
     ENV_TRANSPORT,
     ENV_DECOMP,
@@ -98,7 +93,6 @@ class EnvConfig:
     """
 
     backend: str | None = None
-    array_namespace: str | None = None
     trace: str | None = None
     transport: str | None = None
     decomp: str | tuple[int, int] | None = None
@@ -181,7 +175,6 @@ def from_env(environ: Mapping[str, str] | None = None) -> EnvConfig:
         environ = os.environ
     return EnvConfig(
         backend=_clean(environ, ENV_BACKEND) or None,
-        array_namespace=_clean(environ, ENV_ARRAY_NS) or None,
         trace=_clean(environ, ENV_TRACE) or None,
         transport=_clean(environ, ENV_TRANSPORT) or None,
         decomp=_parse_decomp(_clean(environ, ENV_DECOMP)),

@@ -1,15 +1,14 @@
-"""Pluggable kernel backends for the LBM hot path.
+"""Kernel backends for the LBM hot path.
 
-See :mod:`repro.lbm.backends.registry` for the backend contract,
-:mod:`repro.lbm.backends.reference` for the baseline NumPy kernels,
-:mod:`repro.lbm.backends.fused` for the allocation-free fast path,
-:mod:`repro.lbm.backends.arrayapi` for the portable array-API kernels
-and :mod:`repro.lbm.backends.batched` for the stacked-ensemble engine.
+See :mod:`repro.lbm.backends.registry` for the backend contract and the
+two-entry table of selectable backends,
+:mod:`repro.lbm.backends.reference` for the baseline NumPy kernels (the
+oracle, and the default) and :mod:`repro.lbm.backends.fused` for the
+allocation-free fast path.  :mod:`repro.lbm.backends.batched` holds the
+stacked kernels of :mod:`repro.lbm.ensemble`; they are not selectable.
 
 Select a backend with ``LBMConfig(backend="fused")`` or the
-``REPRO_LBM_BACKEND`` environment variable; the array-API namespace
-binding is chosen via ``REPRO_LBM_ARRAY_NS``
-(:mod:`repro.lbm.backends.xp`).
+``REPRO_LBM_BACKEND`` environment variable.
 """
 
 from repro.lbm.backends.registry import (
@@ -19,17 +18,12 @@ from repro.lbm.backends.registry import (
     available_backends,
     create_backend,
     get_backend_class,
-    register_backend,
     resolve_backend_name,
 )
-
-# Importing the implementation modules registers the built-in backends.
 from repro.lbm.backends.reference import ReferenceBackend
 from repro.lbm.backends.fused import FusedBackend
-from repro.lbm.backends.arrayapi import ArrayAPIBackend
 from repro.lbm.backends.batched import BatchedBackend
 from repro.lbm.backends.instrumented import KERNEL_NAMES, InstrumentedBackend
-from repro.lbm.backends.xp import get_namespace
 
 __all__ = [
     "BACKEND_ENV_VAR",
@@ -39,12 +33,9 @@ __all__ = [
     "InstrumentedBackend",
     "ReferenceBackend",
     "FusedBackend",
-    "ArrayAPIBackend",
     "BatchedBackend",
     "available_backends",
     "create_backend",
     "get_backend_class",
-    "get_namespace",
-    "register_backend",
     "resolve_backend_name",
 ]

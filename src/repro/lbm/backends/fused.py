@@ -67,7 +67,7 @@ from math import prod
 
 import numpy as np
 
-from repro.lbm.backends.registry import KernelBackend, register_backend
+from repro.lbm.backends.registry import KernelBackend
 from repro.lbm.boundary import bounce_back as _masked_bounce_back
 from repro.lbm.shan_chen import psi_identity
 from repro.util.hotpath import hot_path
@@ -145,7 +145,6 @@ def _stencil_weights(lat) -> tuple[float, float]:
     return float(w[links == 1][0]), float(w[links == 2][0])
 
 
-@register_backend
 class FusedBackend(KernelBackend):
     """Preallocated-scratch, BLAS-driven implementation."""
 

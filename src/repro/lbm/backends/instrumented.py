@@ -1,9 +1,9 @@
 """Per-kernel timing instrumentation for any kernel backend.
 
 :class:`InstrumentedBackend` wraps a concrete backend (``reference``,
-``fused``, or any future registration) and times every hot-kernel call
-into the observer's metrics registry, without the backends themselves
-knowing about observability:
+``fused``, or the ensemble's ``batched`` kernels) and times every
+hot-kernel call into the observer's metrics registry, without the
+backends themselves knowing about observability:
 
 - ``kernel.<backend>.<kernel>`` — duration histogram (per call), whose
   harmonic mean mirrors the remapper's load-index filter;

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.lbm.backends.registry import KernelBackend, register_backend
+from repro.lbm.backends.registry import KernelBackend
 from repro.lbm.boundary import bounce_back
 from repro.lbm.equilibrium import equilibrium
 from repro.lbm.macroscopic import (
@@ -22,7 +22,6 @@ from repro.lbm.shan_chen import interaction_force
 from repro.lbm.streaming import stream
 
 
-@register_backend
 class ReferenceBackend(KernelBackend):
     """Per-component loops over the module-level kernels."""
 

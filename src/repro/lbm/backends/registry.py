@@ -8,33 +8,26 @@ the moment/force/velocity update — for one solver instance.  The physics
 :class:`~repro.parallel.driver.ParallelLBM`; backends only decide *how*
 each kernel touches memory.
 
-Four backends ship with the package:
+Two backends can be selected by name:
 
 ``reference``
     The original NumPy kernels, unchanged — per-component loops,
     ``np.roll`` streaming, fresh temporaries.  Always correct, easy to
-    read, the baseline every optimisation is differentially tested
-    against.
+    read, the oracle every differential test compares against, and the
+    default.
 
 ``fused``
     Allocation-free, BLAS-driven hot path: double-buffered flat-offset
     streaming, equilibrium and moments as one dgemm each, and the
     separable Shan-Chen stencil over a preallocated scratch pool; every
     kernel gives an x-slab of the grid the bits the full-grid call
-    gives (see :mod:`repro.lbm.backends.fused`).
+    gives, and the whole run stays within 1e-12 of ``reference`` — close,
+    not the same bits (see :mod:`repro.lbm.backends.fused`).
 
-``arrayapi``
-    The reference operation order written against the array-API
-    namespace handle (:mod:`repro.lbm.backends.xp`) — bit-identical to
-    ``reference`` under the default NumPy binding, portable to
-    accelerator namespaces (see :mod:`repro.lbm.backends.arrayapi`).
-
-``batched``
-    Stacked-ensemble kernels: N independent simulations as one
-    ``(N, C, Q, *S)`` array pass with per-member coupling/forcing
-    parameters; also usable as a single-run backend at batch size 1
-    (see :mod:`repro.lbm.backends.batched` and
-    :mod:`repro.lbm.ensemble`).
+A third :class:`KernelBackend`, :class:`~repro.lbm.backends.batched.
+BatchedBackend`, is not selectable: it is the ``reference`` arithmetic
+stacked over a leading ensemble axis, and only
+:mod:`repro.lbm.ensemble` constructs it.
 
 Selection: ``LBMConfig(backend="fused")`` explicitly, or the
 ``REPRO_LBM_BACKEND`` environment variable as the default for configs
@@ -68,27 +61,14 @@ BACKEND_ENV_VAR = ENV_BACKEND
 #: Fallback when neither the config nor the environment chooses.
 DEFAULT_BACKEND = "reference"
 
-_REGISTRY: dict[str, type["KernelBackend"]] = {}
-
-
-def register_backend(cls: type["KernelBackend"]) -> type["KernelBackend"]:
-    """Class decorator: add *cls* to the registry under ``cls.name``."""
-    name = getattr(cls, "name", None)
-    if not name or not isinstance(name, str):
-        raise ValueError(f"backend class {cls.__name__} needs a `name` string")
-    if name in _REGISTRY and _REGISTRY[name] is not cls:
-        raise ValueError(f"backend {name!r} is already registered")
-    _REGISTRY[name] = cls
-    return cls
-
 
 def available_backends() -> list[str]:
-    """Names of all registered backends, sorted."""
-    return sorted(_REGISTRY)
+    """Names of the selectable backends, sorted."""
+    return sorted(_BACKENDS)
 
 
 def resolve_backend_name(name: str | None = None) -> str:
-    """Resolve an explicit/None backend name to a registered one.
+    """Resolve an explicit/None backend name to a selectable one.
 
     Resolution order: explicit *name* -> ``$REPRO_LBM_BACKEND`` ->
     ``"reference"``.  Raises ``ValueError`` for unknown names so typos in
@@ -96,7 +76,7 @@ def resolve_backend_name(name: str | None = None) -> str:
     """
     if name is None:
         name = from_env().backend or DEFAULT_BACKEND
-    if name not in _REGISTRY:
+    if name not in _BACKENDS:
         raise ValueError(
             f"unknown LBM backend {name!r}; available: {available_backends()}"
         )
@@ -105,7 +85,7 @@ def resolve_backend_name(name: str | None = None) -> str:
 
 def get_backend_class(name: str | None = None) -> type["KernelBackend"]:
     """Look up a backend class by (resolved) name."""
-    return _REGISTRY[resolve_backend_name(name)]
+    return _BACKENDS[resolve_backend_name(name)]
 
 
 def create_backend(
@@ -139,7 +119,7 @@ def create_backend(
     # already-resolved backend name, so skip the environment read that
     # resolve_backend_name would repeat (hoisted out of ensemble loops).
     name = getattr(config, "backend", None)
-    cls = _REGISTRY.get(name) if name is not None else None
+    cls = _BACKENDS.get(name) if name is not None else None
     if cls is None:
         cls = get_backend_class(name)
     backend = cls(config, shape, solid_mask)
@@ -165,7 +145,9 @@ class KernelBackend(abc.ABC):
     well-shaped inputs.
     """
 
-    #: Registry key; subclasses must override.
+    #: Label in ``kernel.<name>.*`` metrics, and for the two selectable
+    #: backends the key of the table at the end of this module;
+    #: subclasses must override.
     name: ClassVar[str] = ""
 
     def __init__(
@@ -270,3 +252,14 @@ class KernelBackend(abc.ABC):
         Writes ``force`` and ``u_eq`` in place and returns the psi fields
         (shape ``(C, *S)``) for diagnostics / adhesion bookkeeping.
         """
+
+
+# The table of selectable backends.  It sits below the ABC because both
+# implementation modules import :class:`KernelBackend` from here.
+from repro.lbm.backends.fused import FusedBackend  # noqa: E402
+from repro.lbm.backends.reference import ReferenceBackend  # noqa: E402
+
+_BACKENDS: dict[str, type[KernelBackend]] = {
+    "fused": FusedBackend,
+    "reference": ReferenceBackend,
+}

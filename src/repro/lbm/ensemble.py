@@ -5,11 +5,12 @@ strength ``a``, versus driving force, versus coupling ``g`` — are
 embarrassingly parallel: the same channel, the same lattice, different
 scalar knobs.  Running them one solver at a time pays the full
 Python/NumPy kernel dispatch cost per member per step.  This module
-stacks N such members into the ``(N, C, Q, *S)`` layout of the
-``batched`` kernel backend and advances the whole ensemble with one
-sequence of array passes per step, so the dispatch cost is amortised
-across the batch (the intra-node analogue of the paper's cluster-level
-scaling study).
+stacks N such members into the ``(N, C, Q, *S)`` layout of its own
+kernels (:class:`~repro.lbm.backends.batched.BatchedBackend`, the
+``reference`` arithmetic over a leading batch axis) and advances the
+whole ensemble with one sequence of array passes per step, so the
+dispatch cost is amortised across the batch (the intra-node analogue of
+the paper's cluster-level scaling study).
 
 Bitwise contract: member ``b`` of a batched run is **exactly** the
 standalone run of ``spec.member_config(b)`` under the ``reference``
@@ -47,7 +48,7 @@ import numpy as np
 
 from repro.lbm.backends.batched import BatchedBackend
 from repro.lbm.equilibrium import rest_equilibrium
-from repro.lbm.forces import body_force_field, wall_force_field
+from repro.lbm.forces import acceleration_field, solid_mask_field
 from repro.lbm.macroscopic import mixture_velocity
 from repro.lbm.solver import LBMConfig, MulticomponentLBM
 from repro.obs.observer import NULL_OBSERVER, ObserverLike, resolve_observer
@@ -246,11 +247,9 @@ class BatchedEnsemble:
         shape = geo.shape
         B, C, D, Q = spec.size, base.n_components, lat.D, lat.Q
 
-        self.solid = (
-            base.scenario.solid_mask(geo)
-            if base.scenario is not None
-            else geo.solid_mask()
-        )
+        # One mask for the whole batch (EnsembleSpec checked that every
+        # member's scenario shapes the walls as the base's does).
+        self.solid = solid_mask_field(base, geo)
         self.fluid = ~self.solid
         self._fluid_f = self.fluid.astype(np.float64)
         self.shape = shape
@@ -258,21 +257,12 @@ class BatchedEnsemble:
 
         # Stacked per-member coefficient fields, built from the same
         # member_config the standalone solver would see.
-        self._accel = np.zeros((B, C, D) + shape, dtype=np.float64)
+        self._accel = np.empty((B, C, D) + shape, dtype=np.float64)
         g_matrices = np.empty((B, C, C), dtype=np.float64)
         for b in range(B):
             cfg = spec.member_config(b)
             g_matrices[b] = np.asarray(cfg.g_matrix, dtype=np.float64)
-            if cfg.wall_force is not None:
-                target = cfg.component_index(cfg.wall_force.component)
-                self._accel[b, target] += wall_force_field(geo, cfg.wall_force)
-            if cfg.scenario is not None:
-                target = cfg.component_index(cfg.scenario.component)
-                self._accel[b, target] += cfg.scenario.wall_accel(geo)
-            if cfg.body_acceleration is not None:
-                body = body_force_field(geo, cfg.body_acceleration)
-                for c in range(C):
-                    self._accel[b, c] += body
+            self._accel[b] = acceleration_field(cfg, geo)
 
         # Member state, initialised exactly as MulticomponentLBM.__init__:
         # rest equilibrium on fluid nodes, zero inside the solid.

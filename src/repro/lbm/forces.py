@@ -15,11 +15,15 @@ spacings at the paper's 5 nm grid).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.lbm.geometry import ChannelGeometry
 from repro.util.validation import check_nonnegative, check_positive
+
+if TYPE_CHECKING:  # repro.lbm.solver imports this module
+    from repro.lbm.solver import LBMConfig
 
 
 @dataclass(frozen=True)
@@ -104,3 +108,46 @@ def body_force_field(
     for d in range(geometry.ndim):
         force[d] = acc[d] * fluid
     return force
+
+
+def solid_mask_field(
+    config: "LBMConfig", geometry: ChannelGeometry
+) -> np.ndarray:
+    """Boolean solid-node field of *config* on *geometry*: the wall
+    scenario's when there is one (rough walls reshape the channel), the
+    geometry's own otherwise.
+
+    *geometry* is an argument of its own, here and in
+    :func:`acceleration_field`, because the parallel driver evaluates an
+    x-invariant configuration on a one-plane stand-in for
+    ``config.geometry``.
+    """
+    if config.scenario is not None:
+        return config.scenario.solid_mask(geometry)
+    return geometry.solid_mask()
+
+
+def acceleration_field(
+    config: "LBMConfig", geometry: ChannelGeometry
+) -> np.ndarray:
+    """Static force per unit density on every component, shape
+    ``(C, D, *S)``: the wall force, then the scenario's wall
+    acceleration, then the body force.  That summation order is part of
+    the bitwise contract between the sequential solver, the ensemble
+    engine and the parallel driver, which all build their field here.
+    """
+    n_comp = config.n_components
+    accel = np.zeros(
+        (n_comp, config.lattice.D) + geometry.shape, dtype=np.float64
+    )
+    if config.wall_force is not None:
+        target = config.component_index(config.wall_force.component)
+        accel[target] += wall_force_field(geometry, config.wall_force)
+    if config.scenario is not None:
+        target = config.component_index(config.scenario.component)
+        accel[target] += config.scenario.wall_accel(geometry)
+    if config.body_acceleration is not None:
+        body = body_force_field(geometry, config.body_acceleration)
+        for c in range(n_comp):
+            accel[c] += body
+    return accel

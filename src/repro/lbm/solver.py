@@ -28,7 +28,11 @@ import numpy as np
 from repro.lbm.backends import create_backend, resolve_backend_name
 from repro.lbm.components import ComponentSpec
 from repro.lbm.equilibrium import equilibrium, rest_equilibrium
-from repro.lbm.forces import WallForceSpec, body_force_field, wall_force_field
+from repro.lbm.forces import (
+    WallForceSpec,
+    acceleration_field,
+    solid_mask_field,
+)
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import Lattice, D3Q19
 from repro.lbm.macroscopic import mixture_velocity
@@ -84,12 +88,14 @@ class LBMConfig:
         its target component.  Mutually exclusive with ``wall_force`` —
         the ``homogeneous`` scenario reproduces that path bit-for-bit.
     backend:
-        Kernel-backend name (``"reference"``, ``"fused"``, ``"arrayapi"``
-        or ``"batched"``; see :mod:`repro.lbm.backends`).  ``None``
-        (default) consults the
-        ``REPRO_LBM_BACKEND`` environment variable and falls back to
-        ``"reference"``; the resolved name is stored, so parallel ranks
-        built from the same config always agree on the backend.
+        Kernel-backend name, ``"reference"`` or ``"fused"`` (see
+        :mod:`repro.lbm.backends`); anything else raises ``ValueError``.
+        ``None`` (default) consults the ``REPRO_LBM_BACKEND`` environment
+        variable and falls back to ``"reference"``; the resolved name is
+        stored, so parallel ranks built from the same config always agree
+        on the backend.  The two are within 1e-12 of each other, not the
+        same bits, so the name is part of a run's identity
+        (:func:`repro.api.spec_fingerprint`).
     """
 
     geometry: ChannelGeometry
@@ -192,10 +198,7 @@ class MulticomponentLBM:
         shape = geo.shape
         n_comp = config.n_components
 
-        scenario = config.scenario
-        self.solid = (
-            scenario.solid_mask(geo) if scenario is not None else geo.solid_mask()
-        )
+        self.solid = solid_mask_field(config, geo)
         self.fluid = ~self.solid
         self._fluid_f = self.fluid.astype(np.float64)
 
@@ -203,17 +206,7 @@ class MulticomponentLBM:
         self.masses = np.array([c.mass for c in config.components])
 
         # Static acceleration fields (force per unit density), per component.
-        self._accel = np.zeros((n_comp, lat.D) + shape, dtype=np.float64)
-        if config.wall_force is not None:
-            target = config.component_index(config.wall_force.component)
-            self._accel[target] += wall_force_field(geo, config.wall_force)
-        if scenario is not None:
-            target = config.component_index(scenario.component)
-            self._accel[target] += scenario.wall_accel(geo)
-        if config.body_acceleration is not None:
-            body = body_force_field(geo, config.body_acceleration)
-            for c in range(n_comp):
-                self._accel[c] += body
+        self._accel = acceleration_field(config, geo)
 
         # Population arrays: uniform rest equilibrium on fluid nodes,
         # zero inside the solid (so total fluid mass is exactly conserved).

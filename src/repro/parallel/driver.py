@@ -54,7 +54,7 @@ from repro.ckpt.manifest import (
 )
 from repro.lbm.backends import create_backend
 from repro.lbm.equilibrium import rest_equilibrium
-from repro.lbm.forces import body_force_field, wall_force_field
+from repro.lbm.forces import acceleration_field, solid_mask_field
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.macroscopic import mixture_velocity
 from repro.lbm.solver import LBMConfig
@@ -246,27 +246,9 @@ class ParallelLBM:
             if self._x_invariant
             else geo
         )
-        self._solid_src = (
-            config.scenario.solid_mask(src_geo)
-            if config.scenario is not None
-            else src_geo.solid_mask()
-        )  # (1, *cross) or the full global shape
-        n_comp = config.n_components
-        self._accel_src = np.zeros(
-            (n_comp, lat.D, *src_geo.shape), dtype=np.float64
-        )
-        if config.wall_force is not None:
-            target = config.component_index(config.wall_force.component)
-            self._accel_src[target] += wall_force_field(
-                src_geo, config.wall_force
-            )
-        if config.scenario is not None:
-            target = config.component_index(config.scenario.component)
-            self._accel_src[target] += config.scenario.wall_accel(src_geo)
-        if config.body_acceleration is not None:
-            body = body_force_field(src_geo, config.body_acceleration)
-            for ci in range(n_comp):
-                self._accel_src[ci] += body
+        # (1, *cross) or the full global shape
+        self._solid_src = solid_mask_field(config, src_geo)
+        self._accel_src = acceleration_field(config, src_geo)
 
         self.taus = np.array([c.tau for c in config.components])
         ln = topo.planes(self.row)
@@ -275,7 +257,9 @@ class ParallelLBM:
             shape = (ln + 2, lc + 2, *self.cross[1:])
         else:
             shape = (ln + 2, *self.cross)
-        self.f = np.zeros((n_comp, lat.Q, *shape), dtype=np.float64)
+        self.f = np.zeros(
+            (config.n_components, lat.Q, *shape), dtype=np.float64
+        )
         self._alloc_state()
         fluid3 = ~self._solid3
         for ci, comp in enumerate(config.components):
@@ -1039,10 +1023,10 @@ def resolve_decomp(
     return rows, cols
 
 
-def _run_parallel(spec: Any, config: LBMConfig, store: Any) -> list[ParallelRunResult]:
+def _run_parallel(spec: Any, store: Any) -> list[ParallelRunResult]:
     """Execute a parallel RunSpec (the engine behind
-    :func:`repro.api.run`; *config* is the spec's backend-resolved
-    configuration and *store* its resolved checkpoint store)."""
+    :func:`repro.api.run`; *store* is its resolved checkpoint store)."""
+    config: LBMConfig = spec.config
     n_ranks = spec.ranks
     phases = spec.phases
     total_planes = config.geometry.shape[0]

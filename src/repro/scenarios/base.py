@@ -27,11 +27,10 @@ shares one cross-section wall pattern), the batched ensemble engine
 (the scenario document participates in the physics fingerprint, so the
 result cache can never conflate two scenarios).
 
-The registry mirrors :mod:`repro.lbm.backends.registry`: classes
-register under :attr:`Scenario.name` via :func:`register_scenario`;
-:func:`scenario_from_doc` rebuilds an instance from the canonical
-document :meth:`Scenario.doc` emits (the serialization used by
-fingerprints and checkpoint manifests).
+Classes register under :attr:`Scenario.name` via
+:func:`register_scenario`; :func:`scenario_from_doc` rebuilds an
+instance from the canonical document :meth:`Scenario.doc` emits (the
+serialization used by fingerprints and checkpoint manifests).
 """
 
 from __future__ import annotations

@@ -291,10 +291,7 @@ class Scheduler:
         entry = _Entry(
             key=key,
             spec=spec,
-            coalescible=batch_exclusion_reason(
-                overlaid, overlaid.resolved_config()
-            )
-            is None,
+            coalescible=batch_exclusion_reason(overlaid) is None,
         )
         entry.jobs.append(job)
         job.entry = entry

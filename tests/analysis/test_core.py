@@ -23,7 +23,6 @@ def test_registry_has_all_rules():
         "REP004",
         "REP005",
         "REP006",
-        "REP007",
         "REP008",
         "REP009",
         "REP010",

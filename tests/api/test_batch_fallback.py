@@ -219,6 +219,12 @@ class TestExclusionReasonPredicate:
                     ),
                     phases=3,
                 ),
+                RunSpec(
+                    config=dataclasses.replace(
+                        two_component_config, backend="fused"
+                    ),
+                    phases=3,
+                ),
             ]
         }
         assert None not in produced

@@ -1,5 +1,5 @@
 """Dispatch edges of the :func:`repro.api.run` facade that no suite
-exercised: resume combined with a backend override, and tracing a
+exercised: resume combined with a non-default backend, and tracing a
 parallel run through ``trace_path``."""
 
 from __future__ import annotations
@@ -23,23 +23,22 @@ class TestResumeWithBackendOverride:
         self, two_component_config, tmp_path
     ):
         """Interrupt a run at phase 4, then resume to the full target
-        with an explicit backend override: the restored solver must
-        finish on the overridden backend and land bit-identical to an
-        uninterrupted overridden run."""
+        with a config that names the non-default backend: the restored
+        solver must finish on that backend and land bit-identical to an
+        uninterrupted run on it."""
         store_dir = tmp_path / "ckpt"
+        fused = dataclasses.replace(two_component_config, backend="fused")
+        assert two_component_config.backend != "fused"
         common = dict(
-            config=two_component_config,
-            backend="arrayapi",
+            config=fused,
             checkpoint_dir=store_dir,
             checkpoint_every=2,
         )
         run(RunSpec(phases=4, **common))
         resumed = run(RunSpec(phases=8, resume=True, **common))
-        assert resumed.config.backend == "arrayapi"
+        assert resumed.config.backend == "fused"
 
-        fresh = run(
-            RunSpec(config=two_component_config, phases=8, backend="arrayapi")
-        )
+        fresh = run(RunSpec(config=fused, phases=8))
         assert np.array_equal(resumed.f, fresh.f)
 
     def test_cross_backend_resume_is_legal_and_physical(
@@ -61,9 +60,10 @@ class TestResumeWithBackendOverride:
         )
         resumed = run(
             RunSpec(
-                config=two_component_config,
+                config=dataclasses.replace(
+                    two_component_config, backend="fused"
+                ),
                 phases=6,
-                backend="fused",
                 checkpoint_dir=store_dir,
                 resume=True,
             )

@@ -93,6 +93,18 @@ class TestEligibility:
         results = run_batch(specs)
         assert not any(isinstance(r, EnsembleRunResult) for r in results)
 
+    def test_fused_specs_fall_back_and_match_run(self, two_component_config):
+        # The ensemble's kernels are the stacked *reference* arithmetic;
+        # stacking a fused spec onto them would return other bits than
+        # run() gives that spec.
+        fused = dataclasses.replace(two_component_config, backend="fused")
+        specs = sweep_specs(fused, [0.02, 0.05], phases=6)
+        results = run_batch(specs)
+        assert not any(isinstance(r, EnsembleRunResult) for r in results)
+        for spec, result in zip(specs, results):
+            assert result.batch_fallback_reason == "backend"
+            assert np.array_equal(result.f, run(spec).f)
+
     def test_env_checkpointing_disables_batching(
         self, two_component_config, monkeypatch, tmp_path
     ):

@@ -98,11 +98,11 @@ class TestDispatch:
         assert np.array_equal(result.solver().f, direct.f)
 
     def test_backend_override_applies(self, two_component_config):
-        result = run(
-            RunSpec(config=two_component_config, phases=2, backend="fused")
-        )
-        assert result.config.backend == "fused"
         assert two_component_config.backend != "fused"
+        fused = dataclasses.replace(two_component_config, backend="fused")
+        result = run(RunSpec(config=fused, phases=2))
+        assert result.config.backend == "fused"
+        assert result.solver().backend.name == "fused"
 
     def test_checkpoint_dir_builds_a_store_and_resumes(
         self, two_component_config, tmp_path

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.lbm.backends import BatchedBackend
 from repro.lbm.components import ComponentSpec
 from repro.lbm.ensemble import (
     BatchedEnsemble,
@@ -23,8 +24,10 @@ from repro.lbm.ensemble import (
 )
 from repro.lbm.forces import WallForceSpec
 from repro.lbm.geometry import ChannelGeometry
-from repro.lbm.lattice import D2Q9, D3Q19
+from repro.lbm.lattice import D2Q9, D3Q19, Lattice
 from repro.lbm.solver import LBMConfig, MulticomponentLBM
+
+from .test_backends import two_component_config
 
 
 def base_config(lattice=D2Q9, *, wall_force=True, shape=None):
@@ -135,6 +138,20 @@ class TestBatchedExactness:
             assert np.array_equal(member.f, solo.f), f"member {i}"
             assert member.steps == 12 and not member.converged
 
+    @pytest.mark.parametrize("lattice", [D2Q9, D3Q19], ids=lambda l: l.name)
+    def test_interior_obstacle_members_bitwise(self, lattice):
+        # Solids inside the channel (a cylinder), not only wall planes:
+        # the flat gather/scatter bounce-back against the masked one.
+        base = two_component_config(
+            lattice, scenario="obstacles", backend="reference"
+        )
+        spec = EnsembleSpec.g_sweep(base, [0.8, 1.2])
+        result = run_ensemble(spec, 15)
+        for i, member in enumerate(result.members):
+            solo = MulticomponentLBM(spec.member_config(i))
+            solo.run(15)
+            assert np.array_equal(member.f, solo.f), f"member {i}"
+
     def test_g_sweep_members_bitwise(self):
         spec = EnsembleSpec.g_sweep(base_config(), [0.8, 1.0, 1.2])
         result = run_ensemble(spec, 10)
@@ -160,6 +177,28 @@ class TestBatchedExactness:
         assert result.member_steps == 4 * 5
         assert result.elapsed_s > 0.0
         assert result.us_per_point > 0.0
+
+
+class TestBatchedConstraints:
+    def test_large_stencil_lattice_rejected(self):
+        # The batched streaming plan assumes |c| <= 1 per axis; a lattice
+        # violating that must be rejected at construction, not silently
+        # miscomputed.  Both builtin lattices satisfy it today, so fake
+        # a wide-stencil lattice.
+        cfg = base_config()
+        wide = Lattice("D2Q9-wide", D2Q9.c * 2, D2Q9.w)
+        bad = dataclasses.replace(cfg, lattice=wide)
+        with pytest.raises(ValueError, match="single-link"):
+            BatchedBackend(
+                bad, cfg.geometry.shape, cfg.geometry.solid_mask(), batch=1
+            )
+
+    def test_batch_size_must_be_positive(self):
+        cfg = base_config()
+        with pytest.raises(ValueError, match="batch"):
+            BatchedBackend(
+                cfg, cfg.geometry.shape, cfg.geometry.solid_mask(), batch=0
+            )
 
 
 class TestRaggedConvergence:
@@ -257,8 +296,6 @@ class TestAllocationFree:
 
 class TestObservability:
     def test_null_observer_keeps_bare_backend(self):
-        from repro.lbm.backends import BatchedBackend
-
         eng = BatchedEnsemble(wall_sweep(2))
         assert type(eng.backend) is BatchedBackend
 

@@ -49,7 +49,7 @@ def solver_with_state(config, f):
 
 
 class TestParallelBackends:
-    @pytest.mark.parametrize("backend", ["reference", "fused", "arrayapi"])
+    @pytest.mark.parametrize("backend", ["reference", "fused"])
     def test_matches_sequential_bitwise(self, backend):
         cfg = small_config(backend)
         seq = MulticomponentLBM(cfg)

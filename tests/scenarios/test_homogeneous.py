@@ -55,7 +55,7 @@ def test_wall_accel_is_the_exact_wall_force_field():
     assert np.array_equal(scenario.wall_accel(geo), direct)
 
 
-@pytest.mark.parametrize("backend", [None, "fused", "arrayapi"])
+@pytest.mark.parametrize("backend", [None, "fused"])
 def test_bit_identical_on_the_single_solver(backend):
     via_scenario = MulticomponentLBM(config(scenario=True, backend=backend))
     via_force = MulticomponentLBM(config(scenario=False, backend=backend))

@@ -3,11 +3,13 @@
 The serve layer's correctness rests on one invariant: two
 :class:`~repro.api.RunSpec` submissions share a fingerprint *iff* they
 describe the same result.  Hypothesis drives both directions — any
-execution knob (ranks, transport, backend, policy, checkpoints, trace,
-timeout) must leave the key unchanged, because every transport/backend
+execution knob (ranks, transport, policy, checkpoints, trace, timeout)
+must leave the key unchanged, because every transport and decomposition
 is bit-identical by contract; any physics knob (geometry, components,
 coupling, forcing, collision, adhesion, phase target) must change it,
-or the cache would serve the wrong result.
+and so must the kernel backend (``fused`` is within 1e-12 of
+``reference``, not the same bits), or the cache would serve the wrong
+result.
 """
 
 import dataclasses
@@ -19,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.config as config_mod
-from repro.api import RunSpec, canonical_spec_doc, spec_fingerprint
+from repro.api import RunSpec, canonical_spec_doc, run, spec_fingerprint
+from repro.serve import serve_many
 from repro.serve.bench import base_config
 
 BASE = base_config()
@@ -43,7 +46,6 @@ execution_knobs = st.fixed_dictionaries(
         "decomp": st.sampled_from(["auto", "slab", "grid"]),
         "halo_overlap": st.booleans(),
         "transport": st.sampled_from([None, "threads", "processes"]),
-        "backend": st.sampled_from([None, "reference", "fused", "arrayapi"]),
         "policy": st.sampled_from(
             ["filtered", "conservative", "global", "no-remap"]
         ),
@@ -55,8 +57,17 @@ execution_knobs = st.fixed_dictionaries(
     }
 )
 
-#: Named single-knob physics perturbations; each must flip the key.
+
+def _other_backend(cfg):
+    return dataclasses.replace(
+        cfg, backend="reference" if cfg.backend == "fused" else "fused"
+    )
+
+
+#: Named single-knob perturbations of the result — the physics, and the
+#: kernel backend that computes it; each must flip the key.
 PHYSICS_TWEAKS = [
+    ("backend", _other_backend),
     (
         "wall_force_amplitude",
         lambda c: _with_amplitude(c, c.wall_force.amplitude + 0.013),
@@ -155,7 +166,6 @@ def test_defaulted_and_explicit_default_values_share_a_key(amplitude, phases):
         phases=phases,
         ranks=1,
         transport=None,
-        backend=None,
         policy="filtered",
         checkpoint_every=0,
         checkpoint_keep=3,
@@ -225,11 +235,32 @@ def test_fingerprint_is_a_hex_digest():
     assert int(key, 16) >= 0
 
 
-def test_backend_override_does_not_change_the_key():
+def test_backend_is_part_of_the_key():
     spec = RunSpec(config=BASE, phases=8)
-    override = RunSpec(config=BASE, phases=8, backend="fused")
-    assert override.resolved_config().backend == "fused"
-    assert spec_fingerprint(override) == spec_fingerprint(spec)
+    other = RunSpec(config=_other_backend(BASE), phases=8)
+    assert spec_fingerprint(other) != spec_fingerprint(spec)
+    assert canonical_spec_doc(spec)["kernel"] == BASE.backend
+    assert canonical_spec_doc(other)["kernel"] == other.config.backend
+
+
+@pytest.mark.parametrize(
+    "order", [("reference", "fused"), ("fused", "reference")]
+)
+def test_a_job_is_never_answered_from_the_other_backends_entry(order):
+    """One worker, no coalescing, so the second job is looked up after
+    the first has been stored: each submission must come back with the
+    bits a direct run on *its* backend gives."""
+    specs = [
+        RunSpec(config=dataclasses.replace(BASE, backend=name), phases=6)
+        for name in order
+    ]
+    direct = [run(spec).f for spec in specs]
+    assert not np.array_equal(direct[0], direct[1]), (
+        "the two backends agree bit for bit here, so this proves nothing"
+    )
+    served = serve_many(specs, workers=1, coalesce=1)
+    for got, want in zip(served, direct):
+        assert np.array_equal(got.f, want)
 
 
 def test_fingerprint_rejects_nothing_silently():
