@@ -17,12 +17,15 @@ lint:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-# The end-to-end benchmark's own tests plus one 3 s untraced channel_seq
-# run.  `measure` exits non-zero when the run crashed or a result failed
-# verification (`failed != 0`); no timing is judged (shared runners).
+# The end-to-end benchmark's own tests plus two 3 s untraced runs: the
+# kernel path (channel_seq) and the served-sweep path (sweep_small, whose
+# verification is "served results equal a direct api.run").  `measure`
+# exits non-zero when the run crashed or a result failed verification
+# (`failed != 0`); no timing is judged (shared runners).
 bench-smoke:
 	python -m pytest bench/tests -q
 	python -m bench measure --workload channel_seq --seed 1 --seconds 3 --trace 0
+	python -m bench measure --workload sweep_small --seed 1 --seconds 3 --trace 0
 
 # Side-by-side kernel-backend timings; writes BENCH_kernels.json.
 bench-kernels:

@@ -212,14 +212,17 @@ def spec_fingerprint(spec: RunSpec) -> str:
     return sha256_bytes(doc.encode())
 
 
-@dataclass
+@dataclass(repr=False)
 class RunResult:
     """What :func:`run` returns, transport- and mode-agnostic.
 
     ``f`` is always the **global** population array ``(C, Q, nx,
     *cross)``; ``rank_results`` carries the per-rank
     :class:`~repro.parallel.driver.ParallelRunResult` records for
-    parallel runs (``None`` for sequential ones).
+    parallel runs (``None`` for sequential ones).  ``repr()`` is a
+    one-line summary: whatever formats a result — a log line, an
+    assertion message, ``asyncio`` describing a finished task — must
+    never format its arrays.
     """
 
     spec: RunSpec
@@ -232,12 +235,23 @@ class RunResult:
     batch_fallback_reason: str | None = None
     _solver: Any = None
 
+    def __repr__(self) -> str:
+        ranks = len(self.rank_results) if self.rank_results else 1
+        return (
+            f"{type(self).__name__}(f={self.f.shape}, "
+            f"phases={self.spec.phases}, ranks={ranks}, "
+            f"backend={self.config.backend!r}, "
+            f"batch_fallback_reason={self.batch_fallback_reason!r})"
+        )
+
     def solver(self) -> MulticomponentLBM:
         """A sequential solver holding the run's final state, so the
         full diagnostics toolbox (profiles, slip measures, exporters)
         applies to any run's output."""
         if self._solver is None:
-            self._solver = solver_from_results(self.rank_results, self.config)
+            self._solver = solver_from_results(
+                self.rank_results, self.config, self.f
+            )
         return self._solver
 
 
@@ -292,7 +306,7 @@ def execute_parallel(spec: RunSpec) -> list[ParallelRunResult]:
     return _run_parallel(spec, _store_for(spec))
 
 
-@dataclass
+@dataclass(repr=False)
 class EnsembleRunResult(RunResult):
     """A :class:`RunResult` produced by a batched-ensemble group.
 
@@ -306,12 +320,10 @@ class EnsembleRunResult(RunResult):
 
     def solver(self) -> MulticomponentLBM:
         if self._solver is None:
-            solver = MulticomponentLBM(self.config)
             steps = (
                 self.member.steps if self.member is not None else self.spec.phases
             )
-            solver.restore_state(self.f, steps)
-            self._solver = solver
+            self._solver = MulticomponentLBM(self.config, state=(self.f, steps))
         return self._solver
 
 
@@ -335,7 +347,9 @@ BATCH_EXCLUSION_REASONS = (
 )
 
 
-def batch_exclusion_reason(spec: RunSpec) -> str | None:
+def batch_exclusion_reason(
+    spec: RunSpec, _env: config_mod.EnvConfig | None = None
+) -> str | None:
     """Why *spec* cannot join a batched-ensemble group, or ``None`` when
     it is eligible: sequential, no checkpoint/resume/fault/trace
     machinery (neither explicit nor discovered from the environment),
@@ -349,6 +363,8 @@ def batch_exclusion_reason(spec: RunSpec) -> str | None:
     ``api.batch.fallback.<reason>`` observer counter, so callers that
     build batches — the :mod:`repro.serve` coalescer above all — can see
     *why* a spec went down the sequential path instead of guessing.
+    (``_env``: the caller's :func:`repro.config.from_env` snapshot, so
+    one public call parses the environment once.)
     """
     config = spec.config
     if spec.ranks != 1:
@@ -367,7 +383,7 @@ def batch_exclusion_reason(spec: RunSpec) -> str | None:
         return "initial-counts"
     if spec.observer.enabled:
         return "observer"
-    if config_mod.from_env().ckpt_dir is not None:
+    if (_env or config_mod.from_env()).ckpt_dir is not None:
         return "env-checkpoint"
     if config.collision != "bgk":
         return "collision"
@@ -384,11 +400,12 @@ def batch_compatible(base: RunSpec, other: RunSpec) -> bool:
     targets, and differing only in the swept scalar knobs.  The
     :mod:`repro.serve` coalescer uses this to group queued jobs before
     handing them to :func:`run_batch`."""
-    base = config_mod.from_env().overlay(base)
-    other = config_mod.from_env().overlay(other)
+    env = config_mod.from_env()
+    base = env.overlay(base)
+    other = env.overlay(other)
     return (
-        batch_exclusion_reason(base) is None
-        and batch_exclusion_reason(other) is None
+        batch_exclusion_reason(base, env) is None
+        and batch_exclusion_reason(other, env) is None
         and base.phases == other.phases
         and _member_delta(base.config, other.config) is not None
     )
@@ -485,13 +502,14 @@ def run_batch(
     from repro.lbm.ensemble import EnsembleSpec, run_ensemble
 
     specs = list(specs)
-    overlaid = [config_mod.from_env().overlay(s) for s in specs]
+    env = config_mod.from_env()
+    overlaid = [env.overlay(s) for s in specs]
     configs = [s.config for s in overlaid]
     results: list[RunResult | None] = [None] * len(specs)
     fallback_reasons: dict[int, str] = {
         i: reason
         for i in range(len(specs))
-        if (reason := batch_exclusion_reason(overlaid[i])) is not None
+        if (reason := batch_exclusion_reason(overlaid[i], env)) is not None
     }
 
     grouped: list[list[tuple[int, Any]]] = []

@@ -43,6 +43,7 @@ from repro.lbm.diagnostics import (
     normalized_velocity_profile,
     slip_fraction,
     streamwise_slip_profile,
+    streamwise_velocity_profiles,
     velocity_profile,
 )
 
@@ -89,5 +90,6 @@ __all__ = [
     "normalized_velocity_profile",
     "slip_fraction",
     "streamwise_slip_profile",
+    "streamwise_velocity_profiles",
     "velocity_profile",
 ]

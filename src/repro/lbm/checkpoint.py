@@ -62,14 +62,7 @@ def load_checkpoint(solver: MulticomponentLBM, path: str | Path) -> None:
                 f"checkpoint incompatible with this solver:\n"
                 f"  checkpoint: {meta}\n  solver:     {expected}"
             )
-        f = data["f"]
-        if f.shape != solver.f.shape:
-            raise ValueError(
-                f"population shape {f.shape} != solver {solver.f.shape}"
-            )
-        solver.f[:] = f
-        solver.step_count = int(data["step_count"])
-    solver.update_moments_and_forces()
+        solver.restore_state(data["f"], int(data["step_count"]))
 
 
 def roundtrip_equal(a: MulticomponentLBM, b: MulticomponentLBM) -> bool:

@@ -9,7 +9,9 @@ from the low wall surface ("distance from the side wall").
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -45,38 +47,32 @@ class Profile:
         return Profile(self.positions[keep], self.values[keep])
 
 
-def _cross_section_indexer(
-    solver: MulticomponentLBM, axis: int, x_index: int | None, other_index: int | None
-) -> tuple[int, ...]:
-    """Index tuple selecting the 1-D line along *axis* through the requested
-    cross-section (defaults: channel midpoints, like the paper)."""
-    geo = solver.config.geometry
-    ndim = geo.ndim
-    if not 1 <= axis < ndim:
-        raise ValueError(f"profile axis must be a wall axis in [1, {ndim}), got {axis}")
-    idx: list[object] = [slice(None)] * ndim
-    idx[0] = geo.centerline_index(0) if x_index is None else x_index
-    for other in range(1, ndim):
-        if other == axis:
-            continue
-        idx[other] = geo.centerline_index(other) if other_index is None else other_index
-    idx[axis] = slice(None)
-    return tuple(idx)  # type: ignore[return-value]
-
-
-def _extract_line(
+def _extract_lines(
     solver: MulticomponentLBM,
     field: np.ndarray,
     axis: int,
-    x_index: int | None,
+    x_indices: Iterable[int | None],
     other_index: int | None,
-) -> Profile:
+) -> list[Profile]:
+    """*field* along *axis*, fluid nodes only, on the line through each
+    of the *x_indices* planes of the requested cross-section (``None``
+    indices: channel midpoints, like the paper)."""
     geo = solver.config.geometry
-    idx = _cross_section_indexer(solver, axis, x_index, other_index)
-    line = field[idx]
-    coord = geo.wall_coordinate(axis)[idx]
-    fluid = solver.fluid[idx]
-    return Profile(positions=coord[fluid], values=line[fluid])
+    if not 1 <= axis < geo.ndim:
+        raise ValueError(f"profile axis must be a wall axis in [1, {geo.ndim}), got {axis}")
+    idx: list[object] = [
+        geo.centerline_index(d) if other_index is None else other_index
+        for d in range(geo.ndim)
+    ]
+    idx[axis] = slice(None)
+    coord = geo.wall_coordinate(axis)
+    lines = []
+    for x_index in x_indices:
+        idx[0] = geo.centerline_index(0) if x_index is None else x_index
+        line = tuple(idx)
+        fluid = solver.fluid[line]
+        lines.append(Profile(coord[line][fluid], field[line][fluid]))
+    return lines
 
 
 def density_profile(
@@ -90,7 +86,7 @@ def density_profile(
     """Density of *component* along *axis* at the given cross-section
     (the paper's Figure 6), fluid nodes only."""
     ci = solver.config.component_index(component)
-    return _extract_line(solver, solver.rho[ci], axis, x_index, other_index)
+    return _extract_lines(solver, solver.rho[ci], axis, [x_index], other_index)[0]
 
 
 def velocity_profile(
@@ -104,7 +100,7 @@ def velocity_profile(
     """Streamwise mixture velocity along *axis* at the cross-section
     (Figure 7 before normalization)."""
     u = solver.velocity()[flow_axis]
-    return _extract_line(solver, u, axis, x_index, other_index)
+    return _extract_lines(solver, u, axis, [x_index], other_index)[0]
 
 
 def normalized_velocity_profile(
@@ -207,32 +203,45 @@ def mean_flow_velocity(solver: MulticomponentLBM, flow_axis: int = 0) -> float:
 # reduce over *all* streamwise planes instead.
 
 
-def streamwise_slip_profile(
+def streamwise_velocity_profiles(
     solver: MulticomponentLBM,
+    *,
+    axis: int = 1,
+    flow_axis: int = 0,
+    other_index: int | None = None,
+) -> list[Profile]:
+    """The velocity profile of **every** streamwise plane, extracted in
+    one pass over the state — the list :func:`streamwise_slip_profile`
+    and :func:`effective_slip_fraction` take in place of the solver when
+    several measures share one extraction."""
+    u = solver.velocity()[flow_axis]
+    return _extract_lines(solver, u, axis, range(u.shape[0]), other_index)
+
+
+def streamwise_slip_profile(
+    solver: MulticomponentLBM | list[Profile],
     *,
     axis: int = 1,
     flow_axis: int = 0,
     other_index: int | None = None,
     measure=slip_fraction,
 ) -> Profile:
-    """*measure* evaluated on the velocity profile of **every**
-    streamwise plane: positions are the x indices, values the per-plane
-    slip.  The per-stripe view behind :func:`effective_slip_fraction`
-    (and the fig-pattern stripe plots)."""
-    u = solver.velocity()[flow_axis]
-    nx = solver.config.geometry.shape[0]
-    values = [
-        measure(_extract_line(solver, u, axis, i, other_index))
-        for i in range(nx)
-    ]
+    """*measure* evaluated on the velocity profile of every streamwise
+    plane (of *solver*, or as already extracted by
+    :func:`streamwise_velocity_profiles`): positions are the x indices,
+    values the per-plane slip.  The per-stripe view behind
+    :func:`effective_slip_fraction` (and the fig-pattern stripe plots)."""
+    lines = solver if isinstance(solver, list) else streamwise_velocity_profiles(
+        solver, axis=axis, flow_axis=flow_axis, other_index=other_index
+    )
     return Profile(
-        positions=np.arange(nx, dtype=np.float64),
-        values=np.asarray(values, dtype=np.float64),
+        positions=np.arange(len(lines), dtype=np.float64),
+        values=np.asarray([measure(line) for line in lines], dtype=np.float64),
     )
 
 
 def effective_slip_fraction(
-    solver: MulticomponentLBM,
+    solver: MulticomponentLBM | list[Profile],
     *,
     axis: int = 1,
     flow_axis: int = 0,
@@ -248,14 +257,9 @@ def effective_slip_fraction(
     — no floating-point averaging error — so the homogeneous scenario
     reproduces the historical midpoint measurement bit-for-bit.
     """
-    prof = streamwise_slip_profile(
-        solver,
-        axis=axis,
-        flow_axis=flow_axis,
-        other_index=other_index,
-        measure=measure,
-    )
-    values = prof.values
+    values = streamwise_slip_profile(
+        solver, axis=axis, flow_axis=flow_axis, other_index=other_index, measure=measure
+    ).values
     if np.all(values == values[0]):
         return float(values[0])
     return float(values.mean())
@@ -272,14 +276,7 @@ def effective_apparent_slip_fraction(
     """:func:`apparent_slip_fraction` (parabolic core fit) averaged over
     all streamwise planes — the experimentalist's measure for rough or
     patterned walls."""
-
-    def measure(profile: Profile) -> float:
-        return apparent_slip_fraction(profile, boundary_layer=boundary_layer)
-
+    measure = partial(apparent_slip_fraction, boundary_layer=boundary_layer)
     return effective_slip_fraction(
-        solver,
-        axis=axis,
-        flow_axis=flow_axis,
-        other_index=other_index,
-        measure=measure,
+        solver, axis=axis, flow_axis=flow_axis, other_index=other_index, measure=measure
     )

@@ -188,12 +188,12 @@ class EnsembleSpec:
 
 @dataclass
 class MemberResult:
-    """Final state of one ensemble member."""
+    """Final state of one ensemble member (``repr()``: the scalar fields)."""
 
     index: int
-    config: LBMConfig
-    params: MemberParams
-    f: np.ndarray
+    config: LBMConfig = field(repr=False)
+    params: MemberParams = field(repr=False)
+    f: np.ndarray = field(repr=False)
     steps: int
     converged: bool
     residual: float | None
@@ -201,9 +201,7 @@ class MemberResult:
     def solver(self) -> MulticomponentLBM:
         """A full solver at this member's final state (derived fields
         recomputed exactly as after an uninterrupted run)."""
-        solver = MulticomponentLBM(self.config)
-        solver.restore_state(self.f, self.steps)
-        return solver
+        return MulticomponentLBM(self.config, state=(self.f, self.steps))
 
 
 @dataclass

@@ -186,8 +186,14 @@ class MulticomponentLBM:
     """
 
     def __init__(
-        self, config: LBMConfig, observer: ObserverLike = NULL_OBSERVER
+        self,
+        config: LBMConfig,
+        observer: ObserverLike = NULL_OBSERVER,
+        *,
+        state: tuple[np.ndarray, int] | None = None,
     ):
+        """*state* ``(f, step)`` starts the solver there, as
+        :meth:`restore_state` would, without computing the rest state."""
         self.config = config
         #: Observability handle (:data:`repro.obs.NULL_OBSERVER` unless a
         #: real observer is passed or ``REPRO_OBS_TRACE`` is set); a
@@ -211,9 +217,10 @@ class MulticomponentLBM:
         # Population arrays: uniform rest equilibrium on fluid nodes,
         # zero inside the solid (so total fluid mass is exactly conserved).
         self.f = np.empty((n_comp, lat.Q) + shape, dtype=np.float64)
-        for ci, comp in enumerate(config.components):
-            rho_init = np.where(self.fluid, comp.rho_init / comp.mass, 0.0)
-            rest_equilibrium(rho_init, lat, out=self.f[ci])
+        if state is None:
+            for ci, comp in enumerate(config.components):
+                rho_init = np.where(self.fluid, comp.rho_init / comp.mass, 0.0)
+                rest_equilibrium(rho_init, lat, out=self.f[ci])
 
         self.rho = np.zeros((n_comp,) + shape, dtype=np.float64)
         self.mom = np.zeros((n_comp, lat.D) + shape, dtype=np.float64)
@@ -255,7 +262,10 @@ class MulticomponentLBM:
         self.last_wall_momentum: np.ndarray | None = None
 
         self.step_count = 0
-        self.update_moments_and_forces()
+        if state is None:
+            self.update_moments_and_forces()
+        else:
+            self.restore_state(*state)
 
     # ----------------------------------------------------------- (re)init
     def initialize_equilibrium(

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -57,7 +57,7 @@ from repro.lbm.equilibrium import rest_equilibrium
 from repro.lbm.forces import acceleration_field, solid_mask_field
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.macroscopic import mixture_velocity
-from repro.lbm.solver import LBMConfig
+from repro.lbm.solver import LBMConfig, MulticomponentLBM
 from repro.obs.observer import (
     NULL_OBSERVER,
     Observer,
@@ -102,17 +102,20 @@ class ParallelRunResult:
     ``col_start``/``col_count`` delimit the rank's band of the first
     cross-section axis (``col_count=None``: the full extent, i.e. a 1-D
     slab).  ``exposed_wait_s`` is the cumulative time this rank spent
-    blocked in halo waits — communication the compute did not hide."""
+    blocked in halo waits — communication the compute did not hide;
+    ``phases`` is the rank's final (absolute) phase counter.  The
+    array and per-phase list fields stay out of ``repr()``."""
 
     rank: int
     plane_start: int
-    f_interior: np.ndarray
+    f_interior: np.ndarray = field(repr=False)
     plane_count: int
-    plane_history: list[int]
-    comp_times: list[float]
+    plane_history: list[int] = field(repr=False)
+    comp_times: list[float] = field(repr=False)
     planes_sent: int
     planes_received: int
     mass: float
+    phases: int
     col_start: int = 0
     col_count: int | None = None
     exposed_wait_s: float = 0.0
@@ -918,6 +921,7 @@ class ParallelLBM:
                     for ci, comp in enumerate(self.config.components)
                 )
             ),
+            phases=self.phase,
             col_start=self.col_start,
             col_count=self.local_cols if self.cols > 1 else None,
             exposed_wait_s=exposed,
@@ -1222,20 +1226,15 @@ def assemble_global_f(results: list[ParallelRunResult]) -> np.ndarray:
 
 
 def solver_from_results(
-    results: list[ParallelRunResult], config: LBMConfig
-) -> "object":
+    results: list[ParallelRunResult],
+    config: LBMConfig,
+    f: np.ndarray | None = None,
+) -> MulticomponentLBM:
     """Build a sequential solver holding the parallel run's final state,
     so the full :mod:`repro.lbm.diagnostics` toolbox (profiles, slip
-    measures, exporters) applies to parallel output directly."""
-    from repro.lbm.solver import MulticomponentLBM
-
-    f_global = assemble_global_f(results)
-    solver = MulticomponentLBM(config)
-    if f_global.shape != solver.f.shape:
-        raise ValueError(
-            f"assembled field shape {f_global.shape} does not match the "
-            f"configuration's {solver.f.shape}"
-        )
-    solver.f[:] = f_global
-    solver.update_moments_and_forces()
-    return solver
+    measures, exporters) applies to parallel output directly.  *f* is
+    the field :func:`assemble_global_f` gives for *results*, for a
+    caller that already holds it."""
+    if f is None:
+        f = assemble_global_f(results)
+    return MulticomponentLBM(config, state=(f, results[0].phases))

@@ -168,6 +168,7 @@ class LocalCluster:
                 raise TimeoutError("a rank thread failed to finish (deadlock?)")
         if errors:
             rank, exc = errors[0]
+            errors.clear()  # each traceback holds a worker frame, which holds this list
             raise RuntimeError(f"rank {rank} failed: {exc!r}") from exc
         return results
 

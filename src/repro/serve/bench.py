@@ -140,46 +140,48 @@ async def _client(
     sched: Scheduler,
     specs: list[RunSpec],
     latencies: list[float],
-) -> list[Any]:
-    """One async client: submit its slice, await every result, record
-    per-job latency."""
-    results = []
-    for spec in specs:
+    results: list[Any],
+    slots: range,
+) -> None:
+    """One async client: submit its slice, await every result into its
+    *slots* of *results*, record per-job latency."""
+    for spec, slot in zip(specs, slots):
         start = time.perf_counter()
         job_id = await sched.submit(spec)
-        result = await sched.result(job_id)
+        results[slot] = await sched.result(job_id)
         latencies.append(time.perf_counter() - start)
-        results.append(result)
-    return results
 
 
 async def _run_load_async(
     specs: list[RunSpec],
+    results: list[Any],
+    latencies: list[float],
     *,
     clients: int,
     workers: int,
     coalesce: int,
     observer: ObserverLike,
-) -> tuple[list[Any], list[float], dict[str, float]]:
-    latencies: list[float] = []
+) -> dict[str, float]:
+    """Fill *results* (input order) and *latencies*; return only the
+    scheduler's counters — no coroutine here returns a payload, so
+    nothing that describes a finished task can find one to format."""
     async with Scheduler(
         workers=workers, coalesce=coalesce, observer=observer
     ) as sched:
-        slices = [specs[i::clients] for i in range(clients)]
-        gathered = await asyncio.gather(
-            *(_client(sched, s, latencies) for s in slices)
+        indices = range(len(specs))
+        await asyncio.gather(
+            *(
+                _client(
+                    sched, specs[i::clients], latencies, results, indices[i::clients]
+                )
+                for i in range(clients)
+            )
         )
-        # Reassemble input order from the round-robin slicing.
-        results: list[Any] = [None] * len(specs)
-        for c, chunk in enumerate(gathered):
-            for j, result in enumerate(chunk):
-                results[c + j * clients] = result
-        stats = {
+        return {
             "hit_rate": sched.hit_rate(),
             "dedup_ratio": sched.dedup_ratio(),
             "executions": float(sched.executions),
         }
-    return results, latencies, stats
 
 
 def run_load(
@@ -194,10 +196,14 @@ def run_load(
     """Serve *specs* from *clients* concurrent submitters and measure
     the sustained throughput; returns the report and the per-spec
     results (input order)."""
+    results: list[Any] = [None] * len(specs)
+    latencies: list[float] = []
     start = time.perf_counter()
-    results, latencies, stats = asyncio.run(
+    stats = asyncio.run(
         _run_load_async(
             specs,
+            results,
+            latencies,
             clients=clients,
             workers=workers,
             coalesce=coalesce,

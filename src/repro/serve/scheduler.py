@@ -127,6 +127,7 @@ class _Entry:
 @dataclass
 class _Job:
     id: str
+    key: str
     spec: RunSpec
     future: asyncio.Future
     submitted_at: float
@@ -261,6 +262,7 @@ class Scheduler:
         future.add_done_callback(_retrieve_quietly)
         job = _Job(
             id=job_id,
+            key=key,
             spec=spec,
             future=future,
             submitted_at=time.perf_counter(),
@@ -287,11 +289,11 @@ class Scheduler:
                 self._obs.counter("serve.dedup.joined").add()
             return job_id
 
-        overlaid = config_mod.from_env().overlay(spec)
+        env = config_mod.from_env()
         entry = _Entry(
             key=key,
             spec=spec,
-            coalescible=batch_exclusion_reason(overlaid) is None,
+            coalescible=batch_exclusion_reason(env.overlay(spec), env) is None,
         )
         entry.jobs.append(job)
         job.entry = entry
@@ -308,7 +310,7 @@ class Scheduler:
         return JobStatus(
             job_id=job.id,
             state=job.state,
-            key=entry.key if entry is not None else spec_fingerprint(job.spec),
+            key=job.key,
             deduped=job.deduped,
             attempts=entry.attempts if entry is not None else 0,
             error=entry.error if entry is not None else None,
@@ -320,13 +322,19 @@ class Scheduler:
         Raises :class:`JobFailed` when the retry budget ran out and
         :class:`JobCancelled` when the job was cancelled.
         """
-        job = self._job(job_id)
-        try:
-            return await asyncio.shield(job.future)
-        except asyncio.CancelledError:
-            if job.future.cancelled():
-                raise JobCancelled(job_id) from None
-            raise
+        future = self._job(job_id).future
+        if not future.done():
+            await asyncio.wait([future])  # cancelling the waiter leaves the job be
+        if future.cancelled():
+            raise JobCancelled(job_id)
+        failure = future.exception()
+        if failure is not None:
+            # A fresh exception per waiter: the stored one, raised up
+            # through this frame and the client's, would reference both
+            # from its traceback — a cycle through the scheduler and
+            # every result it holds.
+            raise JobFailed(job_id, failure.error)
+        return future.result()
 
     def cancel(self, job_id: str) -> bool:
         """Cancel one submission; returns ``False`` once terminal.
@@ -441,7 +449,11 @@ class Scheduler:
             try:
                 outcomes.append(self._run_one(entry))
             except Exception as exc:
-                outcomes.append(exc)
+                # Without its traceback: that holds this frame, whose
+                # ``outcomes`` holds the exception — a cycle through
+                # ``self`` that would keep every job of this scheduler
+                # for the garbage collector.  Only the message is used.
+                outcomes.append(exc.with_traceback(None))
         return outcomes
 
     def _run_one(self, entry: _Entry) -> RunResult:
@@ -465,10 +477,16 @@ class Scheduler:
     # --------------------------------------------------------- completion
     def _finish(self, entry: _Entry, outcome: Any) -> None:
         self._inflight.pop(entry.key, None)
+        # The entry lets go of its members here: a job keeps its entry
+        # (``status()`` reads attempts and error from it), but a link
+        # back would tie entry, jobs, futures and the result's arrays
+        # into a cycle that only the garbage collector can free — and
+        # the collector does not see how large a NumPy buffer is.
+        jobs, entry.jobs = entry.jobs, []
         if isinstance(outcome, BaseException):
             entry.state = JobState.FAILED
             entry.error = f"{type(outcome).__name__}: {outcome}"
-            for job in entry.jobs:
+            for job in jobs:
                 if job.future.done():
                     continue
                 job.state = JobState.FAILED
@@ -482,7 +500,7 @@ class Scheduler:
         entry.state = JobState.DONE
         entry.result = outcome
         self.cache.put(entry.key, outcome)
-        for job in entry.jobs:
+        for job in jobs:
             self._complete_job(job, outcome, cache_hit=False)
 
     def _complete_job(
@@ -551,7 +569,12 @@ def serve_many(
     return their results in input order (the blocking counterpart of
     the async client API, used by the CLI and the benchmark)."""
 
-    async def _main() -> list[RunResult]:
+    results: list[RunResult] = []
+
+    # The coroutine returns nothing: whatever describes the finished
+    # main task (CPython 3.11's ``asyncio.run`` does, on the way out)
+    # must not find the payload in it.
+    async def _main() -> None:
         async with Scheduler(
             workers=workers,
             coalesce=coalesce,
@@ -559,6 +582,7 @@ def serve_many(
             observer=observer,
         ) as sched:
             ids = [await sched.submit(spec) for spec in specs]
-            return [await sched.result(job_id) for job_id in ids]
+            results.extend([await sched.result(job_id) for job_id in ids])
 
-    return asyncio.run(_main())
+    asyncio.run(_main())
+    return results

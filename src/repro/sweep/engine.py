@@ -24,6 +24,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -32,6 +33,7 @@ from repro.api import RunResult, RunSpec, run_batch
 from repro.lbm.diagnostics import (
     apparent_slip_fraction,
     effective_slip_fraction,
+    streamwise_velocity_profiles,
 )
 from repro.obs.observer import NULL_OBSERVER, ObserverLike, resolve_observer
 from repro.sweep.spec import SweepSpec
@@ -103,23 +105,32 @@ class SweepResult:
 
 
 def _serve_rounds(
-    rounds: list[list[RunSpec]],
+    specs: list[RunSpec],
+    repeats: int,
     *,
     workers: int,
     coalesce: int | None,
     observer: ObserverLike,
     check_every: int,
     tol: float,
-) -> tuple[list[list[RunResult]], dict[str, Any]]:
-    """Serve the submission *rounds* on one Scheduler, awaiting each
-    round before the next — the repeated-study client shape: round one
-    executes (duplicate samples join in flight), later rounds land in
-    the content-addressed cache.  Returns per-round results plus the
-    scheduler's dedup accounting."""
+) -> tuple[list[list[RunResult]], list[str], dict[str, Any]]:
+    """Serve *specs* on one Scheduler *repeats* times over, awaiting
+    each round before the next — the repeated-study client shape: round
+    one executes (duplicate samples join in flight), later rounds land
+    in the content-addressed cache.  Returns per-round results, the
+    fingerprint the scheduler computed for each spec, and its dedup
+    accounting."""
     from repro.serve import Scheduler
 
-    async def _main() -> tuple[list[list[RunResult]], dict[str, Any]]:
-        out: list[list[RunResult]] = []
+    rounds: list[list[RunResult]] = []
+    keys: list[str] = []
+    stats: dict[str, Any] = {}
+
+    # Everything leaves through the closure and the coroutine returns
+    # nothing: whatever describes the finished main task (CPython
+    # 3.11's ``asyncio.run`` does, on the way out) must not find the
+    # payload in it.
+    async def _main() -> None:
         async with Scheduler(
             workers=workers,
             coalesce=coalesce,
@@ -127,18 +138,21 @@ def _serve_rounds(
             check_every=check_every,
             tol=tol,
         ) as sched:
-            for specs in rounds:
+            for _ in range(repeats):
                 job_ids = [await sched.submit(s) for s in specs]
-                out.append([await sched.result(j) for j in job_ids])
-            stats = {
-                "submissions": sched.submissions,
-                "executions": sched.executions,
-                "dedup_ratio": sched.dedup_ratio(),
-                "cache_hit_rate": sched.cache.hit_rate(),
-            }
-        return out, stats
+                rounds.append([await sched.result(j) for j in job_ids])
+            # Every round submits the same specs, so any round's jobs
+            # carry their keys; the last one's are at hand.
+            keys.extend(sched.status(j).key for j in job_ids)
+            stats.update(
+                submissions=sched.submissions,
+                executions=sched.executions,
+                dedup_ratio=sched.dedup_ratio(),
+                cache_hit_rate=sched.cache.hit_rate(),
+            )
 
-    return asyncio.run(_main())
+    asyncio.run(_main())
+    return rounds, keys, stats
 
 
 def run_sweep(
@@ -161,17 +175,14 @@ def run_sweep(
     if via not in SUBSTRATES:
         raise ValueError(f"via must be one of {SUBSTRATES}, got {via!r}")
     obs = resolve_observer(observer)
-    specs = spec.run_specs()
+    params, distinct = spec.compile()
     start = time.perf_counter()
     if via == "serve":
         # Round-major submission: each repeat round re-submits every
         # distinct sample, so rounds past the first are cache material.
-        per_round = [
-            RunSpec(config=config, phases=spec.phases)
-            for config in spec.configs()
-        ]
-        round_results, stats = _serve_rounds(
-            [per_round] * spec.repeats,
+        round_results, fingerprints, stats = _serve_rounds(
+            distinct,
+            spec.repeats,
             workers=workers,
             coalesce=coalesce,
             observer=obs,
@@ -185,9 +196,11 @@ def run_sweep(
             for r in range(spec.repeats)
         ]
     else:
+        specs = [s for s in distinct for _ in range(spec.repeats)]
         results = run_batch(
             specs, check_every=check_every, tol=tol, observer=obs
         )
+        fingerprints = [s.fingerprint() for s in distinct]
         stats = {
             "submissions": len(specs),
             "executions": len(specs),
@@ -196,25 +209,26 @@ def run_sweep(
         }
     elapsed = time.perf_counter() - start
 
+    apparent_measure = partial(
+        apparent_slip_fraction, boundary_layer=boundary_layer
+    )
     samples: list[SampleResult] = []
-    for i, params in enumerate(spec.samples()):
-        result = results[i * spec.repeats]
-        solver = result.solver()
-        slip = effective_slip_fraction(solver)
+    for i in range(spec.n_samples):
+        solver = results[i * spec.repeats].solver()
+        # One extraction of the streamwise lines serves both measures.
+        lines = streamwise_velocity_profiles(solver)
+        slip = effective_slip_fraction(lines)
         try:
             apparent: float | None = effective_slip_fraction(
-                solver,
-                measure=lambda p: apparent_slip_fraction(
-                    p, boundary_layer=boundary_layer
-                ),
+                lines, measure=apparent_measure
             )
         except ValueError:
             apparent = None  # channel too narrow for a core fit
         samples.append(
             SampleResult(
                 index=i,
-                params=params,
-                fingerprint=specs[i * spec.repeats].fingerprint(),
+                params=params[i],
+                fingerprint=fingerprints[i],
                 slip=slip,
                 apparent_slip=apparent,
                 steps=solver.step_count,

@@ -149,24 +149,32 @@ class SweepSpec:
             out.append(sample)
         return out
 
-    def configs(self) -> list[LBMConfig]:
-        """One :class:`LBMConfig` per sample: the base config with its
-        scenario's swept fields replaced."""
+    def compile(self) -> tuple[list[dict[str, Any]], list[RunSpec]]:
+        """One draw of the sweep: the parameter samples and, per sample,
+        the :class:`RunSpec` of the base config with its scenario's
+        swept fields replaced (both in sample order)."""
+        samples = self.samples()
         base = self.base_config
-        return [
-            dataclasses.replace(
-                base, scenario=dataclasses.replace(base.scenario, **sample)
+        specs = [
+            RunSpec(
+                config=dataclasses.replace(
+                    base, scenario=dataclasses.replace(base.scenario, **sample)
+                ),
+                phases=self.phases,
             )
-            for sample in self.samples()
+            for sample in samples
         ]
+        return samples, specs
+
+    def configs(self) -> list[LBMConfig]:
+        """One :class:`LBMConfig` per sample."""
+        return [spec.config for spec in self.compile()[1]]
 
     def run_specs(self) -> list[RunSpec]:
         """The compiled submission list: every sample's ``RunSpec``,
-        each repeated ``repeats`` times back to back."""
+        repeated ``repeats`` times back to back."""
         return [
-            RunSpec(config=config, phases=self.phases)
-            for config in self.configs()
-            for _ in range(self.repeats)
+            spec for spec in self.compile()[1] for _ in range(self.repeats)
         ]
 
     # ---------------------------------------------------------- provenance

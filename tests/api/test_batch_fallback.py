@@ -269,3 +269,59 @@ class TestBatchCompatible:
         )
         (b,) = sweep_specs(other, [0.05], phases=3)
         assert not batch_compatible(a, b)
+
+
+class TestEnvironmentReadOncePerCall:
+    """One ``config.from_env()`` per public call, read at call time (it
+    was four per ``batch_compatible`` and two per missed ``submit``)."""
+
+    @pytest.fixture
+    def env_reads(self, monkeypatch):
+        import repro.config as config_mod
+
+        reads = []
+        original = config_mod.from_env
+
+        def counting(environ=None):
+            reads.append(environ)
+            return original(environ)
+
+        monkeypatch.setattr(config_mod, "from_env", counting)
+        return reads
+
+    def test_batch_compatible(self, two_component_config, env_reads):
+        a, b = sweep_specs(two_component_config, [0.02, 0.05], phases=3)
+        assert batch_compatible(a, b)
+        assert len(env_reads) == 1
+
+    def test_batch_exclusion_reason(self, two_component_config, env_reads):
+        (a,) = sweep_specs(two_component_config, [0.02], phases=3)
+        assert batch_exclusion_reason(a) is None
+        assert len(env_reads) == 1
+
+    def test_missed_submit(self, two_component_config, env_reads):
+        import asyncio
+
+        from repro.serve import Scheduler
+
+        (a,) = sweep_specs(two_component_config, [0.02], phases=3)
+
+        async def main() -> list[int]:
+            sched = Scheduler(workers=1)  # not started: nothing executes
+            before = len(env_reads)
+            job = await sched.submit(a)
+            missed = len(env_reads) - before
+            await sched.submit(a)  # joins in flight: no new entry
+            joined = len(env_reads) - before - missed
+            sched.cancel(job)
+            return [missed, joined]
+
+        assert asyncio.run(main()) == [1, 0]
+
+    def test_still_read_at_call_time(
+        self, two_component_config, monkeypatch, tmp_path
+    ):
+        a, b = sweep_specs(two_component_config, [0.02, 0.05], phases=3)
+        assert batch_compatible(a, b)
+        monkeypatch.setenv(ENV_CKPT_DIR, str(tmp_path / "ckpt"))
+        assert not batch_compatible(a, b)  # no snapshot outlives a call

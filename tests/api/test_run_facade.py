@@ -96,6 +96,9 @@ class TestDispatch:
         assert np.array_equal(result.f, direct.f)
         assert len(result.rank_results) == 3
         assert np.array_equal(result.solver().f, direct.f)
+        # The rebuilt solver carries the run's phase count (it used to
+        # read 0 for a parallel run, and run_sweep reports it as steps).
+        assert result.solver().step_count == 8
 
     def test_backend_override_applies(self, two_component_config):
         assert two_component_config.backend != "fused"

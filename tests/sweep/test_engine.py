@@ -63,9 +63,16 @@ def test_batch_and_serve_agree_bitwise():
     assert len(batch.results) == len(serve.results) == 6
     for a, b in zip(batch.results, serve.results):
         assert np.array_equal(a.f, b.f)
-    for sa, sb in zip(batch.samples, serve.samples):
+    for sa, sb, spec_run in zip(
+        batch.samples, serve.samples, spec.run_specs()[:: spec.repeats]
+    ):
         assert sa.slip == sb.slip
-        assert sa.fingerprint == sb.fingerprint
+        assert sa.apparent_slip == sb.apparent_slip
+        assert sa.steps == sb.steps == spec.phases
+        assert sa.params == sb.params
+        # serve reports the key the scheduler hashed at submit; batch
+        # hashes the sample itself.
+        assert sa.fingerprint == sb.fingerprint == spec_run.fingerprint()
 
 
 def test_results_are_dropped_unless_requested():
@@ -84,3 +91,30 @@ def test_throughput_accounting_is_positive():
 def test_unknown_substrate_rejected():
     with pytest.raises(ValueError, match="serve"):
         run_sweep(small_sweep(), via="mpi")
+
+
+def test_the_sweep_is_compiled_once_per_call(monkeypatch):
+    """One draw of the samples per ``run_sweep`` (it used to be three:
+    ``run_specs()``, ``configs()`` and ``samples()`` each redrew them)."""
+    draws = []
+    original = SweepSpec.samples
+
+    def counting(self):
+        draws.append(self)
+        return original(self)
+
+    monkeypatch.setattr(SweepSpec, "samples", counting)
+    for via in ("batch", "serve"):
+        del draws[:]
+        run_sweep(small_sweep(repeats=2), via=via)
+        assert len(draws) == 1, via
+
+
+def test_compile_matches_the_per_view_accessors():
+    spec = small_sweep(repeats=2)
+    samples, distinct = spec.compile()
+    assert samples == spec.samples()
+    assert [s.config for s in distinct] == spec.configs()
+    assert [s.fingerprint() for s in spec.run_specs()] == [
+        s.fingerprint() for s in distinct for _ in range(2)
+    ]
