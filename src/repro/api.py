@@ -27,8 +27,9 @@ ones that differ only in the swept scalar knobs (coupling matrix, wall
 force amplitude, body force) into stacked ensembles
 (:mod:`repro.lbm.ensemble`), and runs the rest through :func:`run` —
 returning per-spec results, bit-identical to running each spec alone,
-in input order.  The ensemble's kernels are the stacked ``reference``
-arithmetic, so only ``reference``-backend specs are stacked.
+in input order.  The ensemble's kernels are the ``fused`` arithmetic
+over a batch axis, so a spec that names the ``reference`` oracle is
+never stacked.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from repro.parallel.driver import (
     _run_parallel,
     _spec_observer,
     assemble_global_f,
-    solver_from_results,
 )
 
 __all__ = [
@@ -185,7 +185,7 @@ def canonical_spec_doc(spec: RunSpec) -> dict[str, Any]:
     can never conflate two scenarios that share the remaining knobs),
     the kernel backend and the phase target.  The backend is in because
     ``fused`` is within 1e-12 of ``reference``, not the same bits: a
-    ``fused`` submission must never be answered with a ``reference``
+    ``reference`` submission must never be answered with a ``fused``
     result.  (A checkpoint is state, not a result, so
     ``config_fingerprint`` itself stays blind to the backend and a run
     may resume under the other one.)  Execution knobs — rank count,
@@ -233,6 +233,9 @@ class RunResult:
     #: ensemble (``None`` for batched members and plain :func:`run`
     #: calls); see :func:`batch_exclusion_reason`.
     batch_fallback_reason: str | None = None
+    #: Phase count ``f`` stands at (an ensemble member may have
+    #: converged before ``spec.phases``), and the solver built from it.
+    _steps: int | None = None
     _solver: Any = None
 
     def __repr__(self) -> str:
@@ -247,11 +250,13 @@ class RunResult:
     def solver(self) -> MulticomponentLBM:
         """A sequential solver holding the run's final state, so the
         full diagnostics toolbox (profiles, slip measures, exporters)
-        applies to any run's output."""
+        applies to any run's output.  Built from ``f`` on first call
+        (derived fields recomputed exactly as after an uninterrupted
+        run) and kept: until then a result holds its populations and
+        nothing of the solver that produced them."""
         if self._solver is None:
-            self._solver = solver_from_results(
-                self.rank_results, self.config, self.f
-            )
+            steps = self.spec.phases if self._steps is None else self._steps
+            self._solver = MulticomponentLBM(self.config, state=(self.f, steps))
         return self._solver
 
 
@@ -295,6 +300,7 @@ def run(spec: RunSpec) -> RunResult:
         config=spec.config,
         f=assemble_global_f(results),
         rank_results=results,
+        _steps=results[0].phases,
     )
 
 
@@ -310,21 +316,12 @@ def execute_parallel(spec: RunSpec) -> list[ParallelRunResult]:
 class EnsembleRunResult(RunResult):
     """A :class:`RunResult` produced by a batched-ensemble group.
 
-    ``rank_results`` is ``None`` (no parallel world ran); :meth:`solver`
-    rebuilds the sequential solver from the member's final populations
-    instead of rank records.  ``member`` carries the per-member ensemble
-    record (steps actually advanced, convergence flag, residual).
+    ``rank_results`` is ``None`` (no parallel world ran); ``member``
+    carries the per-member ensemble record (steps actually advanced,
+    convergence flag, residual).
     """
 
     member: Any = None
-
-    def solver(self) -> MulticomponentLBM:
-        if self._solver is None:
-            steps = (
-                self.member.steps if self.member is not None else self.spec.phases
-            )
-            self._solver = MulticomponentLBM(self.config, state=(self.f, steps))
-        return self._solver
 
 
 #: Reason strings :func:`batch_exclusion_reason` can return, in the
@@ -353,10 +350,10 @@ def batch_exclusion_reason(
     """Why *spec* cannot join a batched-ensemble group, or ``None`` when
     it is eligible: sequential, no checkpoint/resume/fault/trace
     machinery (neither explicit nor discovered from the environment),
-    BGK collision, no wall adhesion, and the ``reference`` backend — the
-    ensemble's kernels are the stacked ``reference`` arithmetic, so a
-    ``fused`` spec would come back with other bits than :func:`run`
-    gives it.
+    BGK collision, no wall adhesion, and the ``fused`` backend — the
+    ensemble's kernels are the ``fused`` arithmetic over a batch axis,
+    so a spec that names the ``reference`` oracle would come back with
+    other bits than :func:`run` gives it.
 
     The reason lands on the fallback result
     (:attr:`RunResult.batch_fallback_reason`) and on the
@@ -389,7 +386,7 @@ def batch_exclusion_reason(
         return "collision"
     if config.adhesion is not None:
         return "adhesion"
-    if config.backend != "reference":
+    if config.backend != "fused":
         return "backend"
     return None
 
@@ -477,16 +474,16 @@ def run_batch(
     ensembles.
 
     Specs that are sequential, carry no checkpoint/fault/trace
-    machinery, run the ``reference`` backend, and differ only in the
-    swept scalar knobs — coupling matrix, wall-force amplitude, body
+    machinery, run the default ``fused`` backend, and differ only in
+    the swept scalar knobs — coupling matrix, wall-force amplitude, body
     acceleration — with equal phase targets are grouped and advanced as
-    one ``(N, C, Q, *S)`` array pass per step
+    one ``(C, Q, N, *S)`` array pass per step
     (:func:`repro.lbm.ensemble.run_ensemble`).  Everything else falls
     back to :func:`run`, with the reason on the result
     (:func:`batch_exclusion_reason`).  Results come back in input order
     and are bit-identical to running each spec individually: the
-    ensemble's kernels are the stacked ``reference`` arithmetic, which
-    is why a ``fused`` spec is never stacked onto them.
+    ensemble's kernels are the ``fused`` kernels over a batch axis,
+    which is why a ``reference`` spec is never stacked onto them.
 
     Parameters
     ----------
@@ -560,6 +557,7 @@ def run_batch(
                 f=member.f,
                 rank_results=None,
                 member=member,
+                _steps=member.steps,
             )
 
     for i, spec in enumerate(specs):
@@ -596,5 +594,5 @@ def _run_sequential(spec: RunSpec, store: Any) -> RunResult:
         config=spec.config,
         f=solver.f,
         rank_results=None,
-        _solver=solver,
+        _steps=solver.step_count,
     )

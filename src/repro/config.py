@@ -4,8 +4,9 @@ Every configuration channel the library honours through the environment
 is parsed here into one immutable :class:`EnvConfig` snapshot:
 
 ``REPRO_LBM_BACKEND``
-    Default kernel backend, ``reference`` or ``fused``, for configs
-    that do not name one (:mod:`repro.lbm.backends.registry`).
+    Default kernel backend for configs that do not name one: ``fused``
+    (what an unset variable also gives) or the ``reference`` oracle
+    (:mod:`repro.lbm.backends.registry`).
 ``REPRO_OBS_TRACE``
     JSONL trace path enabling observability discovery
     (:mod:`repro.obs.observer`).

@@ -2,12 +2,12 @@
 
 See :mod:`repro.lbm.backends.registry` for the backend contract and the
 two-entry table of selectable backends,
+:mod:`repro.lbm.backends.fused` for the allocation-free fast path (the
+default, and what :mod:`repro.lbm.ensemble` stacks) and
 :mod:`repro.lbm.backends.reference` for the baseline NumPy kernels (the
-oracle, and the default) and :mod:`repro.lbm.backends.fused` for the
-allocation-free fast path.  :mod:`repro.lbm.backends.batched` holds the
-stacked kernels of :mod:`repro.lbm.ensemble`; they are not selectable.
+oracle).
 
-Select a backend with ``LBMConfig(backend="fused")`` or the
+Select a backend with ``LBMConfig(backend="reference")`` or the
 ``REPRO_LBM_BACKEND`` environment variable.
 """
 
@@ -22,7 +22,6 @@ from repro.lbm.backends.registry import (
 )
 from repro.lbm.backends.reference import ReferenceBackend
 from repro.lbm.backends.fused import FusedBackend
-from repro.lbm.backends.batched import BatchedBackend
 from repro.lbm.backends.instrumented import KERNEL_NAMES, InstrumentedBackend
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "InstrumentedBackend",
     "ReferenceBackend",
     "FusedBackend",
-    "BatchedBackend",
     "available_backends",
     "create_backend",
     "get_backend_class",

@@ -37,13 +37,24 @@ Shan-Chen          18 mostly diagonal rolls        12 unit-axis rolls
    straight into a second population buffer (callers rebind:
    ``f = backend.stream(f)``).  Pure data movement: ``array_equal`` to
    ``np.roll``.
+5. **A batch is a leading axis nothing streams along.**  Built with
+   ``g_matrices`` of shape ``(B, C, C)``, the grid is ``(B, *S)`` — B
+   independent members that share the solid mask — and every kernel
+   above is unchanged: a zero shift on the batch axis costs the roll
+   plans nothing, the two dgemms run over ``B N`` columns, bounce-back
+   indexes the tiled mask, and only the Shan-Chen coupling, whose matrix
+   may differ per member, is one product per run of members that share
+   it.  This is how :mod:`repro.lbm.ensemble` stacks a sweep, and by
+   the contract below member ``b`` of the stack has the bits of its
+   stand-alone run.
 
 **Contract.**  Results agree with ``reference`` to <= 1e-12 (in practice
 a few ULP; the operation order differs) and every kernel is *piece
 independent*: applied to a contiguous x-slab of the grid it returns
 exactly the bits the full-grid call returns for those planes.  The
 parallel driver's overlapped schedule relies on that to stay bitwise
-equal to the sequential solver.
+equal to the sequential solver, and the ensemble to stay bitwise equal
+to its members' own runs.
 
 **The multiple-of-16 rule.**  OpenBLAS computes the last ``N mod 8``
 columns of a product with a different micro-kernel whose rounding
@@ -150,17 +161,29 @@ class FusedBackend(KernelBackend):
 
     name = "fused"
 
-    def __init__(self, config, shape, solid_mask):
-        super().__init__(config, shape, solid_mask)
+    def __init__(self, config, shape, solid_mask, *, g_matrices=None):
+        """*g_matrices* ``(B, C, C)``: *shape* is ``(B, *S)``, a stack of
+        B members with their own coupling matrices (module docstring)."""
+        # What the batch axis adds in front of a lattice shift: nothing.
+        batch = () if g_matrices is None else (0,)
+        super().__init__(config, shape, solid_mask, batch_axes=len(batch))
         lat = self.lattice
         C, Q, D, S = self.n_components, lat.Q, lat.D, self.shape
         N = self.n_points
         w_axis, w_diag = _stencil_weights(lat)
+        g = self.g_matrix[None]
+        if g_matrices is not None:
+            g = np.asarray(g_matrices, dtype=np.float64)
+            if not len(g) or g.shape != (S[0], C, C):
+                raise ValueError(
+                    f"g_matrices must hold one (C, C) matrix per member of "
+                    f"a non-empty batch axis, {(S[0], C, C)}; got {g.shape}"
+                )
 
         # --- streaming ----------------------------------------------------
         self._rest = [int(k) for k in range(Q) if k not in set(lat.moving)]
         self._stream_plans = [
-            (int(k), _roll_plan(S, lat.shifts[k])) for k in lat.moving
+            (int(k), _roll_plan(S, batch + lat.shifts[k])) for k in lat.moving
         ]
         self._fbuf = np.empty((C, Q) + S, dtype=np.float64)
 
@@ -220,13 +243,21 @@ class FusedBackend(KernelBackend):
         # contiguous and allocation-free.  S is kept in units of w_diag:
         # the common factor is folded, with the sign of F = -psi (g . S),
         # into the coupling matrix.
-        unit = np.eye(D, dtype=int)
+        unit = np.eye(len(S), dtype=int)[len(batch) :]
         self._axis_plans = [
             (_roll_plan(S, tuple(-unit[d])), _roll_plan(S, tuple(unit[d])))
             for d in range(D)
         ]
         self._axis_ratio = w_axis / w_diag
-        self._neg_gw = -self.g_matrix * w_diag
+        # (columns, -g w_diag) per run of members sharing a coupling
+        # matrix: one entry for a single solver or a shared-g stack.
+        per_member, start = N // len(g), 0
+        self._neg_gw = []
+        for b in range(1, len(g) + 1):
+            if b == len(g) or not np.array_equal(g[b], g[start]):
+                cols = slice(start * per_member, b * per_member)
+                self._neg_gw.append((cols, -g[start] * w_diag))
+                start = b
         self._psis = np.empty((C,) + S, dtype=np.float64)
         self._roll_p = np.empty((C,) + S, dtype=np.float64)
         self._roll_m = np.empty((C,) + S, dtype=np.float64)
@@ -404,7 +435,9 @@ class FusedBackend(KernelBackend):
             np.subtract(rp, rm, out=self._svec[d])
         for d in range(D):
             # coupled[d] = -(g w_diag) . S[d]
-            self._matmul(self._neg_gw, self._svec_mat[d], self._coupled_mat[d])
+            sd, cdm = self._svec_mat[d], self._coupled_mat[d]
+            for cols, neg_gw in self._neg_gw:
+                self._matmul(neg_gw, sd[:, cols], cdm[:, cols])
             cd = self._coupled[d]
             cd *= psis
             out[:, d] = cd

@@ -1,7 +1,7 @@
 """Per-kernel timing instrumentation for any kernel backend.
 
-:class:`InstrumentedBackend` wraps a concrete backend (``reference``,
-``fused``, or the ensemble's ``batched`` kernels) and times every
+:class:`InstrumentedBackend` wraps a concrete backend (``reference``
+or ``fused``, the ensemble's stacked one included) and times every
 hot-kernel call into the observer's metrics registry, without the
 backends themselves knowing about observability:
 

@@ -8,28 +8,28 @@ the moment/force/velocity update — for one solver instance.  The physics
 :class:`~repro.parallel.driver.ParallelLBM`; backends only decide *how*
 each kernel touches memory.
 
-Two backends can be selected by name:
+Two backends can be selected by name, and there is no third
+arithmetic:
+
+``fused``
+    The default, and the one production arithmetic: everything that
+    ships — sequential runs, parallel ranks, and the stacked ensembles of
+    :mod:`repro.lbm.ensemble` (the same class over a leading batch axis)
+    — runs on it.  Allocation-free, BLAS-driven hot path:
+    double-buffered flat-offset streaming, equilibrium and moments as
+    one dgemm each, and the separable Shan-Chen stencil over a
+    preallocated scratch pool; every kernel gives a piece of the grid —
+    an x-slab, an ensemble member — the bits the whole-grid call gives
+    (see :mod:`repro.lbm.backends.fused`).
 
 ``reference``
     The original NumPy kernels, unchanged — per-component loops,
     ``np.roll`` streaming, fresh temporaries.  Always correct, easy to
-    read, the oracle every differential test compares against, and the
-    default.
+    read, and the oracle every differential test compares ``fused``
+    against: the two stay within 1e-12 of each other — close, not the
+    same bits.  Nothing ships on it; a spec that names it runs alone.
 
-``fused``
-    Allocation-free, BLAS-driven hot path: double-buffered flat-offset
-    streaming, equilibrium and moments as one dgemm each, and the
-    separable Shan-Chen stencil over a preallocated scratch pool; every
-    kernel gives an x-slab of the grid the bits the full-grid call
-    gives, and the whole run stays within 1e-12 of ``reference`` — close,
-    not the same bits (see :mod:`repro.lbm.backends.fused`).
-
-A third :class:`KernelBackend`, :class:`~repro.lbm.backends.batched.
-BatchedBackend`, is not selectable: it is the ``reference`` arithmetic
-stacked over a leading ensemble axis, and only
-:mod:`repro.lbm.ensemble` constructs it.
-
-Selection: ``LBMConfig(backend="fused")`` explicitly, or the
+Selection: ``LBMConfig(backend="reference")`` explicitly, or the
 ``REPRO_LBM_BACKEND`` environment variable as the default for configs
 that do not name a backend.  All validation (g-matrix symmetry, shape
 checks) happens at configuration/construction time, never per step:
@@ -59,7 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (solver imports us)
 BACKEND_ENV_VAR = ENV_BACKEND
 
 #: Fallback when neither the config nor the environment chooses.
-DEFAULT_BACKEND = "reference"
+DEFAULT_BACKEND = "fused"
 
 
 def available_backends() -> list[str]:
@@ -71,8 +71,8 @@ def resolve_backend_name(name: str | None = None) -> str:
     """Resolve an explicit/None backend name to a selectable one.
 
     Resolution order: explicit *name* -> ``$REPRO_LBM_BACKEND`` ->
-    ``"reference"``.  Raises ``ValueError`` for unknown names so typos in
-    either channel fail loudly at configuration time.
+    :data:`DEFAULT_BACKEND`.  Raises ``ValueError`` for unknown names so
+    typos in either channel fail loudly at configuration time.
     """
     if name is None:
         name = from_env().backend or DEFAULT_BACKEND
@@ -155,12 +155,16 @@ class KernelBackend(abc.ABC):
         config: "LBMConfig",
         shape: tuple[int, ...],
         solid_mask: np.ndarray,
+        *,
+        batch_axes: int = 0,
     ):
+        """*batch_axes* leading axes of *shape* are not lattice axes:
+        nothing streams along them (``fused`` takes the ensemble's one)."""
         lat: Lattice = config.lattice
-        if len(shape) != lat.D:
+        if len(shape) != batch_axes + lat.D:
             raise ValueError(
-                f"shape {shape} is {len(shape)}-D but lattice {lat.name} "
-                f"is {lat.D}-D"
+                f"shape {shape} is {len(shape) - batch_axes}-D but lattice "
+                f"{lat.name} is {lat.D}-D"
             )
         solid_mask = np.asarray(solid_mask, dtype=bool)
         if solid_mask.shape != tuple(shape):

@@ -5,19 +5,20 @@ strength ``a``, versus driving force, versus coupling ``g`` — are
 embarrassingly parallel: the same channel, the same lattice, different
 scalar knobs.  Running them one solver at a time pays the full
 Python/NumPy kernel dispatch cost per member per step.  This module
-stacks N such members into the ``(N, C, Q, *S)`` layout of its own
-kernels (:class:`~repro.lbm.backends.batched.BatchedBackend`, the
-``reference`` arithmetic over a leading batch axis) and advances the
-whole ensemble with one sequence of array passes per step, so the
-dispatch cost is amortised across the batch (the intra-node analogue of
-the paper's cluster-level scaling study).
+stacks B such members on the grid ``(B, *S)`` — state ``(C, Q, B, *S)``
+— and advances them with one :class:`~repro.lbm.backends.fused.
+FusedBackend` whose leading axis nothing streams along: the ``fused``
+arithmetic, one sequence of array passes per step, so the dispatch cost
+is amortised across the batch (the intra-node analogue of the paper's
+cluster-level scaling study).
 
 Bitwise contract: member ``b`` of a batched run is **exactly** the
-standalone run of ``spec.member_config(b)`` under the ``reference``
-backend — same initial populations, same step arithmetic, same
-convergence snapshots.  :class:`EnsembleSpec.member_config` is the
-single source of truth for per-member configurations: both the engine
-(stacked coefficients) and any standalone cross-check build from it.
+standalone ``fused`` run of ``spec.member_config(b)`` — same initial
+populations, same step arithmetic (``fused`` kernels give a piece of
+the grid the bits of the whole), same convergence snapshots.
+:class:`EnsembleSpec.member_config` is the single source of truth for
+per-member configurations: both the engine (stacked coefficients) and
+any standalone cross-check build from it.
 
 Ragged convergence: with a tolerance set, the engine samples each
 member's mixture velocity every ``check_every`` steps, snapshots and
@@ -46,7 +47,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.lbm.backends.batched import BatchedBackend
+from repro.lbm.backends.fused import FusedBackend
 from repro.lbm.equilibrium import rest_equilibrium
 from repro.lbm.forces import acceleration_field, solid_mask_field
 from repro.lbm.macroscopic import mixture_velocity
@@ -107,6 +108,11 @@ class EnsembleSpec:
             raise ValueError(
                 "batched ensembles do not support wall adhesion; use the "
                 "explicit wall_force channel for wettability sweeps"
+            )
+        if self.base.backend != FusedBackend.name:
+            raise ValueError(
+                f"batched ensembles run the {FusedBackend.name!r} kernels; "
+                f"a {self.base.backend!r} config runs alone"
             )
         for i, params in enumerate(members):
             if params.wall_amplitude is not None and self.base.wall_force is None:
@@ -227,11 +233,12 @@ class EnsembleResult:
 class BatchedEnsemble:
     """The stacked-ensemble engine (construct once, :meth:`run` once).
 
-    State arrays carry a leading batch axis over the *active* members:
-    ``f (B, C, Q, *S)``, ``rho (B, C, *S)``, ``mom/force/u_eq
-    (B, C, D, *S)``, plus the stacked per-member acceleration field.
-    ``self._active`` maps batch row -> original member index and shrinks
-    as members converge and the batch is repacked.
+    State arrays carry the batch axis over the *active* members in front
+    of the grid: ``f (C, Q, B, *S)``, ``rho (C, B, *S)``,
+    ``mom/force/u_eq (C, D, B, *S)``, plus the stacked per-member
+    acceleration field.  ``self._active`` maps batch row -> original
+    member index and shrinks as members converge and the batch is
+    repacked.
     """
 
     def __init__(
@@ -242,56 +249,59 @@ class BatchedEnsemble:
         base = spec.base
         lat = base.lattice
         geo = base.geometry
-        shape = geo.shape
-        B, C, D, Q = spec.size, base.n_components, lat.D, lat.Q
+        stacked = (spec.size,) + geo.shape
+        C, D, Q = base.n_components, lat.D, lat.Q
 
         # One mask for the whole batch (EnsembleSpec checked that every
         # member's scenario shapes the walls as the base's does).
         self.solid = solid_mask_field(base, geo)
         self.fluid = ~self.solid
-        self._fluid_f = self.fluid.astype(np.float64)
-        self.shape = shape
-        self.n_points = int(np.prod(shape))
 
         # Stacked per-member coefficient fields, built from the same
         # member_config the standalone solver would see.
-        self._accel = np.empty((B, C, D) + shape, dtype=np.float64)
-        g_matrices = np.empty((B, C, C), dtype=np.float64)
-        for b in range(B):
+        self._accel = np.empty((C, D) + stacked, dtype=np.float64)
+        self._g_matrices = np.empty((spec.size, C, C), dtype=np.float64)
+        for b in range(spec.size):
             cfg = spec.member_config(b)
-            g_matrices[b] = np.asarray(cfg.g_matrix, dtype=np.float64)
-            self._accel[b] = acceleration_field(cfg, geo)
+            self._g_matrices[b] = cfg.g_matrix
+            self._accel[:, :, b] = acceleration_field(cfg, geo)
 
         # Member state, initialised exactly as MulticomponentLBM.__init__:
         # rest equilibrium on fluid nodes, zero inside the solid.
-        self.f = np.zeros((B, C, Q) + shape, dtype=np.float64)
+        self.f = np.empty((C, Q) + stacked, dtype=np.float64)
         for ci, comp in enumerate(base.components):
             rho_init = np.where(self.fluid, comp.rho_init / comp.mass, 0.0)
-            for b in range(B):
-                rest_equilibrium(rho_init, lat, out=self.f[b, ci])
-        self.rho = np.zeros((B, C) + shape, dtype=np.float64)
-        self.mom = np.zeros((B, C, D) + shape, dtype=np.float64)
+            rest_equilibrium(
+                np.broadcast_to(rho_init, stacked), lat, out=self.f[ci]
+            )
+        self.rho = np.zeros((C,) + stacked, dtype=np.float64)
+        self.mom = np.zeros((C, D) + stacked, dtype=np.float64)
         self.force = np.zeros_like(self.mom)
         self.u_eq = np.zeros_like(self.mom)
 
-        self._active = list(range(B))
-        self._g_matrices = g_matrices
-        self.backend = self._build_backend(B, g_matrices)
+        self._active = list(range(spec.size))
+        self._build_backend()
         self.step_count = 0
         self.member_steps = 0
         self._update_moments_and_forces()
 
     # ------------------------------------------------------------ plumbing
-    def _build_backend(self, batch: int, g_matrices: np.ndarray):
-        backend = BatchedBackend(
-            self.spec.base, self.shape, self.solid,
-            batch=batch, g_matrices=g_matrices,
+    def _build_backend(self) -> None:
+        """The kernels, and the fluid mask they take, for the active rows."""
+        stacked = (self.active_size,) + self.solid.shape
+        self._fluid_f = np.ascontiguousarray(
+            np.broadcast_to(self.fluid, stacked), dtype=np.float64
+        )
+        self.backend = FusedBackend(
+            self.spec.base,
+            stacked,
+            np.broadcast_to(self.solid, stacked),
+            g_matrices=self._g_matrices,
         )
         if self.observer.enabled:
             from repro.lbm.backends.instrumented import InstrumentedBackend
 
-            return InstrumentedBackend(backend, self.observer)
-        return backend
+            self.backend = InstrumentedBackend(self.backend, self.observer)
 
     @property
     def active_size(self) -> int:
@@ -324,16 +334,15 @@ class BatchedEnsemble:
         """Shrink the batch to *keep_rows* (batch-row indices).  Kernel
         arithmetic is batch-width independent, so survivors continue
         bit-identically in the narrower pass."""
-        idx = np.asarray(keep_rows, dtype=np.intp)
         self._active = [self._active[r] for r in keep_rows]
-        self.f = np.ascontiguousarray(self.f[idx])
-        self.rho = np.ascontiguousarray(self.rho[idx])
-        self.mom = np.ascontiguousarray(self.mom[idx])
-        self.force = np.ascontiguousarray(self.force[idx])
-        self.u_eq = np.ascontiguousarray(self.u_eq[idx])
-        self._accel = np.ascontiguousarray(self._accel[idx])
-        self._g_matrices = np.ascontiguousarray(self._g_matrices[idx])
-        self.backend = self._build_backend(len(keep_rows), self._g_matrices)
+        self.f = np.take(self.f, keep_rows, axis=2)
+        self.rho = np.take(self.rho, keep_rows, axis=1)
+        self.mom = np.take(self.mom, keep_rows, axis=2)
+        self.force = np.take(self.force, keep_rows, axis=2)
+        self.u_eq = np.take(self.u_eq, keep_rows, axis=2)
+        self._accel = np.take(self._accel, keep_rows, axis=2)
+        self._g_matrices = self._g_matrices[keep_rows]
+        self._build_backend()
 
     # ----------------------------------------------------------------- run
     def run(
@@ -379,7 +388,7 @@ class BatchedEnsemble:
 
         # Members still active at the step budget: snapshot as-is.
         for row, member in enumerate(self._active):
-            final_f[member] = self.f[row].copy()
+            final_f[member] = self.f[:, :, row].copy()
             final_steps[member] = self.step_count
         members = tuple(
             MemberResult(
@@ -428,22 +437,18 @@ class BatchedEnsemble:
     ) -> np.ndarray:
         """Sample per-member mixture velocities, retire members whose
         residual fell below *tol*, repack the batch if any retired.
-        Returns the new previous-velocity sample (active rows only)."""
+        Returns the new previous-velocity sample ``(D, B, *S)``, active
+        rows only."""
         B = self.active_size
-        u_now = np.stack(
-            [
-                mixture_velocity(self.rho[b], self.mom[b], self.force[b])
-                for b in range(B)
-            ]
-        )
+        u_now = mixture_velocity(self.rho, self.mom, self.force)
         keep: list[int] = []
         if u_prev is not None and u_prev.shape == u_now.shape:
             for row in range(B):
                 member = self._active[row]
-                res = float(np.max(np.abs(u_now[row] - u_prev[row])))
+                res = float(np.max(np.abs(u_now[:, row] - u_prev[:, row])))
                 residuals[member] = res
                 if res < tol:
-                    final_f[member] = self.f[row].copy()
+                    final_f[member] = self.f[:, :, row].copy()
                     final_steps[member] = self.step_count
                     converged[member] = True
                     if self.observer.enabled:
@@ -460,7 +465,7 @@ class BatchedEnsemble:
         if len(keep) < B:
             if keep:
                 self._repack(keep)
-                u_now = np.ascontiguousarray(u_now[np.asarray(keep)])
+                u_now = u_now[:, keep]
             else:
                 self._active = []
         return u_now

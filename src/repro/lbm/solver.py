@@ -88,10 +88,10 @@ class LBMConfig:
         its target component.  Mutually exclusive with ``wall_force`` —
         the ``homogeneous`` scenario reproduces that path bit-for-bit.
     backend:
-        Kernel-backend name, ``"reference"`` or ``"fused"`` (see
+        Kernel-backend name, ``"fused"`` or ``"reference"`` (see
         :mod:`repro.lbm.backends`); anything else raises ``ValueError``.
         ``None`` (default) consults the ``REPRO_LBM_BACKEND`` environment
-        variable and falls back to ``"reference"``; the resolved name is
+        variable and falls back to ``"fused"``; the resolved name is
         stored, so parallel ranks built from the same config always agree
         on the backend.  The two are within 1e-12 of each other, not the
         same bits, so the name is part of a run's identity

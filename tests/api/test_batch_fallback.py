@@ -95,6 +95,15 @@ class TestRunBatchRecordsReason:
         assert [r.batch_fallback_reason for r in results] == ["adhesion"] * 2
         assert fallback_counts(obs) == {"adhesion": 2}
 
+    def test_backend(self, two_component_config):
+        # The stack is the default `fused` arithmetic; the `reference`
+        # oracle is never put on it, and the env default counts too.
+        obs = Observer()
+        cfg = dataclasses.replace(two_component_config, backend="reference")
+        results = run_batch(sweep_specs(cfg, [0.02, 0.05], phases=3), observer=obs)
+        assert [r.batch_fallback_reason for r in results] == ["backend"] * 2
+        assert fallback_counts(obs) == {"backend": 2}
+
     def test_no_compatible_partner_singleton(self, two_component_config):
         obs = Observer()
         (result,) = run_batch(
@@ -221,7 +230,7 @@ class TestExclusionReasonPredicate:
                 ),
                 RunSpec(
                     config=dataclasses.replace(
-                        two_component_config, backend="fused"
+                        two_component_config, backend="reference"
                     ),
                     phases=3,
                 ),

@@ -27,18 +27,19 @@ class TestResumeWithBackendOverride:
         solver must finish on that backend and land bit-identical to an
         uninterrupted run on it."""
         store_dir = tmp_path / "ckpt"
-        fused = dataclasses.replace(two_component_config, backend="fused")
-        assert two_component_config.backend != "fused"
+        oracle = dataclasses.replace(two_component_config, backend="reference")
+        assert two_component_config.backend != "reference"
         common = dict(
-            config=fused,
+            config=oracle,
             checkpoint_dir=store_dir,
             checkpoint_every=2,
         )
         run(RunSpec(phases=4, **common))
         resumed = run(RunSpec(phases=8, resume=True, **common))
-        assert resumed.config.backend == "fused"
+        assert resumed.config.backend == "reference"
+        assert resumed.solver().backend.name == "reference"
 
-        fresh = run(RunSpec(config=fused, phases=8))
+        fresh = run(RunSpec(config=oracle, phases=8))
         assert np.array_equal(resumed.f, fresh.f)
 
     def test_cross_backend_resume_is_legal_and_physical(
@@ -61,15 +62,16 @@ class TestResumeWithBackendOverride:
         resumed = run(
             RunSpec(
                 config=dataclasses.replace(
-                    two_component_config, backend="fused"
+                    two_component_config, backend="reference"
                 ),
                 phases=6,
                 checkpoint_dir=store_dir,
                 resume=True,
             )
         )
-        reference = run(RunSpec(config=two_component_config, phases=6))
-        assert np.allclose(resumed.f, reference.f, rtol=1e-12, atol=1e-14)
+        uninterrupted = run(RunSpec(config=two_component_config, phases=6))
+        assert not np.array_equal(resumed.f, uninterrupted.f)
+        assert np.allclose(resumed.f, uninterrupted.f, rtol=1e-12, atol=1e-14)
 
     def test_resume_without_store_is_rejected(self, two_component_config):
         with pytest.raises(ValueError, match="resume"):

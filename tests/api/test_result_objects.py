@@ -69,7 +69,12 @@ class TestRebuiltSolver:
         self, config, moment_passes
     ):
         result = run(RunSpec(config=config, phases=PHASES))
-        assert result.solver().step_count == PHASES
+        # The result kept no solver: it builds one, once, from `f`.
+        del moment_passes[:]
+        solver = result.solver()
+        assert len(moment_passes) == 1
+        assert result.solver() is solver and solver.step_count == PHASES
+        assert_same_state(solver, config, result.f, PHASES)
         del moment_passes[:]
         rebuilt = MulticomponentLBM(config, state=(result.f, PHASES))
         assert len(moment_passes) == 1

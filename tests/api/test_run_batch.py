@@ -94,16 +94,27 @@ class TestEligibility:
         assert not any(isinstance(r, EnsembleRunResult) for r in results)
 
     def test_fused_specs_fall_back_and_match_run(self, two_component_config):
-        # The ensemble's kernels are the stacked *reference* arithmetic;
-        # stacking a fused spec onto them would return other bits than
-        # run() gives that spec.
-        fused = dataclasses.replace(two_component_config, backend="fused")
-        specs = sweep_specs(fused, [0.02, 0.05], phases=6)
-        results = run_batch(specs)
-        assert not any(isinstance(r, EnsembleRunResult) for r in results)
-        for spec, result in zip(specs, results):
-            assert result.batch_fallback_reason == "backend"
+        # Inverted when `fused` became the default and the ensemble's
+        # arithmetic: fused specs stack (and match run() bit for bit);
+        # it is a spec naming the `reference` oracle that falls back,
+        # because stacking it would return other bits than run() gives.
+        assert two_component_config.backend == "fused"
+        fused = sweep_specs(two_component_config, [0.02, 0.05], phases=6)
+        oracle_cfg = dataclasses.replace(two_component_config, backend="reference")
+        oracle = sweep_specs(oracle_cfg, [0.02, 0.05], phases=6)
+        results = run_batch([*fused, *oracle])
+        for spec, result in zip(fused, results[:2]):
+            assert isinstance(result, EnsembleRunResult)
+            assert result.batch_fallback_reason is None
             assert np.array_equal(result.f, run(spec).f)
+        for spec, result in zip(oracle, results[2:]):
+            assert not isinstance(result, EnsembleRunResult)
+            assert result.batch_fallback_reason == "backend"
+            assert result.config.backend == "reference"
+            assert np.array_equal(result.f, run(spec).f)
+        # Same physics, other bits: the two arithmetics never mix.
+        assert not np.array_equal(results[0].f, results[2].f)
+        assert np.allclose(results[0].f, results[2].f, rtol=1e-12, atol=1e-14)
 
     def test_env_checkpointing_disables_batching(
         self, two_component_config, monkeypatch, tmp_path

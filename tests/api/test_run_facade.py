@@ -101,11 +101,11 @@ class TestDispatch:
         assert result.solver().step_count == 8
 
     def test_backend_override_applies(self, two_component_config):
-        assert two_component_config.backend != "fused"
-        fused = dataclasses.replace(two_component_config, backend="fused")
-        result = run(RunSpec(config=fused, phases=2))
-        assert result.config.backend == "fused"
-        assert result.solver().backend.name == "fused"
+        assert two_component_config.backend != "reference"
+        oracle = dataclasses.replace(two_component_config, backend="reference")
+        result = run(RunSpec(config=oracle, phases=2))
+        assert result.config.backend == "reference"
+        assert result.solver().backend.name == "reference"
 
     def test_checkpoint_dir_builds_a_store_and_resumes(
         self, two_component_config, tmp_path

@@ -87,7 +87,7 @@ class TestRegistry:
 
     def test_default_resolution(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_backend_name(None) == DEFAULT_BACKEND == "reference"
+        assert resolve_backend_name(None) == DEFAULT_BACKEND == "fused"
 
     def test_env_var_resolution(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "fused")

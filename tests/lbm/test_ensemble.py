@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lbm.backends import BatchedBackend
+from repro.lbm.backends import FusedBackend
 from repro.lbm.components import ComponentSpec
 from repro.lbm.ensemble import (
     BatchedEnsemble,
@@ -49,7 +49,6 @@ def base_config(lattice=D2Q9, *, wall_force=True, shape=None):
         if wall_force
         else None,
         body_acceleration=accel,
-        backend="reference",
     )
 
 
@@ -80,6 +79,12 @@ class TestSpecValidation:
             EnsembleSpec(
                 base=cfg, members=(MemberParams(wall_amplitude=0.1),)
             )
+
+    def test_reference_backend_rejected(self):
+        # The stack *is* the fused arithmetic: the oracle runs alone.
+        cfg = dataclasses.replace(base_config(), backend="reference")
+        with pytest.raises(ValueError, match="'fused' kernels"):
+            EnsembleSpec(base=cfg, members=(MemberParams(),))
 
     def test_run_argument_validation(self):
         eng = BatchedEnsemble(wall_sweep(2))
@@ -124,9 +129,10 @@ class TestMemberConfig:
 
 
 class TestBatchedExactness:
-    """Each stacked member must match its standalone solver *bitwise* —
-    the batched layout keeps every member slice byte-identical to the
-    sequential computation."""
+    """Each stacked member must match its standalone ``fused`` solver
+    *bitwise*: the batch is a leading grid axis nothing streams along,
+    and ``fused`` kernels give a piece of the grid the bits of the
+    whole."""
 
     @pytest.mark.parametrize("lattice", [D2Q9, D3Q19], ids=lambda l: l.name)
     def test_members_bitwise_vs_standalone(self, lattice):
@@ -143,7 +149,7 @@ class TestBatchedExactness:
         # Solids inside the channel (a cylinder), not only wall planes:
         # the flat gather/scatter bounce-back against the masked one.
         base = two_component_config(
-            lattice, scenario="obstacles", backend="reference"
+            lattice, scenario="obstacles", backend="fused"
         )
         spec = EnsembleSpec.g_sweep(base, [0.8, 1.2])
         result = run_ensemble(spec, 15)
@@ -171,6 +177,38 @@ class TestBatchedExactness:
         assert np.array_equal(restored.u_eq, solo.u_eq)
         assert restored.step_count == solo.step_count == 8
 
+    @pytest.mark.parametrize("batch", [2, 6, 8])
+    @pytest.mark.parametrize(
+        "lattice, shape",
+        [
+            (D2Q9, (12, 18)),  # N % 16 == 8: every member starts mid-block
+            (D2Q9, (13, 7)),  # N % 16 == 11
+            (D2Q9, (32, 48)),  # 8 members: a product BLAS may thread
+            (D3Q19, (5, 6, 7)),  # N % 16 == 2
+        ],
+        ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else v.name,
+    )
+    @pytest.mark.parametrize("shared_g", [True, False], ids=["shared-g", "own-g"])
+    def test_stack_matrix_bitwise(self, lattice, shape, batch, shared_g):
+        """Batch widths x grids whose point count is no multiple of the
+        BLAS block x one coupling matrix for all / runs of members with
+        their own (members 0-1 share one, so a run spans two members)."""
+        assert shape == (32, 48) or int(np.prod(shape)) % 16
+        members = tuple(
+            MemberParams(
+                wall_amplitude=0.02 + 0.01 * i,
+                g_scale=1.0 if shared_g else 1.0 + 0.05 * (i // 2),
+            )
+            for i in range(batch)
+        )
+        spec = EnsembleSpec(base=base_config(lattice, shape=shape), members=members)
+        result = run_ensemble(spec, 8)
+        for i, member in enumerate(result.members):
+            solo = MulticomponentLBM(spec.member_config(i))
+            assert solo.config.backend == "fused"
+            solo.run(8)
+            assert np.array_equal(member.f, solo.f), f"member {i}"
+
     def test_accounting(self):
         spec = wall_sweep(4)
         result = run_ensemble(spec, 5)
@@ -181,7 +219,7 @@ class TestBatchedExactness:
 
 class TestBatchedConstraints:
     def test_large_stencil_lattice_rejected(self):
-        # The batched streaming plan assumes |c| <= 1 per axis; a lattice
+        # The stacked streaming plan assumes |c| <= 1 per axis; a lattice
         # violating that must be rejected at construction, not silently
         # miscomputed.  Both builtin lattices satisfy it today, so fake
         # a wide-stencil lattice.
@@ -189,15 +227,30 @@ class TestBatchedConstraints:
         wide = Lattice("D2Q9-wide", D2Q9.c * 2, D2Q9.w)
         bad = dataclasses.replace(cfg, lattice=wide)
         with pytest.raises(ValueError, match="single-link"):
-            BatchedBackend(
-                bad, cfg.geometry.shape, cfg.geometry.solid_mask(), batch=1
+            FusedBackend(
+                bad,
+                (1,) + cfg.geometry.shape,
+                cfg.geometry.solid_mask()[None],
+                g_matrices=cfg.g_matrix[None],
             )
 
     def test_batch_size_must_be_positive(self):
         cfg = base_config()
-        with pytest.raises(ValueError, match="batch"):
-            BatchedBackend(
-                cfg, cfg.geometry.shape, cfg.geometry.solid_mask(), batch=0
+        shape = cfg.geometry.shape
+        with pytest.raises(ValueError, match="non-empty batch"):
+            FusedBackend(
+                cfg,
+                (0,) + shape,
+                np.zeros((0,) + shape, dtype=bool),
+                g_matrices=np.zeros((0, 2, 2)),
+            )
+        # ... and one coupling matrix per member of it.
+        with pytest.raises(ValueError, match="per member"):
+            FusedBackend(
+                cfg,
+                (2,) + shape,
+                np.broadcast_to(cfg.geometry.solid_mask(), (2,) + shape),
+                g_matrices=cfg.g_matrix[None],
             )
 
 
@@ -276,13 +329,10 @@ class TestAllocationFree:
         finally:
             tracemalloc.stop()
 
-        # NumPy's buffered iterator mallocs bounded transfer buffers
-        # (<= NPY_BUFSIZE elements per operand, ~64 KiB) for the strided
-        # middle-axis batch views the kernels iterate over; those are
-        # transient, size-capped and freed within the call — the
-        # invariant here is that no *field-sized* (B-proportional) array
-        # is constructed per step, and nothing is retained.
-        assert peak - baseline < 256 * 1024
+        # The fused kernels run over same-shape contiguous operands, so
+        # not even NumPy's buffered iterator allocates: no field-sized
+        # (B-proportional) array per step, and nothing retained.
+        assert peak - baseline < 16 * 1024
         assert current - baseline < 16 * 1024
 
     def test_double_buffer_alternates(self):
@@ -297,7 +347,8 @@ class TestAllocationFree:
 class TestObservability:
     def test_null_observer_keeps_bare_backend(self):
         eng = BatchedEnsemble(wall_sweep(2))
-        assert type(eng.backend) is BatchedBackend
+        assert type(eng.backend) is FusedBackend
+        assert eng.backend.shape == (2,) + eng.spec.base.geometry.shape
 
     def test_observer_records_run_event_and_metrics(self):
         from repro.lbm.backends.instrumented import InstrumentedBackend

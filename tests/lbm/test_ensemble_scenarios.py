@@ -36,7 +36,6 @@ def base_config(scenario) -> LBMConfig:
         lattice=D2Q9,
         scenario=scenario,
         body_acceleration=(2e-6, 0.0),
-        backend="reference",
     )
 
 

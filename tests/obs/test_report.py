@@ -201,10 +201,13 @@ class TestCompare:
     def test_committed_bench_meets_batched_speedup_floor(self):
         """The acceptance criterion of the batched engine: committed
         BENCH_kernels.json must show >= 2x throughput-per-scenario over
-        the sequential fused sweep at N=16."""
+        the sequential fused sweep at N=16 — and, the stack being the
+        same fused kernels on a (1, *S) grid, no loss at N=1 (it read
+        0.61x on the former stacked-reference kernels)."""
         doc = json.loads(Path("BENCH_kernels.json").read_text())
         sizes = doc["batched"]["sizes"]
         assert sizes["16"]["speedup_vs_sequential"] >= 2.0
+        assert sizes["1"]["speedup_vs_sequential"] >= 0.95
 
     def test_bench_metrics_parses_serve_duplicates(self):
         doc = {

@@ -11,7 +11,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.api import RunSpec, run
+from repro.api import (
+    RunSpec,
+    batch_compatible,
+    batch_exclusion_reason,
+    run,
+)
 from repro.ckpt import FaultPlan
 from repro.obs.observer import Observer
 from repro.serve import (
@@ -250,6 +255,51 @@ class TestScheduler:
         assert snap["serve.coalesced"]["value"] == len(specs)
         for spec, result in zip(specs, results):
             assert np.array_equal(result.f, run(spec).f)
+
+    def test_default_specs_coalesce_and_the_reference_oracle_runs_alone(self):
+        """One queue holding the same three jobs twice, once on the
+        default (``fused``) kernels and once naming ``reference``: the
+        first three ride one stacked batch, the oracle's three run one
+        by one, and every served result — coalesced or single — is the
+        bits of a direct ``run`` of *its* spec.  The two arithmetics
+        share neither a batch nor a cache entry."""
+        default = [spec_with_amplitude(0.02 + 0.01 * i) for i in range(3)]
+        assert all(s.config.backend == "fused" for s in default)
+        oracle = [
+            dataclasses.replace(
+                s, config=dataclasses.replace(s.config, backend="reference")
+            )
+            for s in default
+        ]
+        specs = [*default, *oracle]
+        assert [batch_exclusion_reason(s) for s in specs] == [None] * 3 + ["backend"] * 3
+        assert not batch_compatible(default[0], oracle[1])
+        obs = Observer()
+
+        async def main():
+            sched = Scheduler(workers=1, coalesce=8, observer=obs)
+            jobs = [await sched.submit(s) for s in specs]
+            await sched.start()
+            results = [await sched.result(j) for j in jobs]
+            await sched.close()
+            return results, sched
+
+        results, sched = asyncio.run(main())
+        assert obs.registry.snapshot()["serve.coalesced"]["value"] == 3
+        assert sched.executions == 6  # entries run, however they were grouped
+        assert [type(r).__name__ for r in results] == (
+            ["EnsembleRunResult"] * 3 + ["RunResult"] * 3
+        )
+        assert len(sched.cache) == 6 and sched.cache.hits == 0
+        for spec, result in zip(specs, results):
+            assert result.config.backend == spec.config.backend
+            assert np.array_equal(result.f, run(spec).f)
+        for stacked, alone in zip(results[:3], results[3:]):
+            assert not np.array_equal(stacked.f, alone.f)
+            assert np.allclose(stacked.f, alone.f, rtol=1e-12, atol=1e-14)
+        # A single default job (nothing to coalesce with) is the same bits.
+        single = serve_many(default[:1], workers=1)[0]
+        assert np.array_equal(single.f, results[0].f)
 
     def test_serve_many_preserves_input_order(self):
         specs = make_workload(10, 0.5, seed=42)
