@@ -1,6 +1,8 @@
-.PHONY: install test lint bench bench-smoke bench-kernels bench-transport \
-    bench-halo bench-serve bench-sweep experiments experiments-fast trace-demo \
-    ckpt-demo serve-demo clean
+.PHONY: install test lint bench bench-smoke experiments experiments-fast \
+    trace-demo ckpt-demo serve-demo clean
+
+# bench-smoke pipes into the floors tool and needs `set -o pipefail`.
+SHELL := /bin/bash
 
 install:
 	pip install -e '.[test]'
@@ -17,38 +19,24 @@ lint:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-# The end-to-end benchmark's own tests plus two 3 s untraced runs: the
-# kernel path (channel_seq) and the served-sweep path (sweep_small, whose
-# verification is "served results equal a direct api.run").  `measure`
-# exits non-zero when the run crashed or a result failed verification
-# (`failed != 0`); no timing is judged (shared runners).
+# One 3 s run of the end-to-end benchmark (bench/README.md), its result
+# line held to the floors of tools/bench_floors.py.  pipefail: a run that
+# crashed fails the recipe even if the floors tool were to pass.
+floors = set -o pipefail; \
+	python -m bench measure --workload $(1) --seed 1 --seconds 3 --trace $(2) \
+	| python tools/bench_floors.py --workload $(1) --trace $(2)
+
+# The benchmark's own tests, then short runs: the kernel path
+# (channel_seq) and the served-sweep path (sweep_small) untraced, and
+# traced sweep_small / serve_open runs whose counters carry the dedup,
+# ensemble-vs-single and hit-rate floors.  Every run must verify
+# (`correct`, `failed == 0`); no floor compares a time with a fixed number.
 bench-smoke:
 	python -m pytest bench/tests -q
-	python -m bench measure --workload channel_seq --seed 1 --seconds 3 --trace 0
-	python -m bench measure --workload sweep_small --seed 1 --seconds 3 --trace 0
-
-# Side-by-side kernel-backend timings; writes BENCH_kernels.json.
-bench-kernels:
-	pytest benchmarks/test_bench_kernels.py --benchmark-only
-
-# Threads vs. processes on the identical run; writes BENCH_transport.json.
-bench-transport:
-	pytest benchmarks/test_bench_transport.py --benchmark-only
-
-# Overlapped vs. blocking halo schedule over an emulated-latency link;
-# writes BENCH_halo.json (exposed communication time per schedule).
-bench-halo:
-	pytest benchmarks/test_bench_halo.py --benchmark-only
-
-# Scheduler vs. naive sequential submission under duplicate-heavy load;
-# writes BENCH_serve.json (also available as the fig-serve experiment).
-bench-serve:
-	python -m repro.experiments.runner fig-serve
-
-# One MC sweep per wall-physics scenario served with dedup; every sample
-# verified bit-identical to a standalone run; writes BENCH_sweep.json.
-bench-sweep:
-	python -m repro.sweep --json BENCH_sweep.json
+	$(call floors,channel_seq,0)
+	$(call floors,sweep_small,0)
+	$(call floors,sweep_small,1)
+	$(call floors,serve_open,1)
 
 experiments:
 	python -m repro.experiments.runner all

@@ -13,12 +13,42 @@ receives a result bit-identical to a direct ``repro.api.run()`` call.
 
 import argparse
 import asyncio
+import dataclasses
 
 import numpy as np
 
-from repro.api import run, spec_fingerprint
+from repro.api import RunSpec, run, spec_fingerprint
+from repro.lbm import ChannelGeometry, ComponentSpec, D2Q9, LBMConfig, WallForceSpec
 from repro.serve import Scheduler
-from repro.serve.bench import make_workload
+
+
+def make_specs(jobs: int, duplicates: float, seed: int = 42) -> list[RunSpec]:
+    """A shuffled stream of *jobs* small channel specs, a *duplicates*
+    share of which repeat an earlier wall-force amplitude."""
+    rng = np.random.default_rng(seed)
+    base = LBMConfig(
+        geometry=ChannelGeometry(shape=(12, 18), wall_axes=(1,)),
+        components=(
+            ComponentSpec("water", tau=1.0, rho_init=1.0),
+            ComponentSpec("air", tau=1.0, rho_init=0.03),
+        ),
+        g_matrix=np.array([[0.0, 0.9], [0.9, 0.0]]),
+        lattice=D2Q9,
+        wall_force=WallForceSpec(amplitude=0.05, decay_length=2.0),
+        body_acceleration=(1e-6, 0.0),
+    )
+    n_unique = max(1, round(jobs * (1.0 - duplicates)))
+    amplitudes = list(0.02 + 0.08 * rng.random(n_unique))
+    amplitudes += list(rng.choice(amplitudes, size=jobs - n_unique))
+    return [
+        RunSpec(
+            config=dataclasses.replace(
+                base, wall_force=dataclasses.replace(base.wall_force, amplitude=float(a))
+            ),
+            phases=8,
+        )
+        for a in rng.permutation(amplitudes)
+    ]
 
 
 async def client(name, sched, specs, out):
@@ -30,7 +60,7 @@ async def client(name, sched, specs, out):
 
 
 async def serve(jobs: int, duplicates: float) -> None:
-    specs = make_workload(jobs, duplicates, seed=42, phases=8)
+    specs = make_specs(jobs, duplicates)
     out: list = []
     async with Scheduler(workers=2) as sched:
         await asyncio.gather(

@@ -1,9 +1,9 @@
 """REP009 — asyncio discipline in ``repro.serve``.
 
-The serve layer's latency numbers (BENCH_serve.json) depend on the
-event loop never being stalled: one synchronous ``repro.api.run`` on
-the loop serializes every concurrent client.  Three shapes are checked
-over the call graph:
+The serve layer's latency (the benchmark's ``serve_open`` workload)
+depends on the event loop never being stalled: one synchronous
+``repro.api.run`` on the loop serializes every concurrent client.
+Three shapes are checked over the call graph:
 
 1. **Blocking call reachable from ``async def``** — ``time.sleep``,
    ``subprocess``, file I/O, or a call chain that reaches

@@ -35,7 +35,6 @@ never stacked.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -105,9 +104,6 @@ class RunSpec:
     remap_config: RemappingConfig | None = None
     #: Synthetic per-phase load index for remapping tests (parallel only).
     load_time_fn: LoadTimeFn | None = None
-    #: Initial planes per rank (1-D slab only; deprecated — express the
-    #: layout through ``decomp`` instead).  None splits evenly.
-    initial_counts: tuple[int, ...] | None = None
     observer: ObserverLike = field(default=NULL_OBSERVER)
     #: Write a self-contained JSONL trace here (exclusive with observer).
     trace_path: str | None = None
@@ -153,16 +149,6 @@ class RunSpec:
                     f"decomp grid {grid} needs {grid[0] * grid[1]} ranks "
                     f"but ranks={self.ranks}"
                 )
-        if self.initial_counts is not None:
-            warnings.warn(
-                "initial_counts is a 1-D-slab-only knob and is deprecated; "
-                "express the layout through decomp instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            object.__setattr__(
-                self, "initial_counts", tuple(int(n) for n in self.initial_counts)
-            )
         if self.checkpoint_store is not None and self.checkpoint_dir is not None:
             raise ValueError(
                 "pass either checkpoint_store or checkpoint_dir, not both"
@@ -290,7 +276,7 @@ def run(spec: RunSpec) -> RunResult:
     if spec.resume and store is None:
         raise ValueError("resume=True needs a checkpoint_store or checkpoint_dir")
     if spec.ranks == 1:
-        for name in ("load_time_fn", "faults", "initial_counts"):
+        for name in ("load_time_fn", "faults"):
             if getattr(spec, name) is not None:
                 raise ValueError(f"{name} requires ranks > 1")
         return _run_sequential(spec, store)
@@ -334,7 +320,6 @@ BATCH_EXCLUSION_REASONS = (
     "faults",
     "trace",
     "load-time-fn",
-    "initial-counts",
     "observer",
     "env-checkpoint",
     "collision",
@@ -376,8 +361,6 @@ def batch_exclusion_reason(
         return "trace"
     if spec.load_time_fn is not None:
         return "load-time-fn"
-    if spec.initial_counts is not None:
-        return "initial-counts"
     if spec.observer.enabled:
         return "observer"
     if (_env or config_mod.from_env()).ckpt_dir is not None:

@@ -36,7 +36,6 @@ from repro.experiments import (
     fig8_speedup,
     fig9_profile,
     fig10_schemes,
-    fig_serve,
     table1_spikes,
     validation,
 )
@@ -48,7 +47,6 @@ EXPERIMENTS: dict[str, Callable[..., Report]] = {
     "fig7": fig7_velocity.run,
     "fig8": fig8_speedup.run,
     "fig8-transport": fig8_speedup.transports_run,
-    "fig-serve": fig_serve.run,
     "fig9": fig9_profile.run,
     "fig10": fig10_schemes.run,
     "table1": table1_spikes.run,
@@ -69,7 +67,6 @@ ORDER = (
     "fig7",
     "fig8",
     "fig8-transport",
-    "fig-serve",
     "fig9",
     "fig10",
     "table1",

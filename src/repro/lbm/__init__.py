@@ -16,7 +16,6 @@ from repro.lbm.analytic import (
     taylor_green_velocity,
 )
 from repro.lbm.adhesion import contact_density_ratio, wall_indicator_field
-from repro.lbm.checkpoint import load_checkpoint, save_checkpoint
 from repro.lbm.export import export_fields_npz, export_profile_csv, export_vtk
 from repro.lbm.lattice import Lattice, D2Q9, D3Q19, get_lattice
 from repro.lbm.mrt import MRTCollision, MRTRelaxationRates
@@ -64,8 +63,6 @@ __all__ = [
     "slip_fraction_to_slip_length",
     "slip_length_to_slip_fraction",
     "taylor_green_velocity",
-    "load_checkpoint",
-    "save_checkpoint",
     "export_fields_npz",
     "export_profile_csv",
     "export_vtk",

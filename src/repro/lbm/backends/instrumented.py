@@ -8,8 +8,8 @@ backends themselves knowing about observability:
 - ``kernel.<backend>.<kernel>`` — duration histogram (per call), whose
   harmonic mean mirrors the remapper's load-index filter;
 - ``kernel.<backend>.<kernel>.points`` — counter of lattice points
-  processed, so ``total / points`` yields the µs/point unit of
-  ``BENCH_kernels.json`` and the report CLI's kernel table.
+  processed, so ``total / points`` yields the µs/point unit of the
+  report CLI's kernel table (and of the benchmark's ``lbm.*_us_per_pt``).
 
 The wrapper is only ever constructed for an *enabled* observer (see
 :func:`repro.lbm.backends.registry.create_backend`); a disabled run gets

@@ -4,25 +4,23 @@ Usage::
 
     python -m repro.obs.report summary trace.jsonl
     python -m repro.obs.report compare new.jsonl old.jsonl --tolerance 0.10
-    python -m repro.obs.report compare new.jsonl BENCH_kernels.json
 
 ``summary`` turns one JSONL trace into the paper-style views: a per-rank
 execution profile (computation / halo / remapping — the Figure 9 shape),
 a migration summary (planes and bytes moved per rank — the Table 1
-bookkeeping), and a per-kernel timing table in the same µs/point unit as
-``BENCH_kernels.json``.
+bookkeeping), and a per-kernel timing table in µs per lattice point.
 
-``compare`` extracts a flat ``{metric: value}`` dict from each input —
-either a JSONL trace or a ``BENCH_kernels.json``-style file — and flags
-every time-like metric whose *candidate* value exceeds the *baseline* by
-more than the tolerance.  It exits nonzero when any regression is found,
-so CI can gate on it.
+``compare`` extracts a flat ``{metric: value}`` dict from each trace and
+flags every time-like metric whose *candidate* value exceeds the
+*baseline* by more than the tolerance.  It exits nonzero when any
+regression is found, so CI can gate on it.  (Performance across commits
+is judged by the end-to-end benchmark, ``python -m bench``; see
+bench/README.md.)
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -205,19 +203,8 @@ def render_summary(events: list[dict]) -> str:
 
 
 # ------------------------------------------------------------------ compare
-#: Metric-name suffixes where *larger is worse* (time-like quantities).
-_TIME_LIKE = ("duration", "us_per_point", "total_time", "mean", "seconds")
-
-#: Metric-name suffixes where *larger is better* (rate-like quantities,
-#: e.g. the batched ensemble's scenarios-per-second throughput or the
-#: scheduler's jobs/sec, cache hit-rate and dedup ratio); a regression
-#: is a *drop* beyond the tolerance.
-_RATE_LIKE = (
-    "throughput_scenarios_per_s",
-    "per_second",
-    "hit_rate",
-    "dedup_ratio",
-)
+#: Metric-name suffixes of the time-like metrics: larger is worse.
+_TIME_LIKE = ("us_per_point", "total_time", "mean")
 
 
 def trace_metrics(events: list[dict]) -> dict[str, float]:
@@ -248,72 +235,8 @@ def trace_metrics(events: list[dict]) -> dict[str, float]:
     return out
 
 
-def bench_metrics(doc: dict) -> dict[str, float]:
-    """Comparable metrics from a ``BENCH_kernels.json``-style document.
-
-    The per-kernel section yields ``kernel.<backend>.<kernel>.
-    us_per_point`` time-like metrics; the ``batched`` ensemble section
-    yields ``ensemble.n<N>.*`` entries — µs/point (time-like) and
-    scenarios-per-second throughput (rate-like) per ensemble size; the
-    ``sweep`` section (``BENCH_sweep.json``) yields per-scenario
-    ``sweep.<scenario>.*`` entries — samples/s, cache hit-rate and
-    dedup ratio (rate-like: a drop is the regression) plus µs/point
-    (time-like); the ``halo`` section (``BENCH_halo.json``) yields
-    per-schedule ``halo.<schedule>.*_seconds`` entries — wall-clock and
-    exposed communication wait, both time-like, so an overlap regression
-    (exposed wait creeping back toward the blocking schedule's) trips
-    the gate.
-    """
-    out: dict[str, float] = {}
-    for kernel, values in doc.get("benchmarks", {}).items():
-        for backend, value in values.items():
-            if backend.startswith("speedup"):
-                continue
-            out[f"kernel.{backend}.{kernel}.us_per_point"] = float(value)
-    for size, values in doc.get("batched", {}).get("sizes", {}).items():
-        for key, value in values.items():
-            if key.startswith("speedup"):
-                continue
-            out[f"ensemble.n{size}.{key}"] = float(value)
-    for frac, values in doc.get("serve", {}).get("duplicates", {}).items():
-        for key, value in values.items():
-            if (
-                key.startswith("speedup")
-                or isinstance(value, bool)
-                or not isinstance(value, (int, float))
-            ):
-                continue
-            out[f"serve.dup{frac}.{key}"] = float(value)
-    for scenario, values in doc.get("sweep", {}).get("scenarios", {}).items():
-        for key, value in values.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            out[f"sweep.{scenario}.{key}"] = float(value)
-    for schedule, values in doc.get("halo", {}).get("schedules", {}).items():
-        for key, value in values.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            out[f"halo.{schedule}.{key}"] = float(value)
-    return out
-
-
 def load_metrics(path: str | Path) -> dict[str, float]:
-    """Metrics from either a JSONL trace or a JSON benchmark document."""
-    path = Path(path)
-    text = path.read_text(encoding="utf-8").strip()
-    if not text:
-        raise ValueError(f"{path} is empty")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        doc = None  # multi-line JSONL trace
-    if isinstance(doc, dict) and (
-        "benchmarks" in doc
-        or "serve" in doc
-        or "sweep" in doc
-        or "halo" in doc
-    ):
-        return bench_metrics(doc)
+    """Comparable metrics of the JSONL trace at *path*."""
     return trace_metrics(read_trace(path))
 
 
@@ -323,21 +246,14 @@ def compare_metrics(
     tolerance: float,
 ) -> list[tuple[str, float, float, float]]:
     """Regressions ``(metric, candidate, baseline, change)`` among the
-    comparable metrics both sides report; ``change`` is the fractional
-    *worsening* — slowdown for time-like metrics (+0.25 = 25% slower),
-    throughput loss for rate-like ones (+0.25 = 25% fewer scenarios/s)."""
+    time-like metrics both sides report; ``change`` is the fractional
+    slowdown (+0.25 = 25% slower)."""
     regressions = []
     for name in sorted(set(candidate) & set(baseline)):
-        rate_like = name.endswith(_RATE_LIKE)
-        if not rate_like and not name.endswith(_TIME_LIKE):
-            continue
         base = baseline[name]
-        if base <= 0:
+        if not name.endswith(_TIME_LIKE) or base <= 0:
             continue
-        if rate_like:
-            change = 1.0 - candidate[name] / base
-        else:
-            change = candidate[name] / base - 1.0
+        change = candidate[name] / base - 1.0
         if change > tolerance:
             regressions.append((name, candidate[name], base, change))
     return regressions
@@ -354,9 +270,7 @@ def run_compare(
     candidate = load_metrics(candidate_path)
     baseline = load_metrics(baseline_path)
     shared = sorted(
-        n
-        for n in set(candidate) & set(baseline)
-        if n.endswith(_TIME_LIKE) or n.endswith(_RATE_LIKE)
+        n for n in set(candidate) & set(baseline) if n.endswith(_TIME_LIKE)
     )
     if not shared:
         print("no comparable time-like metrics between the two inputs",
@@ -365,7 +279,7 @@ def run_compare(
     regressions = compare_metrics(candidate, baseline, tolerance)
     rows = [
         (name, candidate[name], baseline[name],
-         # a zero baseline (e.g. cache hit rate with no duplicates) has no
+         # a zero baseline (e.g. no halo time on a 1-rank run) has no
          # meaningful percentage change; compare_metrics skips it too
          100.0 * (candidate[name] / baseline[name] - 1.0)
          if baseline[name] > 0 else float("nan"),
@@ -404,10 +318,10 @@ def main(argv: list[str] | None = None) -> int:
     p_summary.add_argument("trace", help="JSONL trace path")
 
     p_compare = sub.add_parser(
-        "compare", help="diff two traces (or a trace vs BENCH_kernels.json)"
+        "compare", help="diff two traces"
     )
     p_compare.add_argument("candidate", help="trace under test")
-    p_compare.add_argument("baseline", help="reference trace or bench JSON")
+    p_compare.add_argument("baseline", help="reference trace")
     p_compare.add_argument(
         "--tolerance", type=float, default=0.10,
         help="allowed fractional slowdown before flagging (default 0.10)",

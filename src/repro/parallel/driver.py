@@ -1038,20 +1038,13 @@ def _run_parallel(spec: Any, store: Any) -> list[ParallelRunResult]:
     rows, cols = resolve_decomp(
         getattr(spec, "decomp", "auto"), config.geometry.shape, n_ranks
     )
-    if cols > 1 and spec.initial_counts is not None:
-        raise ValueError(
-            "initial_counts is a 1-D slab knob and cannot seed a "
-            f"{rows}x{cols} grid; drop it or use decomp=({n_ranks}, 1)"
-        )
     topo = (
         CartTopology.from_shape(config.geometry.shape, rows, cols)
         if cols > 1
         else None
     )
 
-    initial_counts = (
-        list(spec.initial_counts) if spec.initial_counts is not None else None
-    )
+    initial_counts = None
     resume_manifest = None
     phases_to_run = phases
     if spec.resume:
@@ -1065,7 +1058,6 @@ def _run_parallel(spec: Any, store: Any) -> list[ParallelRunResult]:
             if (
                 cols == 1
                 and len(shards) == n_ranks
-                and initial_counts is None
                 and not resume_manifest.is_two_dimensional()
             ):
                 # Start each rank at its checkpointed slab size so the

@@ -21,9 +21,10 @@ Quickstart::
         print(sched.status(job).state)
         result = await sched.result(job)
 
-``python -m repro.serve`` runs the synthetic client-load benchmark (see
-:mod:`repro.serve.bench` and ``BENCH_serve.json``); knob defaults come
-from the ``REPRO_SERVE_*`` environment family (:mod:`repro.config`).
+Knob defaults come from the ``REPRO_SERVE_*`` environment family
+(:mod:`repro.config`); the serve tier's latency and dedup counts are
+measured by the end-to-end benchmark's ``serve_open`` workload
+(bench/README.md).
 """
 
 from repro.serve.cache import ResultCache

@@ -8,9 +8,9 @@ executes them on the batched-ensemble substrate
 (:func:`repro.api.run_batch`) or through the :mod:`repro.serve`
 scheduler — where repeated samples deduplicate for free — then
 aggregates effective slip per sample.  :mod:`repro.sweep.sensitivity`
-adds one-at-a-time and variance-based summaries;
-``python -m repro.sweep`` runs the benchmark behind
-``BENCH_sweep.json``.  See docs/SCENARIOS.md.
+adds one-at-a-time and variance-based summaries.  See
+docs/SCENARIOS.md; served sweeps are measured by the end-to-end
+benchmark's ``sweep_small`` workload (bench/README.md).
 """
 
 from repro.sweep.distributions import Discrete, Distribution, LogUniform, Uniform

@@ -74,8 +74,8 @@ class SweepResult:
     cache_hit_rate: float
     metrics: dict[str, Any] = field(default_factory=dict)
     #: Per-submission :class:`RunResult` records, submission order; kept
-    #: only when :func:`run_sweep` ran with ``keep_results=True`` (the
-    #: bitwise verification hook of ``repro.sweep.bench``).
+    #: only when :func:`run_sweep` ran with ``keep_results=True`` (so a
+    #: caller can check served samples bitwise against direct runs).
     results: list[RunResult] | None = None
 
     def param_array(self, name: str) -> np.ndarray:
@@ -170,8 +170,8 @@ def run_sweep(
     """Execute *spec* on the chosen substrate and aggregate slip
     observables per distinct sample (the first repeat of each — repeats
     are bit-identical by the determinism contract, which the serve cache
-    exploits rather than re-verifies here; see ``repro.sweep.bench`` for
-    the explicit bitwise check)."""
+    exploits rather than re-verifies here; ``keep_results=True`` hands
+    the caller what an explicit bitwise check needs)."""
     if via not in SUBSTRATES:
         raise ValueError(f"via must be one of {SUBSTRATES}, got {via!r}")
     obs = resolve_observer(observer)

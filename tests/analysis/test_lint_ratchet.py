@@ -155,6 +155,9 @@ def test_committed_loc_ceilings_hold():
         "src/repro/core",
         "src/repro/lbm",
         "src/repro/analysis",
+        "src/repro/serve",
+        "src/repro/sweep",
+        "src/repro/obs",
     }
     for directory, ceiling in loc.items():
         assert lint_ratchet.count_loc(directory) <= ceiling, directory

@@ -160,12 +160,6 @@ class TestExclusionReasonPredicate:
         )
         assert batch_exclusion_reason(spec) == "load-time-fn"
 
-    def test_initial_counts(self, two_component_config):
-        spec = RunSpec(
-            config=two_component_config, phases=3, initial_counts=(6, 6)
-        )
-        assert batch_exclusion_reason(spec) == "initial-counts"
-
     def test_env_checkpoint(self, two_component_config, monkeypatch, tmp_path):
         # A raw (un-overlaid) spec sees the discovered checkpoint dir as
         # its own reason; after the overlay it becomes "checkpoint".
@@ -207,11 +201,6 @@ class TestExclusionReasonPredicate:
                     config=two_component_config,
                     phases=3,
                     load_time_fn=lambda *a: 1.0,
-                ),
-                RunSpec(
-                    config=two_component_config,
-                    phases=3,
-                    initial_counts=(6, 6),
                 ),
                 RunSpec(
                     config=two_component_config, phases=3, observer=Observer()

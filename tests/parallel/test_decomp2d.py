@@ -283,14 +283,17 @@ class TestResultRectangles:
 
 class TestSpecValidation:
     def test_initial_counts_rejected_under_2d(self):
+        """A 2-D grid is laid out by its topology alone: the per-rank
+        slab sizes that resume seeds a 1-D world with cannot ride
+        along."""
         cfg = config()
-        with pytest.warns(DeprecationWarning):
-            spec = RunSpec(
-                config=cfg, phases=2, decomp=(2, 2),
-                initial_counts=(10, 10, 10, 10),
-            )
-        with pytest.raises(ValueError, match="initial_counts"):
-            run(spec)
+        topo = CartTopology.from_shape((20, 14), rows=2, cols=2)
+
+        def rank_main(comm):
+            return ParallelLBM(comm, cfg, [5, 5, 5, 5], topo=topo)
+
+        with pytest.raises(RuntimeError, match="initial_counts"):
+            run_spmd(4, rank_main)
 
     def test_grid_must_fit_the_domain(self):
         cfg = config()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api import RunSpec, run
+from repro.ckpt import CheckpointStore
 from repro.lbm.diagnostics import density_profile, velocity_profile
 from repro.lbm.solver import MulticomponentLBM
 from repro.parallel.driver import solver_from_results
@@ -40,11 +41,11 @@ class TestSolverFromResults:
 
     def test_checkpointable(self, two_component_config, tmp_path):
         """Parallel output can be checkpointed through the bridge."""
-        from repro.lbm.checkpoint import load_checkpoint, save_checkpoint
-
         results = static_results(two_component_config, 2, 8)
         bridged = solver_from_results(results, two_component_config)
-        save_checkpoint(bridged, tmp_path / "par.npz")
+        store = CheckpointStore(tmp_path / "par")
+        store.save_solver(bridged)
         fresh = MulticomponentLBM(two_component_config)
-        load_checkpoint(fresh, tmp_path / "par.npz")
+        store.restore_solver(fresh)
         assert np.array_equal(fresh.f, bridged.f)
+        assert fresh.step_count == bridged.step_count

@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 import repro.config as config_mod
 from repro.api import RunSpec, canonical_spec_doc, run, spec_fingerprint
 from repro.serve import serve_many
-from repro.serve.bench import base_config
+
+from tests.serve.workload import base_config
 
 BASE = base_config()
 

@@ -35,11 +35,11 @@ from repro.serve import (
     Scheduler,
     serve_many,
 )
-from repro.serve.bench import base_config
 from repro.serve.scheduler import _Entry, _Job
 from repro.sweep import SweepParameter, SweepSpec, Uniform, run_sweep
 
 from tests.serve.test_scheduler import spec_with_amplitude
+from tests.serve.workload import base_config
 
 HEAVY = (
     RunResult,
@@ -209,12 +209,4 @@ class TestNothingFormatsAResult:
     def test_serve_many(self, repr_calls):
         specs = [spec_with_amplitude(a) for a in (0.03, 0.05, 0.05, 0.07)]
         assert len(serve_many(specs, workers=2)) == 4
-        assert repr_calls == []
-
-    def test_serve_bench_load(self, repr_calls):
-        from repro.serve.bench import make_workload, run_load
-
-        specs = make_workload(8, 0.5, seed=3, phases=4)
-        report, results = run_load(specs, clients=3, workers=2)
-        assert report.n_jobs == 8 and all(r is not None for r in results)
         assert repr_calls == []

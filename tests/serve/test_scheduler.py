@@ -27,7 +27,8 @@ from repro.serve import (
     Scheduler,
     serve_many,
 )
-from repro.serve.bench import base_config, make_workload
+
+from tests.serve.workload import base_config, make_workload
 
 PHASES = 4
 

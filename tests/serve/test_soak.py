@@ -23,7 +23,8 @@ import pytest
 from repro.api import RunSpec, run, spec_fingerprint
 from repro.ckpt import FaultPlan
 from repro.serve import JobCancelled, JobState, Scheduler
-from repro.serve.bench import base_config, make_workload
+
+from tests.serve.workload import base_config, make_workload
 
 N_JOBS = 64
 DUPLICATE_FRACTION = 0.9
