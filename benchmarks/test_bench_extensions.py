@@ -1,24 +1,11 @@
-"""Benchmarks for the extension experiments and the added solver
-capabilities (MRT, phase separation, adaptation speed, heterogeneous
-clusters, all five policies side by side)."""
-
-import numpy as np
-import pytest
+"""Benchmarks for the extension experiments (adaptation speed,
+heterogeneous clusters, all five policies side by side)."""
 
 from repro.cluster.machine import paper_cluster
 from repro.cluster.simulator import simulate
 from repro.cluster.workload import fixed_slow_traces
 from repro.core.policies import POLICY_NAMES, make_policy
 from repro.experiments import ext_adaptation, ext_heterogeneous
-from repro.lbm.components import ComponentSpec
-from repro.lbm.geometry import ChannelGeometry
-from repro.lbm.lattice import D2Q9
-from repro.lbm.multiphase import (
-    measure_coexistence,
-    phase_separation_config,
-    run_phase_separation,
-)
-from repro.lbm.solver import LBMConfig, MulticomponentLBM
 
 
 def test_bench_all_policies_one_slow_node(benchmark, save_report):
@@ -63,41 +50,3 @@ def test_bench_ext_heterogeneous(benchmark, save_report):
     benchmark.extra_info["filtered_s"] = round(totals["filtered"], 1)
     assert totals["global"] == min(totals.values())
 
-
-def test_bench_phase_separation(benchmark, save_report):
-    def run():
-        cfg = phase_separation_config((64, 64), g=-5.0)
-        solver = run_phase_separation(cfg, steps=1500)
-        return measure_coexistence(solver)
-
-    vapour, liquid = benchmark.pedantic(run, rounds=1, iterations=1)
-    save_report(
-        "phase_separation",
-        f"g=-5 coexistence: rho_v={vapour:.3f} (benchmark ~0.16), "
-        f"rho_l={liquid:.3f} (benchmark ~1.95)",
-    )
-    benchmark.extra_info["rho_vapour"] = round(vapour, 3)
-    benchmark.extra_info["rho_liquid"] = round(liquid, 3)
-    assert vapour == pytest.approx(0.16, abs=0.05)
-    assert liquid == pytest.approx(1.95, abs=0.15)
-
-
-@pytest.mark.parametrize("collision", ["bgk", "mrt"])
-def test_bench_collision_operators(benchmark, collision):
-    """Per-step cost of BGK vs MRT on the same 2-D channel."""
-    geo = ChannelGeometry(shape=(48, 40), wall_axes=(1,))
-    cfg = LBMConfig(
-        geometry=geo,
-        components=(ComponentSpec("w", tau=0.8),),
-        g_matrix=np.zeros((1, 1)),
-        lattice=D2Q9,
-        body_acceleration=(1e-6, 0.0),
-        collision=collision,
-    )
-    solver = MulticomponentLBM(cfg)
-    solver.run(5)
-    benchmark(solver.step)
-    points = 48 * 40
-    benchmark.extra_info["us_per_point"] = round(
-        benchmark.stats["mean"] / points * 1e6, 3
-    )

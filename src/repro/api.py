@@ -165,8 +165,8 @@ def canonical_spec_doc(spec: RunSpec) -> dict[str, Any]:
 
     Only fields that determine the run's *output* participate: the
     physics fingerprint (:func:`repro.ckpt.manifest.config_fingerprint`,
-    which already canonicalizes geometry, components, coupling, forcing,
-    collision and the wall scenario — its registry name plus *every*
+    which already canonicalizes geometry, components, coupling, forcing
+    and the wall scenario — its registry name plus *every*
     parameter, including a rough scenario's RNG seed, so the serve cache
     can never conflate two scenarios that share the remaining knobs),
     the kernel backend and the phase target.  The backend is in because
@@ -322,7 +322,6 @@ BATCH_EXCLUSION_REASONS = (
     "load-time-fn",
     "observer",
     "env-checkpoint",
-    "collision",
     "adhesion",
     "backend",
     "no-compatible-partner",
@@ -335,7 +334,7 @@ def batch_exclusion_reason(
     """Why *spec* cannot join a batched-ensemble group, or ``None`` when
     it is eligible: sequential, no checkpoint/resume/fault/trace
     machinery (neither explicit nor discovered from the environment),
-    BGK collision, no wall adhesion, and the ``fused`` backend — the
+    no wall adhesion, and the ``fused`` backend — the
     ensemble's kernels are the ``fused`` arithmetic over a batch axis,
     so a spec that names the ``reference`` oracle would come back with
     other bits than :func:`run` gives it.
@@ -365,8 +364,6 @@ def batch_exclusion_reason(
         return "observer"
     if (_env or config_mod.from_env()).ckpt_dir is not None:
         return "env-checkpoint"
-    if config.collision != "bgk":
-        return "collision"
     if config.adhesion is not None:
         return "adhesion"
     if config.backend != "fused":
@@ -402,8 +399,6 @@ def _member_delta(base: LBMConfig, config: LBMConfig):
         base.geometry != config.geometry
         or base.components != config.components
         or base.lattice is not config.lattice
-        or base.psi is not config.psi
-        or base.collision != config.collision
         or base.adhesion != config.adhesion
     ):
         return None

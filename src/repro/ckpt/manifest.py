@@ -241,7 +241,8 @@ def config_fingerprint(config: "LBMConfig") -> dict[str, Any]:
             if config.body_acceleration is None
             else [float(a) for a in config.body_acceleration]
         ),
-        "collision": config.collision,
+        # Constant, as is "psi": existing checkpoints carry both keys.
+        "collision": "bgk",
         "adhesion": (
             None
             if config.adhesion is None
@@ -250,7 +251,7 @@ def config_fingerprint(config: "LBMConfig") -> dict[str, Any]:
         "scenario": (
             None if config.scenario is None else config.scenario.doc()
         ),
-        "psi": getattr(config.psi, "__qualname__", repr(config.psi)),
+        "psi": "psi_identity",
     }
 
 

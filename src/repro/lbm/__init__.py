@@ -16,16 +16,7 @@ from repro.lbm.analytic import (
     taylor_green_velocity,
 )
 from repro.lbm.adhesion import contact_density_ratio, wall_indicator_field
-from repro.lbm.export import export_fields_npz, export_profile_csv, export_vtk
 from repro.lbm.lattice import Lattice, D2Q9, D3Q19, get_lattice
-from repro.lbm.mrt import MRTCollision, MRTRelaxationRates
-from repro.lbm.multiphase import (
-    phase_separation_config,
-    run_phase_separation,
-    measure_coexistence,
-)
-from repro.lbm.obstacles import MaskedGeometry, cylinder_mask, momentum_exchange
-from repro.lbm.open_boundary import PressureBoundary2D
 from repro.lbm.components import ComponentSpec
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.forces import WallForceSpec
@@ -63,18 +54,6 @@ __all__ = [
     "slip_fraction_to_slip_length",
     "slip_length_to_slip_fraction",
     "taylor_green_velocity",
-    "export_fields_npz",
-    "export_profile_csv",
-    "export_vtk",
-    "MRTCollision",
-    "MRTRelaxationRates",
-    "phase_separation_config",
-    "run_phase_separation",
-    "measure_coexistence",
-    "PressureBoundary2D",
-    "MaskedGeometry",
-    "cylinder_mask",
-    "momentum_exchange",
     "contact_density_ratio",
     "wall_indicator_field",
     "Profile",

@@ -80,7 +80,6 @@ import numpy as np
 
 from repro.lbm.backends.registry import KernelBackend
 from repro.lbm.boundary import bounce_back as _masked_bounce_back
-from repro.lbm.shan_chen import psi_identity
 from repro.util.hotpath import hot_path
 
 _FULL = slice(None)
@@ -478,14 +477,9 @@ class FusedBackend(KernelBackend):
         wall_field: np.ndarray | None = None,
     ) -> np.ndarray:
         C, D = self.n_components, self.lattice.D
-        psis = self._psis
-        if self.psi is psi_identity:
-            for ci in range(C):  # row-wise: see the module docstring
-                np.multiply(rho[ci], psi_mask, out=psis[ci])
-        else:
-            for ci in range(C):
-                psis[ci] = self.psi(rho[ci])
-                psis[ci] *= psi_mask
+        psis = self._psis  # psi(rho) = rho
+        for ci in range(C):  # row-wise: see the module docstring
+            np.multiply(rho[ci], psi_mask, out=psis[ci])
 
         self.shan_chen_force(psis, out=force)
         tmp = self._tmp_cd

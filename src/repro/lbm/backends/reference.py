@@ -94,8 +94,7 @@ class ReferenceBackend(KernelBackend):
         adhesion: tuple[float, ...] | None = None,
         wall_field: np.ndarray | None = None,
     ) -> np.ndarray:
-        psis = np.stack([self.psi(rho[ci]) for ci in range(self.n_components)])
-        psis *= psi_mask
+        psis = rho * psi_mask  # psi(rho) = rho
         sc = self.shan_chen_force(psis)
 
         force[:] = sc

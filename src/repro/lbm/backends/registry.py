@@ -43,7 +43,7 @@ validation or environment reads.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Callable, ClassVar
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
@@ -100,7 +100,7 @@ def create_backend(
     ----------
     config:
         The run configuration; supplies the lattice, component taus and
-        masses, the coupling matrix and the psi function.
+        masses and the coupling matrix.
     shape:
         *Local* spatial grid shape — the full channel for the sequential
         solver, the slab (with ghost planes) for a parallel rank.  Scratch
@@ -185,7 +185,6 @@ class KernelBackend(abc.ABC):
         # (re)construction — per ensemble member, per migration rebuild —
         # does not re-pay the symmetry/shape checks.
         self.g_matrix = np.asarray(config.g_matrix, dtype=np.float64)
-        self.psi: Callable[[np.ndarray], np.ndarray] = config.psi
 
     # ------------------------------------------------------------- kernels
     @abc.abstractmethod

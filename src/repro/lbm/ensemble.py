@@ -99,11 +99,6 @@ class EnsembleSpec:
         members = tuple(self.members)
         if not members:
             raise ValueError("an ensemble needs at least one member")
-        if self.base.collision != "bgk":
-            raise ValueError(
-                f"batched ensembles support BGK collision only, base "
-                f"config uses {self.base.collision!r}"
-            )
         if self.base.adhesion is not None:
             raise ValueError(
                 "batched ensembles do not support wall adhesion; use the "

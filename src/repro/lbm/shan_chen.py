@@ -11,38 +11,17 @@ it induces on component sigma is
 ``F_sigma(x) = -psi_sigma(x) * sum_sigma' g_{sigma sigma'}
                sum_k w_k psi_sigma'(x + c_k) c_k``.
 
-The choice of psi fixes the equation of state; for the water/air mixture a
-repulsive cross-coupling (g_wa > 0) with neutral self-coupling reproduces
-the immiscible two-phase behaviour the paper simulates.
+with the standard multicomponent pseudopotential ``psi(rho) = rho``.  For
+the water/air mixture a repulsive cross-coupling (g_wa > 0) with neutral
+self-coupling reproduces the immiscible two-phase behaviour the paper
+simulates.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
 
 from repro.lbm.lattice import Lattice
-
-PsiFunction = Callable[[np.ndarray], np.ndarray]
-
-
-def psi_identity(rho: np.ndarray) -> np.ndarray:
-    """psi(rho) = rho: the standard multicomponent choice."""
-    return rho
-
-
-def make_psi_shan_chen(rho0: float = 1.0) -> PsiFunction:
-    """psi(rho) = rho0 * (1 - exp(-rho / rho0)): the original S-C form,
-    bounded for large densities (useful for single-component phase
-    transitions; exposed for completeness and ablation)."""
-    if rho0 <= 0:
-        raise ValueError(f"rho0 must be > 0, got {rho0}")
-
-    def psi(rho: np.ndarray) -> np.ndarray:
-        return rho0 * (1.0 - np.exp(-rho / rho0))
-
-    return psi
 
 
 def validate_g_matrix(g: np.ndarray, n_components: int) -> np.ndarray:

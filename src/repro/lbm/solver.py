@@ -20,7 +20,7 @@ communication points.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -36,12 +36,7 @@ from repro.lbm.forces import (
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import Lattice, D3Q19
 from repro.lbm.macroscopic import mixture_velocity
-from repro.lbm.obstacles import momentum_exchange
-from repro.lbm.shan_chen import (
-    PsiFunction,
-    psi_identity,
-    validate_g_matrix,
-)
+from repro.lbm.shan_chen import validate_g_matrix
 from repro.obs.observer import NULL_OBSERVER, ObserverLike, resolve_observer
 
 if TYPE_CHECKING:  # repro.scenarios imports repro.lbm; never the reverse
@@ -71,12 +66,6 @@ class LBMConfig:
     body_acceleration:
         Uniform driving acceleration (pressure-gradient surrogate), applied
         to every component; typically along +x.
-    psi:
-        Pseudopotential function for the S-C force.
-    collision:
-        ``"bgk"`` (the paper's LBGK, default) or ``"mrt"`` (multiple
-        relaxation times, D2Q9 only; shear rate taken from each
-        component's tau so the viscosity is unchanged).
     adhesion:
         Optional Shan-Chen wall-adhesion couplings, one per component
         (``g_ads > 0`` repels from the walls, ``< 0`` wets them) — the
@@ -104,8 +93,6 @@ class LBMConfig:
     lattice: Lattice = D3Q19
     wall_force: WallForceSpec | None = None
     body_acceleration: tuple[float, ...] | None = None
-    psi: PsiFunction = field(default=psi_identity)
-    collision: str = "bgk"
     adhesion: tuple[float, ...] | None = None
     scenario: "Scenario | None" = None
     backend: str | None = None
@@ -135,12 +122,6 @@ class LBMConfig:
                     f"body_acceleration must have {self.geometry.ndim} entries"
                 )
             object.__setattr__(self, "body_acceleration", acc)
-        if self.collision not in ("bgk", "mrt"):
-            raise ValueError(
-                f"collision must be 'bgk' or 'mrt', got {self.collision!r}"
-            )
-        if self.collision == "mrt" and (self.lattice.D, self.lattice.Q) != (2, 9):
-            raise ValueError("MRT collision is implemented for D2Q9 only")
         if self.adhesion is not None:
             adh = tuple(float(a) for a in self.adhesion)
             if len(adh) != len(self.components):
@@ -240,26 +221,6 @@ class MulticomponentLBM:
             from repro.lbm.adhesion import wall_indicator_field
 
             self._wall_field = wall_indicator_field(geo, lat)
-
-        self._mrt: list | None = None
-        if config.collision == "mrt":
-            from repro.lbm.mrt import MRTCollision, MRTRelaxationRates
-
-            self._mrt = [
-                MRTCollision(MRTRelaxationRates.from_tau(comp.tau), lat)
-                for comp in config.components
-            ]
-
-        #: Hooks called after streaming + bounce-back, before the moment
-        #: update — the insertion point for open boundary conditions
-        #: (see :mod:`repro.lbm.open_boundary`).  Each receives the solver.
-        self.post_stream_hooks: list[Callable[["MulticomponentLBM"], None]] = []
-
-        #: When True, :attr:`last_wall_momentum` is updated every step
-        #: with the momentum-exchange force on all solid nodes (used for
-        #: obstacle drag; see :mod:`repro.lbm.obstacles`).
-        self.track_wall_momentum = False
-        self.last_wall_momentum: np.ndarray | None = None
 
         self.step_count = 0
         if state is None:
@@ -404,35 +365,14 @@ class MulticomponentLBM:
                 store.save_solver(self)
 
     def collide(self) -> None:
-        """Relax every component toward its forced equilibrium (BGK or
-        MRT per the configuration), restricted to fluid nodes."""
-        if self._mrt is not None:
-            for ci, comp in enumerate(self.config.components):
-                self._mrt[ci].collide(
-                    self.f[ci],
-                    self.rho[ci] / comp.mass,
-                    self.u_eq[ci],
-                    fluid_mask=self._fluid_f,
-                )
-            return
+        """BGK-relax every component toward its forced equilibrium,
+        restricted to fluid nodes."""
         self.backend.collide_bgk(self.f, self.rho, self.u_eq, self._fluid_f)
 
     def stream_and_bounce(self) -> None:
-        """Streaming plus full-way bounce-back at the solid walls, then any
-        registered open-boundary hooks."""
-        lat = self.config.lattice
-        self.f = f = self.backend.stream(self.f)
-        if self.track_wall_momentum:
-            # Momentum exchange reads the post-stream, pre-bounce state.
-            wall_momentum = np.zeros(lat.D, dtype=np.float64)
-            for ci, comp in enumerate(self.config.components):
-                wall_momentum += comp.mass * momentum_exchange(
-                    f[ci], self.solid, lat
-                )
-            self.last_wall_momentum = wall_momentum
-        self.backend.bounce_back(f)
-        for hook in self.post_stream_hooks:
-            hook(self)
+        """Streaming plus full-way bounce-back at the solid walls."""
+        self.f = self.backend.stream(self.f)
+        self.backend.bounce_back(self.f)
 
     def update_moments_and_forces(self) -> None:
         """Recompute densities, momenta, forces and equilibrium velocities

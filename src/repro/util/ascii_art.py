@@ -27,7 +27,7 @@ def render_field(
         2-D array indexed ``[x, y]``.
     mask:
         Optional boolean array of the same shape; True cells render as
-        *mask_char* (solid obstacles, walls).
+        *mask_char* (solid walls).
     ramp:
         Characters from low to high value.
     max_width / max_height:

@@ -81,13 +81,6 @@ class TestRunBatchRecordsReason:
         assert results[0].batch_fallback_reason == "observer"
         assert fallback_counts(obs)["observer"] == 1
 
-    def test_collision(self, two_component_config):
-        obs = Observer()
-        cfg = dataclasses.replace(two_component_config, collision="mrt")
-        results = run_batch(sweep_specs(cfg, [0.02, 0.05], phases=3), observer=obs)
-        assert [r.batch_fallback_reason for r in results] == ["collision"] * 2
-        assert fallback_counts(obs) == {"collision": 2}
-
     def test_adhesion(self, two_component_config):
         obs = Observer()
         cfg = dataclasses.replace(two_component_config, adhesion=(0.1, -0.1))
@@ -204,12 +197,6 @@ class TestExclusionReasonPredicate:
                 ),
                 RunSpec(
                     config=two_component_config, phases=3, observer=Observer()
-                ),
-                RunSpec(
-                    config=dataclasses.replace(
-                        two_component_config, collision="mrt"
-                    ),
-                    phases=3,
                 ),
                 RunSpec(
                     config=dataclasses.replace(

@@ -87,12 +87,6 @@ class TestEligibility:
         for spec, result in zip(specs, results):
             assert np.array_equal(result.f, run(spec).f)
 
-    def test_mrt_specs_fall_back(self, two_component_config):
-        cfg = dataclasses.replace(two_component_config, collision="mrt")
-        specs = sweep_specs(cfg, [0.02, 0.05], phases=3)
-        results = run_batch(specs)
-        assert not any(isinstance(r, EnsembleRunResult) for r in results)
-
     def test_fused_specs_fall_back_and_match_run(self, two_component_config):
         # Inverted when `fused` became the default and the ensemble's
         # arithmetic: fused specs stack (and match run() bit for bit);

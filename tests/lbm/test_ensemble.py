@@ -63,11 +63,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="at least one member"):
             EnsembleSpec(base=base_config(), members=())
 
-    def test_mrt_collision_rejected(self):
-        cfg = dataclasses.replace(base_config(), collision="mrt")
-        with pytest.raises(ValueError, match="BGK"):
-            EnsembleSpec(base=cfg, members=(MemberParams(),))
-
     def test_adhesion_rejected(self):
         cfg = dataclasses.replace(base_config(), adhesion=(-0.05, 0.05))
         with pytest.raises(ValueError, match="adhesion"):
@@ -146,7 +141,7 @@ class TestBatchedExactness:
 
     @pytest.mark.parametrize("lattice", [D2Q9, D3Q19], ids=lambda l: l.name)
     def test_interior_obstacle_members_bitwise(self, lattice):
-        # Solids inside the channel (a cylinder), not only wall planes:
+        # Solids inside the channel (a disc), not only wall planes:
         # the flat gather/scatter bounce-back against the masked one.
         base = two_component_config(
             lattice, scenario="obstacles", backend="fused"

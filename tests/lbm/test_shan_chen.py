@@ -4,31 +4,9 @@ import pytest
 from repro.lbm.lattice import D2Q9, D3Q19
 from repro.lbm.shan_chen import (
     interaction_force,
-    make_psi_shan_chen,
-    psi_identity,
     shifted_psi_sum,
     validate_g_matrix,
 )
-
-
-class TestPsi:
-    def test_identity(self):
-        rho = np.array([0.5, 1.0])
-        assert np.array_equal(psi_identity(rho), rho)
-
-    def test_shan_chen_form(self):
-        psi = make_psi_shan_chen(rho0=1.0)
-        assert np.isclose(psi(np.array([0.0]))[0], 0.0)
-        assert psi(np.array([100.0]))[0] < 1.0 + 1e-9  # bounded by rho0
-
-    def test_shan_chen_monotone(self):
-        psi = make_psi_shan_chen(rho0=2.0)
-        rho = np.linspace(0, 5, 50)
-        assert (np.diff(psi(rho)) > 0).all()
-
-    def test_invalid_rho0(self):
-        with pytest.raises(ValueError):
-            make_psi_shan_chen(rho0=0.0)
 
 
 class TestGMatrix:

@@ -6,7 +6,7 @@ describe the same result.  Hypothesis drives both directions — any
 execution knob (ranks, transport, policy, checkpoints, trace, timeout)
 must leave the key unchanged, because every transport and decomposition
 is bit-identical by contract; any physics knob (geometry, components,
-coupling, forcing, collision, adhesion, phase target) must change it,
+coupling, forcing, adhesion, phase target) must change it,
 and so must the kernel backend (``fused`` is within 1e-12 of
 ``reference``, not the same bits), or the cache would serve the wrong
 result.
@@ -119,7 +119,6 @@ PHYSICS_TWEAKS = [
         "body_acceleration",
         lambda c: dataclasses.replace(c, body_acceleration=(2e-6, 0.0)),
     ),
-    ("collision", lambda c: dataclasses.replace(c, collision="mrt")),
     ("adhesion", lambda c: dataclasses.replace(c, adhesion=(0.1, -0.1))),
     (
         "shape",

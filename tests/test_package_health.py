@@ -77,7 +77,7 @@ class TestExamples:
 class TestDocs:
     @pytest.mark.parametrize(
         "name",
-        ["README.md", "DESIGN.md", "EXPERIMENTS.md", "CHANGELOG.md",
+        ["README.md", "DESIGN.md", "EXPERIMENTS.md",
          "docs/ALGORITHM.md", "docs/PHYSICS.md", "docs/SIMULATOR.md"],
     )
     def test_doc_exists_and_nonempty(self, name):
