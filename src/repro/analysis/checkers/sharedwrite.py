@@ -63,8 +63,7 @@ SANCTIONED: dict[str, frozenset[str]] = {
         {
             "HaloExchanger.exchange_f",
             "HaloExchanger.exchange_scalar",
-            "HaloExchanger._exchange_f_y",
-            "HaloExchanger._exchange_scalar_y",
+            "HaloExchanger._exchange_y",
         }
     ),
     "repro/parallel/migration.py": frozenset({"pad_with_ghosts"}),

@@ -29,51 +29,33 @@ def _store(path: str) -> CheckpointStore:
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
     store = _store(args.store)
-    infos = store.generations()
+    docs = [
+        {
+            "step": info.step,
+            "committed": info.committed,
+            "problem": info.problem,
+            "shards": len(m.shards) if (m := info.manifest) else None,
+            "planes": m.total_planes if m else None,
+            "bytes": m.total_bytes if m else None,
+        }
+        for info in store.generations()
+    ]
     if args.json:
-        doc = [
-            {
-                "step": info.step,
-                "committed": info.committed,
-                "problem": info.problem,
-                "shards": (
-                    len(info.manifest.shards) if info.manifest else None
-                ),
-                "planes": (
-                    info.manifest.total_planes if info.manifest else None
-                ),
-                "bytes": (
-                    info.manifest.total_bytes if info.manifest else None
-                ),
-            }
-            for info in infos
-        ]
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(docs, indent=2))
         return 0
-    if not infos:
+    if not docs:
         print(f"{args.store}: no generations")
         return 0
-    rows = []
-    for info in infos:
-        if info.manifest is not None:
-            rows.append(
-                (
-                    info.step,
-                    "committed",
-                    len(info.manifest.shards),
-                    info.manifest.total_planes,
-                    info.manifest.total_bytes,
-                )
-            )
-        else:
-            rows.append((info.step, info.problem or "uncommitted", "-", "-", "-"))
-    print(
-        format_table(
-            ["step", "status", "shards", "planes", "bytes"],
-            rows,
-            title=args.store,
+    counts = ("shards", "planes", "bytes")
+    rows = [
+        (
+            doc["step"],
+            "committed" if doc["committed"] else doc["problem"] or "uncommitted",
+            *("-" if doc[key] is None else doc[key] for key in counts),
         )
-    )
+        for doc in docs
+    ]
+    print(format_table(["step", "status", *counts], rows, title=args.store))
     return 0
 
 

@@ -7,16 +7,17 @@ shard per writer plus a ``manifest.json``.  The manifest is written
 without a parseable manifest is an aborted write and is ignored by
 :meth:`repro.ckpt.store.CheckpointStore.latest_good`.
 
-Shards are x-plane ranges of the global domain.  The manifest records
-each shard's ``plane_start``/``plane_count`` explicitly, so a checkpoint
-written by a parallel run *after dynamic remapping has moved planes
-between ranks* restores correctly into any target decomposition — the
-ownership map travels with the data instead of being implied by rank
-order.
+Shards are rectangles of the global domain.  The manifest records each
+shard's ``plane_start``/``plane_count`` (and ``col_start``/``col_count``)
+explicitly, so a checkpoint written by a parallel run *after dynamic
+remapping has moved planes between ranks* restores correctly into any
+target decomposition — the ownership map travels with the data instead
+of being implied by rank order; :func:`tile` checks and places it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -53,6 +54,50 @@ class CheckpointRejected(CheckpointError):
     """
 
 
+def tile(
+    spatial: Sequence[int],
+    rects: Sequence[tuple[int, int, int, int | None]],
+    blocks: Iterable[np.ndarray] | None = None,
+    *,
+    error: type[Exception] = ValueError,
+) -> np.ndarray | None:
+    """Check that the ownership rectangles *rects* — ``(plane_start,
+    plane_count, col_start, col_count)``, ``col_count=None`` for the full
+    cross extent — tile the ``nx × ny`` extent of the *spatial* domain
+    exactly once, else raise *error*.  With *blocks* (one array per
+    rectangle, read only after the check) return the ``(C, Q, *spatial)``
+    field they make up, copying each block once."""
+    nx, ny = int(spatial[0]), int(spatial[1])
+    spans = [(ps, pc, cs, ny if cc is None else cc) for ps, pc, cs, cc in rects]
+    owners = np.zeros((nx, ny), dtype=np.int64)
+    for ps, pc, cs, cc in spans:
+        if min(ps, cs, pc - 1, cc - 1) < 0 or ps + pc > nx or cs + cc > ny:
+            raise error(
+                f"the ownership map does not tile the {nx}x{ny} domain: "
+                f"({ps}, {pc}, {cs}, {cc}) is empty or reaches outside it"
+            )
+        owners[ps : ps + pc, cs : cs + cc] += 1
+    if not (owners == 1).all():
+        raise error(
+            f"the ownership map does not tile the {nx}x{ny} domain: "
+            f"{int((owners == 0).sum())} lines unowned, "
+            f"{int((owners > 1).sum())} owned more than once"
+        )
+    if blocks is None:
+        return None
+    out = None
+    for (ps, pc, cs, cc), piece in zip(spans, blocks, strict=True):
+        if piece.shape[2:] != (pc, cc, *spatial[2:]):
+            raise error(
+                f"the ownership map gives a {pc}x{cc} rectangle a block "
+                f"of shape {piece.shape[2:]}"
+            )
+        if out is None:
+            out = np.empty(piece.shape[:2] + tuple(spatial), dtype=piece.dtype)
+        out[:, :, ps : ps + pc, cs : cs + cc] = piece
+    return out
+
+
 @dataclass(frozen=True)
 class ShardInfo:
     """One shard's entry in the manifest.
@@ -72,6 +117,10 @@ class ShardInfo:
     nbytes: int
     col_start: int = 0
     col_count: int | None = None
+
+    @property
+    def rectangle(self) -> tuple[int, int, int, int | None]:
+        return self.plane_start, self.plane_count, self.col_start, self.col_count
 
     def to_json(self) -> dict[str, Any]:
         return asdict(self)
@@ -114,55 +163,14 @@ class Manifest:
             sorted(self.shards, key=lambda s: (s.plane_start, s.col_start))
         )
 
-    def is_two_dimensional(self) -> bool:
-        """Whether any shard owns less than the full cross extent."""
-        return any(s.col_count is not None for s in self.shards)
-
     def validate_coverage(self) -> None:
-        """Shard rectangles must tile the ``nx × ny`` domain exactly once,
-        in any rank order: the x bands tile ``[0, nx)`` and, within each
-        x band, the column bands tile ``[0, ny)``."""
-        shape = self.fingerprint.get("shape")
-        ny = int(shape[1]) if shape is not None and len(shape) > 1 else 1
-        bands: dict[tuple[int, int], list[ShardInfo]] = {}
-        for shard in self.shards:
-            if shard.plane_count < 1:
-                raise CorruptCheckpointError(
-                    f"shard {shard.filename} owns {shard.plane_count} planes"
-                )
-            bands.setdefault(
-                (shard.plane_start, shard.plane_count), []
-            ).append(shard)
-        expected = 0
-        for (start, count), members in sorted(bands.items()):
-            if start != expected:
-                raise CorruptCheckpointError(
-                    f"shard {members[0].filename} starts at plane "
-                    f"{start}, expected {expected} "
-                    f"(gap or overlap in the ownership map)"
-                )
-            expected += count
-            col_expected = 0
-            for shard in sorted(members, key=lambda s: s.col_start):
-                cols = ny if shard.col_count is None else shard.col_count
-                if shard.col_start != col_expected or cols < 1:
-                    raise CorruptCheckpointError(
-                        f"shard {shard.filename} starts at column "
-                        f"{shard.col_start} with {cols} columns, expected "
-                        f"column {col_expected} (gap or overlap in the "
-                        f"ownership map)"
-                    )
-                col_expected += cols
-            if col_expected != ny:
-                raise CorruptCheckpointError(
-                    f"x band at plane {start} covers {col_expected} columns "
-                    f"but the domain has {ny}"
-                )
-        nx = int(shape[0]) if shape is not None else expected
-        if expected != nx:
-            raise CorruptCheckpointError(
-                f"shards cover {expected} planes but the domain has {nx}"
-            )
+        """Shard rectangles must tile the domain exactly once, in any
+        rank order (:func:`tile`)."""
+        tile(
+            self.fingerprint["shape"],
+            [shard.rectangle for shard in self.shards],
+            error=CorruptCheckpointError,
+        )
 
     def to_json(self) -> dict[str, Any]:
         doc: dict[str, Any] = {

@@ -4,7 +4,7 @@ Layout under one store root::
 
     root/
       step-00000040/
-        shard-r0000.npz     # x-plane range of the global state (+ extras)
+        shard-r0000.npz     # one rectangle of the global state (+ extras)
         shard-r0001.npz
         manifest.json       # written last, atomically: the commit point
       step-00000080/
@@ -46,6 +46,7 @@ from repro.ckpt.manifest import (
     ShardInfo,
     check_fingerprint,
     config_fingerprint,
+    tile,
 )
 from repro.obs.observer import NULL_OBSERVER, ObserverLike, resolve_observer
 
@@ -248,34 +249,41 @@ class CheckpointStore:
         self, manifest: Manifest, *, verify: bool = True
     ) -> np.ndarray:
         """Reassemble the global population array ``(C, Q, nx, *cross)``
-        from the manifest's shards — works for any shard count and for
-        both shard layouts (1-D x bands and 2-D ownership rectangles),
-        so a 4-rank or 2×2 checkpoint restores into a sequential solver
-        or a 2-rank run just as well."""
-        manifest.validate_coverage()
-        if not manifest.is_two_dimensional():
-            pieces = [
-                self.load_shard_arrays(manifest, shard, verify=verify)["f"]
-                for shard in manifest.shards_in_x_order()
-            ]
-            return np.concatenate(pieces, axis=2)
-        out: np.ndarray | None = None
-        spatial = tuple(int(s) for s in manifest.fingerprint["shape"])
-        for shard in manifest.shards_in_x_order():
-            piece = self.load_shard_arrays(manifest, shard, verify=verify)["f"]
-            if out is None:
-                out = np.zeros(piece.shape[:2] + spatial, dtype=piece.dtype)
-            cols = (
-                piece.shape[3] if shard.col_count is None else shard.col_count
-            )
-            out[
-                :,
-                :,
-                shard.plane_start : shard.plane_start + shard.plane_count,
-                shard.col_start : shard.col_start + cols,
-            ] = piece
-        assert out is not None  # validate_coverage guarantees >= 1 shard
-        return out
+        from shards of any count and layout, read once their ownership
+        map is known to tile the domain."""
+        f = tile(
+            manifest.fingerprint["shape"],
+            [shard.rectangle for shard in manifest.shards],
+            (self.load_shard_arrays(manifest, s, verify=verify)["f"] for s in manifest.shards),
+            error=CorruptCheckpointError,
+        )
+        assert f is not None  # blocks were given
+        return f
+
+    def load_rectangle(
+        self, manifest: Manifest, rows: int, cols: int, rank: int,
+        rectangle: tuple[int, int, int, int],
+    ) -> tuple[dict[str, np.ndarray], int, int]:
+        """What *rank* of a ``rows × cols`` rank grid adopts on restore,
+        and the global plane and column it starts at: its own shard in
+        row-major order (``f``, remap counters and histories) when the
+        shards form a ``rows × cols`` grid, else ``{"f": ...}`` cut to
+        *rectangle* ``(plane_start, plane_count, col_start, col_count)``."""
+        shards = manifest.shards_in_x_order()
+        rects = [shard.rectangle for shard in shards]
+        # Each run of `cols` shards is one x band, and every band repeats
+        # the first band's columns.
+        if len(rects) == rows * cols and all(
+            rect[:2] == rects[i - i % cols][:2]
+            and rect[2:] == rects[i % cols][2:]
+            for i, rect in enumerate(rects)
+        ):
+            mine = shards[rank]
+            arrays = self.load_shard_arrays(manifest, mine)
+            return arrays, mine.plane_start, mine.col_start
+        ps, pc, cs, cc = rectangle
+        f = self.load_global_f(manifest)
+        return {"f": f[:, :, ps : ps + pc, cs : cs + cc]}, ps, cs
 
     # ------------------------------------------------------------ writing
     def write_shard(

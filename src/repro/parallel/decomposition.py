@@ -66,9 +66,11 @@ class CartTopology:
     (z in 3-D) are never decomposed.  Both axes are periodic rings, like
     the slab scheme's x ring.
 
-    ``row_counts``/``col_counts`` are the per-band extents; every rank
-    in a row owns the same plane count (and likewise per column), so the
-    grid stays cartesian through 2-D remapping by construction.
+    ``row_counts``/``col_counts`` are the per-band extents a run starts
+    from; every rank in a row owns the same plane count (and likewise
+    per column).  The topology is never updated: remapping moves whole
+    bands, so the grid stays cartesian, and each rank tracks its own
+    origin from there.
     """
 
     def __init__(self, row_counts: Sequence[int], col_counts: Sequence[int]):
@@ -163,21 +165,6 @@ class CartTopology:
 
     def col_counts(self) -> list[int]:
         return list(self._col_counts)
-
-    # ----------------------------------------------------------- remapping
-    def adjust_row(self, row: int, delta: int) -> None:
-        """Grow/shrink the plane band of *row* by *delta* (the caller
-        adjusts the neighbouring row symmetrically)."""
-        new = self._row_counts[row] + delta
-        if new < 1:
-            raise ValueError(f"row {row} would drop to {new} planes")
-        self._row_counts[row] = new
-
-    def adjust_col(self, col: int, delta: int) -> None:
-        new = self._col_counts[col] + delta
-        if new < 1:
-            raise ValueError(f"col {col} would drop to {new} columns")
-        self._col_counts[col] = new
 
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.size:

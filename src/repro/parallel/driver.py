@@ -51,6 +51,7 @@ from repro.ckpt.manifest import (
     ShardInfo,
     check_fingerprint,
     config_fingerprint,
+    tile,
 )
 from repro.lbm.backends import create_backend
 from repro.lbm.equilibrium import rest_equilibrium
@@ -66,7 +67,7 @@ from repro.obs.observer import (
 )
 from repro.obs.sink import JsonlSink, MemorySink
 from repro.parallel.api import Communicator
-from repro.parallel.decomposition import CartTopology, even_split, grid_for
+from repro.parallel.decomposition import CartTopology, grid_for
 from repro.parallel.halo import HaloExchanger
 from repro.parallel.launch import launch_spmd, resolve_transport
 from repro.parallel.migration import (
@@ -128,7 +129,6 @@ class ParallelLBM:
         self,
         comm: Communicator,
         config: LBMConfig,
-        initial_counts: list[int] | None = None,
         *,
         topo: CartTopology | None = None,
         policy: str = "filtered",
@@ -141,42 +141,21 @@ class ParallelLBM:
         halo_overlap: bool = True,
     ):
         geo = config.geometry
-        if topo is not None and initial_counts is not None:
-            raise ValueError("pass either topo or initial_counts, not both")
         if topo is None:
-            counts = (
-                list(initial_counts)
-                if initial_counts is not None
-                else even_split(geo.shape[0], comm.size)
+            topo = CartTopology.from_shape(geo.shape, comm.size, 1)
+        if topo.size != comm.size:
+            raise ValueError(
+                f"topology has {topo.size} subdomains for {comm.size} ranks"
             )
-            if len(counts) != comm.size:
-                raise ValueError(
-                    f"initial_counts must list {comm.size} entries, got "
-                    f"{len(counts)}"
-                )
-            if sum(counts) != geo.shape[0]:
-                raise ValueError(
-                    "initial plane counts must sum to the global x extent"
-                )
-            ny = geo.shape[1] if len(geo.shape) > 1 else 1
-            topo = CartTopology(counts, [ny])
-        else:
-            if topo.size != comm.size:
-                raise ValueError(
-                    f"topology has {topo.size} subdomains for {comm.size} "
-                    f"ranks"
-                )
-            if topo.total_planes != geo.shape[0]:
-                raise ValueError(
-                    "topology row extents must sum to the global x extent"
-                )
-            if topo.cols > 1 and (
-                len(geo.shape) < 2 or topo.total_cols != geo.shape[1]
-            ):
-                raise ValueError(
-                    "topology column extents must sum to the first "
-                    "cross-section extent"
-                )
+        if topo.total_planes != geo.shape[0]:
+            raise ValueError(
+                "topology row extents must sum to the global x extent"
+            )
+        if topo.total_cols != geo.shape[1]:
+            raise ValueError(
+                "topology column extents must sum to the first "
+                "cross-section extent"
+            )
         if checkpoint_every < 0:
             raise ValueError(
                 f"checkpoint_every must be >= 0, got {checkpoint_every}"
@@ -214,7 +193,7 @@ class ParallelLBM:
         #: ranks ordered along each axis, so low-edge transfers are the
         #: only thing that moves them.
         self.plane_start = topo.plane_start(self.row)
-        self.col_start = topo.col_start(self.col) if self.cols > 1 else 0
+        self.col_start = topo.col_start(self.col)
 
         # Rank-scoped observability handle; the shared NULL_OBSERVER when
         # neither an observer nor REPRO_OBS_TRACE is provided.
@@ -228,7 +207,7 @@ class ParallelLBM:
         self.plane_points = int(np.prod(self.cross))
         #: Lattice points per (plane, first-cross-axis column) line.
         self._line_points = int(np.prod(self.cross[1:]))
-        self.halo = HaloExchanger(lat, comm, observer=obs, topo=topo)
+        self.halo = HaloExchanger(lat, comm, topo, observer=obs)
         self.history = PhaseTimeHistory(self.remap_config.history)
 
         # Geometry/force provider.  x-invariant configurations (the
@@ -405,7 +384,7 @@ class ParallelLBM:
         if self._mid_piece is not None:
             self._moments_piece(self._mid_piece)
         t_posted = time.perf_counter()
-        self.halo.finish_scalar(pending)
+        self.halo.finish(pending)
         t_filled = time.perf_counter()
         self.backend.forces_and_velocities(
             self.rho,
@@ -432,8 +411,8 @@ class ParallelLBM:
         phase actually blocked in halo waits after the interior compute
         was used to hide the transfers."""
         halo = self.halo
-        bytes_f0, bytes_rho0 = halo.bytes_f, halo.bytes_scalar
-        wait0 = halo.wait_f_seconds + halo.wait_scalar_seconds
+        bytes0 = dict(halo.bytes)
+        wait0 = sum(halo.wait_seconds.values())
         t0 = time.perf_counter()
         for piece in self._edge_pieces:
             self._collide_piece(piece)
@@ -446,7 +425,7 @@ class ParallelLBM:
         if self._mid_piece is not None:
             self._collide_piece(self._mid_piece)
         t1 = time.perf_counter()
-        halo.finish_f(pending_f)
+        halo.finish(pending_f)
         t2 = time.perf_counter()
         self.f = self.backend.stream(self.f)
         self.backend.bounce_back(self.f)
@@ -464,11 +443,9 @@ class ParallelLBM:
                 t_moments=(t4 - t3) + (t6 - t5),
                 t_halo_rho=t5 - t4,
                 t_total=t6 - t0,
-                t_halo_wait=halo.wait_f_seconds
-                + halo.wait_scalar_seconds
-                - wait0,
-                halo_f_bytes=halo.bytes_f - bytes_f0,
-                halo_rho_bytes=halo.bytes_scalar - bytes_rho0,
+                t_halo_wait=sum(halo.wait_seconds.values()) - wait0,
+                halo_f_bytes=halo.bytes["f"] - bytes0["f"],
+                halo_rho_bytes=halo.bytes["scalar"] - bytes0["scalar"],
             )
 
         self.phase += 1
@@ -761,62 +738,30 @@ class ParallelLBM:
         self,
         f_interior: np.ndarray,
         plane_start: int,
+        col_start: int,
         tag: object,
-        col_start: int = 0,
     ) -> None:
         """Replace this rank's subdomain with *f_interior* (no ghosts)
-        starting at global plane *plane_start* (and, under 2-D, global
-        column *col_start*), then refresh all derived state — the same
-        sequence a migration uses, so the next phase continues
-        bit-identically."""
+        starting at global plane *plane_start* and column *col_start*,
+        then refresh all derived state — the same sequence a migration
+        uses, so the next phase continues bit-identically."""
         self.f = pad_with_ghosts(f_interior, self._padded)
         self.plane_start = int(plane_start)
         self.col_start = int(col_start)
         self._alloc_state()
         self._moments_and_forces(tag)
 
-    def _grid_shard(
-        self, manifest: Manifest, shards: tuple[ShardInfo, ...]
-    ) -> ShardInfo | None:
-        """This rank's shard when the generation's rectangles form
-        exactly this run's ``rows × cols`` grid (the 2-D fast path:
-        every rank re-adopts its own rectangle); ``None`` sends the
-        restore down the reassemble-and-resplit path."""
-        if len(shards) != self.comm.size:
-            return None
-        bands: dict[tuple[int, int], list[ShardInfo]] = {}
-        for shard in shards:
-            if shard.col_count is None:
-                return None
-            bands.setdefault(
-                (shard.plane_start, shard.plane_count), []
-            ).append(shard)
-        if len(bands) != self.rows:
-            return None
-        layouts = {
-            tuple((s.col_start, s.col_count) for s in members)
-            for members in bands.values()
-        }
-        if len(layouts) != 1 or len(next(iter(layouts))) != self.cols:
-            return None
-        # shards_in_x_order sorts by (plane_start, col_start) — exactly
-        # the grid's row-major rank order.
-        return shards[self.comm.rank]
-
     def restore_checkpoint(self, manifest: Manifest | None = None) -> Manifest:
         """Collective restore from the store's latest good generation (or
         an explicit *manifest*).
 
-        When the generation's ownership map matches this run's
-        decomposition — one shard per rank under a 1-D slab, or a
-        rectangle grid congruent with this run's ``rows × cols`` — each
-        rank reloads its own shard: ownership, remap history and
-        counters resume exactly where they were.  Otherwise (different
-        rank count, or crossing between 1-D and 2-D layouts in either
-        direction) the global field is reassembled from the shard
-        rectangles and re-split evenly over the current decomposition;
-        the physics is unchanged (decomposition invariance), only the
-        remapping bookkeeping restarts.
+        When the generation's shards form this run's ``rows × cols``
+        grid, each rank re-adopts its own shard: ownership, remap history
+        and counters resume exactly where they were.  Otherwise the
+        field is reassembled and each rank cuts its rectangle of this
+        run's topology from it; the physics is unchanged (decomposition
+        invariance), only the remapping bookkeeping restarts (see
+        :meth:`repro.ckpt.CheckpointStore.load_rectangle`).
         """
         store = self.checkpoint_store
         if store is None:
@@ -828,51 +773,22 @@ class ParallelLBM:
                     f"no restorable generation under {store.root}"
                 )
         check_fingerprint(manifest, self.config)
-        comm = self.comm
-        shards = manifest.shards_in_x_order()
+        rank = self.comm.rank
         with self.observer.span("ckpt.restore", step=manifest.step):
-            if self.cols > 1:
-                mine = self._grid_shard(manifest, shards)
-            elif (
-                len(shards) == comm.size
-                and not manifest.is_two_dimensional()
-            ):
-                mine = shards[comm.rank]
-            else:
-                mine = None
-            if mine is not None:
-                arrays = store.load_shard_arrays(manifest, mine)
-                self._adopt_interior(
-                    arrays["f"],
-                    mine.plane_start,
-                    ("restore", manifest.step),
-                    col_start=mine.col_start,
-                )
-                self.planes_sent = int(arrays["planes_sent"])
-                self.planes_received = int(arrays["planes_received"])
-                self.plane_history = [
-                    int(x) for x in arrays["plane_history"]
-                ]
-                self.history.clear()
-                for sample in arrays["history"]:
-                    self.history.record(float(sample))
-            else:
-                # The fingerprint check pinned the checkpoint's shape to
-                # this run's, which the constructor already split.
-                f_global = store.load_global_f(manifest)
-                start, count, cstart, ccount = CartTopology.from_shape(
-                    f_global.shape[2:], self.rows, self.cols
-                ).rectangle(comm.rank)
-                block = f_global[:, :, start : start + count]
-                if self.cols > 1:
-                    block = block[:, :, :, cstart : cstart + ccount]
-                self._adopt_interior(
-                    block, start, ("restore", manifest.step), col_start=cstart
-                )
-                self.planes_sent = 0
-                self.planes_received = 0
-                self.plane_history = [self.local_planes]
-                self.history.clear()
+            arrays, plane_start, col_start = store.load_rectangle(
+                manifest, self.rows, self.cols, rank, self.topo.rectangle(rank)
+            )
+            self._adopt_interior(
+                arrays["f"], plane_start, col_start, ("restore", manifest.step)
+            )
+            self.planes_sent = int(arrays.get("planes_sent", 0))
+            self.planes_received = int(arrays.get("planes_received", 0))
+            self.plane_history = [
+                int(n) for n in arrays.get("plane_history", [self.local_planes])
+            ]
+            self.history.clear()
+            for sample in arrays.get("history", ()):
+                self.history.record(float(sample))
         self.phase = manifest.step
         if self.observer.enabled:
             self.observer.counter("ckpt.restores").add(1)
@@ -894,7 +810,7 @@ class ParallelLBM:
             ):
                 self._write_checkpoint()
         interior = np.ascontiguousarray(self._interior_view())
-        exposed = self.halo.wait_f_seconds + self.halo.wait_scalar_seconds
+        exposed = sum(self.halo.wait_seconds.values())
         if self.observer.enabled:
             self.observer.emit(
                 "run_end",
@@ -902,8 +818,8 @@ class ParallelLBM:
                 planes=self.local_planes,
                 planes_sent=self.planes_sent,
                 planes_received=self.planes_received,
-                halo_f_bytes=self.halo.bytes_f,
-                halo_rho_bytes=self.halo.bytes_scalar,
+                halo_f_bytes=self.halo.bytes["f"],
+                halo_rho_bytes=self.halo.bytes["scalar"],
                 exposed_wait_s=exposed,
             )
         return ParallelRunResult(
@@ -1005,26 +921,15 @@ def _slot_bytes_for(config: LBMConfig) -> int:
 def resolve_decomp(
     decomp: Any, shape: tuple[int, ...], n_ranks: int
 ) -> tuple[int, int]:
-    """Resolve a RunSpec ``decomp`` knob to concrete ``(rows, cols)``
-    grid dimensions: ``"auto"``/``"slab"`` keep the 1-D slab,
-    ``"grid"`` picks the most-square factorization that fits the
-    domain, an explicit tuple is validated against the rank count."""
+    """Map a RunSpec's ``decomp`` knob (validated by ``RunSpec``) to
+    concrete ``(rows, cols)`` grid dimensions: ``"auto"``/``"slab"``
+    keep the 1-D slab, ``"grid"`` picks the most-square factorization
+    that fits the domain, an explicit tuple is the grid."""
+    if decomp == "grid":
+        return grid_for(n_ranks, shape)
     if isinstance(decomp, str):
-        if decomp == "grid":
-            return grid_for(n_ranks, shape)
-        if decomp in ("auto", "slab"):
-            return (n_ranks, 1)
-        raise ValueError(
-            f"decomp must be 'auto', 'slab', 'grid' or a (rows, cols) "
-            f"tuple, got {decomp!r}"
-        )
-    rows, cols = int(decomp[0]), int(decomp[1])
-    if rows * cols != n_ranks:
-        raise ValueError(
-            f"decomp {rows}x{cols} describes {rows * cols} subdomains "
-            f"for {n_ranks} ranks"
-        )
-    return rows, cols
+        return (n_ranks, 1)
+    return decomp
 
 
 def _run_parallel(spec: Any, store: Any) -> list[ParallelRunResult]:
@@ -1033,18 +938,11 @@ def _run_parallel(spec: Any, store: Any) -> list[ParallelRunResult]:
     config: LBMConfig = spec.config
     n_ranks = spec.ranks
     phases = spec.phases
-    total_planes = config.geometry.shape[0]
+    shape = config.geometry.shape
     transport = resolve_transport(spec.transport)
-    rows, cols = resolve_decomp(
-        getattr(spec, "decomp", "auto"), config.geometry.shape, n_ranks
-    )
-    topo = (
-        CartTopology.from_shape(config.geometry.shape, rows, cols)
-        if cols > 1
-        else None
-    )
+    rows, cols = resolve_decomp(spec.decomp, shape, n_ranks)
+    topo = CartTopology.from_shape(shape, rows, cols)
 
-    initial_counts = None
     resume_manifest = None
     phases_to_run = phases
     if spec.resume:
@@ -1054,20 +952,6 @@ def _run_parallel(spec: Any, store: Any) -> list[ParallelRunResult]:
         if resume_manifest is not None:
             check_fingerprint(resume_manifest, config)
             phases_to_run = max(0, phases - resume_manifest.step)
-            shards = resume_manifest.shards_in_x_order()
-            if (
-                cols == 1
-                and len(shards) == n_ranks
-                and not resume_manifest.is_two_dimensional()
-            ):
-                # Start each rank at its checkpointed slab size so the
-                # per-shard restore path needs no reallocation.
-                initial_counts = [s.plane_count for s in shards]
-
-    if cols == 1 and initial_counts is None:
-        if n_ranks > total_planes:
-            raise ValueError("more ranks than planes")
-        initial_counts = even_split(total_planes, n_ranks)
 
     obs, owns_observer = _spec_observer(spec)
     if obs.enabled:
@@ -1080,11 +964,7 @@ def _run_parallel(spec: Any, store: Any) -> list[ParallelRunResult]:
             shape=list(config.geometry.shape),
             n_components=config.n_components,
             phases=phases,
-            initial_counts=(
-                list(initial_counts)
-                if initial_counts is not None
-                else [int(x) for x in topo.row_counts()]
-            ),
+            initial_counts=topo.row_counts(),
             decomp=[rows, cols],
         )
 
@@ -1105,7 +985,6 @@ def _run_parallel(spec: Any, store: Any) -> list[ParallelRunResult]:
         driver = ParallelLBM(
             comm,
             config,
-            list(initial_counts) if topo is None else None,
             topo=topo,
             policy=spec.policy,
             remap_config=spec.remap_config,
@@ -1114,7 +993,7 @@ def _run_parallel(spec: Any, store: Any) -> list[ParallelRunResult]:
             checkpoint_every=spec.checkpoint_every,
             checkpoint_store=store,
             faults=spec.faults,
-            halo_overlap=getattr(spec, "halo_overlap", True),
+            halo_overlap=spec.halo_overlap,
         )
         if resume_manifest is not None:
             driver.restore_checkpoint(manifest=resume_manifest)
@@ -1154,67 +1033,22 @@ def _run_parallel(spec: Any, store: Any) -> list[ParallelRunResult]:
 
 def assemble_global_f(results: list[ParallelRunResult]) -> np.ndarray:
     """Reassemble per-rank interiors into the global population array
-    ``(C, Q, nx, *cross)`` from each rank's final ownership rectangle:
-    a 1-D slab run concatenates x bands (verified to tile the x axis
-    exactly), a 2-D run places rectangles (verified to tile the
-    ``nx × ny`` domain exactly)."""
-    if all(r.col_count is None for r in results):
-        ordered = sorted(results, key=lambda r: r.plane_start)
-        expect = 0
-        for r in ordered:
-            if r.plane_start != expect:
-                raise ValueError(
-                    f"rank {r.rank} starts at plane {r.plane_start}, "
-                    f"expected {expect}: the ownership map does not tile "
-                    f"the x axis"
-                )
-            if r.plane_count != r.f_interior.shape[2]:
-                raise ValueError(
-                    f"rank {r.rank} reports {r.plane_count} planes but "
-                    f"carries {r.f_interior.shape[2]}"
-                )
-            expect += r.plane_count
-        return np.concatenate([r.f_interior for r in ordered], axis=2)
-    if any(r.col_count is None for r in results):
-        raise ValueError(
-            "cannot assemble a mix of 1-D slab and 2-D rectangle results"
-        )
-    ordered = sorted(results, key=lambda r: (r.plane_start, r.col_start))
-    nx = max(r.plane_start + r.plane_count for r in ordered)
-    ny = max(r.col_start + r.col_count for r in ordered)
-    first = ordered[0].f_interior
-    out = np.zeros(
-        first.shape[:2] + (nx, ny) + first.shape[4:], dtype=first.dtype
+    ``(C, Q, nx, *cross)`` from each rank's final ownership rectangle,
+    verified to tile the domain exactly (:func:`repro.ckpt.manifest.tile`;
+    ``ValueError`` otherwise).  Results carry no domain shape: it is as
+    far as their rectangles and blocks reach."""
+    spatial = (
+        max(r.plane_start + r.plane_count for r in results),
+        max(r.col_start + r.f_interior.shape[3] for r in results),
+        *results[0].f_interior.shape[4:],
     )
-    seen = np.zeros((nx, ny), dtype=bool)
-    for r in ordered:
-        if r.f_interior.shape[2:4] != (r.plane_count, r.col_count):
-            raise ValueError(
-                f"rank {r.rank} reports a {r.plane_count}x{r.col_count} "
-                f"rectangle but carries {r.f_interior.shape[2:4]}"
-            )
-        block = seen[
-            r.plane_start : r.plane_start + r.plane_count,
-            r.col_start : r.col_start + r.col_count,
-        ]
-        if block.any():
-            raise ValueError(
-                f"rank {r.rank}'s rectangle overlaps another rank's: the "
-                f"ownership map does not tile the domain"
-            )
-        block[:] = True
-        out[
-            :,
-            :,
-            r.plane_start : r.plane_start + r.plane_count,
-            r.col_start : r.col_start + r.col_count,
-        ] = r.f_interior
-    if not seen.all():
-        raise ValueError(
-            "ownership rectangles leave gaps: the map does not tile the "
-            "domain"
-        )
-    return out
+    f = tile(
+        spatial,
+        [(r.plane_start, r.plane_count, r.col_start, r.col_count) for r in results],
+        (r.f_interior for r in results),
+    )
+    assert f is not None  # blocks were given
+    return f
 
 
 def solver_from_results(

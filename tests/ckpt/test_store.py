@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 from repro.ckpt import (
+    CKPT_FORMAT,
     CheckpointRejected,
     CheckpointStore,
+    CorruptCheckpointError,
     FaultPlan,
     FaultSpec,
     IncompatibleCheckpointError,
     InjectedFault,
+    Manifest,
+    atomic_write_json,
     config_fingerprint,
     corrupt_file,
     truncate_file,
@@ -22,6 +26,19 @@ from repro.lbm.lattice import D2Q9
 from repro.lbm.solver import LBMConfig, MulticomponentLBM
 from repro.obs.observer import MemorySink, MetricsRegistry, Observer
 from repro.util.rng import make_rng, restore_generator
+
+
+#: Ownership maps of the 12 × 18 test channel that do not tile it, as
+#: ``(plane_start, plane_count, col_start, col_count)`` rectangles
+#: (``col_count=None``: the full cross extent, a 1-D slab).
+BROKEN_OWNERSHIP_MAPS = {
+    "gap": [(0, 5, 0, None), (7, 5, 0, None)],
+    "overlap": [(0, 7, 0, None), (5, 7, 0, None)],
+    "band-short-of-cross-extent": [
+        (0, 6, 0, 9), (0, 6, 9, 8), (6, 6, 0, 9), (6, 6, 9, 9),
+    ],
+    "slab-and-rectangle": [(0, 6, 0, 9), (6, 6, 0, None)],
+}
 
 
 @pytest.fixture
@@ -280,3 +297,45 @@ class TestGlobalAssembly:
             3, config_fingerprint(small_solver.config), [s0, s1]
         )
         assert np.array_equal(store.load_global_f(manifest), f)
+
+
+class TestBrokenOwnershipMap:
+    @pytest.fixture(params=sorted(BROKEN_OWNERSHIP_MAPS))
+    def shards(self, request, small_solver, store):
+        """Real, checksummed shards laid out by one broken map."""
+        f = small_solver.f
+        return [
+            store.write_shard(
+                3,
+                rank,
+                {"f": np.ascontiguousarray(
+                    f[:, :, ps:ps + pc, cs:None if cc is None else cs + cc]
+                )},
+                plane_start=ps,
+                plane_count=pc,
+                col_start=cs,
+                col_count=cc,
+            )
+            for rank, (ps, pc, cs, cc) in enumerate(
+                BROKEN_OWNERSHIP_MAPS[request.param]
+            )
+        ]
+
+    def test_commit_refuses_it_and_writes_no_manifest(
+        self, shards, small_solver, store
+    ):
+        with pytest.raises(CorruptCheckpointError):
+            store.commit(3, config_fingerprint(small_solver.config), shards)
+        assert not store.manifest_path(3).exists()
+
+    def test_verify_generation_reports_it(self, shards, small_solver, store):
+        manifest = Manifest(
+            CKPT_FORMAT, 3, config_fingerprint(small_solver.config),
+            tuple(shards),
+        )
+        with pytest.raises(CorruptCheckpointError) as refused:
+            manifest.validate_coverage()
+        # Committed behind the store's back: every shard verifies, so the
+        # map is the one problem.
+        atomic_write_json(store.manifest_path(3), manifest.to_json())
+        assert store.verify_generation(3) == [str(refused.value)]

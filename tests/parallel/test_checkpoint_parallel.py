@@ -19,8 +19,14 @@ from repro.lbm.components import ComponentSpec
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import D2Q9
 from repro.lbm.solver import LBMConfig, MulticomponentLBM
-from repro.parallel.driver import ParallelLBM, assemble_global_f
+from repro.parallel.decomposition import CartTopology
+from repro.parallel.driver import (
+    ParallelLBM,
+    ParallelRunResult,
+    assemble_global_f,
+)
 from repro.parallel.threads import run_spmd
+from tests.ckpt.test_store import BROKEN_OWNERSHIP_MAPS
 
 
 def config(nx=16, ny=10):
@@ -88,38 +94,60 @@ class TestPeriodicParallelCheckpoints:
         assert manifest.step == 12
 
 
+def ownership(result):
+    """Per rank: the final rectangle and the remap bookkeeping a resume
+    must carry over from its checkpoint."""
+    return [
+        (r.plane_start, r.plane_count, r.col_start, r.col_count,
+         r.plane_history, r.planes_sent)
+        for r in sorted(result.rank_results, key=lambda r: r.rank)
+    ]
+
+
 class TestKillAndResume:
-    def test_job_killed_mid_run_resumes_bit_exact(self, tmp_path):
+    def _kill_and_resume(self, tmp_path, cfg, ranks, **knobs):
         """The acceptance scenario: crash at phase 13 with checkpoints
-        every 4 phases, resume from step 12, finish bit-exact."""
-        cfg = config()
+        every 4 phases, resume from step 12, finish bit-exact with the
+        sequential solver and with the ownership an uninterrupted run
+        ends on (a restore that fell back to reassembly would restart
+        ``plane_history`` and ``planes_sent``)."""
         seq = MulticomponentLBM(cfg)
         seq.run(20)
+        knobs.update(REMAP, checkpoint_every=4)
 
         store = CheckpointStore(tmp_path / "ckpt")
         with pytest.raises(RuntimeError, match="injected fault"):
             parallel_run(
-                3,
+                ranks,
                 cfg,
                 20,
-                checkpoint_every=4,
                 checkpoint_store=store,
                 faults=FaultPlan.kill_job(13),
                 timeout=60.0,
-                **REMAP,
+                **knobs,
             )
         assert store.latest_good().step == 12
 
         result = parallel_run(
-            3,
+            ranks, cfg, 20, checkpoint_store=store, resume=True, **knobs
+        )
+        whole = parallel_run(
+            ranks,
             cfg,
             20,
-            checkpoint_every=4,
-            checkpoint_store=store,
-            resume=True,
-            **REMAP,
+            checkpoint_store=CheckpointStore(tmp_path / "whole"),
+            **knobs,
         )
         assert np.array_equal(result.f, seq.f)
+        assert ownership(result) == ownership(whole)
+
+    def test_job_killed_mid_run_resumes_bit_exact(self, tmp_path):
+        self._kill_and_resume(tmp_path, config(), 3)
+
+    def test_2x2_grid_killed_mid_run_resumes_bit_exact(self, tmp_path):
+        self._kill_and_resume(
+            tmp_path, config(nx=20, ny=14), 4, decomp=(2, 2)
+        )
 
     def test_mid_phase_kill_never_corrupts_the_store(self, tmp_path):
         """Dying after collision but before the halo exchange — the state
@@ -248,7 +276,7 @@ class TestCollectiveRejection:
             driver = ParallelLBM(
                 comm,
                 cfg,
-                [6, 5, 5],
+                topo=CartTopology([6, 5, 5], [10]),
                 checkpoint_every=0,
                 checkpoint_store=store,
             )
@@ -281,14 +309,25 @@ class TestOwnershipMap:
             expect += r.plane_count
         assert expect == 16
 
-    def test_assemble_rejects_a_broken_ownership_map(self):
-        import dataclasses
-
-        # The mutation below breaks the 1-D plane tiling specifically.
-        results = parallel_run(2, config(), 4, decomp="slab").rank_results
-        broken = [
-            dataclasses.replace(results[0], plane_start=3),
-            results[1],
+    @pytest.mark.parametrize("name", sorted(BROKEN_OWNERSHIP_MAPS))
+    def test_assemble_rejects_a_broken_ownership_map(self, name):
+        # The maps are drawn on a 12 x 18 channel; D2Q9, two components.
+        results = [
+            ParallelRunResult(
+                rank=rank,
+                plane_start=ps,
+                f_interior=np.zeros((2, 9, pc, 18 if cc is None else cc)),
+                plane_count=pc,
+                plane_history=[pc],
+                comp_times=[],
+                planes_sent=0,
+                planes_received=0,
+                mass=0.0,
+                phases=0,
+                col_start=cs,
+                col_count=cc,
+            )
+            for rank, (ps, pc, cs, cc) in enumerate(BROKEN_OWNERSHIP_MAPS[name])
         ]
-        with pytest.raises(ValueError, match="ownership map"):
-            assemble_global_f(broken)
+        with pytest.raises(ValueError):
+            assemble_global_f(results)

@@ -104,7 +104,7 @@ class TestRemapping2D:
 
         def rank_main(comm):
             return ParallelLBM(
-                comm, cfg, None, topo=topo, policy="filtered",
+                comm, cfg, topo=topo, policy="filtered",
                 remap_config=RemappingConfig(interval=5, history=5),
                 load_time_fn=slow_first_rank,
             ).run(40)
@@ -129,7 +129,7 @@ class TestRemapping2D:
 
         def rank_main(comm):
             driver = ParallelLBM(
-                comm, cfg, None, topo=topo, policy="filtered",
+                comm, cfg, topo=topo, policy="filtered",
                 remap_config=RemappingConfig(interval=5, history=5),
                 load_time_fn=slow_first_rank, observer=observer,
             )
@@ -174,30 +174,31 @@ class TestRemapping2D:
 
 
 class TestCrossDecompositionRestore:
-    def _write_checkpoint(self, cfg, tmp_path, *, topo=None, counts=None):
+    def _write_checkpoint(self, cfg, tmp_path, topo):
         store_root = tmp_path / "ckpt"
 
         def writer(comm):
             return ParallelLBM(
-                comm, cfg, counts, topo=topo, policy="no-remap",
+                comm, cfg, topo=topo, policy="no-remap",
                 checkpoint_every=10,
                 checkpoint_store=CheckpointStore(store_root),
             ).run(15)
 
-        run_spmd(4 if topo is not None else len(counts), writer)
+        run_spmd(topo.size, writer)
         return store_root
 
     def test_2d_checkpoint_restores_into_1d(self, tmp_path):
         cfg = config()
         expected = sequential_f(cfg, 30)
         topo = CartTopology.from_shape((20, 14), rows=2, cols=2)
-        root = self._write_checkpoint(cfg, tmp_path, topo=topo)
+        root = self._write_checkpoint(cfg, tmp_path, topo)
         manifest = CheckpointStore(root).latest_good()
-        assert manifest.is_two_dimensional()
+        assert all(s.col_count is not None for s in manifest.shards)
 
         def restorer(comm):
             driver = ParallelLBM(
-                comm, cfg, [7, 7, 6], policy="no-remap",
+                comm, cfg, topo=CartTopology([7, 7, 6], [14]),
+                policy="no-remap",
                 checkpoint_store=CheckpointStore(root),
             )
             m = driver.restore_checkpoint()
@@ -209,12 +210,14 @@ class TestCrossDecompositionRestore:
     def test_1d_checkpoint_restores_into_2d(self, tmp_path):
         cfg = config()
         expected = sequential_f(cfg, 30)
-        root = self._write_checkpoint(cfg, tmp_path, counts=[10, 10])
+        root = self._write_checkpoint(
+            cfg, tmp_path, CartTopology([10, 10], [14])
+        )
         topo = CartTopology.from_shape((20, 14), rows=2, cols=2)
 
         def restorer(comm):
             driver = ParallelLBM(
-                comm, cfg, None, topo=topo, policy="no-remap",
+                comm, cfg, topo=topo, policy="no-remap",
                 checkpoint_store=CheckpointStore(root),
             )
             m = driver.restore_checkpoint()
@@ -227,11 +230,11 @@ class TestCrossDecompositionRestore:
         cfg = config()
         expected = sequential_f(cfg, 30)
         topo = CartTopology.from_shape((20, 14), rows=2, cols=2)
-        root = self._write_checkpoint(cfg, tmp_path, topo=topo)
+        root = self._write_checkpoint(cfg, tmp_path, topo)
 
         def restorer(comm):
             driver = ParallelLBM(
-                comm, cfg, None, topo=topo, policy="no-remap",
+                comm, cfg, topo=topo, policy="no-remap",
                 checkpoint_store=CheckpointStore(root),
             )
             m = driver.restore_checkpoint()
@@ -269,7 +272,7 @@ class TestResultRectangles:
                 policy="no-remap",
             )
         ).rank_results
-        with pytest.raises(ValueError, match="mix"):
+        with pytest.raises(ValueError, match="ownership map"):
             assemble_global_f([grid[0], slab[1]])
 
     def test_exposed_wait_is_reported(self):
@@ -282,19 +285,6 @@ class TestResultRectangles:
 
 
 class TestSpecValidation:
-    def test_initial_counts_rejected_under_2d(self):
-        """A 2-D grid is laid out by its topology alone: the per-rank
-        slab sizes that resume seeds a 1-D world with cannot ride
-        along."""
-        cfg = config()
-        topo = CartTopology.from_shape((20, 14), rows=2, cols=2)
-
-        def rank_main(comm):
-            return ParallelLBM(comm, cfg, [5, 5, 5, 5], topo=topo)
-
-        with pytest.raises(RuntimeError, match="initial_counts"):
-            run_spmd(4, rank_main)
-
     def test_grid_must_fit_the_domain(self):
         cfg = config()
         with pytest.raises(ValueError):

@@ -69,18 +69,6 @@ class TestCartTopology:
             assert topo.neighbour(rank, 0, +1) == (rank + 1) % 3
             assert topo.neighbour(rank, 0, -1) == (rank - 1) % 3
 
-    def test_adjusting_bands_keeps_the_grid_cartesian(self):
-        topo = CartTopology.from_shape((20, 14), rows=2, cols=2)
-        topo.adjust_row(0, +3)
-        topo.adjust_row(1, -3)
-        topo.adjust_col(0, -2)
-        topo.adjust_col(1, +2)
-        assert topo.row_counts() == [13, 7]
-        assert topo.col_counts() == [5, 9]
-        assert topo.total_planes == 20 and topo.total_cols == 14
-        with pytest.raises(ValueError):
-            topo.adjust_row(1, -7)
-
     def test_rank_and_band_bounds_checked(self):
         topo = CartTopology.from_shape((20, 14), rows=2, cols=2)
         with pytest.raises(IndexError):

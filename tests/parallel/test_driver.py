@@ -8,6 +8,7 @@ from repro.lbm.forces import WallForceSpec
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import D2Q9, D3Q19
 from repro.lbm.solver import LBMConfig, MulticomponentLBM
+from repro.parallel.decomposition import CartTopology
 from repro.parallel.driver import ParallelLBM, assemble_global_f
 from repro.parallel.threads import run_spmd
 
@@ -194,7 +195,8 @@ class TestMigrationBehaviour:
 
         def rank_main(comm):
             return ParallelLBM(
-                comm, cfg, [10, 1, 10], policy="global",
+                comm, cfg, topo=CartTopology([10, 1, 10], [14]),
+                policy="global",
                 remap_config=RemappingConfig(interval=5, history=5),
                 load_time_fn=load_fn,
             ).run(10)
@@ -211,7 +213,9 @@ class TestDriverValidation:
 
         def fn(comm):
             with pytest.raises(ValueError, match="sum"):
-                ParallelLBM(comm, cfg, [5] * comm.size)
+                ParallelLBM(
+                    comm, cfg, topo=CartTopology([5] * comm.size, [14])
+                )
             return True
 
         assert all(run_spmd(2, fn))
@@ -220,8 +224,8 @@ class TestDriverValidation:
         cfg = small_config()
 
         def fn(comm):
-            with pytest.raises(ValueError, match="entries"):
-                ParallelLBM(comm, cfg, [20])
+            with pytest.raises(ValueError, match="subdomains"):
+                ParallelLBM(comm, cfg, topo=CartTopology([20], [14]))
             return True
 
         assert all(run_spmd(2, fn))
@@ -240,7 +244,7 @@ class TestDriverValidation:
         cfg = small_config(nx=3)
         # A 2-D grid could legally place 5 ranks on 3 planes (1x5), so
         # pin the slab: this test is about the 1-D plane-count limit.
-        with pytest.raises(ValueError, match="more ranks"):
+        with pytest.raises(ValueError, match="cannot split"):
             parallel_results(5, cfg, 2, decomp="slab")
 
     def test_history_reported(self):

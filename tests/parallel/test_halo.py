@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 
 from repro.lbm.lattice import D2Q9
+from repro.parallel.decomposition import CartTopology
 from repro.parallel.halo import HaloExchanger
 from repro.parallel.threads import run_spmd
+
+
+def slab(comm):
+    """A 1-D slab ring over the world (band extents do not matter to the
+    exchanger, only the neighbours)."""
+    return CartTopology([1] * comm.size, [1])
 
 
 def make_slab(rank, planes, cross=4, ncomp=1):
@@ -17,7 +24,7 @@ def make_slab(rank, planes, cross=4, ncomp=1):
 class TestExchangeF:
     def test_ring_exchange(self):
         def fn(comm):
-            halo = HaloExchanger(D2Q9, comm)
+            halo = HaloExchanger(D2Q9, comm, slab(comm))
             f = make_slab(comm.rank, planes=3)
             halo.exchange_f(f, phase=0)
             right_dirs = halo.right_dirs
@@ -33,7 +40,7 @@ class TestExchangeF:
 
     def test_only_split_directions_filled(self):
         def fn(comm):
-            halo = HaloExchanger(D2Q9, comm)
+            halo = HaloExchanger(D2Q9, comm, slab(comm))
             f = make_slab(comm.rank, planes=2)
             f[:, :, 0] = -7.0  # sentinel in the ghost
             halo.exchange_f(f, phase=1)
@@ -48,7 +55,7 @@ class TestExchangeF:
 
     def test_size_one_wraps_locally(self):
         def fn(comm):
-            halo = HaloExchanger(D2Q9, comm)
+            halo = HaloExchanger(D2Q9, comm, slab(comm))
             f = make_slab(comm.rank, planes=3)
             halo.exchange_f(f, phase=0)
             return np.allclose(f[:, halo.right_dirs, 0], 2) and np.allclose(
@@ -62,7 +69,7 @@ class TestExchangeF:
         direction-tagged messages must not get swapped."""
 
         def fn(comm):
-            halo = HaloExchanger(D2Q9, comm)
+            halo = HaloExchanger(D2Q9, comm, slab(comm))
             f = make_slab(comm.rank, planes=4)
             halo.exchange_f(f, phase=0)
             other = 1 - comm.rank
@@ -76,7 +83,7 @@ class TestExchangeF:
 class TestExchangeScalar:
     def test_scalar_ring(self):
         def fn(comm):
-            halo = HaloExchanger(D2Q9, comm)
+            halo = HaloExchanger(D2Q9, comm, slab(comm))
             rho = np.zeros((2, 5, 4))  # 3 interior planes + ghosts
             for i in range(3):
                 rho[:, i + 1] = 10 * comm.rank + i
@@ -91,7 +98,7 @@ class TestExchangeScalar:
 
     def test_multiple_phases_tagged_separately(self):
         def fn(comm):
-            halo = HaloExchanger(D2Q9, comm)
+            halo = HaloExchanger(D2Q9, comm, slab(comm))
             rho = np.zeros((1, 4, 3))
             rho[:, 1] = comm.rank
             rho[:, 2] = comm.rank

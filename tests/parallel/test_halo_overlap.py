@@ -20,6 +20,7 @@ from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import D2Q9
 from repro.lbm.solver import LBMConfig
 from repro.parallel.api import Communicator, Request
+from repro.parallel.decomposition import CartTopology
 from repro.parallel.driver import ParallelLBM, assemble_global_f
 from repro.parallel.threads import run_spmd
 
@@ -101,7 +102,7 @@ def halo_run(halo_overlap: bool, latency: float):
         driver = ParallelLBM(
             LatentLink(comm, latency),
             cfg,
-            [SHAPE[0] // RANKS] * RANKS,
+            topo=CartTopology([SHAPE[0] // RANKS] * RANKS, [SHAPE[1]]),
             policy="no-remap",
             halo_overlap=halo_overlap,
         )

@@ -88,7 +88,7 @@ def remap_round_logs(policy, topo=None, rounds=2):
     def rank_main(comm):
         counting = CountingComm(comm)
         driver = ParallelLBM(
-            counting, cfg, None, topo=topo, policy=policy,
+            counting, cfg, topo=topo, policy=policy,
             remap_config=RemappingConfig(interval=interval, history=interval),
             load_time_fn=slow_second_rank,
         )

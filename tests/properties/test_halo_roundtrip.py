@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.lbm.lattice import D2Q9
 from repro.lbm.streaming import stream
+from repro.parallel.decomposition import CartTopology
 from repro.parallel.halo import HaloExchanger
 from repro.parallel.threads import run_spmd
 
@@ -42,7 +43,7 @@ def test_slab_streaming_equals_global(params):
         lo, hi = starts[comm.rank], starts[comm.rank + 1]
         local = np.zeros((1, D2Q9.Q, counts[comm.rank] + 2, ny))
         local[:, :, 1:-1] = f_global[:, :, lo:hi]
-        halo = HaloExchanger(D2Q9, comm)
+        halo = HaloExchanger(D2Q9, comm, CartTopology(counts, [ny]))
         halo.exchange_f(local, phase=0)
         stream(local[0], D2Q9)
         return local[0][:, 1:-1]
