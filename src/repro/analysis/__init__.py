@@ -3,9 +3,8 @@
 Static shadows of the suite's hardest runtime guarantees: the fused
 backend's zero-allocation step (REP001), halo/migration-only cross-rank
 state exchange (REP002), seed-determinism (REP003), dtype/observer
-default discipline (REP004), and — over the whole-program call graph
-(:mod:`repro.analysis.flow`) — SPMD protocol safety (REP008), asyncio
-discipline (REP009) and transitive hot-path allocation (REP010).  Run
+default discipline (REP004), atomic file writes (REP005) and
+environment access through ``repro.config`` (REP006).  Run
 ``python -m repro.analysis src`` or ``make lint``; see
 ``docs/STATIC_ANALYSIS.md`` for the rule catalogue and the
 ``# repro: allow[...] -- reason`` suppression syntax.
@@ -15,36 +14,24 @@ from repro.analysis.core import (
     Checker,
     FileContext,
     Finding,
-    ProjectChecker,
-    ProjectContext,
     Report,
     Suppression,
     register_checker,
     registered_rules,
     run_analysis,
 )
-from repro.analysis.reporters import (
-    SARIF_VERSION,
-    SCHEMA_VERSION,
-    render_json,
-    render_sarif,
-    render_text,
-)
+from repro.analysis.reporters import SCHEMA_VERSION, render_json, render_text
 
 __all__ = [
     "Checker",
     "FileContext",
     "Finding",
-    "ProjectChecker",
-    "ProjectContext",
     "Report",
-    "SARIF_VERSION",
     "SCHEMA_VERSION",
     "Suppression",
     "register_checker",
     "registered_rules",
     "render_json",
-    "render_sarif",
     "render_text",
     "run_analysis",
 ]

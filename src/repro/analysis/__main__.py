@@ -1,4 +1,4 @@
-"""CLI driver: ``python -m repro.analysis <paths> [--format ...] [--rules ...]``.
+"""CLI driver: ``python -m repro.analysis <paths> [--json] [--rules ...]``.
 
 Exit status 1 when any unsuppressed finding remains — this is what
 ``make lint`` and the CI ``static-analysis`` job gate on.
@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from repro.analysis.core import registered_rules, run_analysis
-from repro.analysis.reporters import render_json, render_sarif, render_text
+from repro.analysis.reporters import render_json, render_text
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -21,25 +21,17 @@ def main(argv: list[str] | None = None) -> int:
             "Invariant checkers for this repo: per-file AST rules "
             "(REP001 hot-path allocation, REP002 cross-rank shared "
             "writes, REP003 determinism, REP004 dtype/observer "
-            "discipline, REP005-REP006) and whole-program call-graph "
-            "rules (REP008 SPMD protocol, REP009 asyncio discipline, "
-            "REP010 transitive hot-path allocation).  See "
-            "docs/STATIC_ANALYSIS.md."
+            "discipline, REP005 atomic writes, REP006 environment "
+            "access).  See docs/STATIC_ANALYSIS.md."
         ),
     )
     parser.add_argument(
         "paths", nargs="*", type=Path, help="files or directories to scan"
     )
     parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
         "--json",
         action="store_true",
-        help="shorthand for --format json (kept for older callers)",
+        help="print the machine-readable JSON report instead of text",
     )
     parser.add_argument(
         "--rules",
@@ -73,14 +65,11 @@ def main(argv: list[str] | None = None) -> int:
         if unknown:
             parser.error(f"unknown rule(s): {unknown}")
 
-    fmt = "json" if args.json else args.format
     worst = 0
     for path in args.paths:
         report = run_analysis(path, rules)
-        if fmt == "json":
+        if args.json:
             print(render_json(report))
-        elif fmt == "sarif":
-            print(render_sarif(report))
         else:
             print(render_text(report, verbose=args.verbose))
         if report.unsuppressed:

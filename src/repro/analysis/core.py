@@ -18,11 +18,8 @@ Architecture
 ------------
 A :class:`Checker` declares a rule id (``REP001`` …), decides which files
 it :meth:`~Checker.applies_to`, and yields :class:`Finding` objects from
-one parsed file (:class:`FileContext`).  A :class:`ProjectChecker`
-instead receives the whole parsed tree at once (:class:`ProjectContext`,
-with a lazily built :mod:`repro.analysis.flow` call graph) — that is how
-the whole-program rules (REP008–REP010) see across file boundaries.
-Checkers self-register via :func:`register_checker`;
+one parsed file (:class:`FileContext`).  Checkers self-register via
+:func:`register_checker`;
 :func:`run_analysis` drives every registered checker over a file tree,
 applies suppressions centrally, reports *unused* suppressions as
 ``REP000``, and returns a :class:`Report`.
@@ -98,12 +95,6 @@ class FileContext:
     source: str
     tree: ast.Module
 
-    @property
-    def module_parts(self) -> tuple[str, ...]:
-        """Path components with the ``.py`` suffix stripped from the last."""
-        parts = Path(self.rel_path).parts
-        return parts[:-1] + (Path(self.rel_path).stem,)
-
 
 class Checker(abc.ABC):
     """One static rule.  Subclasses set ``rule`` / ``title`` and register
@@ -132,48 +123,6 @@ class Checker(abc.ABC):
             col=getattr(node, "col_offset", 0),
             message=message,
         )
-
-
-@dataclass
-class ProjectContext:
-    """Every parsed file of one analysis run, for project-level rules."""
-
-    root: Path
-    files: list[FileContext]
-    _callgraph: object = field(default=None, repr=False, compare=False)
-
-    @property
-    def callgraph(self):
-        """The whole-program :class:`repro.analysis.flow.CallGraph`,
-        built on first access and shared by every project checker."""
-        if self._callgraph is None:
-            from repro.analysis.flow import CallGraph  # lazy: heavy pass
-
-            self._callgraph = CallGraph.build(self.files)
-        return self._callgraph
-
-
-class ProjectChecker(Checker):
-    """A rule that needs to see all files at once (call-graph rules).
-
-    ``applies_to`` keeps its per-file meaning — it scopes which files
-    the rule may *report into* (and whether it runs at all); the checker
-    still sees the full :class:`ProjectContext` so chains may pass
-    through out-of-scope modules.
-    """
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        """Project rules produce nothing per-file; the driver calls
-        :meth:`check_project` instead."""
-        return iter(())
-
-    @abc.abstractmethod
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        """Yield findings over the whole parsed tree."""
-
-    def scoped_paths(self, project: ProjectContext) -> set[str]:
-        """rel_paths of the files this rule reports into."""
-        return {c.rel_path for c in project.files if self.applies_to(c)}
 
 
 _CHECKERS: dict[str, type[Checker]] = {}
@@ -298,7 +247,7 @@ def _iter_comments(source: str) -> Iterator[tuple[int, int, str]]:
             if tok.type == tokenize.COMMENT:
                 yield tok.start[0], tok.start[1], tok.string
     except (tokenize.TokenError, IndentationError, SyntaxError):
-        return  # unparsable files are reported by analyze_file already
+        return  # unparsable files are reported by _parse_one already
 
 
 # ----------------------------------------------------------------- driver
@@ -357,34 +306,6 @@ def _parse_one(
     return ctx, suppressions, errors
 
 
-def analyze_file(
-    path: Path, root: Path, rules: Iterable[str] | None = None
-) -> list[Finding]:
-    """All findings (suppression-resolved) for one file.
-
-    Back-compat single-file entry point: per-file checkers only —
-    project rules and unused-suppression detection need the whole tree
-    and run in :func:`run_analysis`.
-    """
-    _ensure_checkers_loaded()
-    ctx, suppressions, findings = _parse_one(path, root)
-    if ctx is None:
-        return findings
-    wanted = set(rules) if rules is not None else None
-    raw: list[Finding] = []
-    for rule_id, cls in sorted(_CHECKERS.items()):
-        if wanted is not None and rule_id not in wanted:
-            continue
-        checker = cls()
-        if isinstance(checker, ProjectChecker) or not checker.applies_to(ctx):
-            continue
-        raw.extend(checker.check(ctx))
-    findings.extend(
-        _apply_suppression(f, suppressions.get(f.line)) for f in raw
-    )
-    return findings
-
-
 def _apply_suppression(
     finding: Finding, supp: Suppression | None
 ) -> Finding:
@@ -406,10 +327,10 @@ def run_analysis(
 ) -> Report:
     """Run every (selected) checker over *root* (a file or directory).
 
-    Phases: parse everything, run per-file checkers, run project
-    checkers over the whole tree, apply suppressions centrally, then
-    report every *unused* suppression (a covered line where the named
-    rule ran but found nothing) as ``REP000``.
+    Phases: parse everything, run the checkers file by file, apply
+    suppressions centrally, then report every *unused* suppression (a
+    covered line where the named rule ran but found nothing) as
+    ``REP000``.
     """
     _ensure_checkers_loaded()
     root = Path(root)
@@ -432,21 +353,14 @@ def run_analysis(
 
     executed: set[str] = set()
     raw: list[Finding] = []
-    project: ProjectContext | None = None
     for rule_id, cls in sorted(_CHECKERS.items()):
         if wanted is not None and rule_id not in wanted:
             continue
         checker = cls()
         executed.add(rule_id)
-        if isinstance(checker, ProjectChecker):
-            if any(checker.applies_to(ctx) for ctx in contexts):
-                if project is None:
-                    project = ProjectContext(root=root, files=contexts)
-                raw.extend(checker.check_project(project))
-        else:
-            for ctx in contexts:
-                if checker.applies_to(ctx):
-                    raw.extend(checker.check(ctx))
+        for ctx in contexts:
+            if checker.applies_to(ctx):
+                raw.extend(checker.check(ctx))
 
     # Central suppression application, tracking which allows fired.
     used: set[tuple[str, int, str]] = set()

@@ -3,23 +3,17 @@
 The JSON shape is a stable contract (``SCHEMA_VERSION``) pinned by the
 golden test in ``tests/analysis/test_json_schema.py`` so future tooling
 (CI annotators, trend dashboards) can parse reports without chasing the
-checker implementations.  The SARIF 2.1.0 rendering is pinned the same
-way (``SARIF_VERSION``, ``golden_report.sarif``) — CI uploads it as an
-artifact so findings can annotate PRs.
+checker implementations.
 """
 
 from __future__ import annotations
 
 import json
 
-from repro.analysis.core import Finding, Report, registered_rules
+from repro.analysis.core import Report, registered_rules
 
 #: Bump only with a corresponding golden-test update.
 SCHEMA_VERSION = 1
-
-#: The SARIF spec revision the ``--format sarif`` output conforms to.
-SARIF_VERSION = "2.1.0"
-_SARIF_SCHEMA_URI = "https://json.schemastore.org/sarif-2.1.0.json"
 
 
 def render_text(report: Report, *, verbose: bool = False) -> str:
@@ -72,64 +66,3 @@ def render_json(report: Report) -> str:
     }
     return json.dumps(doc, indent=2, sort_keys=False)
 
-
-def _sarif_result(finding: Finding) -> dict:
-    result = {
-        "ruleId": finding.rule,
-        "level": "error",
-        "message": {"text": finding.message},
-        "locations": [
-            {
-                "physicalLocation": {
-                    "artifactLocation": {"uri": finding.path},
-                    "region": {
-                        "startLine": finding.line,
-                        # SARIF columns are 1-based; ast's are 0-based.
-                        "startColumn": finding.col + 1,
-                    },
-                }
-            }
-        ],
-    }
-    if finding.suppressed:
-        # Presence of a non-empty suppressions array marks the result
-        # suppressed in SARIF; viewers hide it but keep the record.
-        result["suppressions"] = [
-            {
-                "kind": "inSource",
-                "justification": finding.suppress_reason or "",
-            }
-        ]
-    return result
-
-
-def render_sarif(report: Report) -> str:
-    """SARIF 2.1.0 report (schema pinned by the golden test).
-
-    Every finding becomes a ``result``; in-source suppressions are
-    carried as SARIF suppressions so annotators show only live findings
-    while the suppressed ones stay auditable.
-    """
-    doc = {
-        "$schema": _SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro.analysis",
-                        "informationUri": "docs/STATIC_ANALYSIS.md",
-                        "rules": [
-                            {
-                                "id": rule_id,
-                                "shortDescription": {"text": title},
-                            }
-                            for rule_id, title in registered_rules().items()
-                        ],
-                    }
-                },
-                "results": [_sarif_result(f) for f in report.findings],
-            }
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=False)

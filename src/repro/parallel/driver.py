@@ -24,10 +24,9 @@ every backend is piece-independent, so the two are bit-identical and
 the choice changes timing only; fault-injection runs force the blocking
 list so the ``mid_phase`` fault point fires with no messages in flight.
 
-The transport is the in-process :class:`~repro.parallel.threads.LocalCluster`;
-to make remapping *behaviour* testable without real background jobs, a
-``load_time_fn`` can replace wall-clock measurement as the per-phase load
-index (the physics is unaffected — only the remapping decisions see it).
+A ``load_time_fn`` can replace wall-clock measurement as the per-phase
+load index, so remapping *behaviour* is testable without real background
+jobs (the physics is unaffected — only the remapping decisions see it).
 """
 
 from __future__ import annotations
@@ -936,22 +935,23 @@ def _run_parallel(spec: Any, store: Any) -> list[ParallelRunResult]:
     """Execute a parallel RunSpec (the engine behind
     :func:`repro.api.run`; *store* is its resolved checkpoint store)."""
     config: LBMConfig = spec.config
+    if config.adhesion is not None:
+        raise ValueError("the parallel driver does not apply wall adhesion")
     n_ranks = spec.ranks
-    phases = spec.phases
     shape = config.geometry.shape
     transport = resolve_transport(spec.transport)
     rows, cols = resolve_decomp(spec.decomp, shape, n_ranks)
     topo = CartTopology.from_shape(shape, rows, cols)
 
     resume_manifest = None
-    phases_to_run = phases
+    phases_to_run = spec.phases
     if spec.resume:
         if store is None:
             raise ValueError("resume=True needs a checkpoint_store")
         resume_manifest = store.latest_good()
         if resume_manifest is not None:
             check_fingerprint(resume_manifest, config)
-            phases_to_run = max(0, phases - resume_manifest.step)
+            phases_to_run = max(0, spec.phases - resume_manifest.step)
 
     obs, owns_observer = _spec_observer(spec)
     if obs.enabled:
@@ -963,7 +963,7 @@ def _run_parallel(spec: Any, store: Any) -> list[ParallelRunResult]:
             policy=spec.policy,
             shape=list(config.geometry.shape),
             n_components=config.n_components,
-            phases=phases,
+            phases=spec.phases,
             initial_counts=topo.row_counts(),
             decomp=[rows, cols],
         )

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+from repro.analysis import run_analysis
+from repro.analysis.checkers import sharedwrite
+
+from .conftest import SRC_ROOT
+
 PARALLEL = "repro/parallel/fixture.py"
 
 
@@ -99,7 +104,7 @@ def test_sanctioned_transport_api_is_exempt(analyze):
     report = analyze(
         """\
         class ThreadCommunicator:
-            def send(self, dest, tag, payload):
+            def isend(self, dest, tag, payload):
                 self._world.channels[(self._rank, dest)].put((tag, payload))
         """,
         rel="repro/parallel/threads.py",
@@ -131,3 +136,23 @@ def test_rule_is_scoped_to_parallel_package(analyze):
         rules=["REP002"],
     )
     assert _rep002(report) == []
+
+
+def test_every_sanctioned_qualname_excuses_a_real_finding(monkeypatch):
+    # The sanction list's twin of REP000's "unused suppression": with the
+    # list emptied, every entry must own at least one finding in src/, so
+    # an entry outlives neither a rename nor the write it excused.
+    sanctioned = dict(sharedwrite.SANCTIONED)
+    monkeypatch.setattr(sharedwrite, "SANCTIONED", {})
+    findings = run_analysis(SRC_ROOT, rules=["REP002"]).findings
+    dead = [
+        f"{path}::{qualname}"
+        for path, qualnames in sanctioned.items()
+        for qualname in sorted(qualnames)
+        if not any(
+            f.path == path
+            and (f"'{qualname}'" in f.message or f"'{qualname}." in f.message)
+            for f in findings
+        )
+    ]
+    assert dead == [], f"sanctioned but never written through: {dead}"

@@ -8,56 +8,30 @@ invariants for every line of ``src/``.
 
 from __future__ import annotations
 
-from repro.analysis import run_analysis
+import pytest
+
+from repro.analysis import Report, run_analysis
 from repro.util.hotpath import HOT_PATH_REGISTRY
 
 from .conftest import SRC_ROOT
 
 
-def test_src_tree_has_no_unsuppressed_findings():
-    report = run_analysis(SRC_ROOT)
+@pytest.fixture(scope="module")
+def report() -> Report:
+    """One analysis of ``src/`` shared by every test below."""
+    return run_analysis(SRC_ROOT)
+
+
+def test_src_tree_has_no_unsuppressed_findings(report):
     assert report.files_scanned > 50
     offenders = "\n".join(f.format() for f in report.unsuppressed)
     assert report.unsuppressed == [], f"fix or suppress-with-reason:\n{offenders}"
 
 
-def test_whole_program_rules_actually_ran_on_src():
-    # The project-level pass must not be vacuous: the call graph has to
-    # see the hot kernels, the communicator calls and the async serve
-    # layer for the REP008-REP010 clean bill to mean anything.
-    from repro.analysis.core import (
-        ProjectContext,
-        _parse_one,
-        iter_python_files,
-    )
-
-    contexts = []
-    for path in iter_python_files(SRC_ROOT):
-        ctx, _, _ = _parse_one(path, SRC_ROOT)
-        if ctx is not None:
-            contexts.append(ctx)
-    graph = ProjectContext(root=SRC_ROOT, files=contexts).callgraph
-    hot = [s for s in graph.functions.values() if s.is_hot]
-    assert len(hot) >= 10, "the fused kernels and helpers must be summarized"
-    comm_calls = sum(len(s.comm_calls) for s in graph.functions.values())
-    assert comm_calls >= 20, "halo/driver/transport protocol must be visible"
-    async_serve = [
-        s
-        for s in graph.functions.values()
-        if s.is_async and "serve" in s.path
-    ]
-    assert len(async_serve) >= 5, "the scheduler's coroutines must be visible"
-    resolved = sum(
-        1 for s in graph.functions.values() for c in s.calls if c.resolved
-    )
-    assert resolved > 500, "resolution must produce a real edge set"
-
-
-def test_no_suppression_in_src_is_stale():
+def test_no_suppression_in_src_is_stale(report):
     # REP000 "unused suppression" findings are unsuppressed findings, so
     # the clean gate above already fails on them; assert explicitly too
     # so a stale allow is named when it rots.
-    report = run_analysis(SRC_ROOT)
     stale = [
         f
         for f in report.findings
@@ -66,9 +40,11 @@ def test_no_suppression_in_src_is_stale():
     assert stale == [], "\n".join(f.format() for f in stale)
 
 
-def test_every_suppression_in_src_carries_a_reason():
-    report = run_analysis(SRC_ROOT)
-    assert report.suppressed, "the fused cold fallbacks should be suppressed"
+def test_every_suppression_in_src_carries_a_reason(report):
+    # Not vacuous: the fused cold fallbacks (REP001), the thread
+    # cluster's result slots (REP002) and the fault injector's in-place
+    # corruption (REP005) are real findings the rules must still see.
+    assert {f.rule for f in report.suppressed} == {"REP001", "REP002", "REP005"}
     for finding in report.suppressed:
         assert finding.suppress_reason, finding.format()
         assert len(finding.suppress_reason) > 10, (

@@ -7,6 +7,7 @@ a direct :func:`repro.api.run` of the same spec.
 
 import asyncio
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from repro.api import (
     run,
 )
 from repro.ckpt import FaultPlan
+from repro.lbm.geometry import ChannelGeometry
 from repro.obs.observer import Observer
 from repro.serve import (
     JobCancelled,
@@ -102,6 +104,47 @@ class TestScheduler:
         assert status.attempts == 1
         assert executions == 1
         assert np.array_equal(result.f, run(spec).f)
+
+    def test_execution_leaves_the_event_loop_free(self):
+        """A job runs off the event loop: a coroutine ticking every 5 ms
+        on the scheduler's loop keeps ticking while an uncached job of
+        about half a second executes, its largest gap under a quarter of
+        the job's wall time (a job run on the loop itself is one gap as
+        long as the job).  The grid is large enough that NumPy releases
+        the GIL for most of each step."""
+        small = spec_with_amplitude(0.05, phases=500)
+        spec = dataclasses.replace(
+            small,
+            config=dataclasses.replace(
+                small.config,
+                geometry=ChannelGeometry(shape=(128, 96), wall_axes=(1,)),
+            ),
+        )
+
+        async def main():
+            ticks: list[float] = []
+
+            async def heartbeat():
+                while True:
+                    ticks.append(time.perf_counter())
+                    await asyncio.sleep(0.005)
+
+            async with Scheduler(workers=1) as sched:
+                beat = asyncio.create_task(heartbeat())
+                await asyncio.sleep(0)  # the first tick precedes the job
+                start = time.perf_counter()
+                await sched.result(await sched.submit(spec))
+                end = time.perf_counter()
+                beat.cancel()
+                await asyncio.gather(beat, return_exceptions=True)
+                return end - start, np.diff([*ticks, end]), sched.executions
+
+        wall, gaps, executions = asyncio.run(main())
+        assert executions == 1
+        assert wall >= 0.1, f"a {wall:.3f} s job cannot tell 5 ms ticks apart; grow it"
+        assert gaps.max() < wall / 4, (
+            f"event loop stalled {gaps.max():.3f} s of a {wall:.3f} s job"
+        )
 
     def test_completed_dedup_serves_from_cache(self):
         spec = spec_with_amplitude(0.05)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.api import EnsembleRunResult, RunSpec, run, run_batch
+from repro.api import EnsembleRunResult, RunSpec, execute_parallel, run, run_batch
 from repro.lbm.components import ComponentSpec
 from repro.lbm.ensemble import EnsembleSpec, MemberParams
 from repro.lbm.forces import WallForceSpec
@@ -128,16 +128,14 @@ def test_batch_refuses_and_runs_alone(option, reason, refusal):
         EnsembleSpec(base=cfg, members=(MemberParams(),))
 
 
-def test_driver_drops_adhesion_without_refusing():
-    """Not refused, not applied: with ``ranks > 1`` the wall-adhesion
-    term is skipped, so the result is the run without adhesion.  When
-    the driver learns to apply (or refuse) it, this test and the table
-    row change together."""
-    cfg = OPTIONS["adhesion"]
-    parallel = run(_spec(cfg, ranks=2, transport="threads")).f
-    without = run(_spec(dataclasses.replace(cfg, adhesion=None))).f
-    assert np.array_equal(parallel, without)
-    assert not np.array_equal(parallel, run(_spec(cfg)).f)
+def test_driver_refuses_adhesion():
+    """The driver does not apply the wall-adhesion term, so ``ranks > 1``
+    refuses the option before any rank starts, on both entry points."""
+    spec = _spec(OPTIONS["adhesion"], ranks=2, transport="threads")
+    with pytest.raises(ValueError, match="adhesion"):
+        run(spec)
+    with pytest.raises(ValueError, match="adhesion"):
+        execute_parallel(dataclasses.replace(spec, ranks=1))
 
 
 def _doc_table() -> dict[tuple[str, str], str]:
