@@ -25,11 +25,9 @@ from repro.lbm.units import UnitSystem, PAPER_UNITS
 from repro.lbm.diagnostics import (
     Profile,
     apparent_slip_fraction,
-    apparent_slip_gain,
     density_profile,
     effective_apparent_slip_fraction,
     effective_slip_fraction,
-    first_node_velocity_fraction,
     normalized_velocity_profile,
     slip_fraction,
     streamwise_slip_profile,
@@ -58,11 +56,9 @@ __all__ = [
     "wall_indicator_field",
     "Profile",
     "apparent_slip_fraction",
-    "apparent_slip_gain",
     "density_profile",
     "effective_apparent_slip_fraction",
     "effective_slip_fraction",
-    "first_node_velocity_fraction",
     "normalized_velocity_profile",
     "slip_fraction",
     "streamwise_slip_profile",

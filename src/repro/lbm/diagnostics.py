@@ -3,8 +3,9 @@ measures that the paper's Figures 6 and 7 report.
 
 All profile helpers take the *solver* plus the sampling cross-section,
 mirroring the paper's measurement at ``x = 1 um`` (channel midpoint) and
-``z = 50 nm`` (mid-depth).  Profile positions are the monotone coordinate
-from the low wall surface ("distance from the side wall").
+``z = 50 nm`` (mid-depth) — the velocity helpers also take a finished
+run's :class:`repro.api.RunResult`.  Profile positions are the monotone
+coordinate from the low wall surface ("distance from the side wall").
 """
 
 from __future__ import annotations
@@ -12,10 +13,20 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
+from typing import Protocol
 
 import numpy as np
 
-from repro.lbm.solver import MulticomponentLBM
+from repro.lbm.forces import solid_mask_field
+from repro.lbm.solver import LBMConfig, MulticomponentLBM
+
+
+class VelocitySource(Protocol):
+    """A solver, or a run result: a config plus a mixture velocity."""
+
+    config: LBMConfig
+
+    def velocity(self) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -37,7 +48,7 @@ class Profile:
     def __post_init__(self) -> None:
         if self.positions.shape != self.values.shape:
             raise ValueError("positions and values must have the same shape")
-        if self.positions.size >= 2 and not np.all(np.diff(self.positions) > 0):
+        if self.positions.size >= 2 and not (self.positions[1:] > self.positions[:-1]).all():
             raise ValueError("positions must be strictly increasing")
 
     def near_wall(self, depth: float) -> "Profile":
@@ -48,7 +59,7 @@ class Profile:
 
 
 def _extract_lines(
-    solver: MulticomponentLBM,
+    source: VelocitySource,
     field: np.ndarray,
     axis: int,
     x_indices: Iterable[int | None],
@@ -57,7 +68,7 @@ def _extract_lines(
     """*field* along *axis*, fluid nodes only, on the line through each
     of the *x_indices* planes of the requested cross-section (``None``
     indices: channel midpoints, like the paper)."""
-    geo = solver.config.geometry
+    geo = source.config.geometry
     if not 1 <= axis < geo.ndim:
         raise ValueError(f"profile axis must be a wall axis in [1, {geo.ndim}), got {axis}")
     idx: list[object] = [
@@ -66,12 +77,19 @@ def _extract_lines(
     ]
     idx[axis] = slice(None)
     coord = geo.wall_coordinate(axis)
-    lines = []
+    fluid = getattr(source, "fluid", None)  # a result carries no mask
+    if fluid is None:
+        fluid = ~solid_mask_field(source.config, geo)
+    lines: list[Profile] = []
+    made: dict[tuple[bytes, bytes], Profile] = {}
     for x_index in x_indices:
         idx[0] = geo.centerline_index(0) if x_index is None else x_index
         line = tuple(idx)
-        fluid = solver.fluid[line]
-        lines.append(Profile(coord[line][fluid], field[line][fluid]))
+        keep = fluid[line]
+        key = (keep.tobytes(), field[line].tobytes())
+        if key not in made:  # bit-identical planes share one Profile
+            made[key] = Profile(coord[line][keep], field[line][keep])
+        lines.append(made[key])
     return lines
 
 
@@ -90,7 +108,7 @@ def density_profile(
 
 
 def velocity_profile(
-    solver: MulticomponentLBM,
+    solver: VelocitySource,
     *,
     axis: int = 1,
     flow_axis: int = 0,
@@ -104,7 +122,7 @@ def velocity_profile(
 
 
 def normalized_velocity_profile(
-    solver: MulticomponentLBM,
+    solver: VelocitySource,
     *,
     axis: int = 1,
     flow_axis: int = 0,
@@ -172,27 +190,6 @@ def apparent_slip_fraction(profile: Profile, *, boundary_layer: float = 8.0) -> 
     return u_wall / u_max
 
 
-def first_node_velocity_fraction(profile: Profile) -> float:
-    """u/u0 at the first fluid node next to the wall (no extrapolation)."""
-    u0 = float(np.max(np.abs(profile.values)))
-    if u0 == 0.0:
-        raise ValueError("zero free-stream velocity")
-    return float(abs(profile.values[0]) / u0)
-
-
-def apparent_slip_gain(with_force: Profile, without_force: Profile) -> float:
-    """Slip increase attributable to the hydrophobic wall force: difference
-    of :func:`slip_fraction` between forced and control runs (the paper's
-    Figure 7 comparison)."""
-    return slip_fraction(with_force) - slip_fraction(without_force)
-
-
-def mean_flow_velocity(solver: MulticomponentLBM, flow_axis: int = 0) -> float:
-    """Mean streamwise velocity over fluid nodes."""
-    u = solver.velocity()[flow_axis]
-    return float(u[solver.fluid].mean())
-
-
 # --------------------------------------------------- inhomogeneous walls
 #
 # The single-cross-section measures above assume the paper's flat,
@@ -204,22 +201,22 @@ def mean_flow_velocity(solver: MulticomponentLBM, flow_axis: int = 0) -> float:
 
 
 def streamwise_velocity_profiles(
-    solver: MulticomponentLBM,
+    solver: VelocitySource,
     *,
     axis: int = 1,
     flow_axis: int = 0,
     other_index: int | None = None,
 ) -> list[Profile]:
-    """The velocity profile of **every** streamwise plane, extracted in
-    one pass over the state — the list :func:`streamwise_slip_profile`
-    and :func:`effective_slip_fraction` take in place of the solver when
-    several measures share one extraction."""
+    """The velocity profile of **every** streamwise plane of a solver or
+    a run result (bit-identical planes share one :class:`Profile`) — the
+    list :func:`streamwise_slip_profile` and :func:`effective_slip_fraction`
+    take in place of the source when several measures share one extraction."""
     u = solver.velocity()[flow_axis]
     return _extract_lines(solver, u, axis, range(u.shape[0]), other_index)
 
 
 def streamwise_slip_profile(
-    solver: MulticomponentLBM | list[Profile],
+    solver: VelocitySource | list[Profile],
     *,
     axis: int = 1,
     flow_axis: int = 0,
@@ -230,18 +227,21 @@ def streamwise_slip_profile(
     plane (of *solver*, or as already extracted by
     :func:`streamwise_velocity_profiles`): positions are the x indices,
     values the per-plane slip.  The per-stripe view behind
-    :func:`effective_slip_fraction` (and the fig-pattern stripe plots)."""
+    :func:`effective_slip_fraction` (and the fig-pattern stripe plots);
+    bit-identical planes (all, on x-invariant walls) are measured once."""
     lines = solver if isinstance(solver, list) else streamwise_velocity_profiles(
         solver, axis=axis, flow_axis=flow_axis, other_index=other_index
     )
+    keys = [(line.positions.tobytes(), line.values.tobytes()) for line in lines]
+    measured = {key: measure(line) for key, line in dict(zip(keys, lines)).items()}
     return Profile(
         positions=np.arange(len(lines), dtype=np.float64),
-        values=np.asarray([measure(line) for line in lines], dtype=np.float64),
+        values=np.asarray([measured[key] for key in keys], dtype=np.float64),
     )
 
 
 def effective_slip_fraction(
-    solver: MulticomponentLBM | list[Profile],
+    solver: VelocitySource | list[Profile],
     *,
     axis: int = 1,
     flow_axis: int = 0,
@@ -260,13 +260,11 @@ def effective_slip_fraction(
     values = streamwise_slip_profile(
         solver, axis=axis, flow_axis=flow_axis, other_index=other_index, measure=measure
     ).values
-    if np.all(values == values[0]):
-        return float(values[0])
-    return float(values.mean())
+    return float(values[0] if np.all(values == values[0]) else values.mean())
 
 
 def effective_apparent_slip_fraction(
-    solver: MulticomponentLBM,
+    solver: VelocitySource,
     *,
     axis: int = 1,
     flow_axis: int = 0,

@@ -189,12 +189,14 @@ class EnsembleSpec:
 
 @dataclass
 class MemberResult:
-    """Final state of one ensemble member (``repr()``: the scalar fields)."""
+    """Final state of one ensemble member (``repr()``: the scalar fields);
+    ``u`` is its mixture velocity, ``self.solver().velocity()`` bit for bit."""
 
     index: int
     config: LBMConfig = field(repr=False)
     params: MemberParams = field(repr=False)
     f: np.ndarray = field(repr=False)
+    u: np.ndarray = field(repr=False)
     steps: int
     converged: bool
     residual: float | None
@@ -357,8 +359,7 @@ class BatchedEnsemble:
         obs = self.observer
         spec = self.spec
         B = spec.size
-        final_f: list[np.ndarray | None] = [None] * B
-        final_steps = [0] * B
+        snapshots: list = [None] * B
         converged = [False] * B
         residuals: list[float | None] = [None] * B
         u_prev: np.ndarray | None = None
@@ -377,21 +378,22 @@ class BatchedEnsemble:
                     active_gauge.set(self.active_size)
             if check_every and self.step_count % check_every == 0:
                 u_prev = self._convergence_pass(
-                    u_prev, tol, final_f, final_steps, converged, residuals
+                    u_prev, tol, snapshots, converged, residuals
                 )
         elapsed = time.perf_counter() - start
 
         # Members still active at the step budget: snapshot as-is.
+        u_end = mixture_velocity(self.rho, self.mom, self.force)
         for row, member in enumerate(self._active):
-            final_f[member] = self.f[:, :, row].copy()
-            final_steps[member] = self.step_count
+            snapshots[member] = self._snapshot(row, u_end)
         members = tuple(
             MemberResult(
                 index=b,
                 config=spec.member_config(b),
                 params=spec.members[b],
-                f=final_f[b],
-                steps=final_steps[b],
+                f=snapshots[b][0],
+                u=snapshots[b][1],
+                steps=snapshots[b][2],
                 converged=converged[b],
                 residual=residuals[b],
             )
@@ -412,7 +414,7 @@ class BatchedEnsemble:
                 member_steps=member_steps,
                 converged=sum(converged),
                 us_per_point=result.us_per_point,
-                per_member_steps=list(final_steps),
+                per_member_steps=[m.steps for m in members],
             )
             obs.emit_metrics()
             result.metrics = {
@@ -421,12 +423,16 @@ class BatchedEnsemble:
             }
         return result
 
+    def _snapshot(self, row: int, u: np.ndarray) -> tuple:
+        """Batch *row*'s populations, its slice of the batch's mixture
+        velocity *u*, and the step they stand at."""
+        return self.f[:, :, row].copy(), u[:, row].copy(), self.step_count
+
     def _convergence_pass(
         self,
         u_prev: np.ndarray | None,
         tol: float,
-        final_f: list,
-        final_steps: list,
+        snapshots: list,
         converged: list,
         residuals: list,
     ) -> np.ndarray:
@@ -443,8 +449,7 @@ class BatchedEnsemble:
                 res = float(np.max(np.abs(u_now[:, row] - u_prev[:, row])))
                 residuals[member] = res
                 if res < tol:
-                    final_f[member] = self.f[:, :, row].copy()
-                    final_steps[member] = self.step_count
+                    snapshots[member] = self._snapshot(row, u_now)
                     converged[member] = True
                     if self.observer.enabled:
                         self.observer.emit(

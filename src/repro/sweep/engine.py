@@ -12,10 +12,10 @@ it on one of two substrates:
   duplicate-heavy ``Discrete`` prior) into single executions, and whose
   coalescer still batches what remains.
 
-Either way each distinct sample's final state is reduced to the
-effective slip measures of :mod:`repro.lbm.diagnostics` (streamwise
-averaged, so rough and patterned walls are measured correctly), and the
-engine reports submissions/executions/dedup accounting plus ``sweep.*``
+Either way the final velocity each distinct sample's result carries is
+reduced to the effective slip measures of :mod:`repro.lbm.diagnostics`
+(streamwise averaged, so rough and patterned walls are measured correctly),
+and the engine reports submissions/executions/dedup accounting plus ``sweep.*``
 observability.
 """
 
@@ -50,8 +50,8 @@ class SampleResult:
     params: dict[str, Any]
     fingerprint: str
     slip: float
-    #: Parabolic-core-fit slip (``None`` when the channel is too narrow
-    #: for a core fit at the requested boundary layer).
+    #: Parabolic-core-fit slip; ``None`` when the channel is too narrow for a
+    #: core fit, or while the core profile is not concave (still a transient).
     apparent_slip: float | None
     steps: int
 
@@ -214,16 +214,16 @@ def run_sweep(
     )
     samples: list[SampleResult] = []
     for i in range(spec.n_samples):
-        solver = results[i * spec.repeats].solver()
+        result = results[i * spec.repeats]
         # One extraction of the streamwise lines serves both measures.
-        lines = streamwise_velocity_profiles(solver)
+        lines = streamwise_velocity_profiles(result)
         slip = effective_slip_fraction(lines)
         try:
             apparent: float | None = effective_slip_fraction(
                 lines, measure=apparent_measure
             )
         except ValueError:
-            apparent = None  # channel too narrow for a core fit
+            apparent = None  # too narrow for a core fit, or not concave yet
         samples.append(
             SampleResult(
                 index=i,
@@ -231,7 +231,7 @@ def run_sweep(
                 fingerprint=fingerprints[i],
                 slip=slip,
                 apparent_slip=apparent,
-                steps=solver.step_count,
+                steps=result.steps,
             )
         )
 

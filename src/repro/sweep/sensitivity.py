@@ -97,7 +97,7 @@ def one_at_a_time(
             )
             layout.append((pi, float(sample[p.name])))
     results = run_batch(specs, check_every=check_every, tol=tol)
-    slips = [effective_slip_fraction(r.solver()) for r in results]
+    slips = [effective_slip_fraction(r) for r in results]
     out: list[OATResult] = []
     for pi, p in enumerate(parameters):
         values = [v for (i, v), _ in zip(layout, slips) if i == pi]

@@ -1,5 +1,5 @@
-"""What keeps a result alive: its populations, and nothing of the solver
-that produced them.
+"""What keeps a result alive: its populations and their mixture
+velocity, and nothing of the solver that produced them.
 
 ``_run_sequential`` used to hand the live solver to its ``RunResult``,
 so every result a caller (or the serve tier's ``ResultCache``) kept also
@@ -7,7 +7,9 @@ kept a kernel backend's scratch pool — about 0.75 MB of ``fused``
 buffers beside a 0.2 MB ``f`` on the 32x48 channel used here — and
 ``channel_seq``'s previous result held its 77 MB solver while the next
 one was built.  ``RunResult.solver()`` rebuilds the solver on demand,
-for every kind of result.
+for every kind of result.  Sequential and batched results also carry
+the final velocity, ``D / (C * Q)`` of ``f``; a parallel result derives
+it when asked.
 """
 
 from __future__ import annotations
@@ -44,6 +46,14 @@ def reachable(root) -> list[object]:
         seen[id(obj)] = obj
         stack.extend(gc.get_referents(obj))
     return list(seen.values())
+
+
+def carried_velocity_bytes(result) -> int:
+    """What the run hands over beside ``f``: its velocity ``(D, *S)``,
+    unless the result is a parallel one."""
+    if result.rank_results:
+        return 0
+    return result.config.lattice.D * result.f[0, 0].nbytes
 
 
 def array_bytes(objects) -> int:
@@ -87,7 +97,8 @@ def test_a_result_holds_its_populations_and_no_solver(spec, produce):
     assert pinned == []
     # (A parallel result also keeps its rank records: the slabs again.)
     copies = 2 if result.rank_results else 1
-    assert result.f.nbytes <= array_bytes(held) <= copies * result.f.nbytes + SMALL
+    least = copies * result.f.nbytes + carried_velocity_bytes(result)
+    assert least <= array_bytes(held) <= least + SMALL
 
     # The solver is built when asked for, equals the run's final state,
     # and only then does the result carry one.
@@ -101,15 +112,15 @@ def test_a_result_holds_its_populations_and_no_solver(spec, produce):
 def test_a_cache_of_sequential_results_grows_by_their_populations(spec):
     cache = ResultCache(16)
     empty = array_bytes(reachable(cache))
-    n, f_bytes = 6, 0
+    n, kept_bytes = 6, 0
     for i in range(n):
         wall = dataclasses.replace(spec.config.wall_force, amplitude=0.02 + 0.01 * i)
         job = dataclasses.replace(
             spec, config=dataclasses.replace(spec.config, wall_force=wall)
         )
         result = run(job)
-        f_bytes = result.f.nbytes
+        kept_bytes = result.f.nbytes + carried_velocity_bytes(result)
         cache.put(spec_fingerprint(job), result)
     assert len(cache) == n
     grown = array_bytes(reachable(cache)) - empty
-    assert n * f_bytes <= grown <= n * (f_bytes + SMALL)
+    assert n * kept_bytes <= grown <= n * (kept_bytes + SMALL)

@@ -1,15 +1,23 @@
 """Sweep engine: both substrates, serve-side dedup accounting,
 batch-vs-serve bitwise parity, and result bookkeeping."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.api import RunResult
 from repro.lbm.components import ComponentSpec
+from repro.lbm.diagnostics import (
+    apparent_slip_fraction,
+    slip_fraction,
+    streamwise_velocity_profiles,
+)
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import D2Q9
 from repro.lbm.solver import LBMConfig
-from repro.scenarios import HomogeneousScenario
-from repro.sweep import SweepParameter, SweepSpec, Uniform, run_sweep
+from repro.scenarios import HomogeneousScenario, PatternedScenario, RoughScenario
+from repro.sweep import Discrete, SweepParameter, SweepSpec, Uniform, run_sweep
 
 
 def small_sweep(*, repeats: int = 1, n_samples: int = 3) -> SweepSpec:
@@ -118,3 +126,78 @@ def test_compile_matches_the_per_view_accessors():
     assert [s.fingerprint() for s in spec.run_specs()] == [
         s.fingerprint() for s in distinct for _ in range(2)
     ]
+
+
+def scenario_sweep(name: str) -> SweepSpec:
+    """A homogeneous, rough or patterned sweep, run long enough that
+    some samples' core profiles are concave (``apparent_slip`` set)."""
+    spec = small_sweep(repeats=2, n_samples=4)
+    scenario, parameters = {
+        "homogeneous": (spec.base_config.scenario, spec.parameters),
+        "rough": (
+            RoughScenario(amplitude=0.06, decay_length=2.5, rms=0.8, max_height=2, seed=5),
+            spec.parameters,
+        ),
+        "patterned": (
+            PatternedScenario(amplitude_hi=0.06, duty=0.5, decay_length=2.5, period=6),
+            (
+                SweepParameter("duty", Discrete((0.25, 0.5))),
+                SweepParameter("amplitude_hi", Discrete((0.04, 0.08))),
+            ),
+        ),
+    }[name]
+    return dataclasses.replace(
+        spec,
+        base_config=dataclasses.replace(
+            spec.base_config,
+            geometry=ChannelGeometry(shape=(6, 22)),
+            scenario=scenario,
+        ),
+        parameters=parameters,
+        phases=60,
+        sampler="lhs" if name != "patterned" else "mc",
+    )
+
+
+def rebuilt_solver_measures(result: RunResult, boundary_layer: float = 4.0):
+    """What the engine used to compute for a sample: every streamwise
+    plane of a solver rebuilt from the result, measured one by one."""
+    solver = result.solver()
+    lines = streamwise_velocity_profiles(solver)
+
+    def average(measure):
+        values = np.asarray([measure(line) for line in lines])
+        return float(values[0] if np.all(values == values[0]) else values.mean())
+
+    try:
+        apparent = average(
+            lambda line: apparent_slip_fraction(line, boundary_layer=boundary_layer)
+        )
+    except ValueError:
+        apparent = None
+    return average(slip_fraction), apparent, solver.step_count
+
+
+@pytest.mark.parametrize("via", ["batch", "serve"])
+@pytest.mark.parametrize("scenario", ["homogeneous", "rough", "patterned"])
+def test_samples_equal_the_rebuilt_solver_measures(scenario, via):
+    spec = scenario_sweep(scenario)
+    result = run_sweep(spec, via=via, keep_results=True)
+    for sample in result.samples:
+        expected = rebuilt_solver_measures(result.results[sample.index * spec.repeats])
+        assert (sample.slip, sample.apparent_slip, sample.steps) == expected
+
+
+@pytest.mark.parametrize("via", ["batch", "serve"])
+def test_samples_are_measured_without_building_a_solver(monkeypatch, via):
+    calls = []
+    original = RunResult.solver
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(RunResult, "solver", counting)
+    result = run_sweep(small_sweep(repeats=2), via=via)
+    assert len(result.samples) == 3
+    assert calls == []
