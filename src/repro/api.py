@@ -204,9 +204,12 @@ class RunResult:
     """What :func:`run` returns, transport- and mode-agnostic.
 
     ``f`` is always the **global** population array ``(C, Q, nx,
-    *cross)``; ``rank_results`` carries the per-rank
+    *cross)``, and the result's only copy of it; ``rank_results``
+    carries the per-rank
     :class:`~repro.parallel.driver.ParallelRunResult` records for
-    parallel runs (``None`` for sequential ones).  :meth:`velocity` is
+    parallel runs (``None`` for sequential ones) — their ownership
+    rectangles, migration counts and timings, with ``f_interior``
+    dropped once ``f`` is assembled.  :meth:`velocity` is
     the final mixture velocity: sequential runs and batched members
     carry it from the run's own moments, parallel runs derive it through
     :meth:`solver` when first asked.  ``repr()`` is a one-line summary:
@@ -300,10 +303,13 @@ def run(spec: RunSpec) -> RunResult:
                 raise ValueError(f"{name} requires ranks > 1")
         return _run_sequential(spec, store)
     results = _run_parallel(spec, store)
+    f = assemble_global_f(results)
+    for record in results:
+        record.f_interior = None  # f holds the only copy
     return RunResult(
         spec=spec,
         config=spec.config,
-        f=assemble_global_f(results),
+        f=f,
         rank_results=results,
         _steps=results[0].phases,
     )
@@ -312,7 +318,8 @@ def run(spec: RunSpec) -> RunResult:
 def execute_parallel(spec: RunSpec) -> list[ParallelRunResult]:
     """Run *spec* on the parallel driver regardless of ``ranks`` — a
     1-rank *parallel* world where :func:`run` would dispatch to the
-    sequential solver — and return the raw per-rank results."""
+    sequential solver — and return the raw per-rank results, each
+    still holding its slab ``f_interior``."""
     spec = config_mod.from_env().overlay(spec)
     return _run_parallel(spec, _store_for(spec))
 

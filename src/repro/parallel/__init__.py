@@ -14,17 +14,9 @@ migrate — is exactly the paper's; only the transport is swappable (see
 :mod:`repro.parallel.launch` and ``REPRO_TRANSPORT``).
 """
 
-from repro.parallel.api import (
-    Communicator,
-    CommunicatorTimeout,
-    ReceivedMessage,
-)
+from repro.parallel.api import Communicator, CommunicatorTimeout
 from repro.parallel.threads import ThreadCommunicator, LocalCluster, run_spmd
-from repro.parallel.process import (
-    ProcessCluster,
-    ProcessCommunicator,
-    run_spmd_processes,
-)
+from repro.parallel.process import ProcessCluster, ProcessCommunicator
 from repro.parallel.launch import TRANSPORTS, launch_spmd, resolve_transport
 from repro.parallel.halo import HaloExchanger
 from repro.parallel.driver import ParallelLBM, ParallelRunResult
@@ -32,13 +24,11 @@ from repro.parallel.driver import ParallelLBM, ParallelRunResult
 __all__ = [
     "Communicator",
     "CommunicatorTimeout",
-    "ReceivedMessage",
     "ThreadCommunicator",
     "LocalCluster",
     "run_spmd",
     "ProcessCluster",
     "ProcessCommunicator",
-    "run_spmd_processes",
     "TRANSPORTS",
     "launch_spmd",
     "resolve_transport",

@@ -12,7 +12,6 @@ lock-step protocol is deterministic regardless of scheduling.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Any, Callable, Hashable
 
 #: Default patience of a blocking wait before the transport declares the
@@ -56,14 +55,6 @@ class CommunicatorTimeout(TimeoutError):
             type(self),
             (self.rank, self.source, self.tag, self.timeout, self.transport),
         )
-
-
-@dataclass(frozen=True)
-class ReceivedMessage:
-    """A delivered message (source rank + payload)."""
-
-    source: int
-    payload: Any
 
 
 class Request:
@@ -207,7 +198,13 @@ class Communicator(ABC):
     def barrier(self) -> None:
         """Block until every rank entered the barrier."""
 
-    @abstractmethod
     def allgather(self, payload: Any, tag: Hashable) -> list[Any]:
         """Gather one payload from every rank, in rank order, at every
         rank (the global scheme's information exchange)."""
+        for dest in range(self.size):
+            if dest != self.rank:
+                self.send(dest, ("allgather", tag), payload)
+        return [
+            payload if source == self.rank else self.recv(source, ("allgather", tag))
+            for source in range(self.size)
+        ]

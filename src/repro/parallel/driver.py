@@ -57,7 +57,7 @@ from repro.lbm.equilibrium import rest_equilibrium
 from repro.lbm.forces import acceleration_field, solid_mask_field
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.macroscopic import mixture_velocity
-from repro.lbm.solver import LBMConfig, MulticomponentLBM
+from repro.lbm.solver import LBMConfig
 from repro.obs.observer import (
     NULL_OBSERVER,
     Observer,
@@ -104,11 +104,13 @@ class ParallelRunResult:
     slab).  ``exposed_wait_s`` is the cumulative time this rank spent
     blocked in halo waits — communication the compute did not hide;
     ``phases`` is the rank's final (absolute) phase counter.  The
-    array and per-phase list fields stay out of ``repr()``."""
+    array and per-phase list fields stay out of ``repr()``.  ``f_interior``
+    (the rank's slab) is ``None`` once :func:`repro.api.run` has assembled
+    its ``f``; :func:`repro.api.execute_parallel` keeps it."""
 
     rank: int
     plane_start: int
-    f_interior: np.ndarray = field(repr=False)
+    f_interior: np.ndarray | None = field(repr=False)
     plane_count: int
     plane_history: list[int] = field(repr=False)
     comp_times: list[float] = field(repr=False)
@@ -1037,30 +1039,19 @@ def assemble_global_f(results: list[ParallelRunResult]) -> np.ndarray:
     verified to tile the domain exactly (:func:`repro.ckpt.manifest.tile`;
     ``ValueError`` otherwise).  Results carry no domain shape: it is as
     far as their rectangles and blocks reach."""
+    blocks = [r.f_interior for r in results if r.f_interior is not None]
+    if len(blocks) != len(results):
+        raise ValueError("rank records without slabs (an api.run result's f is assembled)")
     spatial = (
         max(r.plane_start + r.plane_count for r in results),
-        max(r.col_start + r.f_interior.shape[3] for r in results),
-        *results[0].f_interior.shape[4:],
+        max(r.col_start + b.shape[3] for r, b in zip(results, blocks)),
+        *blocks[0].shape[4:],
     )
     f = tile(
         spatial,
         [(r.plane_start, r.plane_count, r.col_start, r.col_count) for r in results],
-        (r.f_interior for r in results),
+        blocks,
     )
     assert f is not None  # blocks were given
     return f
 
-
-def solver_from_results(
-    results: list[ParallelRunResult],
-    config: LBMConfig,
-    f: np.ndarray | None = None,
-) -> MulticomponentLBM:
-    """Build a sequential solver holding the parallel run's final state,
-    so the full :mod:`repro.lbm.diagnostics` toolbox (profiles, slip
-    measures, exporters) applies to parallel output directly.  *f* is
-    the field :func:`assemble_global_f` gives for *results*, for a
-    caller that already holds it."""
-    if f is None:
-        f = assemble_global_f(results)
-    return MulticomponentLBM(config, state=(f, results[0].phases))

@@ -34,7 +34,11 @@ transport, naming rank, peer and tag.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
+import mmap
 import multiprocessing as mp
+import os
 import pickle
 import queue as queue_mod
 import time
@@ -72,6 +76,11 @@ PIPE_PAYLOAD_LIMIT = 32 * 1024
 _KIND_INLINE = 0  # payload pickled inside the header itself
 _KIND_ARRAY = 1  # ndarray bytes follow through the ring
 _KIND_PICKLE = 2  # oversized pickle bytes follow through the ring
+
+#: Where ranks stage their results' array buffers, one file per rank.
+_SHM_DIR = "/dev/shm"
+#: Per-process run counter; with the pid it names a run's result files.
+_RUNS = itertools.count()
 
 
 def _remaining(deadline: float | None) -> float | None:
@@ -296,31 +305,58 @@ class ProcessCommunicator(Communicator):
     def barrier(self) -> None:
         self._world.barrier.wait()
 
-    def allgather(self, payload: Any, tag: Hashable) -> list[Any]:
-        for dest in range(self.size):
-            if dest != self._rank:
-                self.send(dest, ("allgather", tag), payload)
-        out: list[Any] = []
-        for source in range(self.size):
-            if source == self._rank:
-                out.append(payload)
-            else:
-                out.append(self.recv(source, ("allgather", tag)))
-        return out
+
+def _layout(sizes: list[int]) -> tuple[list[int], int]:
+    """Offsets of buffers of *sizes* bytes, each 64-byte aligned, and their total."""
+    ends = list(itertools.accumulate(-(-n // 64) * 64 for n in sizes))
+    return [0, *ends[:-1]], (ends[-1] if ends else 0)
 
 
-def _rank_entry(world, rank, fn, args, result_queue):
+def _export_result(value: Any, path: str) -> tuple[bytes, list[int]]:
+    """Rank side: pickle *value* with its array buffers written out of
+    band into the file *path*; return the rest of the pickle and the
+    buffer sizes, which is all that rides the result queue."""
+    buffers: list[pickle.PickleBuffer] = []
+    blob = pickle.dumps(value, protocol=5, buffer_callback=buffers.append)
+    raws = [buf.raw() for buf in buffers]
+    sizes = [raw.nbytes for raw in raws]
+    offsets, total = _layout(sizes)
+    if total:  # O_TRUNC: only a dead process with our pid could own this name
+        with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600), "wb") as fh:
+            fh.truncate(total)
+            for raw, offset in zip(raws, offsets):
+                fh.seek(offset)
+                fh.write(raw)
+    return blob, sizes
+
+
+def _import_result(blob: bytes, sizes: list[int], path: str) -> Any:
+    """Parent side: map the rank's file, unlink it at once, unpickle over
+    the mapping.  The arrays are views of it, unmapped with the last."""
+    offsets, total = _layout(sizes)
+    if not total:
+        return pickle.loads(blob, buffers=[bytearray()] * len(sizes))
+    fd = os.open(path, os.O_RDWR)
+    try:
+        os.unlink(path)
+        view = memoryview(mmap.mmap(fd, total))
+    finally:
+        os.close(fd)
+    return pickle.loads(blob, buffers=[view[o : o + n] for o, n in zip(offsets, sizes)])
+
+
+def _rank_entry(world, rank, fn, args, result_queue, segment):
     """Child-process main: run the SPMD function, report exactly one
-    ``(kind, rank, payload)`` record.  Errors travel as ``repr`` strings
-    — exception *objects* with custom constructors (``InjectedFault``)
-    do not survive pickling, and the parent only needs the text."""
+    ``(kind, rank, payload)`` record: the result staged through the file
+    *segment*, or an error's ``repr`` — exception objects with custom
+    constructors (``InjectedFault``) do not survive pickling, and the
+    parent only needs the text."""
     comm = ProcessCommunicator(world, rank)
     try:
-        result = fn(comm, *args)
+        record = ("ok", rank, _export_result(fn(comm, *args), segment))
     except BaseException as exc:  # propagate to the parent as text
-        result_queue.put(("err", rank, repr(exc)))
-        return
-    result_queue.put(("ok", rank, result))
+        record = ("err", rank, repr(exc))
+    result_queue.put(record)
 
 
 class ProcessCluster:
@@ -334,6 +370,9 @@ class ProcessCluster:
 
     - the world's shared-memory segments are finite OS resources, so a
       cluster runs **once** and tears its fabric down in ``finally``;
+    - a returned array crosses back in a ``/dev/shm`` file per rank that
+      the parent maps (the array is a view of it) and unlinks at once;
+      only a small pickle rides the result queue;
     - on the first rank failure the remaining ranks are terminated
       (their peers would otherwise sit in 60 s receive timeouts), and a
       rank that dies without reporting — ``kill -9``, ``os._exit`` — is
@@ -358,12 +397,6 @@ class ProcessCluster:
         self._world = _ProcessWorld(self.size, self._ctx, slot_bytes, slots)
         self._spent = False
 
-    def communicator(self, rank: int) -> ProcessCommunicator:
-        """An endpoint for in-process protocol tests (no forking)."""
-        if not 0 <= rank < self.size:
-            raise ValueError(f"rank {rank} out of range")
-        return ProcessCommunicator(self._world, rank)
-
     def run(
         self,
         fn: Callable[..., Any],
@@ -377,6 +410,8 @@ class ProcessCluster:
                 "is torn down — build a new cluster per run"
             )
         self._spent = True
+        stem = f"{_SHM_DIR}/repro-result-{os.getpid()}-{next(_RUNS)}"
+        segments = [f"{stem}-{rank}" for rank in range(self.size)]
         result_queue = self._ctx.Queue()
         procs = []
         try:
@@ -384,12 +419,12 @@ class ProcessCluster:
                 args = rank_args[rank] if rank_args is not None else ()
                 proc = self._ctx.Process(
                     target=_rank_entry,
-                    args=(self._world, rank, fn, args, result_queue),
+                    args=(self._world, rank, fn, args, result_queue, segments[rank]),
                     daemon=True,
                 )
                 proc.start()
                 procs.append(proc)
-            results, failure = self._collect(procs, result_queue, timeout)
+            results, failure = self._collect(procs, result_queue, segments, timeout)
         finally:
             for proc in procs:
                 if proc.is_alive():
@@ -398,6 +433,9 @@ class ProcessCluster:
                 proc.join(timeout=10.0)
             result_queue.close()
             self._world.destroy()
+            for path in segments:  # results staged but never collected
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(path)
         if failure is not None:
             rank, desc = failure
             raise RuntimeError(f"rank {rank} failed: {desc}")
@@ -407,6 +445,7 @@ class ProcessCluster:
         self,
         procs: list,
         result_queue,
+        segments: list[str],
         timeout: float | None,
     ) -> tuple[list[Any], tuple[int, str] | None]:
         """Drain one record per rank; stop early on the first failure or
@@ -447,19 +486,6 @@ class ProcessCluster:
             pending.discard(rank)
             if kind == "err":
                 return results, (rank, payload)
-            results[rank] = payload
+            results[rank] = _import_result(*payload, segments[rank])
         return results, None
 
-
-def run_spmd_processes(
-    size: int,
-    fn: Callable[..., Any],
-    *,
-    rank_args: list[tuple] | None = None,
-    timeout: float | None = 300.0,
-    slot_bytes: int = DEFAULT_SLOT_BYTES,
-) -> list[Any]:
-    """Convenience: build a :class:`ProcessCluster`, run *fn* on every
-    rank, tear the world down, return per-rank results."""
-    cluster = ProcessCluster(size, slot_bytes=slot_bytes)
-    return cluster.run(fn, rank_args=rank_args, timeout=timeout)

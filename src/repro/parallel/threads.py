@@ -104,18 +104,6 @@ class ThreadCommunicator(Communicator):
     def barrier(self) -> None:
         self._world.barrier.wait()
 
-    def allgather(self, payload: Any, tag: Hashable) -> list[Any]:
-        for dest in range(self.size):
-            if dest != self._rank:
-                self.send(dest, ("allgather", tag), payload)
-        out: list[Any] = []
-        for source in range(self.size):
-            if source == self._rank:
-                out.append(payload)
-            else:
-                out.append(self.recv(source, ("allgather", tag)))
-        return out
-
 
 class LocalCluster:
     """Spawns *size* rank threads running one SPMD function.

@@ -14,7 +14,6 @@ import pytest
 from repro.api import EnsembleRunResult, RunResult, RunSpec, run, run_batch
 from repro.lbm.ensemble import EnsembleSpec, run_ensemble
 from repro.lbm.solver import MulticomponentLBM
-from repro.parallel.driver import solver_from_results
 
 from tests.api.test_run_batch import sweep_specs
 
@@ -105,11 +104,6 @@ class TestRebuiltSolver:
         rebuilt = result.solver()
         assert len(moment_passes) == 1
         assert_same_state(rebuilt, config, result.f, PHASES)
-        # The driver-level bridge, from the raw rank records alone.
-        del moment_passes[:]
-        bridged = solver_from_results(result.rank_results, config)
-        assert len(moment_passes) == 1
-        assert_same_state(bridged, config, result.f, PHASES)
 
     def test_state_is_validated_like_restore_state(self, two_component_config):
         solver = MulticomponentLBM(two_component_config)

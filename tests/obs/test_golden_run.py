@@ -27,7 +27,6 @@ from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import D2Q9
 from repro.lbm.solver import LBMConfig
 from repro.obs import MemorySink, Observer
-from repro.parallel.driver import assemble_global_f
 
 GOLDEN_PHASES = 8
 GOLDEN_INTERVAL = 4
@@ -83,7 +82,7 @@ def run_golden(backend: str):
         load_time_fn=golden_load_fn,
         observer=observer,
     )
-    return run(spec).rank_results, observer.sink.events
+    return run(spec), observer.sink.events
 
 
 def field_hash(f_global: np.ndarray) -> str:
@@ -99,14 +98,14 @@ class TestGoldenRun:
             assert types == GOLDEN_RANK_SCHEMA, f"rank {rank} schema drifted"
 
     def test_final_field_hash_pinned(self, backend):
-        results, _ = run_golden(backend)
-        assert field_hash(assemble_global_f(results)) == GOLDEN_FIELD_HASH
+        result, _ = run_golden(backend)
+        assert field_hash(result.f) == GOLDEN_FIELD_HASH
 
     def test_trace_is_well_formed(self, backend):
         """Cross-cutting invariants the schema alone doesn't pin: global
         metadata events, monotonic seq, phase timing fields present, and
         migration volumes consistent with the run results."""
-        results, events = run_golden(backend)
+        result, events = run_golden(backend)
         seqs = [e["seq"] for e in events]
         assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
         assert events[0]["type"] == "run_start"
@@ -127,7 +126,7 @@ class TestGoldenRun:
             e["planes"] for e in events
             if e["type"] == "migrate" and e["action"] == "send"
         )
-        assert sent == sum(r.planes_sent for r in results) > 0
+        assert sent == sum(r.planes_sent for r in result.rank_results) > 0
 
     def test_kernel_metrics_cover_hot_kernels(self, backend):
         _, events = run_golden(backend)
@@ -141,8 +140,8 @@ class TestGoldenRun:
 
 
 def _regenerate() -> None:  # pragma: no cover - maintenance helper
-    results, events = run_golden("reference")
-    print("GOLDEN_FIELD_HASH =", repr(field_hash(assemble_global_f(results))))
+    result, events = run_golden("reference")
+    print("GOLDEN_FIELD_HASH =", repr(field_hash(result.f)))
     print("rank 0 schema:",
           [e["type"] for e in events if e.get("rank") == 0])
 

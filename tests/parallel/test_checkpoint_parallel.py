@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import RunSpec, run
+from repro.api import RunSpec, execute_parallel, run
 from repro.ckpt import (
     CheckpointRejected,
     CheckpointStore,
@@ -298,9 +298,10 @@ class TestCollectiveRejection:
 class TestOwnershipMap:
     def test_results_carry_a_tiling_ownership_map(self):
         # The walk below checks the 1-D x-axis tiling contract.
-        results = parallel_run(
-            3, config(), 12, decomp="slab", **REMAP
-        ).rank_results
+        # The raw records: api.run's result keeps only the global f.
+        results = execute_parallel(
+            RunSpec(config=config(), phases=12, ranks=3, decomp="slab", **REMAP)
+        )
         ordered = sorted(results, key=lambda r: r.plane_start)
         expect = 0
         for r in ordered:

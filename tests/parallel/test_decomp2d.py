@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import RunSpec, run
+from repro.api import RunSpec, execute_parallel, run
 from repro.ckpt import CheckpointStore
 from repro.core.policies import RemappingConfig
 from repro.lbm.components import ComponentSpec
@@ -263,15 +263,16 @@ class TestResultRectangles:
 
     def test_mixed_slab_and_rectangle_results_rejected(self):
         cfg = config()
-        grid = run(
+        # Raw records: an api.run result's records no longer hold slabs.
+        grid = execute_parallel(
             RunSpec(config=cfg, phases=3, decomp=(2, 2), policy="no-remap")
-        ).rank_results
-        slab = run(
+        )
+        slab = execute_parallel(
             RunSpec(
                 config=cfg, phases=3, ranks=2, decomp="slab",
                 policy="no-remap",
             )
-        ).rank_results
+        )
         with pytest.raises(ValueError, match="ownership map"):
             assemble_global_f([grid[0], slab[1]])
 

@@ -11,14 +11,11 @@ import numpy as np
 import pytest
 
 from repro.parallel.api import CommunicatorTimeout, Request, wait_all
-from repro.parallel.process import run_spmd_processes
-from repro.parallel.threads import run_spmd
-
-RUNNERS = {"threads": run_spmd, "processes": run_spmd_processes}
+from repro.parallel.launch import launch_spmd
 
 
 def launch(transport, size, fn):
-    return RUNNERS[transport](size, fn)
+    return launch_spmd(size, fn, transport=transport)
 
 
 class TestRequestHandle:
