@@ -1,8 +1,8 @@
 """Figure 6 benchmark: density profiles near the hydrophobic wall.
 
-Runs the scaled 3-D water/air simulation (the full-resolution paper run is
-documented in DESIGN.md); the memoized pair is shared with the Figure 7
-benchmark.
+Runs the scaled 3-D water/air forced/control pair (the full-resolution
+paper run is documented in DESIGN.md).  Nothing is memoized: the Figure 7
+benchmark runs the same pair again.
 """
 
 from repro.experiments import fig6_density

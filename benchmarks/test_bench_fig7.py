@@ -1,7 +1,7 @@
 """Figure 7 benchmark: normalized velocity profiles and apparent slip.
 
-Shares the memoized simulation pair with the Figure 6 benchmark (running
-fig6 first makes this one nearly free).
+Runs the same scaled 3-D forced/control pair as the Figure 6 benchmark;
+nothing is memoized, so each benchmark pays for its own pair.
 """
 
 from repro.experiments import fig7_velocity

@@ -18,14 +18,13 @@ from repro.cluster.machine import paper_cluster
 from repro.cluster.simulator import simulate
 from repro.cluster.workload import fixed_slow_traces
 from repro.core import RemappingConfig, make_policy
-from repro.experiments.slip_sim import SlipScenario
+from repro.experiments.channel import slip_pair
 from repro.lbm.diagnostics import (
     apparent_slip_fraction,
     density_profile,
     velocity_profile,
 )
 from repro.api import RunSpec, run
-from repro.lbm.solver import MulticomponentLBM
 
 N_RANKS = 4
 PHASES = 3000  # enough for the 2-D profile to develop (H^2/nu ~ 10k; the
@@ -33,8 +32,8 @@ SLOW_RANK = 1  # residual transient slightly inflates the slip reading)
 
 
 def main() -> None:
-    scenario = SlipScenario(shape=(16, 42), steps=PHASES, wall_amplitude=0.1)
-    config = scenario.build_config(with_wall_force=True)
+    forced, _ = slip_pair((16, 42), PHASES, amplitude=0.1)
+    config = forced.config
 
     # --- parallel run with an injected slow rank -------------------------
     def load_fn(rank: int, phase: int, points: int) -> float:
@@ -57,8 +56,7 @@ def main() -> None:
           f"sent {by_rank[SLOW_RANK].planes_sent} away")
 
     # --- bitwise physics check -------------------------------------------
-    sequential = MulticomponentLBM(config)
-    sequential.run(PHASES)
+    sequential = run(forced)
     identical = np.array_equal(result.f, sequential.f)
     print(f"parallel field bitwise equal to sequential: {identical}")
 

@@ -13,7 +13,7 @@ scaling.
 
 import argparse
 
-from repro.experiments.slip_sim import SlipScenario, run_slip_pair
+from repro.experiments import channel
 from repro.lbm.diagnostics import (
     density_profile,
     slip_fraction,
@@ -33,10 +33,11 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    scenario = None
     if args.paper_scale:
-        scenario = SlipScenario.paper_scale()
-    forced, control = run_slip_pair(scenario, fast=args.fast)
+        scale = channel.PAPER
+    else:
+        scale = channel.FAST if args.fast else channel.DEFAULT
+    forced, control = channel.run_checked(channel.slip_pair(*scale))
 
     # --- Figure 6: densities near the side wall ---------------------------
     water = density_profile(forced, "water").near_wall(8.0)

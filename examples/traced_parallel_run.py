@@ -23,7 +23,7 @@ import dataclasses
 
 from repro.api import RunSpec, run
 from repro.core import RemappingConfig
-from repro.experiments.slip_sim import SlipScenario
+from repro.experiments.channel import slip_pair
 from repro.obs.report import render_summary
 from repro.obs.sink import read_trace
 
@@ -43,11 +43,8 @@ def main() -> None:
                         help="parallel transport (default threads)")
     args = parser.parse_args()
 
-    scenario = SlipScenario(shape=(16, 42), steps=args.phases,
-                            wall_amplitude=0.1)
-    config = dataclasses.replace(
-        scenario.build_config(with_wall_force=True), backend=args.backend
-    )
+    forced, _ = slip_pair((16, 42), args.phases, amplitude=0.1)
+    config = dataclasses.replace(forced.config, backend=args.backend)
 
     def load_fn(rank: int, phase: int, points: int) -> float:
         t = points * 1e-6

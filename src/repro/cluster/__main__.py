@@ -1,4 +1,4 @@
-"""``python -m repro.cluster`` — the scenario CLI."""
+"""``python -m repro.cluster`` — the cluster availability CLI."""
 
 from repro.cluster.scenario import main
 

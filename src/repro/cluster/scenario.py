@@ -1,8 +1,7 @@
-"""Declarative simulation scenarios (JSON-serializable) and the cluster
-CLI.
+"""Declarative cluster availability setups and the cluster CLI.
 
-A :class:`Scenario` names a workload, a policy and phase count; it can be
-round-tripped through JSON for batch sweeps, and powers the command line::
+An :class:`AvailabilitySetup` names a workload, a policy and phase
+count, and powers the command line::
 
     python -m repro.cluster --workload fixed-slow --slow-nodes 9 3 \\
         --policy filtered --phases 600
@@ -11,8 +10,7 @@ round-tripped through JSON for batch sweeps, and powers the command line::
 from __future__ import annotations
 
 import argparse
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from repro.cluster.machine import ClusterSpec, paper_cluster
 from repro.cluster.simulator import SimulationResult, simulate
@@ -38,8 +36,8 @@ WORKLOADS = (
 
 
 @dataclass(frozen=True)
-class Scenario:
-    """One simulation configuration.
+class AvailabilitySetup:
+    """One cluster simulation configuration.
 
     Attributes
     ----------
@@ -126,17 +124,6 @@ class Scenario:
     def run(self) -> SimulationResult:
         return simulate(self.build_spec(), make_policy(self.policy), self.phases)
 
-    # --------------------------------------------------------------- json
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Scenario":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("scenario JSON must be an object")
-        return cls(**data)
-
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
@@ -161,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    scenario = Scenario(
+    setup = AvailabilitySetup(
         workload=args.workload,
         policy=args.policy,
         phases=args.phases,
@@ -174,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
             "seed": args.seed,
         },
     )
-    result = scenario.run()
+    result = setup.run()
     print(f"workload={args.workload} policy={args.policy} phases={args.phases}")
     print(f"total time: {result.total_time:.1f}s")
     print(f"planes moved: {result.planes_moved}")

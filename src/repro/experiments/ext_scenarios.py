@@ -40,6 +40,7 @@ import dataclasses
 import numpy as np
 
 from repro.api import RunResult, RunSpec, run_batch
+from repro.experiments.channel import FAST, channel_config
 from repro.experiments.report import Report
 from repro.lbm.components import ComponentSpec
 from repro.lbm.diagnostics import effective_slip_fraction
@@ -57,28 +58,13 @@ from repro.sweep import (
 )
 from repro.util.tables import format_table
 
-#: The 2-D channel of ``SlipScenario.fast()``: wide enough for a
-#: developed Poiseuille core, small enough for a grid of runs.
-SHAPE = (16, 42)
+#: The 2-D channel of :data:`repro.experiments.channel.FAST`: wide
+#: enough for a developed Poiseuille core, small enough for a grid of runs.
+SHAPE = FAST[0]
 #: Past the channel's momentum diffusion time (H^2 / nu ~ 10^4 steps
 #: is full saturation; flux *ratios* settle much earlier).
 STEPS = 8000
 FAST_STEPS = 2500
-
-
-def pattern_config(scenario: Scenario) -> LBMConfig:
-    """The paper's water/air channel, patterned-wall edition."""
-    return LBMConfig(
-        geometry=ChannelGeometry(shape=SHAPE),
-        components=(
-            ComponentSpec("water", tau=1.0, rho_init=1.0),
-            ComponentSpec("air", tau=1.0, rho_init=0.03),
-        ),
-        g_matrix=np.array([[0.0, 0.9], [0.9, 0.0]]),
-        lattice=D2Q9,
-        scenario=scenario,
-        body_acceleration=(2e-7, 0.0),
-    )
 
 
 def roughness_config(scenario: Scenario) -> LBMConfig:
@@ -209,7 +195,7 @@ def run_pattern(fast: bool = False) -> Report:
     results = run_batch(
         [
             RunSpec(
-                config=pattern_config(dataclasses.replace(base, duty=d)),
+                config=channel_config(SHAPE, dataclasses.replace(base, duty=d)),
                 phases=steps,
             )
             for d in duty_grid
@@ -242,9 +228,7 @@ def run_pattern(fast: bool = False) -> Report:
         period_results = run_batch(
             [
                 RunSpec(
-                    config=pattern_config(
-                        dataclasses.replace(base, period=p)
-                    ),
+                    config=channel_config(SHAPE, dataclasses.replace(base, period=p)),
                     phases=steps,
                 )
                 for p in period_grid

@@ -11,27 +11,22 @@ the bulk-fit slip measure is exact.
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro.api import RunSpec
+from repro.experiments.channel import FAST, channel_config, run_checked
 from repro.experiments.report import Report
-from repro.experiments.slip_sim import SlipScenario
 from repro.lbm.analytic import slip_fraction_to_slip_length
-from repro.lbm.diagnostics import (
-    apparent_slip_fraction,
-    density_profile,
-    velocity_profile,
-)
+from repro.lbm.diagnostics import apparent_slip_fraction, density_profile, velocity_profile
+from repro.lbm.solver import MulticomponentLBM
+from repro.scenarios import HomogeneousScenario
 from repro.util.tables import format_table
 
 
-def _run_point(amplitude: float, decay: float, steps: int) -> dict:
-    scenario = SlipScenario(
-        shape=(16, 42),
-        steps=steps,
-        wall_amplitude=amplitude,
-        decay_length=decay,
-    )
-    solver = scenario.run(with_wall_force=amplitude > 0)
+def _spec(amplitude: float, decay: float, steps: int) -> RunSpec:
+    wall = HomogeneousScenario(amplitude, decay) if amplitude > 0 else None
+    return RunSpec(config=channel_config(FAST[0], wall), phases=steps)
+
+
+def _point(solver: MulticomponentLBM, amplitude: float, decay: float) -> dict:
     water = density_profile(solver, "water")
     slip = apparent_slip_fraction(velocity_profile(solver))
     width = solver.config.geometry.channel_width(1)
@@ -42,6 +37,10 @@ def _run_point(amplitude: float, decay: float, steps: int) -> dict:
         "slip_length": slip_fraction_to_slip_length(max(slip, 0.0), width),
         "wall_water": float(water.values[0]),
     }
+
+
+def _row(point: dict, knob: str) -> tuple:
+    return (point[knob], 100 * point["slip"], point["slip_length"], point["wall_water"])
 
 
 def run(
@@ -56,44 +55,23 @@ def run(
         decays = (2.5,)
         steps = 4000
 
-    amp_rows = []
-    amp_series = []
-    for a in amplitudes:
-        point = _run_point(a, 2.5, steps)
-        amp_rows.append(
-            (
-                a,
-                100 * point["slip"],
-                point["slip_length"],
-                point["wall_water"],
-            )
-        )
-        amp_series.append(point)
-
-    decay_rows = []
-    decay_series = []
-    for d in decays:
-        point = _run_point(0.1, d, steps)
-        decay_rows.append(
-            (
-                d,
-                100 * point["slip"],
-                point["slip_length"],
-                point["wall_water"],
-            )
-        )
-        decay_series.append(point)
+    # One batch: the forced points differ only in their wall scenario,
+    # so they advance as one stacked ensemble.
+    grid = [(a, 2.5) for a in amplitudes] + [(0.1, d) for d in decays]
+    solvers = run_checked([_spec(a, d, steps) for a, d in grid])
+    points = [_point(s, a, d) for s, (a, d) in zip(solvers, grid)]
+    amp_series, decay_series = points[: len(amplitudes)], points[len(amplitudes):]
 
     text = format_table(
         ["amplitude", "slip (% u0)", "slip length (spacings)", "rho_w at wall"],
-        amp_rows,
+        [_row(p, "amplitude") for p in amp_series],
         title="Slip vs. wall-force amplitude (decay = 2.5 spacings = 12.5 nm)",
         float_fmt="{:.3f}",
     )
     if len(decays) > 1:
         text += "\n\n" + format_table(
             ["decay length", "slip (% u0)", "slip length (spacings)", "rho_w at wall"],
-            decay_rows,
+            [_row(p, "decay") for p in decay_series],
             title="Slip vs. decay length (amplitude = 0.1)",
             float_fmt="{:.3f}",
         )

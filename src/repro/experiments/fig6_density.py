@@ -11,37 +11,29 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.experiments import channel
 from repro.experiments.report import Report
-from repro.experiments.slip_sim import SlipScenario, run_slip_pair
 from repro.lbm.diagnostics import density_profile
+from repro.lbm.solver import MulticomponentLBM
 from repro.util.tables import format_table
 
 
-def run(
-    fast: bool = False,
-    *,
-    scenario: SlipScenario | None = None,
-    strip_depth: float = 8.0,
-) -> Report:
-    forced, control = run_slip_pair(scenario, fast=fast)
+def run(fast: bool = False) -> Report:
+    """Run the channel's forced/control pair and report it."""
+    pair = channel.slip_pair(*(channel.FAST if fast else channel.DEFAULT))
+    return report(*channel.run_checked(pair))
 
+
+def report(
+    forced: MulticomponentLBM, control: MulticomponentLBM, *, strip_depth: float = 8.0
+) -> Report:
+    """Figure 6 from the final solvers of a forced/control pair."""
     water = density_profile(forced, "water").near_wall(strip_depth)
     air = density_profile(forced, "air").near_wall(strip_depth)
     water_ctl = density_profile(control, "water").near_wall(strip_depth)
     air_ctl = density_profile(control, "air").near_wall(strip_depth)
 
-    rows = [
-        (
-            float(d),
-            float(w),
-            float(a),
-            float(wc),
-            float(ac),
-        )
-        for d, w, a, wc, ac in zip(
-            water.positions, water.values, air.values, water_ctl.values, air_ctl.values
-        )
-    ]
+    rows = zip(water.positions, water.values, air.values, water_ctl.values, air_ctl.values)
     text = format_table(
         [
             "dist from wall",

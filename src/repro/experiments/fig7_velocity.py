@@ -12,24 +12,27 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.experiments import channel
 from repro.experiments.report import Report
-from repro.experiments.slip_sim import SlipScenario, run_slip_pair
 from repro.lbm.diagnostics import (
     apparent_slip_fraction,
     normalized_velocity_profile,
     slip_fraction,
 )
+from repro.lbm.solver import MulticomponentLBM
 from repro.util.tables import format_table
 
 
-def run(
-    fast: bool = False,
-    *,
-    scenario: SlipScenario | None = None,
-    profile_points: int = 16,
-) -> Report:
-    forced, control = run_slip_pair(scenario, fast=fast)
+def run(fast: bool = False) -> Report:
+    """Run the channel's forced/control pair and report it."""
+    pair = channel.slip_pair(*(channel.FAST if fast else channel.DEFAULT))
+    return report(*channel.run_checked(pair))
 
+
+def report(
+    forced: MulticomponentLBM, control: MulticomponentLBM, *, profile_points: int = 16
+) -> Report:
+    """Figure 7 from the final solvers of a forced/control pair."""
     prof_f = normalized_velocity_profile(forced)
     prof_c = normalized_velocity_profile(control)
 
@@ -37,10 +40,7 @@ def run(
     idx = np.unique(
         np.linspace(0, prof_f.positions.size - 1, profile_points).astype(int)
     )
-    rows = [
-        (float(prof_f.positions[i]), float(prof_f.values[i]), float(prof_c.values[i]))
-        for i in idx
-    ]
+    rows = zip(prof_f.positions[idx], prof_f.values[idx], prof_c.values[idx])
     text = format_table(
         ["position from wall", "u/u0 with forces", "u/u0 no forces"],
         rows,

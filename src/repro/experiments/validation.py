@@ -18,7 +18,7 @@ from repro.lbm.components import ComponentSpec
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import D2Q9
 from repro.lbm.diagnostics import velocity_profile
-from repro.lbm.solver import LBMConfig, MulticomponentLBM
+from repro.lbm.solver import LBMConfig
 from repro.util.tables import format_table
 
 
@@ -36,9 +36,7 @@ def poiseuille_error(
         lattice=D2Q9,
         body_acceleration=(accel, 0.0),
     )
-    solver = MulticomponentLBM(cfg)
-    solver.run(steps, check_interval=steps // 4)
-    prof = velocity_profile(solver)
+    prof = velocity_profile(api_run(RunSpec(config=cfg, phases=steps)).solver())
     width = geo.channel_width(1)
     analytic = accel / (2.0 * comp.viscosity) * prof.positions * (width - prof.positions)
     return float(np.abs(prof.values - analytic).max() / analytic.max())
@@ -62,8 +60,7 @@ def parallel_equivalence(
         lattice=D2Q9,
         body_acceleration=(1e-6, 0.0),
     )
-    sequential = MulticomponentLBM(cfg)
-    sequential.run(phases)
+    sequential = api_run(RunSpec(config=cfg, phases=phases))
 
     load_fn = None
     policy = "no-remap"

@@ -1,44 +1,42 @@
-import json
-
 import pytest
 
-from repro.cluster.scenario import WORKLOADS, Scenario, main
+from repro.cluster.scenario import WORKLOADS, AvailabilitySetup, main
 
 
 class TestScenarioValidation:
     def test_defaults_valid(self):
-        s = Scenario()
+        s = AvailabilitySetup()
         assert s.workload == "fixed-slow"
         assert s.policy == "filtered"
 
     def test_unknown_workload(self):
         with pytest.raises(ValueError, match="workload"):
-            Scenario(workload="chaos-monkey")
+            AvailabilitySetup(workload="chaos-monkey")
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError, match="policy"):
-            Scenario(policy="magic")
+            AvailabilitySetup(policy="magic")
 
     def test_bad_phases(self):
         with pytest.raises(ValueError):
-            Scenario(phases=0)
+            AvailabilitySetup(phases=0)
 
 
 class TestTraces:
     @pytest.mark.parametrize("workload", WORKLOADS)
     def test_every_workload_builds(self, workload):
-        s = Scenario(workload=workload, phases=10)
+        s = AvailabilitySetup(workload=workload, phases=10)
         traces = s.build_traces()
         assert len(traces) == 20
 
     def test_fixed_slow_params(self):
-        s = Scenario(params={"slow_nodes": [3], "busy_availability": 0.5})
+        s = AvailabilitySetup(params={"slow_nodes": [3], "busy_availability": 0.5})
         traces = s.build_traces()
         assert traces[3].availability(1.0) == 0.5
         assert traces[0].availability(1.0) == 1.0
 
     def test_heterogeneous_default_split(self):
-        s = Scenario(workload="heterogeneous", params={"n_slow": 5})
+        s = AvailabilitySetup(workload="heterogeneous", params={"n_slow": 5})
         traces = s.build_traces()
         slow = [t for t in traces if t.availability(0.0) < 1.0]
         assert len(slow) == 5
@@ -46,36 +44,16 @@ class TestTraces:
 
 class TestRun:
     def test_run_produces_result(self):
-        s = Scenario(phases=30)
+        s = AvailabilitySetup(phases=30)
         result = s.run()
         assert result.phases == 30
         assert result.total_time > 0
 
     def test_policy_respected(self):
-        static = Scenario(policy="no-remap", phases=60).run()
-        remap = Scenario(policy="filtered", phases=60).run()
+        static = AvailabilitySetup(policy="no-remap", phases=60).run()
+        remap = AvailabilitySetup(policy="filtered", phases=60).run()
         assert static.planes_moved == 0
         assert remap.planes_moved > 0
-
-
-class TestJsonRoundTrip:
-    def test_round_trip(self):
-        s = Scenario(
-            workload="transient-spikes",
-            policy="global",
-            phases=123,
-            params={"spike_length": 3.0, "seed": 5},
-        )
-        back = Scenario.from_json(s.to_json())
-        assert back == s
-
-    def test_json_is_valid(self):
-        parsed = json.loads(Scenario().to_json())
-        assert parsed["policy"] == "filtered"
-
-    def test_non_object_rejected(self):
-        with pytest.raises(ValueError):
-            Scenario.from_json("[1, 2]")
 
 
 class TestCli:

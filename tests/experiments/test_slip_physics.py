@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import fig6_density, fig7_velocity
-from repro.experiments.slip_sim import SlipScenario, run_slip_pair
+from repro.experiments.channel import FAST, run_checked, slip_pair
 from repro.lbm.diagnostics import (
     apparent_slip_fraction,
     density_profile,
@@ -15,7 +15,7 @@ from repro.lbm.diagnostics import (
 
 @pytest.fixture(scope="module")
 def pair():
-    return run_slip_pair(fast=True)
+    return run_checked(slip_pair(*FAST))
 
 
 class TestDensities:
@@ -63,18 +63,14 @@ class TestSlip:
 
 class TestReports:
     def test_fig6_report(self, pair):
-        report = fig6_density.run(fast=True)
+        report = fig6_density.report(*pair)
         assert report.data["water_depletion_ratio"] < 0.85
         assert report.data["air_enrichment_ratio"] > 1.5
         assert "rho_water" in report.text
 
     def test_fig7_report(self, pair):
-        report = fig7_velocity.run(fast=True)
+        report = fig7_velocity.report(*pair)
         assert report.data["slip_forced"] > report.data["slip_control"]
         assert report.data["bulk_slip_forced"] > 0.05
         assert abs(report.data["bulk_slip_control"]) < 0.03
 
-    def test_scenarios_hashable_cached(self):
-        a = SlipScenario.fast()
-        b = SlipScenario.fast()
-        assert a == b and hash(a) == hash(b)
