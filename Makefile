@@ -10,11 +10,13 @@ install:
 test:
 	pytest tests/
 
-# Repo-specific AST invariant checkers + mypy/ruff error-count ratchet.
+# Repo-specific AST invariant checkers, mypy/ruff error-count ratchet and
+# the dead-code census.
 # The ratchet skips tools that are not installed locally; CI installs them.
 lint:
 	PYTHONPATH=src python -m repro.analysis src
 	python tools/lint_ratchet.py check
+	python tools/dead_code.py check
 
 bench:
 	pytest benchmarks/ --benchmark-only

@@ -41,11 +41,7 @@ from repro.ckpt.manifest import (
     check_fingerprint,
     config_fingerprint,
 )
-from repro.ckpt.policy import (
-    CheckpointPolicy,
-    fingerprint_key,
-    policy_from_env,
-)
+from repro.ckpt.policy import CheckpointPolicy, fingerprint_key
 from repro.ckpt.store import CheckpointStore, GenerationInfo
 
 __all__ = [
@@ -71,7 +67,6 @@ __all__ = [
     "config_fingerprint",
     "corrupt_file",
     "fingerprint_key",
-    "policy_from_env",
     "sha256_bytes",
     "sha256_file",
     "truncate_file",

@@ -1,22 +1,11 @@
-"""Environment-driven checkpoint policy.
+"""Checkpoint policy: where and how often a run checkpoints itself.
 
-Mirrors the observability layer's ``REPRO_OBS_TRACE`` discovery: the
-experiments runner (or any entry point) sets a handful of environment
-variables and every solver run in the process checkpoints itself — no
-per-experiment plumbing.
-
-Variables
----------
-``REPRO_CKPT_DIR``
-    Root directory of the checkpoint store (unset = checkpointing off).
-``REPRO_CKPT_EVERY``
-    Checkpoint interval in steps/phases (default 0 = only explicit
-    saves).
-``REPRO_CKPT_RESUME``
-    Truthy (``1``/``true``/``yes``/``on``): runs look for the latest
-    good generation matching their configuration and continue from it.
-``REPRO_CKPT_KEEP``
-    Retention window (``keep_last``, default 3).
+The ``REPRO_CKPT_DIR`` / ``REPRO_CKPT_EVERY`` / ``REPRO_CKPT_RESUME`` /
+``REPRO_CKPT_KEEP`` environment variables are parsed by
+:func:`repro.config.from_env` and applied to every
+:func:`repro.api.run` (and so every ``run_batch`` fallback and
+experiments-runner run) by :meth:`repro.config.EnvConfig.overlay`; the
+run then builds its store through :class:`CheckpointPolicy`.
 
 Because one process may run many differently-configured solvers, each
 configuration gets its own store subdirectory keyed by a fingerprint
@@ -33,13 +22,6 @@ from typing import TYPE_CHECKING
 from repro.ckpt.io import sha256_bytes
 from repro.ckpt.manifest import config_fingerprint
 from repro.ckpt.store import CheckpointStore
-from repro.config import (
-    ENV_CKPT_DIR as ENV_DIR,
-    ENV_CKPT_EVERY as ENV_EVERY,
-    ENV_CKPT_KEEP as ENV_KEEP,
-    ENV_CKPT_RESUME as ENV_RESUME,
-    from_env,
-)
 from repro.obs.observer import NULL_OBSERVER, ObserverLike
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -76,17 +58,3 @@ class CheckpointPolicy:
             keep_every=self.keep_every,
             observer=observer,
         )
-
-
-def policy_from_env(environ=None) -> CheckpointPolicy | None:
-    """The process-default policy, or ``None`` when ``REPRO_CKPT_DIR``
-    is unset/empty (parsing delegated to :func:`repro.config.from_env`)."""
-    env = from_env(environ)
-    if env.ckpt_dir is None:
-        return None
-    return CheckpointPolicy(
-        root=Path(env.ckpt_dir),
-        every=env.ckpt_every,
-        resume=env.ckpt_resume,
-        keep_last=env.ckpt_keep,
-    )

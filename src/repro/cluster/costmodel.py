@@ -24,7 +24,7 @@ Derivation of the defaults (see DESIGN.md section 5):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.util.validation import check_nonnegative, check_positive
 
@@ -128,10 +128,6 @@ class PhaseCostModel:
         return self.edge_cost(
             planes * self.plane_bytes, avail_i, avail_j, load_ratio_i, load_ratio_j
         )
-
-    def with_(self, **overrides: object) -> "PhaseCostModel":
-        """Copy with field overrides (convenience for sweeps/ablations)."""
-        return replace(self, **overrides)  # type: ignore[arg-type]
 
 
 #: Defaults calibrated against the paper's reported constants.

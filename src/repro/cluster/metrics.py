@@ -10,7 +10,7 @@
 from __future__ import annotations
 
 from repro.cluster.costmodel import PhaseCostModel
-from repro.util.validation import check_integer, check_nonnegative, check_positive
+from repro.util.validation import check_integer, check_positive
 
 
 def sequential_time(

@@ -14,7 +14,7 @@ monotone :class:`TraceCursor` amortizes the segment walk.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
 from repro.util.validation import check_nonnegative
 
@@ -100,15 +100,6 @@ class AvailabilityTrace:
         if idx < len(self._ends):
             return self._avails[idx]
         return self.tail
-
-    def segment_end(self, t: float) -> float:
-        """End of the segment containing *t* (inf for the tail)."""
-        check_nonnegative(t, "t")
-        self._ensure(t)
-        idx = bisect_right(self._ends, t)
-        if idx < len(self._ends):
-            return self._ends[idx]
-        return float("inf")
 
     def penalty_availability(self, t: float) -> float:
         """Availability as seen by the scheduling-penalty model: real

@@ -20,7 +20,8 @@ is parsed here into one immutable :class:`EnvConfig` snapshot:
 ``REPRO_CKPT_DIR`` / ``REPRO_CKPT_EVERY`` / ``REPRO_CKPT_RESUME`` /
 ``REPRO_CKPT_KEEP``
     Checkpoint store root, snapshot interval, resume flag and retention
-    window (:mod:`repro.ckpt.policy`).
+    window, applied to every :func:`repro.api.run` by
+    :meth:`EnvConfig.overlay`.
 ``REPRO_SERVE_WORKERS`` / ``REPRO_SERVE_COALESCE`` /
 ``REPRO_SERVE_RETRIES`` / ``REPRO_SERVE_CACHE``
     Job-scheduler defaults (:mod:`repro.serve`): worker-pool width,
@@ -143,6 +144,8 @@ class EnvConfig:
                 updates["checkpoint_every"] = self.ckpt_every
             if not spec.resume:
                 updates["resume"] = self.ckpt_resume
+            if spec.checkpoint_keep == type(spec).checkpoint_keep:  # the default
+                updates["checkpoint_keep"] = self.ckpt_keep
         if not updates:
             return spec
         return dataclasses.replace(spec, **updates)

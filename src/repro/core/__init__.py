@@ -14,7 +14,6 @@ from repro.core.prediction import (
     ArithmeticMeanPredictor,
     ExponentialPredictor,
     LinearTrendPredictor,
-    make_predictor,
 )
 from repro.core.partition import SlicePartition
 from repro.core.exchange import window_targets, desired_transfer
@@ -40,7 +39,6 @@ __all__ = [
     "ArithmeticMeanPredictor",
     "ExponentialPredictor",
     "LinearTrendPredictor",
-    "make_predictor",
     "SlicePartition",
     "window_targets",
     "desired_transfer",

@@ -98,24 +98,6 @@ class SlicePartition:
     def points(self, node: int) -> int:
         return int(self._counts[node]) * self.plane_points
 
-    def start_end(self, node: int) -> tuple[int, int]:
-        """Global [start, end) plane indices of *node*'s slab — the
-        ``s``/``e`` of Figure 2."""
-        if not 0 <= node < self.n_nodes:
-            raise IndexError(f"node {node} out of range")
-        start = int(self._counts[:node].sum())
-        return start, start + int(self._counts[node])
-
-    def boundaries(self) -> np.ndarray:
-        """Global plane index at each of the P+1 slab boundaries."""
-        return np.concatenate(([0], np.cumsum(self._counts)))
-
-    def owner_of_plane(self, plane: int) -> int:
-        """Node owning global plane index *plane*."""
-        if not 0 <= plane < self.total_planes:
-            raise IndexError(f"plane {plane} out of range")
-        return int(np.searchsorted(np.cumsum(self._counts), plane, side="right"))
-
     # -------------------------------------------------------------- mutation
     def apply_edge_flows(self, flows: Sequence[int]) -> None:
         """Apply migration: ``flows[i]`` planes move from node i to node

@@ -110,24 +110,3 @@ def harmonic_mean(values: Sequence[float]) -> float:
     if any(v <= 0 for v in vals):
         raise ValueError("harmonic mean requires positive values")
     return len(vals) / sum(1.0 / v for v in vals)
-
-
-_PREDICTORS = {
-    "harmonic": HarmonicMeanPredictor,
-    "last": LastPhasePredictor,
-    "arithmetic": ArithmeticMeanPredictor,
-    "exponential": ExponentialPredictor,
-    "linear": LinearTrendPredictor,
-}
-
-
-def make_predictor(name: str, **kwargs: float) -> Predictor:
-    """Factory by name: harmonic (default in the paper), last, arithmetic,
-    exponential."""
-    try:
-        cls = _PREDICTORS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown predictor {name!r}; available: {sorted(_PREDICTORS)}"
-        ) from None
-    return cls(**kwargs)  # type: ignore[arg-type]

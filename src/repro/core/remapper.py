@@ -139,14 +139,6 @@ class Remapper:
                 )
         return decision
 
-    def after_phase(self, comp_times: np.ndarray) -> RemapDecision | None:
-        """Record a phase and remap if the interval boundary is reached.
-        Returns the decision when an attempt ran, else ``None``."""
-        self.record_phase(comp_times)
-        if self.due():
-            return self.attempt()
-        return None
-
     def total_planes_moved(self) -> int:
         """Cumulative migration volume (planes) across all decisions."""
         return sum(d.planes_moved for d in self.decisions)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.cluster.machine import paper_cluster
 from repro.cluster.simulator import simulate
 from repro.cluster.workload import fixed_slow_traces
-from repro.core.policies import POLICY_NAMES, make_policy
+from repro.core.policies import make_policy
 from repro.experiments.fig8_speedup import SLOW_ORDER
 from repro.experiments.report import Report
 from repro.util.tables import format_table

@@ -2,7 +2,7 @@
 hydrophobic wall forces, as used by the paper's fluid-slip simulation.
 
 The package is organised as small, dimension-agnostic numpy kernels
-(:mod:`repro.lbm.collision`, :mod:`repro.lbm.streaming`, ...) composed by a
+(:mod:`repro.lbm.streaming`, :mod:`repro.lbm.shan_chen`, ...) composed by a
 single-process solver (:class:`repro.lbm.solver.MulticomponentLBM`).  The
 parallel driver in :mod:`repro.parallel` reuses the same kernels on x-slabs
 with ghost planes.
@@ -16,7 +16,7 @@ from repro.lbm.analytic import (
     taylor_green_velocity,
 )
 from repro.lbm.adhesion import contact_density_ratio, wall_indicator_field
-from repro.lbm.lattice import Lattice, D2Q9, D3Q19, get_lattice
+from repro.lbm.lattice import Lattice, D2Q9, D3Q19
 from repro.lbm.components import ComponentSpec
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.forces import WallForceSpec
@@ -26,7 +26,6 @@ from repro.lbm.diagnostics import (
     Profile,
     apparent_slip_fraction,
     density_profile,
-    effective_apparent_slip_fraction,
     effective_slip_fraction,
     normalized_velocity_profile,
     slip_fraction,
@@ -39,7 +38,6 @@ __all__ = [
     "Lattice",
     "D2Q9",
     "D3Q19",
-    "get_lattice",
     "ComponentSpec",
     "ChannelGeometry",
     "WallForceSpec",
@@ -57,7 +55,6 @@ __all__ = [
     "Profile",
     "apparent_slip_fraction",
     "density_profile",
-    "effective_apparent_slip_fraction",
     "effective_slip_fraction",
     "normalized_velocity_profile",
     "slip_fraction",

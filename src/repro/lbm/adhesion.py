@@ -38,19 +38,6 @@ def wall_indicator_field(
     return field
 
 
-def adhesion_force(
-    psi: np.ndarray,
-    g_ads: float,
-    wall_field: np.ndarray,
-) -> np.ndarray:
-    """``F = -g_ads * psi(x) * S(x)``, shape ``(D, *S)``.
-
-    Positive *g_ads* pushes the component away from the wall (the wall
-    indicator points toward the wall and the sign flips it).
-    """
-    return -g_ads * psi[None] * wall_field
-
-
 def contact_density_ratio(
     rho: np.ndarray, geometry: ChannelGeometry, axis: int = 1
 ) -> float:

@@ -36,11 +36,3 @@ def bounce_back(f: np.ndarray, solid_mask: np.ndarray, lattice: Lattice) -> None
     rows = lattice.moving[:, None]
     at_solid = f[rows, solid_mask]  # (Q_moving, n_solid) copy
     f[rows, solid_mask] = at_solid[lattice.moving_opp]
-
-
-def bounce_back_component_stack(
-    f: np.ndarray, solid_mask: np.ndarray, lattice: Lattice
-) -> None:
-    """Bounce-back for a component stack ``(C, Q, *S)``."""
-    for comp in range(f.shape[0]):
-        bounce_back(f[comp], solid_mask, lattice)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import partial
 from typing import Protocol
 
 import numpy as np
@@ -261,20 +260,3 @@ def effective_slip_fraction(
         solver, axis=axis, flow_axis=flow_axis, other_index=other_index, measure=measure
     ).values
     return float(values[0] if np.all(values == values[0]) else values.mean())
-
-
-def effective_apparent_slip_fraction(
-    solver: VelocitySource,
-    *,
-    axis: int = 1,
-    flow_axis: int = 0,
-    other_index: int | None = None,
-    boundary_layer: float = 8.0,
-) -> float:
-    """:func:`apparent_slip_fraction` (parabolic core fit) averaged over
-    all streamwise planes — the experimentalist's measure for rough or
-    patterned walls."""
-    measure = partial(apparent_slip_fraction, boundary_layer=boundary_layer)
-    return effective_slip_fraction(
-        solver, axis=axis, flow_axis=flow_axis, other_index=other_index, measure=measure
-    )

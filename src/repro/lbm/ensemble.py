@@ -30,7 +30,8 @@ converge instead of dragging finished simulations along.
 
 Usage::
 
-    spec = EnsembleSpec.wall_force_sweep(base_config, [0.05, 0.1, 0.2])
+    spec = EnsembleSpec(base_config, tuple(
+        MemberParams(wall_amplitude=a) for a in (0.05, 0.1, 0.2)))
     result = run_ensemble(spec, n_steps=2000, check_every=50, tol=1e-9)
     for member in result.members:
         solver = member.solver()          # full solver at the final state
@@ -43,7 +44,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -160,31 +161,6 @@ class EnsembleSpec:
         if not updates:
             return self.base
         return dataclasses.replace(self.base, **updates)
-
-    # ------------------------------------------------------------- sweeps
-    @classmethod
-    def wall_force_sweep(
-        cls, base: LBMConfig, amplitudes: Sequence[float]
-    ) -> "EnsembleSpec":
-        """Sweep the hydrophobic wall-force amplitude ``a`` (the paper's
-        slip-length control parameter, Figure 7)."""
-        return cls(
-            base=base,
-            members=tuple(
-                MemberParams(wall_amplitude=float(a)) for a in amplitudes
-            ),
-        )
-
-    @classmethod
-    def g_sweep(
-        cls, base: LBMConfig, scales: Sequence[float]
-    ) -> "EnsembleSpec":
-        """Sweep the Shan-Chen coupling strength by scaling the base
-        coupling matrix."""
-        return cls(
-            base=base,
-            members=tuple(MemberParams(g_scale=float(s)) for s in scales),
-        )
 
 
 @dataclass

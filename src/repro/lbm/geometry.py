@@ -85,31 +85,6 @@ class ChannelGeometry:
         """Boolean field, True at fluid nodes."""
         return ~self.solid_mask()
 
-    def wall_distance(self, axis: int) -> np.ndarray:
-        """Distance (lattice units) from the nearest wall along *axis*.
-
-        The no-slip surface of full-way bounce-back lies half a spacing
-        beyond the outermost fluid node, so the first fluid node is at
-        distance 0.5 from the wall.  Solid nodes get distance 0.
-
-        Returns a field of the full grid shape (broadcast from a 1-D
-        profile along *axis*).
-        """
-        if axis not in self.wall_axes:
-            raise ValueError(f"axis {axis} has no walls (wall_axes={self.wall_axes})")
-        n = self.shape[axis]
-        t = self.wall_thickness
-        idx = np.arange(n, dtype=np.float64)
-        # Wall surfaces sit between the last solid node (t - 1) and the
-        # first fluid node (t): surface position t - 1/2; symmetric on top.
-        lo_surface = t - 0.5
-        hi_surface = (n - 1 - t) + 0.5
-        dist = np.minimum(idx - lo_surface, hi_surface - idx)
-        dist = np.maximum(dist, 0.0)
-        shape = [1] * self.ndim
-        shape[axis] = n
-        return np.broadcast_to(dist.reshape(shape), self.shape).copy()
-
     def wall_coordinate(self, axis: int) -> np.ndarray:
         """Signed distance (lattice units) from the *low* wall surface along
         *axis* — a monotone coordinate across the channel, used for profile
@@ -135,22 +110,6 @@ class ChannelGeometry:
         if axis not in self.wall_axes:
             raise ValueError(f"axis {axis} has no walls (wall_axes={self.wall_axes})")
         return float(self.shape[axis] - 2 * self.wall_thickness)
-
-    def inward_normal(self, axis: int) -> np.ndarray:
-        """Sign field (+1 / -1 / 0) pointing from the nearest wall into the
-        channel along *axis*; 0 on the centerline and at solid nodes."""
-        if axis not in self.wall_axes:
-            raise ValueError(f"axis {axis} has no walls (wall_axes={self.wall_axes})")
-        n = self.shape[axis]
-        idx = np.arange(n, dtype=np.float64)
-        center = (n - 1) / 2.0
-        sign = np.sign(center - idx)
-        t = self.wall_thickness
-        sign[:t] = 0.0
-        sign[n - t:] = 0.0
-        shape = [1] * self.ndim
-        shape[axis] = n
-        return np.broadcast_to(sign.reshape(shape), self.shape).copy()
 
     def centerline_index(self, axis: int) -> int:
         """Index of the grid line closest to the channel center on *axis*."""

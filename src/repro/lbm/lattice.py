@@ -145,15 +145,3 @@ def _build_d3q19() -> Lattice:
 
 D2Q9 = _build_d2q9()
 D3Q19 = _build_d3q19()
-
-_REGISTRY = {"D2Q9": D2Q9, "D3Q19": D3Q19}
-
-
-def get_lattice(name: str) -> Lattice:
-    """Look up a lattice descriptor by name (``"D2Q9"`` or ``"D3Q19"``)."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown lattice {name!r}; available: {sorted(_REGISTRY)}"
-        ) from None

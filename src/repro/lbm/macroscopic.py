@@ -65,23 +65,6 @@ def common_velocity(
     return numer / np.maximum(denom, floor)
 
 
-def equilibrium_velocity(
-    u_common: np.ndarray,
-    force: np.ndarray,
-    rho: np.ndarray,
-    tau: float,
-    *,
-    floor: float = 1e-300,
-) -> np.ndarray:
-    """Forced equilibrium velocity for one component:
-    ``u_eq = u' + tau * F / rho`` (Shan-Chen forcing)."""
-    if force.shape != u_common.shape:
-        raise ValueError(
-            f"force shape {force.shape} != u_common shape {u_common.shape}"
-        )
-    return u_common + tau * force / np.maximum(rho, floor)
-
-
 def mixture_velocity(
     rhos: np.ndarray,
     momenta: np.ndarray,

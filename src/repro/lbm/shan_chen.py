@@ -91,11 +91,3 @@ def interaction_force(
         coupled = np.tensordot(g_matrix[sigma], sums, axes=([0], [0]))
         forces[sigma] = -psis[sigma][None] * coupled
     return forces
-
-
-def momentum_rate_of_change(
-    psis: np.ndarray, g_matrix: np.ndarray, lattice: Lattice
-) -> np.ndarray:
-    """``dp_sigma/dt`` from the interaction potential — identical to the
-    interaction force (the paper's net rate of momentum change)."""
-    return interaction_force(psis, g_matrix, lattice)

@@ -321,11 +321,8 @@ class MulticomponentLBM:
         Checkpointing: with *checkpoint_store* (a
         :class:`repro.ckpt.CheckpointStore`) and ``checkpoint_every > 0``,
         the full state is snapshotted whenever the absolute step count hits
-        a multiple of the interval.  When neither is given, the
-        ``REPRO_CKPT_*`` environment variables are consulted (see
-        :mod:`repro.ckpt.policy`); with ``REPRO_CKPT_RESUME`` set the run
-        restores the latest good checkpoint and treats *n_steps* as the
-        TOTAL step target, executing only the remainder.
+        a multiple of the interval.  The ``REPRO_CKPT_*`` environment
+        policy applies to :func:`repro.api.run`, not here.
         """
         if n_steps < 0:
             raise ValueError(f"n_steps must be >= 0, got {n_steps}")
@@ -335,34 +332,14 @@ class MulticomponentLBM:
             )
         if checkpoint_every and checkpoint_store is None:
             raise ValueError("checkpoint_every > 0 needs a checkpoint_store")
-        store = checkpoint_store
-        every = checkpoint_every
-        target = self.step_count + n_steps
-        if store is None:
-            # Lazy import: repro.ckpt is only paid for when enabled.
-            from repro.ckpt.policy import policy_from_env
-
-            policy = policy_from_env()
-            if policy is not None:
-                policy_store = policy.store_for(
-                    self.config, observer=self.observer
-                )
-                store = policy_store
-                every = policy.every
-                if policy.resume:
-                    manifest = policy_store.latest_good()
-                    if manifest is not None:
-                        policy_store.restore_solver(self, manifest=manifest)
-                        target = n_steps  # resumed: n_steps is the total
-        remaining = max(0, target - self.step_count)
-        for i in range(remaining):
+        for i in range(n_steps):
             self.step()
             if check_interval and (i + 1) % check_interval == 0:
                 self.check_health()
             if callback is not None:
                 callback(self)
-            if every and store is not None and self.step_count % every == 0:
-                store.save_solver(self)
+            if checkpoint_every and self.step_count % checkpoint_every == 0:
+                checkpoint_store.save_solver(self)
 
     def collide(self) -> None:
         """BGK-relax every component toward its forced equilibrium,

@@ -26,13 +26,3 @@ def stream(f: np.ndarray, lattice: Lattice) -> None:
     spatial_axes = tuple(range(lattice.D))
     for k in lattice.moving:
         f[k] = np.roll(f[k], lattice.shifts[k], axis=spatial_axes)
-
-
-def stream_component_stack(f: np.ndarray, lattice: Lattice) -> None:
-    """Stream a stack of components at once: *f* shape ``(C, Q, *S)``."""
-    if f.ndim != 2 + lattice.D:
-        raise ValueError(
-            f"f must have {2 + lattice.D} dims (C, Q + spatial), got {f.shape}"
-        )
-    for comp in range(f.shape[0]):
-        stream(f[comp], lattice)

@@ -57,22 +57,10 @@ class UnitSystem:
         """Lattice density -> g/cm^3 (the unit of the paper's Figure 6)."""
         return self.density(lattice_density) / 1000.0
 
-    def force_density(self, lattice_force: float) -> float:
-        """Lattice force density -> N/m^3."""
-        return lattice_force * self.rho0 * self.dx / self.dt**2
-
-    def kinematic_viscosity(self, lattice_nu: float) -> float:
-        """Lattice kinematic viscosity -> m^2/s."""
-        return lattice_nu * self.dx**2 / self.dt
-
     # --- physical -> lattice -------------------------------------------------
     def to_lattice_length(self, meters: float) -> float:
         """Meters -> lattice spacings."""
         return meters / self.dx
-
-    def to_lattice_density(self, kg_per_m3: float) -> float:
-        """kg/m^3 -> lattice density units."""
-        return kg_per_m3 / self.rho0
 
 
 def paper_unit_system(*, dt: float = 1.0e-9) -> UnitSystem:

@@ -147,29 +147,6 @@ class Histogram:
             return 0.0
         return self.count / self.sum_reciprocals
 
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Pure merge: a new histogram summarizing both inputs.
-
-        Requires identical bucket bounds.  Associative and commutative on
-        the integer fields; the float accumulators are associative up to
-        floating-point rounding.
-        """
-        if tuple(self.bounds) != tuple(other.bounds):
-            raise ValueError(
-                f"cannot merge histograms with bounds {self.bounds} "
-                f"and {other.bounds}"
-            )
-        merged = Histogram(name=self.name, bounds=self.bounds)
-        merged.count = self.count + other.count
-        merged.total = self.total + other.total
-        merged.sum_reciprocals = self.sum_reciprocals + other.sum_reciprocals
-        merged.min = min(self.min, other.min)
-        merged.max = max(self.max, other.max)
-        merged.bucket_counts = [
-            a + b for a, b in zip(self.bucket_counts, other.bucket_counts)
-        ]
-        return merged
-
     def snapshot(self) -> dict:
         return {
             "kind": "histogram",

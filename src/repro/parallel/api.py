@@ -111,11 +111,6 @@ class Request:
         return self._value
 
 
-def wait_all(requests: list[Request], timeout: float | None = None) -> list[Any]:
-    """Wait on every request (in order) and return their values."""
-    return [req.wait(timeout) for req in requests]
-
-
 class Communicator(ABC):
     """Point of contact of one rank with the rest of the world.
 

@@ -12,7 +12,6 @@ feasible processor-grid factorization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -74,9 +73,6 @@ class DecompositionPlan:
     def subdomain_shape(self) -> tuple[float, ...]:
         """Average subdomain extent per axis (may be fractional)."""
         return tuple(n / p for n, p in zip(self.grid_shape, self.proc_grid))
-
-    def points_per_node(self) -> float:
-        return float(np.prod(self.subdomain_shape()))
 
     def halo_surface(self) -> float:
         """Lattice points on the halo surface of one (interior) subdomain:

@@ -1,38 +1,31 @@
 """repro.sweep — Monte Carlo sweeps over wall-physics scenarios.
 
 A :class:`SweepSpec` samples a :mod:`repro.scenarios` scenario's
-parameters from uniform / log-uniform / discrete priors (plain MC or
+parameters from uniform / discrete priors (plain MC or
 Latin hypercube, seeded through :mod:`repro.util.rng`), compiles the
 samples to :class:`repro.api.RunSpec` lists, and :func:`run_sweep`
 executes them on the batched-ensemble substrate
 (:func:`repro.api.run_batch`) or through the :mod:`repro.serve`
 scheduler — where repeated samples deduplicate for free — then
 aggregates effective slip per sample.  :mod:`repro.sweep.sensitivity`
-adds one-at-a-time and variance-based summaries.  See
+adds a variance-based summary.  See
 docs/SCENARIOS.md; served sweeps are measured by the end-to-end
 benchmark's ``sweep_small`` workload (bench/README.md).
 """
 
-from repro.sweep.distributions import Discrete, Distribution, LogUniform, Uniform
+from repro.sweep.distributions import Discrete, Distribution, Uniform
 from repro.sweep.engine import SampleResult, SweepResult, run_sweep
-from repro.sweep.sensitivity import (
-    OATResult,
-    one_at_a_time,
-    variance_sensitivity,
-)
+from repro.sweep.sensitivity import variance_sensitivity
 from repro.sweep.spec import SweepParameter, SweepSpec
 
 __all__ = [
     "Discrete",
     "Distribution",
-    "LogUniform",
-    "OATResult",
     "SampleResult",
     "SweepParameter",
     "SweepResult",
     "SweepSpec",
     "Uniform",
-    "one_at_a_time",
     "run_sweep",
     "variance_sensitivity",
 ]

@@ -12,13 +12,10 @@ seed.
 from __future__ import annotations
 
 import abc
-import math
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-
-from repro.util.validation import check_positive
 
 
 class Distribution(abc.ABC):
@@ -58,34 +55,6 @@ class Uniform(Distribution):
     def doc(self) -> dict[str, Any]:
         return {
             "kind": "uniform",
-            "low": float(self.low),
-            "high": float(self.high),
-        }
-
-
-@dataclass(frozen=True)
-class LogUniform(Distribution):
-    """Log-uniform on ``[low, high]`` (both must be positive) — the
-    right prior for scale parameters like force amplitudes."""
-
-    low: float
-    high: float
-
-    def __post_init__(self) -> None:
-        check_positive(self.low, "low")
-        if not (self.high > self.low):
-            raise ValueError(
-                f"need high > low > 0, got [{self.low}, {self.high}]"
-            )
-
-    def ppf(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=np.float64)
-        lo, hi = math.log(self.low), math.log(self.high)
-        return np.exp(lo + (hi - lo) * u)
-
-    def doc(self) -> dict[str, Any]:
-        return {
-            "kind": "log_uniform",
             "low": float(self.low),
             "high": float(self.high),
         }

@@ -78,12 +78,6 @@ class SweepResult:
     #: caller can check served samples bitwise against direct runs).
     results: list[RunResult] | None = None
 
-    def param_array(self, name: str) -> np.ndarray:
-        """The swept values of *name* across samples, in sample order."""
-        return np.asarray(
-            [s.params[name] for s in self.samples], dtype=np.float64
-        )
-
     def slip_array(self) -> np.ndarray:
         return np.asarray([s.slip for s in self.samples], dtype=np.float64)
 

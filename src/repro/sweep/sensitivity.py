@@ -1,115 +1,19 @@
-"""Sensitivity summaries for scenario sweeps.
+"""Sensitivity summary for scenario sweeps.
 
-Two complementary views, mirroring the structure of classical
-simulation sensitivity toolkits:
-
-- **One-at-a-time** (:func:`one_at_a_time`): march each parameter
-  through evenly spaced quantiles of its prior while holding the others
-  at their medians, and report the slip response curve per parameter —
-  cheap, interpretable, and exactly what the fig-roughness/fig-pattern
-  curves are.
-- **Variance-based** (:func:`variance_sensitivity`): from an existing
-  Monte Carlo sample set, the correlation ratio (binned eta-squared)
-  of the response against each parameter — a model-free estimate of the
-  fraction of output variance each input explains, interactions
-  included in aggregate.
+**Variance-based** (:func:`variance_sensitivity`): from an existing
+Monte Carlo sample set, the correlation ratio (binned eta-squared) of
+the response against each parameter — a model-free estimate of the
+fraction of output variance each input explains, interactions included
+in aggregate.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
 
-from repro.api import RunSpec, run_batch
-from repro.lbm.diagnostics import effective_slip_fraction
-from repro.lbm.solver import LBMConfig
-from repro.sweep.spec import SweepParameter
 from repro.util.validation import check_integer
-
-
-def _coerce(scenario: Any, name: str, value: float) -> Any:
-    """Round *value* to ``int`` when the scenario field is int-typed
-    (periods, seeds), so the replacement constructs a valid scenario."""
-    current = getattr(scenario, name)
-    if isinstance(current, bool):
-        raise TypeError(f"cannot sweep boolean field {name!r}")
-    if isinstance(current, int):
-        return int(round(value))
-    return float(value)
-
-
-@dataclass(frozen=True)
-class OATResult:
-    """One parameter's one-at-a-time slip response."""
-
-    parameter: str
-    values: np.ndarray
-    slips: np.ndarray
-
-    @property
-    def span(self) -> float:
-        """Peak-to-peak slip response — the crudest sensitivity rank."""
-        return float(self.slips.max() - self.slips.min())
-
-
-def one_at_a_time(
-    base_config: LBMConfig,
-    phases: int,
-    parameters: Sequence[SweepParameter],
-    *,
-    levels: int = 5,
-    check_every: int = 0,
-    tol: float = 0.0,
-) -> list[OATResult]:
-    """Run the one-at-a-time design on :func:`repro.api.run_batch`.
-
-    For each parameter: *levels* evenly spaced prior quantiles
-    (mid-stratum, ``(i + 0.5) / levels``), every other parameter pinned
-    at its median.  All points across all parameters are submitted as
-    one batch, so compatible points share stacked ensemble passes.
-    """
-    if base_config.scenario is None:
-        raise ValueError("one_at_a_time needs a base_config with a scenario")
-    check_integer(levels, "levels", minimum=2)
-    parameters = list(parameters)
-    medians = {
-        p.name: _coerce(base_config.scenario, p.name, p.dist.median())
-        for p in parameters
-    }
-    specs: list[RunSpec] = []
-    layout: list[tuple[int, float]] = []  # (parameter index, swept value)
-    for pi, p in enumerate(parameters):
-        quantiles = (np.arange(levels, dtype=np.float64) + 0.5) / levels
-        for raw in p.dist.ppf(quantiles):
-            sample = dict(medians)
-            sample[p.name] = _coerce(base_config.scenario, p.name, float(raw))
-            scenario = dataclasses.replace(base_config.scenario, **sample)
-            specs.append(
-                RunSpec(
-                    config=dataclasses.replace(
-                        base_config, scenario=scenario
-                    ),
-                    phases=phases,
-                )
-            )
-            layout.append((pi, float(sample[p.name])))
-    results = run_batch(specs, check_every=check_every, tol=tol)
-    slips = [effective_slip_fraction(r) for r in results]
-    out: list[OATResult] = []
-    for pi, p in enumerate(parameters):
-        values = [v for (i, v), _ in zip(layout, slips) if i == pi]
-        curve = [s for (i, _), s in zip(layout, slips) if i == pi]
-        out.append(
-            OATResult(
-                parameter=p.name,
-                values=np.asarray(values, dtype=np.float64),
-                slips=np.asarray(curve, dtype=np.float64),
-            )
-        )
-    return out
 
 
 def variance_sensitivity(

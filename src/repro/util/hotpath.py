@@ -33,8 +33,3 @@ def hot_path(fn: F) -> F:
     fn.__hot_path__ = True  # type: ignore[attr-defined]
     HOT_PATH_REGISTRY[f"{fn.__module__}.{fn.__qualname__}"] = fn
     return fn
-
-
-def is_hot_path(fn: object) -> bool:
-    """True if *fn* carries the :func:`hot_path` marker."""
-    return bool(getattr(fn, "__hot_path__", False))

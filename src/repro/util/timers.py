@@ -43,19 +43,3 @@ class Timer:
     def mean(self) -> float:
         """Mean lap duration (0 before any lap completes)."""
         return self.total / self.laps if self.laps else 0.0
-
-
-def format_duration(seconds: float) -> str:
-    """Human-readable duration: ``431.2ms``, ``12.3s``, ``4m08s``,
-    ``2h31m``."""
-    if seconds < 0:
-        raise ValueError(f"duration must be >= 0, got {seconds}")
-    if seconds < 1.0:
-        return f"{seconds * 1000:.1f}ms"
-    if seconds < 60.0:
-        return f"{seconds:.1f}s"
-    minutes, secs = divmod(seconds, 60.0)
-    if minutes < 60:
-        return f"{int(minutes)}m{secs:02.0f}s"
-    hours, minutes = divmod(minutes, 60.0)
-    return f"{int(hours)}h{int(minutes):02d}m"

@@ -160,6 +160,9 @@ def test_committed_loc_ceilings_hold():
         "src/repro/obs",
         "src/repro/ckpt",
         "src/repro/experiments",
+        "src/repro/cluster",
+        "src/repro/util",
+        "src/repro/scenarios",
     }
     for directory, ceiling in loc.items():
         assert lint_ratchet.count_loc(directory) <= ceiling, directory

@@ -77,7 +77,6 @@ def test_batched_backend_kernels_are_registered_hot_paths():
     from repro.lbm.backends import KERNEL_NAMES
     from repro.lbm.ensemble import BatchedEnsemble, EnsembleSpec, MemberParams
     from repro.lbm.lattice import D2Q9
-    from repro.util.hotpath import is_hot_path
     from tests.lbm.test_backends import two_component_config
 
     spec = EnsembleSpec(
@@ -86,4 +85,4 @@ def test_batched_backend_kernels_are_registered_hot_paths():
     backend = BatchedEnsemble(spec).backend
     assert type(backend).__module__ == "repro.lbm.backends.fused"
     for kernel in KERNEL_NAMES:
-        assert is_hot_path(getattr(backend, kernel)), kernel
+        assert getattr(getattr(backend, kernel), "__hot_path__", False), kernel

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.api import EnsembleRunResult, RunResult, RunSpec, run, run_batch
-from repro.lbm.ensemble import EnsembleSpec, run_ensemble
+from repro.lbm.ensemble import EnsembleSpec, MemberParams, run_ensemble
 from repro.lbm.solver import MulticomponentLBM
 
 from tests.api.test_run_batch import sweep_specs
@@ -91,7 +91,10 @@ class TestRebuiltSolver:
             assert_same_state(rebuilt, spec.config, result.f, PHASES)
 
     def test_ensemble_member(self, config, moment_passes):
-        spec = EnsembleSpec.wall_force_sweep(config, (0.03, 0.07))
+        spec = EnsembleSpec(
+            base=config,
+            members=(MemberParams(wall_amplitude=0.03), MemberParams(wall_amplitude=0.07)),
+        )
         for member in run_ensemble(spec, PHASES).members:
             del moment_passes[:]
             rebuilt = member.solver()

@@ -13,6 +13,7 @@ from repro.api import RunSpec, run
 from repro.config import (
     ENV_CKPT_DIR,
     ENV_CKPT_EVERY,
+    ENV_CKPT_KEEP,
     ENV_CKPT_RESUME,
     ENV_TRANSPORT,
     EnvConfig,
@@ -157,10 +158,12 @@ class TestEnvOverlay:
     ):
         monkeypatch.setenv(ENV_CKPT_DIR, str(tmp_path / "env-ckpt"))
         monkeypatch.setenv(ENV_CKPT_EVERY, "3")
+        monkeypatch.setenv(ENV_CKPT_KEEP, "1")
         spec = RunSpec(config=two_component_config, phases=1)
         overlaid = from_env().overlay(spec)
         assert str(overlaid.checkpoint_dir) == str(tmp_path / "env-ckpt")
         assert overlaid.checkpoint_every == 3
+        assert overlaid.checkpoint_keep == 1
 
     def test_explicit_store_suppresses_env_ckpt(
         self, two_component_config, monkeypatch, tmp_path

@@ -14,13 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import RunSpec, run
 from repro.ckpt import CheckpointRejected, CheckpointStore
-from repro.ckpt.policy import (
-    ENV_DIR,
-    ENV_EVERY,
-    ENV_KEEP,
-    ENV_RESUME,
-    fingerprint_key,
+from repro.ckpt.policy import fingerprint_key
+from repro.config import (
+    ENV_CKPT_DIR as ENV_DIR,
+    ENV_CKPT_EVERY as ENV_EVERY,
+    ENV_CKPT_KEEP as ENV_KEEP,
+    ENV_CKPT_RESUME as ENV_RESUME,
 )
 from repro.lbm.components import ComponentSpec
 from repro.lbm.forces import WallForceSpec
@@ -136,6 +137,8 @@ class TestRunLoopCheckpointing:
 
 
 class TestEnvPolicyResume:
+    """The ``REPRO_CKPT_*`` policy, applied by :func:`repro.api.run`."""
+
     def _env(self, monkeypatch, root, *, every, resume):
         monkeypatch.setenv(ENV_DIR, str(root))
         monkeypatch.setenv(ENV_EVERY, str(every))
@@ -149,8 +152,7 @@ class TestEnvPolicyResume:
         root = tmp_path / "ckpt"
 
         self._env(monkeypatch, root, every=3, resume=False)
-        first = MulticomponentLBM(cfg)
-        first.run(6)
+        run(RunSpec(config=cfg, phases=6))
         # Per-config store subdirectory, keyed by fingerprint hash.
         store_dir = root / fingerprint_key(cfg)
         store = CheckpointStore(store_dir, keep_last=0)
@@ -159,29 +161,25 @@ class TestEnvPolicyResume:
         # A fresh process resumes from step 6 and runs only the
         # remaining 4 steps toward the 10-step TOTAL target.
         self._env(monkeypatch, root, every=3, resume=True)
-        resumed = MulticomponentLBM(cfg)
-        resumed.run(10)
-        assert resumed.step_count == 10
+        resumed = run(RunSpec(config=cfg, phases=10))
+        assert resumed.steps == 10
 
         monkeypatch.delenv(ENV_DIR)
-        plain = MulticomponentLBM(cfg)
-        plain.run(10)
+        plain = run(RunSpec(config=cfg, phases=10))
         assert np.array_equal(resumed.f, plain.f)
 
     def test_resume_past_target_runs_nothing(self, tmp_path, monkeypatch):
         cfg = _config()
         root = tmp_path / "ckpt"
         self._env(monkeypatch, root, every=0, resume=False)
-        first = MulticomponentLBM(cfg)
-        first.run(8)
+        first = run(RunSpec(config=cfg, phases=8))
         CheckpointStore(
             root / fingerprint_key(cfg), keep_last=0
-        ).save_solver(first)
+        ).save_solver(first.solver())
 
         self._env(monkeypatch, root, every=0, resume=True)
-        resumed = MulticomponentLBM(cfg)
-        resumed.run(5)  # total target already surpassed at step 8
-        assert resumed.step_count == 8
+        resumed = run(RunSpec(config=cfg, phases=5))  # target surpassed at step 8
+        assert resumed.steps == 8
         assert np.array_equal(resumed.f, first.f)
 
     def test_different_config_does_not_cross_resume(
@@ -196,14 +194,12 @@ class TestEnvPolicyResume:
 
         root = tmp_path / "ckpt"
         self._env(monkeypatch, root, every=0, resume=False)
-        solver_a = MulticomponentLBM(cfg_a)
-        solver_a.run(6)
+        result_a = run(RunSpec(config=cfg_a, phases=6))
         CheckpointStore(
             root / fingerprint_key(cfg_a), keep_last=0
-        ).save_solver(solver_a)
+        ).save_solver(result_a.solver())
 
         # cfg_b finds nothing to resume: it starts from scratch.
         self._env(monkeypatch, root, every=0, resume=True)
-        solver_b = MulticomponentLBM(cfg_b)
-        solver_b.run(4)
-        assert solver_b.step_count == 4
+        result_b = run(RunSpec(config=cfg_b, phases=4))
+        assert result_b.steps == 4

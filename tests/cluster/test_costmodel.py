@@ -31,11 +31,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             PhaseCostModel(bandwidth=0.0)
 
-    def test_with_override(self):
-        m = PAPER_COST_MODEL.with_(sched_delay=0.1)
-        assert m.sched_delay == 0.1
-        assert m.cost_per_point == PAPER_COST_MODEL.cost_per_point
-
 
 class TestCosts:
     def test_wire_time(self):

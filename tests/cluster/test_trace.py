@@ -19,11 +19,6 @@ class TestAvailabilityTrace:
         tr = AvailabilityTrace([(10.0, 0.35)], tail=1.0)
         assert tr.availability(10.0) == 1.0
 
-    def test_segment_end(self):
-        tr = AvailabilityTrace([(10.0, 0.35)], tail=1.0)
-        assert tr.segment_end(5.0) == 10.0
-        assert tr.segment_end(15.0) == float("inf")
-
     def test_nonincreasing_segments_rejected(self):
         with pytest.raises(ValueError):
             AvailabilityTrace([(10.0, 0.5), (10.0, 1.0)])

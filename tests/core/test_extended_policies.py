@@ -9,7 +9,7 @@ from repro.core.policies import (
     RemappingConfig,
     make_policy,
 )
-from repro.core.prediction import LinearTrendPredictor, make_predictor
+from repro.core.prediction import LinearTrendPredictor
 from repro.core.history import PhaseTimeHistory
 
 
@@ -40,7 +40,10 @@ class TestLinearTrendPredictor:
         assert falling >= 1e-6
 
     def test_registered_in_factory(self):
-        assert isinstance(make_predictor("linear"), LinearTrendPredictor)
+        # A remapping policy takes it wherever the paper's harmonic mean goes.
+        config = RemappingConfig(predictor=LinearTrendPredictor())
+        policy = make_policy("filtered", config)
+        assert isinstance(policy.config.predictor, LinearTrendPredictor)
 
     def test_invalid_floor(self):
         with pytest.raises(ValueError):

@@ -33,30 +33,6 @@ class TestQueries:
         assert p.point_counts().tolist() == [200, 300]
         assert p.points(1) == 300
 
-    def test_start_end(self):
-        p = SlicePartition([2, 3, 4], 10)
-        assert p.start_end(0) == (0, 2)
-        assert p.start_end(1) == (2, 5)
-        assert p.start_end(2) == (5, 9)
-
-    def test_start_end_out_of_range(self):
-        p = SlicePartition([2, 3], 10)
-        with pytest.raises(IndexError):
-            p.start_end(2)
-
-    def test_boundaries(self):
-        p = SlicePartition([2, 3, 4], 10)
-        assert p.boundaries().tolist() == [0, 2, 5, 9]
-
-    def test_owner_of_plane(self):
-        p = SlicePartition([2, 3, 4], 10)
-        assert p.owner_of_plane(0) == 0
-        assert p.owner_of_plane(1) == 0
-        assert p.owner_of_plane(2) == 1
-        assert p.owner_of_plane(8) == 2
-        with pytest.raises(IndexError):
-            p.owner_of_plane(9)
-
     def test_max_outflow(self):
         p = SlicePartition([5, 1], 10)
         assert p.max_outflow(0) == 4

@@ -7,7 +7,6 @@ from repro.core.prediction import (
     HarmonicMeanPredictor,
     LastPhasePredictor,
     harmonic_mean,
-    make_predictor,
 )
 
 
@@ -88,19 +87,3 @@ class TestOtherPredictors:
             ExponentialPredictor(),
         ):
             assert p.predict(h) == pytest.approx(2.5)
-
-
-class TestFactory:
-    def test_known_names(self):
-        assert isinstance(make_predictor("harmonic"), HarmonicMeanPredictor)
-        assert isinstance(make_predictor("last"), LastPhasePredictor)
-        assert isinstance(make_predictor("arithmetic"), ArithmeticMeanPredictor)
-        assert isinstance(make_predictor("exponential"), ExponentialPredictor)
-
-    def test_kwargs_forwarded(self):
-        p = make_predictor("exponential", alpha=0.3)
-        assert p.alpha == 0.3
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError, match="unknown predictor"):
-            make_predictor("oracle")

@@ -12,6 +12,12 @@ def make_remapper(interval=5, nodes=6, policy_cls=FilteredPolicy):
     return Remapper(part, policy_cls(cfg))
 
 
+def after_phase(rem, comp_times):
+    """Record a phase, then remap if the interval boundary is reached."""
+    rem.record_phase(comp_times)
+    return rem.attempt() if rem.due() else None
+
+
 def phase_times(part, slow: dict[int, float], jitter=None):
     t = part.point_counts().astype(float) * 1e-5
     for i, a in slow.items():
@@ -75,7 +81,7 @@ class TestAfterPhase:
         outcomes = []
         for _ in range(8):
             outcomes.append(
-                rem.after_phase(phase_times(rem.partition, {1: 0.35}))
+                after_phase(rem, phase_times(rem.partition, {1: 0.35}))
             )
         assert [o is not None for o in outcomes] == [
             False, False, False, True, False, False, False, True,
@@ -84,13 +90,13 @@ class TestAfterPhase:
     def test_conservation_over_many_remaps(self):
         rem = make_remapper(interval=2)
         for _ in range(20):
-            rem.after_phase(phase_times(rem.partition, {1: 0.4, 4: 0.5}))
+            after_phase(rem, phase_times(rem.partition, {1: 0.4, 4: 0.5}))
         assert rem.partition.total_planes == 60
 
     def test_noremap_policy_never_moves(self):
         rem = make_remapper(policy_cls=NoRemappingPolicy)
         for _ in range(10):
-            rem.after_phase(phase_times(rem.partition, {1: 0.2}))
+            after_phase(rem, phase_times(rem.partition, {1: 0.2}))
         assert rem.total_planes_moved() == 0
 
 
@@ -100,7 +106,7 @@ class TestConvergence:
         should converge to a makespan near total/(P-1) (slow node shunned)."""
         rem = make_remapper(interval=5, nodes=10)
         for _ in range(200):
-            rem.after_phase(phase_times(rem.partition, {4: 0.35}))
+            after_phase(rem, phase_times(rem.partition, {4: 0.35}))
         counts = rem.partition.point_counts().astype(float)
         t = counts * 1e-5
         t[4] /= 0.35
@@ -111,9 +117,9 @@ class TestConvergence:
         """After the slow node recovers, load flows back toward even."""
         rem = make_remapper(interval=5, nodes=6)
         for _ in range(50):
-            rem.after_phase(phase_times(rem.partition, {2: 0.35}))
+            after_phase(rem, phase_times(rem.partition, {2: 0.35}))
         assert rem.partition.planes(2) <= 3
         for _ in range(300):
-            rem.after_phase(phase_times(rem.partition, {}))
+            after_phase(rem, phase_times(rem.partition, {}))
         counts = rem.partition.plane_counts()
         assert counts.max() - counts.min() <= 4

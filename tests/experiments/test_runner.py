@@ -46,7 +46,9 @@ class TestCli:
 
 class TestCheckpointFlags:
     def test_flags_set_the_process_policy(self, tmp_path, monkeypatch):
-        from repro.ckpt.policy import ENV_DIR, ENV_EVERY, ENV_RESUME
+        from repro.config import ENV_CKPT_DIR as ENV_DIR
+        from repro.config import ENV_CKPT_EVERY as ENV_EVERY
+        from repro.config import ENV_CKPT_RESUME as ENV_RESUME
 
         # Register the vars with monkeypatch so main()'s direct writes
         # are rolled back at teardown.

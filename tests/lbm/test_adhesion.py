@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from repro.lbm.adhesion import (
-    adhesion_force,
     contact_density_ratio,
     wall_indicator_field,
 )
@@ -39,26 +38,6 @@ class TestWallIndicatorField:
         assert np.abs(field[1]).max() > 0
         assert np.abs(field[2]).max() > 0
         assert np.allclose(field[0], 0.0)  # no walls along x
-
-
-class TestAdhesionForce:
-    def test_sign_convention(self):
-        geo = ChannelGeometry(shape=(6, 12), wall_axes=(1,))
-        wall = wall_indicator_field(geo, D2Q9)
-        psi = np.ones(geo.shape)
-        repel = adhesion_force(psi, g_ads=0.5, wall_field=wall)
-        # Repulsion pushes away from the low wall: +y at y=1.
-        assert (repel[1, :, 1] > 0).all()
-        attract = adhesion_force(psi, g_ads=-0.5, wall_field=wall)
-        assert (attract[1, :, 1] < 0).all()
-
-    def test_proportional_to_psi(self):
-        geo = ChannelGeometry(shape=(6, 12), wall_axes=(1,))
-        wall = wall_indicator_field(geo, D2Q9)
-        psi = np.full(geo.shape, 2.0)
-        double = adhesion_force(psi, 0.3, wall)
-        single = adhesion_force(psi / 2, 0.3, wall)
-        assert np.allclose(double, 2 * single)
 
 
 class TestSolverIntegration:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.lbm.boundary import bounce_back, bounce_back_component_stack
+from repro.lbm.boundary import bounce_back
 from repro.lbm.lattice import D2Q9
 from repro.lbm.streaming import stream
 
@@ -71,14 +71,3 @@ class TestNoSlipPhysics:
         stream(f, D2Q9)
         k_down = D2Q9.opp[k_up]
         assert f[k_down, 2, 3] == 1.0
-
-    def test_stack_helper(self):
-        f = np.zeros((2, 9, 4, 4))
-        solid = np.zeros((4, 4), dtype=bool)
-        solid[0, 0] = True
-        k = next(i for i in range(9) if np.array_equal(D2Q9.c[i], [1, 1]))
-        f[0, k, 0, 0] = 1.0
-        f[1, k, 0, 0] = 2.0
-        bounce_back_component_stack(f, solid, D2Q9)
-        assert f[0, D2Q9.opp[k], 0, 0] == 1.0
-        assert f[1, D2Q9.opp[k], 0, 0] == 2.0

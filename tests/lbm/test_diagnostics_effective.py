@@ -16,7 +16,6 @@ import pytest
 from repro.lbm.components import ComponentSpec
 from repro.lbm.diagnostics import (
     apparent_slip_fraction,
-    effective_apparent_slip_fraction,
     effective_slip_fraction,
     slip_fraction,
     streamwise_slip_profile,
@@ -94,14 +93,6 @@ def test_patterned_effective_sits_between_the_extremes(patterned_solver):
     prof = streamwise_slip_profile(patterned_solver)
     effective = effective_slip_fraction(patterned_solver)
     assert prof.values.min() < effective < prof.values.max()
-
-
-def test_effective_apparent_slip_runs_on_homogeneous(homogeneous_solver):
-    # default boundary_layer=8 leaves no core in this narrow channel
-    value = effective_apparent_slip_fraction(
-        homogeneous_solver, boundary_layer=4.0
-    )
-    assert np.isfinite(value)
 
 
 # ------------------------------------------- one extraction, many measures

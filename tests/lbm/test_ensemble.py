@@ -55,7 +55,16 @@ def base_config(lattice=D2Q9, *, wall_force=True, shape=None):
 def wall_sweep(n, lattice=D2Q9, lo=0.02, hi=0.12):
     base = base_config(lattice)
     amps = [lo + (hi - lo) * i / max(n - 1, 1) for i in range(n)]
-    return EnsembleSpec.wall_force_sweep(base, amps)
+    return EnsembleSpec(
+        base=base, members=tuple(MemberParams(wall_amplitude=a) for a in amps)
+    )
+
+
+def g_sweep(base, scales):
+    """Members that scale the base Shan-Chen coupling matrix."""
+    return EnsembleSpec(
+        base=base, members=tuple(MemberParams(g_scale=s) for s in scales)
+    )
 
 
 class TestSpecValidation:
@@ -99,7 +108,7 @@ class TestMemberConfig:
             assert np.array_equal(cfg.g_matrix, spec.base.g_matrix)
 
     def test_g_sweep_scales_matrix(self):
-        spec = EnsembleSpec.g_sweep(base_config(), [1.0, 1.5])
+        spec = g_sweep(base_config(), [1.0, 1.5])
         assert np.array_equal(
             spec.member_config(1).g_matrix,
             np.asarray(spec.base.g_matrix) * 1.5,
@@ -146,7 +155,7 @@ class TestBatchedExactness:
         base = two_component_config(
             lattice, scenario="obstacles", backend="fused"
         )
-        spec = EnsembleSpec.g_sweep(base, [0.8, 1.2])
+        spec = g_sweep(base, [0.8, 1.2])
         result = run_ensemble(spec, 15)
         for i, member in enumerate(result.members):
             solo = MulticomponentLBM(spec.member_config(i))
@@ -154,7 +163,7 @@ class TestBatchedExactness:
             assert np.array_equal(member.f, solo.f), f"member {i}"
 
     def test_g_sweep_members_bitwise(self):
-        spec = EnsembleSpec.g_sweep(base_config(), [0.8, 1.0, 1.2])
+        spec = g_sweep(base_config(), [0.8, 1.0, 1.2])
         result = run_ensemble(spec, 10)
         for i, member in enumerate(result.members):
             solo = MulticomponentLBM(spec.member_config(i))

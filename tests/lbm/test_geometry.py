@@ -57,23 +57,6 @@ class TestMasks:
 
 
 class TestDistances:
-    def test_first_fluid_node_at_half(self):
-        geo = ChannelGeometry(shape=(4, 8), wall_axes=(1,))
-        dist = geo.wall_distance(1)
-        assert dist[0, 1] == 0.5
-        assert dist[0, -2] == 0.5
-
-    def test_solid_nodes_zero(self):
-        geo = ChannelGeometry(shape=(4, 8), wall_axes=(1,))
-        dist = geo.wall_distance(1)
-        assert dist[0, 0] == 0.0
-        assert dist[0, -1] == 0.0
-
-    def test_symmetric(self):
-        geo = ChannelGeometry(shape=(4, 9), wall_axes=(1,))
-        dist = geo.wall_distance(1)[0]
-        assert np.allclose(dist, dist[::-1])
-
     def test_wall_coordinate_monotone(self):
         geo = ChannelGeometry(shape=(4, 8), wall_axes=(1,))
         coord = geo.wall_coordinate(1)[0]
@@ -93,24 +76,10 @@ class TestDistances:
     def test_invalid_axis(self):
         geo = ChannelGeometry(shape=(4, 8), wall_axes=(1,))
         with pytest.raises(ValueError):
-            geo.wall_distance(0)
-        with pytest.raises(ValueError):
             geo.wall_coordinate(0)
 
 
 class TestNormals:
-    def test_inward_normal_signs(self):
-        geo = ChannelGeometry(shape=(4, 9), wall_axes=(1,))
-        normal = geo.inward_normal(1)[0]
-        assert normal[1] == 1.0  # near low wall, points up
-        assert normal[-2] == -1.0  # near high wall, points down
-        assert normal[4] == 0.0  # centerline
-
-    def test_solid_nodes_zero_normal(self):
-        geo = ChannelGeometry(shape=(4, 9), wall_axes=(1,))
-        normal = geo.inward_normal(1)[0]
-        assert normal[0] == 0.0 and normal[-1] == 0.0
-
     def test_centerline_index(self):
         geo = ChannelGeometry(shape=(10, 8), wall_axes=(1,))
         assert geo.centerline_index(0) == 5

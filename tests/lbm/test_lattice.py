@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.lbm.lattice import D2Q9, D3Q19, Lattice, get_lattice
+from repro.lbm.lattice import D2Q9, D3Q19, Lattice
 
 
 class TestD2Q9:
@@ -101,13 +101,3 @@ class TestLatticeValidation:
     def test_arrays_readonly(self):
         with pytest.raises(ValueError):
             D2Q9.c[0, 0] = 5
-
-
-class TestRegistry:
-    def test_lookup(self):
-        assert get_lattice("D2Q9") is D2Q9
-        assert get_lattice("D3Q19") is D3Q19
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown lattice"):
-            get_lattice("D3Q27")

@@ -7,7 +7,6 @@ from repro.lbm.macroscopic import (
     common_velocity,
     component_density,
     component_momentum,
-    equilibrium_velocity,
     mixture_velocity,
 )
 
@@ -72,23 +71,6 @@ class TestCommonVelocity:
         with pytest.raises(ValueError):
             common_velocity(
                 np.ones((2, 3, 3)), np.zeros((2, 2, 3, 3)), np.array([1.0])
-            )
-
-
-class TestEquilibriumVelocity:
-    def test_force_shift(self):
-        shape = (3, 3)
-        u = np.zeros((2, *shape))
-        force = np.zeros((2, *shape))
-        force[1] = 0.01
-        rho = np.full(shape, 2.0)
-        ueq = equilibrium_velocity(u, force, rho, tau=1.5)
-        assert np.allclose(ueq[1], 1.5 * 0.01 / 2.0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            equilibrium_velocity(
-                np.zeros((2, 3, 3)), np.zeros((2, 4, 3)), np.ones((3, 3)), 1.0
             )
 
 

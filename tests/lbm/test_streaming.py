@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repro.lbm.lattice import D2Q9, D3Q19
-from repro.lbm.streaming import stream, stream_component_stack
+from repro.lbm.streaming import stream
 
 
 class TestStream2D:
@@ -73,18 +73,3 @@ class TestStream3D:
         total = f.sum()
         stream(f, D3Q19)
         assert np.isclose(f.sum(), total)
-
-
-class TestComponentStack:
-    def test_components_independent(self):
-        f = np.zeros((2, 9, 4, 4))
-        k = next(i for i in range(9) if np.array_equal(D2Q9.c[i], [0, 1]))
-        f[0, k, 1, 1] = 1.0
-        f[1, k, 2, 2] = 2.0
-        stream_component_stack(f, D2Q9)
-        assert f[0, k, 1, 2] == 1.0
-        assert f[1, k, 2, 3] == 2.0
-
-    def test_wrong_dims_rejected(self):
-        with pytest.raises(ValueError):
-            stream_component_stack(np.zeros((9, 4, 4)), D2Q9)

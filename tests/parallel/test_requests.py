@@ -10,7 +10,7 @@ and timeout diagnostics through the request path.
 import numpy as np
 import pytest
 
-from repro.parallel.api import CommunicatorTimeout, Request, wait_all
+from repro.parallel.api import CommunicatorTimeout, Request
 from repro.parallel.launch import launch_spmd
 
 
@@ -38,10 +38,6 @@ class TestRequestHandle:
         assert req.wait(99.0) == "payload"
         assert calls == [1.0]
         assert req.done()
-
-    def test_wait_all_preserves_order(self):
-        reqs = [Request.completed(i * i) for i in range(4)]
-        assert wait_all(reqs) == [0, 1, 4, 9]
 
 
 @pytest.mark.parametrize("transport", ["threads", "processes"])

@@ -37,10 +37,6 @@ class TestDecompositionPlan:
         assert DecompositionPlan(PAPER_GRID, (5, 2, 2)).kind == "cubic"
         assert DecompositionPlan(PAPER_GRID, (1, 1, 1)).kind == "trivial"
 
-    def test_points_per_node(self):
-        plan = DecompositionPlan(PAPER_GRID, (20, 1, 1))
-        assert plan.points_per_node() == 80_000
-
     def test_slice_surface(self):
         plan = DecompositionPlan(PAPER_GRID, (20, 1, 1))
         assert plan.halo_surface() == 2 * 200 * 20

@@ -1,7 +1,5 @@
 """Property tests for the repro.obs metrics registry.
 
-- histogram merge is associative (and commutative) and equivalent to
-  observing the concatenated sample streams;
 - the histogram's harmonic mean agrees with the paper's load-index
   filter in :mod:`repro.core.prediction` on the same samples;
 - counters stay monotonic and lose no increments under concurrent use
@@ -33,42 +31,6 @@ def hist_of(values, name="h"):
     for v in values:
         h.observe(v)
     return h
-
-
-class TestHistogramMerge:
-    @given(a=samples, b=samples, c=samples)
-    @settings(max_examples=100, deadline=None)
-    def test_merge_associative(self, a, b, c):
-        ha, hb, hc = hist_of(a), hist_of(b), hist_of(c)
-        left = ha.merge(hb).merge(hc)
-        right = ha.merge(hb.merge(hc))
-        assert left.count == right.count == len(a) + len(b) + len(c)
-        assert left.bucket_counts == right.bucket_counts
-        assert left.total == pytest.approx(right.total, rel=1e-12, abs=1e-12)
-        assert left.sum_reciprocals == pytest.approx(
-            right.sum_reciprocals, rel=1e-12, abs=1e-12
-        )
-        if left.count:
-            assert left.min == right.min and left.max == right.max
-
-    @given(a=samples, b=samples)
-    @settings(max_examples=100, deadline=None)
-    def test_merge_commutative_and_stream_equivalent(self, a, b):
-        merged = hist_of(a).merge(hist_of(b))
-        swapped = hist_of(b).merge(hist_of(a))
-        streamed = hist_of(list(a) + list(b))
-        for other in (swapped, streamed):
-            assert merged.count == other.count
-            assert merged.bucket_counts == other.bucket_counts
-            assert merged.total == pytest.approx(
-                other.total, rel=1e-12, abs=1e-12
-            )
-
-    def test_merge_rejects_mismatched_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram(name="a", bounds=(1.0,)).merge(
-                Histogram(name="a", bounds=(2.0,))
-            )
 
 
 class TestHarmonicMeanConsistency:

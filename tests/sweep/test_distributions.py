@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.sweep.distributions import Discrete, LogUniform, Uniform
+from repro.sweep.distributions import Discrete, Uniform
 
 U = np.linspace(0.0, 0.999, 25)
 
@@ -20,15 +20,6 @@ def test_uniform_maps_the_unit_interval_onto_the_range():
     assert dist.median() == pytest.approx(0.6)
 
 
-def test_log_uniform_is_uniform_in_log_space():
-    dist = LogUniform(low=1e-3, high=1e-1)
-    values = dist.ppf(np.asarray([0.0, 0.5, 1.0]))
-    assert values[0] == pytest.approx(1e-3)
-    assert values[1] == pytest.approx(1e-2)  # geometric midpoint
-    assert values[2] == pytest.approx(1e-1)
-    assert dist.median() == pytest.approx(1e-2)
-
-
 def test_discrete_partitions_the_unit_interval_equiprobably():
     dist = Discrete(values=(3.0, 11.0, 19.0))
     values = dist.ppf(np.asarray([0.0, 0.32, 0.34, 0.66, 0.67, 0.999]))
@@ -39,7 +30,6 @@ def test_discrete_partitions_the_unit_interval_equiprobably():
 def test_ppf_is_deterministic():
     for dist in (
         Uniform(0.0, 2.0),
-        LogUniform(0.01, 1.0),
         Discrete((1.0, 2.0)),
     ):
         assert np.array_equal(dist.ppf(U), dist.ppf(U))
@@ -48,7 +38,6 @@ def test_ppf_is_deterministic():
 def test_docs_are_canonical_json():
     for dist in (
         Uniform(0.0, 2.0),
-        LogUniform(0.01, 1.0),
         Discrete((1.0, 2.0)),
     ):
         doc = dist.doc()
@@ -61,9 +50,6 @@ def test_docs_are_canonical_json():
     [
         lambda: Uniform(1.0, 1.0),
         lambda: Uniform(2.0, 1.0),
-        lambda: LogUniform(0.0, 1.0),
-        lambda: LogUniform(-1.0, 1.0),
-        lambda: LogUniform(1.0, 0.5),
         lambda: Discrete(()),
     ],
 )

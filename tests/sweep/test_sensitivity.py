@@ -1,20 +1,19 @@
-"""Sensitivity designs: one-at-a-time monotone response on the
-homogeneous amplitude, and the variance (eta-squared) decomposition."""
+"""Sensitivity: monotone slip response to the homogeneous amplitude,
+and the variance (eta-squared) decomposition."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.api import RunSpec, run_batch
+from repro.lbm.diagnostics import effective_slip_fraction
 from repro.lbm.components import ComponentSpec
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import D2Q9
 from repro.lbm.solver import LBMConfig
 from repro.scenarios import HomogeneousScenario
-from repro.sweep import (
-    SweepParameter,
-    Uniform,
-    one_at_a_time,
-    variance_sensitivity,
-)
+from repro.sweep import variance_sensitivity
 
 
 def base_config() -> LBMConfig:
@@ -32,44 +31,22 @@ def base_config() -> LBMConfig:
 
 
 def test_oat_amplitude_response_is_monotone():
-    results = one_at_a_time(
-        base_config(),
-        40,
-        [SweepParameter("amplitude", Uniform(0.02, 0.12))],
-        levels=4,
-    )
-    (amplitude,) = results
-    assert amplitude.parameter == "amplitude"
-    assert amplitude.values.shape == amplitude.slips.shape == (4,)
-    assert np.all(np.diff(amplitude.values) > 0)
-    # a stronger hydrophobic repulsion means more slip, at every level
-    assert np.all(np.diff(amplitude.slips) > 0)
-    assert amplitude.span > 0.0
-
-
-def test_oat_holds_other_parameters_at_their_medians():
-    results = one_at_a_time(
-        base_config(),
-        4,
-        [
-            SweepParameter("amplitude", Uniform(0.02, 0.12)),
-            SweepParameter("decay_length", Uniform(1.5, 3.5)),
-        ],
-        levels=2,
-    )
-    assert [r.parameter for r in results] == ["amplitude", "decay_length"]
-    for r in results:
-        assert r.values.shape == (2,)
-
-
-def test_oat_requires_a_scenario():
-    import dataclasses
-
-    bare = dataclasses.replace(base_config(), scenario=None)
-    with pytest.raises(ValueError, match="scenario"):
-        one_at_a_time(
-            bare, 4, [SweepParameter("amplitude", Uniform(0.0, 1.0))]
+    # The amplitude prior's mid-stratum quantiles, other fields as in the
+    # base scenario, as one batch of runs.
+    amplitudes = 0.02 + 0.1 * (np.arange(4) + 0.5) / 4
+    specs = [
+        RunSpec(
+            config=dataclasses.replace(
+                base_config(),
+                scenario=HomogeneousScenario(amplitude=float(a), decay_length=2.5),
+            ),
+            phases=40,
         )
+        for a in amplitudes
+    ]
+    slips = [effective_slip_fraction(r) for r in run_batch(specs)]
+    # a stronger hydrophobic repulsion means more slip, at every level
+    assert np.all(np.diff(slips) > 0)
 
 
 def test_variance_sensitivity_finds_the_dominant_parameter():

@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from repro.util.timers import Timer, format_duration
+from repro.util.timers import Timer
 
 
 class TestTimer:
@@ -57,21 +57,3 @@ class TestTimer:
         # bogus lap instead of raising.
         with pytest.raises(RuntimeError):
             t.__exit__(None, None, None)
-
-
-class TestFormatDuration:
-    def test_milliseconds(self):
-        assert format_duration(0.4312) == "431.2ms"
-
-    def test_seconds(self):
-        assert format_duration(12.34) == "12.3s"
-
-    def test_minutes(self):
-        assert format_duration(248.0) == "4m08s"
-
-    def test_hours(self):
-        assert format_duration(2 * 3600 + 31 * 60) == "2h31m"
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            format_duration(-1.0)
