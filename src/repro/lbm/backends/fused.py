@@ -31,13 +31,23 @@ Shan-Chen          18 mostly diagonal rolls        12 unit-axis rolls
    planar diagonals (``w_diag``) — D2Q9 and D3Q19 — the psi gradient
    factors as ``S_d = G_d(x + e_d) - G_d(x - e_d)`` with ``G_d = w_axis
    psi + w_diag sum_{e != d} (psi(x + e) + psi(x - e))``.
-4. **Flat-offset rolls and double-buffered streaming.**  A periodic
-   shift is one bulk copy of the flattened slab displaced by the shift's
-   flat offset plus block copies that repair the wrapped faces, written
-   straight into a second population buffer (callers rebind:
-   ``f = backend.stream(f)``).  Pure data movement: ``array_equal`` to
-   ``np.roll``.
-5. **A batch is a leading axis nothing streams along.**  Built with
+4. **Flat-offset rolls and in-place streaming.**  A periodic shift is
+   one bulk copy of the flattened slab displaced by the shift's flat
+   offset plus block copies that repair the wrapped faces.  Streaming
+   shifts in place: one 1-D overlapping copy per component row (a
+   memmove; a 2-D one allocates), the wrapped faces' sources saved to a
+   small face scratch first.  The copies are views bound to the array
+   on its first call (another array rebinds them), so a step slices
+   nothing.  ``array_equal`` to ``np.roll``.
+5. **Column blocks.**  Collision, equilibrium and moments walk the grid
+   in blocks of ``min(16 384, N rounded up to 16)`` columns, so their
+   basis, equilibrium and moment scratch is one block; block boundaries
+   are multiples of 16, so the rule below keeps each column's bits.
+   Narrower blocks cost calls: at 2 048 columns ``channel_nonded``'s four
+   GIL-sharing thread ranks convoyed across the many short NumPy calls
+   (0.67x MLUPS); at 16 384 it ties.  The per-mask ``omega`` fields stay
+   grid-sized and cached (rebuilding them per block slowed small runs).
+6. **A batch is a leading axis nothing streams along.**  Built with
    ``g_matrices`` of shape ``(B, C, C)``, the grid is ``(B, *S)`` — B
    independent members that share the solid mask — and every kernel
    above is unchanged: a zero shift on the batch axis costs the roll
@@ -63,9 +73,12 @@ end.  Every product therefore goes through :meth:`FusedBackend._matmul`,
 which hands BLAS a column count that is a multiple of 16 and routes the
 remainder through a 16-wide scratch block.
 
-Bounce-back gathers/scatters precomputed flat solid indices through a
-fixed scratch block, so the steady-state ``step()`` performs no
-full-grid allocation at all (see the tracemalloc regression test).
+Bounce-back gathers the ``(Q, n_solid)`` populations at the solid nodes
+with one ``take``, permutes the rows by ``opp`` with a second and writes
+them back: one ``n_solid``-long index for every direction.  So a
+stepping solver's scratch is O(f / Q) plus one column block, and the
+steady-state ``step()`` allocates nothing grid-sized (see the
+tracemalloc regression tests).
 For the same reason every in-place ufunc in this module runs over
 same-shape contiguous operands (row-wise loops instead of stride-0
 broadcasts): with NumPy >= 2 those broadcasts also buffer.
@@ -79,13 +92,16 @@ from math import prod
 import numpy as np
 
 from repro.lbm.backends.registry import KernelBackend
-from repro.lbm.boundary import bounce_back as _masked_bounce_back
 from repro.util.hotpath import hot_path
 
 _FULL = slice(None)
 
 #: Column granularity of every BLAS call (see the module docstring).
 _BLOCK = 16
+
+#: Widest column block of collision, equilibrium and moments scratch; a
+#: multiple of ``_BLOCK`` (module docstring, item 5).
+_MAX_COLUMNS = 16_384
 
 
 _STEP_SEGMENTS = {  # per-axis (dst, src) pairs, the non-wrapping one first
@@ -121,6 +137,15 @@ def _roll_plan(shape: tuple[int, ...], shift: tuple[int, ...]) -> tuple:
     if off >= 0:
         return slice(off, None), slice(0, n_pts - off), fixups
     return slice(0, n_pts + off), slice(-off, None), fixups
+
+
+def _rows(a: np.ndarray, lead: int) -> np.ndarray:
+    """View of *a* with every axis after the first *lead* merged into
+    one; raises rather than copy, so writes through it land in *a*
+    (reads take the cheaper ``reshape``)."""
+    v = a.view()
+    v.shape = a.shape[:lead] + (-1,)
+    return v
 
 
 @hot_path
@@ -180,33 +205,26 @@ class FusedBackend(KernelBackend):
                 )
 
         # --- streaming ----------------------------------------------------
-        self._rest = [int(k) for k in range(Q) if k not in set(lat.moving)]
+        # In place (module docstring, item 4).
         self._stream_plans = [
             (int(k), _roll_plan(S, batch + lat.shifts[k])) for k in lat.moving
         ]
-        self._fbuf = np.empty((C, Q) + S, dtype=np.float64)
+        grid = np.broadcast_to(0.0, (C,) + S)  # region shapes, no memory
+        self._faces = np.empty(
+            max(sum(grid[s].size for _, s in p[2]) for _, p in self._stream_plans),
+            dtype=np.float64,
+        )
+        self._streamed: object = None
+        self._stream_copies: list = []
 
         # --- bounce-back --------------------------------------------------
-        # Flat gather/scatter indices into one component's (Q*N,) raveled
-        # populations, restricted to the moving directions (the rest
-        # population is its own mirror): scratch[k, i] = f[k, s_i], then
-        # f[opp(k), s_i] = scratch[k, i].  Precomputed intp indices with
-        # ``mode="clip"`` on the gather keep NumPy from allocating its
-        # bounds-checking buffer.
-        self._solid_flat = np.flatnonzero(self.solid_mask.ravel())
-        self._n_solid = int(self._solid_flat.size)
-        moving = lat.moving.astype(np.intp)
-        rows = moving[:, None] * N
-        opp_rows = lat.opp[moving].astype(np.intp)[:, None] * N
-        self._gather_idx = np.ascontiguousarray(
-            (rows + self._solid_flat).ravel(), dtype=np.intp
-        )
-        self._scatter_idx = np.ascontiguousarray(
-            (opp_rows + self._solid_flat).ravel(), dtype=np.intp
-        )
-        self._bounce_scratch = np.empty(
-            moving.size * self._n_solid, dtype=np.float64
-        )
+        # One flat solid index serves every direction: gather the (Q,
+        # n_solid) block, permute its rows by opp, scatter it back.
+        # ``mode="clip"`` keeps take from buffering its output.
+        self._solid = np.flatnonzero(self.solid_mask.ravel())
+        self._opp = lat.opp.astype(np.intp)
+        self._bounce_at = np.empty((Q, self._solid.size), dtype=np.float64)
+        self._bounce_swapped = np.empty_like(self._bounce_at)
 
         # --- BLAS tail scratch (see _matmul) ------------------------------
         # Rows for the largest operand and result: (Q, n) populations or
@@ -214,8 +232,9 @@ class FusedBackend(KernelBackend):
         self._tail_in = np.zeros((max(Q, C), _BLOCK), dtype=np.float64)
         self._tail_out = np.zeros_like(self._tail_in)
 
-        # --- equilibrium / collision --------------------------------------
+        # --- equilibrium / collision (one column block of scratch) --------
         # feq = _feq_mat @ [n, n u_i, n u_i u_j (i <= j)]; nb <= Q rows.
+        self._width = min(_MAX_COLUMNS, -(-N // _BLOCK) * _BLOCK)
         self._pairs = [(i, j) for i in range(D) for j in range(i, D)]
         nb = 1 + D + len(self._pairs)
         inv_cs2 = 1.0 / lat.cs2
@@ -227,25 +246,22 @@ class FusedBackend(KernelBackend):
             if i == j:
                 mat[:, col] = 0.5 * mat[:, col] - 0.5 * inv_cs2
         self._feq_mat = mat * lat.w[:, None]
-        self._basis = np.empty((nb,) + S, dtype=np.float64)
-        self._basis_flat = self._basis.reshape(nb, N)
-        self._feq = np.empty((Q,) + S, dtype=np.float64)
-        self._feq_flat = self._feq.reshape(Q, N)
-        self._omega = np.empty((C,) + S, dtype=np.float64)
-        self._one_minus_omega = np.empty((C,) + S, dtype=np.float64)
+        self._basis = np.empty((nb, self._width), dtype=np.float64)
+        self._feq = np.empty((Q, self._width), dtype=np.float64)
+        self._omega = np.empty((C, N), dtype=np.float64)
+        self._one_minus_omega = np.empty((C, N), dtype=np.float64)
         self._omega_key: object = None
 
         # --- Shan-Chen ----------------------------------------------------
         # Plans reading a field at x + e_d and x - e_d (buf = roll(psi, s)
-        # reads psi(x - s)).  Shifted fields are materialised into
-        # contiguous scratch by slice assignment, so every ufunc runs
-        # contiguous and allocation-free.  S is kept in units of w_diag:
-        # the common factor is folded, with the sign of F = -psi (g . S),
-        # into the coupling matrix.
+        # reads psi(x - s)).  Shifted fields are materialised by slice
+        # assignment (into scratch, or into the force rows S_d is built
+        # in), so every ufunc runs same-shape and allocation-free.  S is
+        # kept in units of w_diag: the common factor is folded, with the
+        # sign of F = -psi (g . S), into the coupling matrix.
         unit = np.eye(len(S), dtype=int)[len(batch) :]
         self._axis_plans = [
-            (_roll_plan(S, tuple(-unit[d])), _roll_plan(S, tuple(unit[d])))
-            for d in range(D)
+            (_roll_plan(S, tuple(-u)), _roll_plan(S, tuple(u))) for u in unit
         ]
         self._axis_ratio = w_axis / w_diag
         # (columns, -g w_diag) per run of members sharing a coupling
@@ -258,23 +274,16 @@ class FusedBackend(KernelBackend):
                 self._neg_gw.append((cols, -g[start] * w_diag))
                 start = b
         self._psis = np.empty((C,) + S, dtype=np.float64)
-        self._roll_p = np.empty((C,) + S, dtype=np.float64)
         self._roll_m = np.empty((C,) + S, dtype=np.float64)
         self._gsum = np.empty((C,) + S, dtype=np.float64)
-        # Direction-major layout: svec[d] / coupled[d] are contiguous
-        # (C, *S) slabs, so every in-place op on them stays buffer-free.
-        self._svec = np.empty((D, C) + S, dtype=np.float64)
-        self._svec_mat = self._svec.reshape(D, C, N)
-        self._coupled = np.empty((D, C) + S, dtype=np.float64)
-        self._coupled_mat = self._coupled.reshape(D, C, N)
+        # nbr[e] = psi(x + e) + psi(x - e), each a contiguous (C, *S) slab.
+        self._nbr = np.empty((D, C) + S, dtype=np.float64)
 
         # --- moments / forces / velocities --------------------------------
         # (1 + D, Q): the density row, then the momentum rows.
         self._mom_mat = np.vstack([np.ones((1, Q), dtype=np.float64), lat.cf.T])
-        self._mbuf = np.empty((1 + D, N), dtype=np.float64)
+        self._mbuf = np.empty((1 + D, self._width), dtype=np.float64)
         self._inv_tau_row = (1.0 / self.taus).reshape(1, C)
-        self._tmp_cd = np.empty((C, D) + S, dtype=np.float64)
-        self._tmp_d = np.empty((D,) + S, dtype=np.float64)
         self._denom = np.empty(S, dtype=np.float64)
         self._denom_flat = self._denom.reshape(1, N)
         self._ucommon = np.empty((D,) + S, dtype=np.float64)
@@ -300,54 +309,63 @@ class FusedBackend(KernelBackend):
             np.matmul(a, tail_in, out=tail_out)
             out[:, body:] = tail_out[:, : n - body]
 
+    def _blocks(self, n: int):
+        """``(cols, width)`` of each column block of an *n*-column call."""
+        w = self._width
+        for start in range(0, n, w):
+            yield slice(start, start + w), min(w, n - start)
+
     # ------------------------------------------------------------ streaming
     @hot_path
     def stream(self, f: np.ndarray) -> np.ndarray:
-        buf = self._fbuf
-        if buf.shape != f.shape or buf is f:
-            # repro: allow[REP001] -- cold fallback: the slab was resized by
-            # plane migration, so next step's double buffer must be rebuilt
-            buf = np.empty(f.shape, dtype=np.float64)
-        for k in self._rest:
-            buf[:, k] = f[:, k]
-        for k, plan in self._stream_plans:
-            _roll_into(buf[:, k], f[:, k], plan)
-        self._fbuf = f  # the old buffer becomes next step's target
-        return buf
+        if f is not self._streamed:
+            self._stream_copies = self._bind_stream(f)
+            self._streamed = f
+        for dst, src in self._stream_copies:
+            dst[:] = src
+        return f
+
+    def _bind_stream(self, f: np.ndarray) -> list:
+        """The ``(dst, src)`` copies that stream *f* in place.  Per moving
+        direction: save the wrapped faces' sources, shift each component
+        row by one overlapping 1-D copy, write the faces back.  The row
+        shifts are memoryview assignments, which are one ``memmove``:
+        NumPy copies an overlapping shift towards higher addresses
+        element by element in reverse, 2-4x slower."""
+        copies, rows = [], _rows(f, 2)
+        for k, (dst_flat, src_flat, fixups) in self._stream_plans:
+            fk, at, restores = f[:, k], 0, []
+            for d, s in fixups:
+                face = self._faces[at : at + fk[s].size].reshape(fk[s].shape)
+                at += face.size
+                copies.append((face, fk[s]))
+                restores.append((fk[d], face))
+            for row in map(memoryview, rows[:, k]):
+                copies.append((row[dst_flat], row[src_flat]))
+            copies += restores
+        return copies
 
     @hot_path
     def bounce_back(self, f: np.ndarray) -> None:
-        if self._n_solid == 0:
+        if not self._solid.size:
             return
-        lat = self.lattice
-        try:
-            fv = f.view()
-            fv.shape = (f.shape[0], lat.Q, self.n_points)
-        except AttributeError:
-            # Non-contiguous populations: generic masked fallback.
-            for ci in range(f.shape[0]):
-                _masked_bounce_back(f[ci], self.solid_mask, lat)
-            return
-        scratch = self._bounce_scratch
-        for ci in range(f.shape[0]):
-            f1 = fv[ci].reshape(-1)
-            np.take(f1, self._gather_idx, out=scratch, mode="clip")
-            # f_new[opp(k), s] = f_old[k, s]  <=>  f_k <- f_opp(k) at solids.
-            f1[self._scatter_idx] = scratch
+        at, swapped, solid = self._bounce_at, self._bounce_swapped, self._solid
+        for fc in _rows(f, 2):
+            fc.take(solid, axis=1, out=at, mode="clip")
+            # f_new[k, s] = f_old[opp(k), s] at every solid node s.
+            at.take(self._opp, axis=0, out=swapped, mode="clip")
+            fc[:, solid] = swapped
 
     # ---------------------------------------------------------- equilibrium
     @hot_path
-    def _feq_into(self, u: np.ndarray, out: np.ndarray) -> None:
-        """``out`` (a ``(Q, n_points)`` view) ``<- feq(n, u)`` where the
-        caller has already put the (possibly omega-scaled) number density
-        ``n`` into ``self._basis[0]``."""
-        basis = self._basis
+    def _feq_into(self, u: np.ndarray, basis: np.ndarray, out: np.ndarray) -> None:
+        """``out`` ``(Q, w)`` ``<- feq(basis[0], u)`` for one column block."""
         D = self.lattice.D
         for i in range(D):
             np.multiply(basis[0], u[i], out=basis[1 + i])
         for col, (i, j) in enumerate(self._pairs, 1 + D):
             np.multiply(basis[1 + i], u[j], out=basis[col])
-        self._matmul(self._feq_mat, self._basis_flat, out)
+        self._matmul(self._feq_mat, basis, out)
 
     @hot_path
     def equilibrium(
@@ -366,10 +384,11 @@ class FusedBackend(KernelBackend):
             # repro: allow[REP001] -- out=None is the cold convenience form
             # (diagnostics, tests); the step loop always passes a buffer
             out = np.empty((Q,) + self.shape, dtype=np.float64)
-        rows = out.view()
-        rows.shape = (Q, self.n_points)  # raises rather than copy
-        self._basis[0][...] = rho_n
-        self._feq_into(u, rows)
+        rows, n, u_rows = _rows(out, 1), rho_n.reshape(-1), u.reshape(len(u), -1)
+        for cols, w in self._blocks(self.n_points):
+            basis = self._basis[:, :w]
+            basis[0] = n[cols]
+            self._feq_into(u_rows[:, cols], basis, rows[:, cols])
         return out
 
     # ------------------------------------------------------------ collision
@@ -385,61 +404,57 @@ class FusedBackend(KernelBackend):
             # Masks are long-lived solver arrays; rebuild the cached
             # omega*mask products only when the identity changes.
             for ci in range(self.n_components):
-                np.multiply(mask, 1.0 / self.taus[ci], out=self._omega[ci])
-                np.subtract(
-                    1.0, self._omega[ci], out=self._one_minus_omega[ci]
-                )
+                omega = self._omega[ci]
+                np.multiply(mask, 1.0 / self.taus[ci], out=omega.reshape(self.shape))
+                np.subtract(1.0, omega, out=self._one_minus_omega[ci])
             self._omega_key = mask
         # BGK in the relaxed form f <- (1 - omega) f + omega feq, with
         # omega folded into the number density the dgemm sees.  Masked
         # (solid) nodes have omega = 0, so f passes through unchanged.
-        feq = self._feq
-        n_omega = self._basis[0]
         for ci in range(self.n_components):
-            np.divide(rho[ci], self.masses[ci], out=n_omega)
-            n_omega *= self._omega[ci]
-            self._feq_into(u_eq[ci], self._feq_flat)
-            om1 = self._one_minus_omega[ci]
-            fci = f[ci]
-            for k in range(self.lattice.Q):
-                frow = fci[k]
-                frow *= om1
-                frow += feq[k]
+            fc, rho_c = _rows(f[ci], 1), rho[ci].reshape(-1)
+            u_c = u_eq[ci].reshape(self.lattice.D, -1)
+            for cols, w in self._blocks(fc.shape[1]):
+                basis, feq = self._basis[:, :w], self._feq[:, :w]
+                n_omega = basis[0]
+                np.divide(rho_c[cols], self.masses[ci], out=n_omega)
+                n_omega *= self._omega[ci, cols]
+                self._feq_into(u_c[:, cols], basis, feq)
+                om1 = self._one_minus_omega[ci, cols]
+                for frow, feq_k in zip(fc[:, cols], feq):
+                    frow *= om1
+                    frow += feq_k
 
     # ------------------------------------------------------------ Shan-Chen
     @hot_path
     def shan_chen_force(
         self, psis: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
-        D = self.lattice.D
+        C, D = self.n_components, self.lattice.D
         if out is None:
             # repro: allow[REP001] -- out=None is the cold convenience form
             # (diagnostics, tests); the step loop always passes a buffer
-            out = np.empty(
-                (self.n_components, D) + self.shape, dtype=np.float64
-            )
-        rp, rm, gsum = self._roll_p, self._roll_m, self._gsum
-        nbr = self._coupled  # psi(x+e) + psi(x-e); free until the product below
+            out = np.empty((C, D) + self.shape, dtype=np.float64)
+        rm, gsum, nbr = self._roll_m, self._gsum, self._nbr
         for e, (plan_p, plan_m) in enumerate(self._axis_plans):
-            _roll_into(rp, psis, plan_p)
+            _roll_into(nbr[e], psis, plan_p)
             _roll_into(rm, psis, plan_m)
-            np.add(rp, rm, out=nbr[e])
+            nbr[e] += rm
+        gsum_rows = gsum.reshape(C, -1)
         for d, (plan_p, plan_m) in enumerate(self._axis_plans):
             np.multiply(psis, self._axis_ratio, out=gsum)
             for e in range(D):
                 if e != d:
                     gsum += nbr[e]
-            _roll_into(rp, gsum, plan_p)
+            # S_d = G_d(x + e_d) - G_d(x - e_d), built in out[:, d].
+            sd = out[:, d]
+            _roll_into(sd, gsum, plan_p)
             _roll_into(rm, gsum, plan_m)
-            np.subtract(rp, rm, out=self._svec[d])
-        for d in range(D):
-            # coupled[d] = -(g w_diag) . S[d]
-            sd, cdm = self._svec_mat[d], self._coupled_mat[d]
+            sd -= rm
+            # gsum is free again: it takes -(g w_diag) . S_d, then psi.
             for cols, neg_gw in self._neg_gw:
-                self._matmul(neg_gw, sd[:, cols], cdm[:, cols])
-            cd = self._coupled[d]
-            cd *= psis
-            out[:, d] = cd
+                self._matmul(neg_gw, sd.reshape(C, -1)[:, cols], gsum_rows[:, cols])
+            np.multiply(gsum, psis, out=sd)
         return out
 
     # -------------------------------------------------------------- moments
@@ -447,20 +462,18 @@ class FusedBackend(KernelBackend):
     def moments(
         self, f: np.ndarray, rho_out: np.ndarray, mom_out: np.ndarray
     ) -> None:
-        C, Q = f.shape[:2]
-        piece = rho_out.shape[1:]
-        for ci in range(C):
-            fv = f[ci].reshape(Q, -1)
-            mbuf = self._mbuf[:, : fv.shape[1]]
-            self._matmul(self._mom_mat, fv, mbuf)
-            # Mass scaling on the write-out, row by row: contiguous and
-            # buffer-free for x-slab pieces too.
-            mass = self.masses[ci]
-            np.multiply(mbuf[0].reshape(piece), mass, out=rho_out[ci])
-            for d in range(self.lattice.D):
-                np.multiply(
-                    mbuf[1 + d].reshape(piece), mass, out=mom_out[ci, d]
-                )
+        D = self.lattice.D
+        for ci, mass in enumerate(self.masses):
+            fc = f[ci].reshape(self.lattice.Q, -1)
+            rho_c, mom_c = _rows(rho_out[ci], 0), _rows(mom_out[ci], 1)
+            for cols, w in self._blocks(fc.shape[1]):
+                mbuf = self._mbuf[:, :w]
+                self._matmul(self._mom_mat, fc[:, cols], mbuf)
+                # Mass scaling on the write-out, row by row: contiguous
+                # and buffer-free for x-slab pieces too.
+                np.multiply(mbuf[0], mass, out=rho_c[cols])
+                for d in range(D):
+                    np.multiply(mbuf[1 + d], mass, out=mom_c[d, cols])
 
     @hot_path
     def forces_and_velocities(
@@ -482,18 +495,17 @@ class FusedBackend(KernelBackend):
             np.multiply(rho[ci], psi_mask, out=psis[ci])
 
         self.shan_chen_force(psis, out=force)
-        tmp = self._tmp_cd
-        for ci in range(C):
-            for d in range(D):
-                np.multiply(accel[ci, d], rho[ci], out=tmp[ci, d])
-        force += tmp
+        # u_eq is scratch until the velocity loop below fills it.
+        for ci, d in product(range(C), range(D)):
+            np.multiply(accel[ci, d], rho[ci], out=u_eq[ci, d])
+        force += u_eq
         if adhesion is not None and wall_field is not None:
             for ci, g_ads in enumerate(adhesion):
                 if g_ads != 0.0:
                     for d in range(D):
-                        np.multiply(psis[ci], wall_field[d], out=self._tmp_d[d])
-                    self._tmp_d *= g_ads
-                    force[ci] -= self._tmp_d
+                        np.multiply(psis[ci], wall_field[d], out=u_eq[ci, d])
+                        u_eq[ci, d] *= g_ads
+                        force[ci, d] -= u_eq[ci, d]
 
         self._matmul(self._inv_tau_row, rho.reshape(C, -1), self._denom_flat)
         self._matmul(self._inv_tau_row, mom.reshape(C, -1), self._ucommon_flat)

@@ -60,20 +60,6 @@ class InstrumentedBackend:
         self._points = {
             k: observer.counter(f"{prefix}.{k}.points") for k in KERNEL_NAMES
         }
-        # Points processed per call: every kernel sweeps the full local
-        # grid once per component (stream/bounce/collide/moments), or once
-        # total (equilibrium over one field, S-C force over all C fields).
-        n = inner.n_points
-        c = inner.n_components
-        self._call_points = {
-            "stream": n * c,
-            "bounce_back": n * c,
-            "equilibrium": n,
-            "collide_bgk": n * c,
-            "shan_chen_force": n * c,
-            "moments": n * c,
-            "forces_and_velocities": n * c,
-        }
 
     @property
     def name(self) -> str:
@@ -82,36 +68,38 @@ class InstrumentedBackend:
     def __getattr__(self, attr: str):
         return getattr(self.inner, attr)
 
-    def _timed(self, kernel: str, fn, *args, **kwargs):
+    def _timed(self, kernel: str, points: int, fn, *args, **kwargs):
         t0 = time.perf_counter()
         result = fn(*args, **kwargs)
         self._hists[kernel].observe(time.perf_counter() - t0)
-        self._points[kernel].add(self._call_points[kernel])
+        self._points[kernel].add(points)
         return result
 
     # ------------------------------------------------------------- kernels
+    # Points per call come from the call's own arrays, not the backend's
+    # construction shape: the parallel driver hands the rank's backend
+    # x-slab pieces (``moments``), and every kernel counts once per
+    # component field it sweeps (the equilibrium sweeps one).
     def stream(self, f: np.ndarray) -> np.ndarray:
-        return self._timed("stream", self.inner.stream, f)
+        return self._timed("stream", f[:, 0].size, self.inner.stream, f)
 
     def bounce_back(self, f: np.ndarray) -> None:
-        return self._timed("bounce_back", self.inner.bounce_back, f)
+        return self._timed("bounce_back", f[:, 0].size, self.inner.bounce_back, f)
 
     def equilibrium(self, rho_n, u, out=None):
-        return self._timed("equilibrium", self.inner.equilibrium, rho_n, u, out)
+        return self._timed("equilibrium", rho_n.size, self.inner.equilibrium, rho_n, u, out)
 
     def collide_bgk(self, f, rho, u_eq, mask) -> None:
-        return self._timed("collide_bgk", self.inner.collide_bgk, f, rho,
-                           u_eq, mask)
+        return self._timed("collide_bgk", rho.size, self.inner.collide_bgk, f, rho, u_eq, mask)
 
     def shan_chen_force(self, psis, out=None):
-        return self._timed("shan_chen_force", self.inner.shan_chen_force,
-                           psis, out)
+        return self._timed("shan_chen_force", psis.size, self.inner.shan_chen_force, psis, out)
 
     def moments(self, f, rho_out, mom_out) -> None:
-        return self._timed("moments", self.inner.moments, f, rho_out, mom_out)
+        return self._timed("moments", rho_out.size, self.inner.moments, f, rho_out, mom_out)
 
     def forces_and_velocities(self, rho, mom, force, u_eq, **kwargs):
         return self._timed(
-            "forces_and_velocities", self.inner.forces_and_velocities,
-            rho, mom, force, u_eq, **kwargs,
+            "forces_and_velocities", rho.size,
+            self.inner.forces_and_velocities, rho, mom, force, u_eq, **kwargs,
         )

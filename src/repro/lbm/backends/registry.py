@@ -15,9 +15,9 @@ arithmetic:
     The default, and the one production arithmetic: everything that
     ships — sequential runs, parallel ranks, and the stacked ensembles of
     :mod:`repro.lbm.ensemble` (the same class over a leading batch axis)
-    — runs on it.  Allocation-free, BLAS-driven hot path:
-    double-buffered flat-offset streaming, equilibrium and moments as
-    one dgemm each, and the separable Shan-Chen stencil over a
+    — runs on it.  Allocation-free, BLAS-driven hot path: in-place
+    flat-offset streaming, equilibrium and moments as one dgemm per
+    column block, and the separable Shan-Chen stencil over a
     preallocated scratch pool; every kernel gives a piece of the grid —
     an x-slab, an ensemble member — the bits the whole-grid call gives
     (see :mod:`repro.lbm.backends.fused`).

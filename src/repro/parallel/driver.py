@@ -369,8 +369,8 @@ class ParallelLBM:
 
     def _moments_piece(self, piece: tuple) -> None:
         # Moments accept any x-slab of the grid, so the full backend
-        # serves every piece; collision cannot (equilibrium scratch is
-        # sized to the grid), hence the per-piece instances.
+        # serves every piece; collision cannot (its omega cache is sized
+        # to, and keyed on, one mask), hence the per-piece instances.
         sl, _, _, rho, _, mom = piece
         self.backend.moments(self.f[:, :, sl], rho, mom)
 

@@ -228,8 +228,8 @@ class TestDifferentialMatrix:
         )
 
 
-def _backend_pair(lattice, scenario="walls"):
-    cfg = two_component_config(lattice, scenario=scenario)
+def _backend_pair(lattice, scenario="walls", shape=None):
+    cfg = two_component_config(lattice, scenario=scenario, shape=shape)
     shape = cfg.geometry.shape
     solid = cfg.geometry.solid_mask()
     return (
@@ -272,10 +272,29 @@ class TestKernelParity:
             _roll_into(dst, src, _roll_plan(shape, shift))
             assert np.array_equal(dst, np.roll(src, shift, axis=axes)), shift
 
+    @pytest.mark.parametrize(
+        "shape", [(1, 4), (2, 3), (4, 1), (3, 1, 2), (2, 2, 2), (5, 4, 3)]
+    )
+    def test_in_place_stream_equals_np_roll(self, shape):
+        """Streaming in place -- faces saved, one overlapping copy per
+        component row, faces written back -- down to extents 1 and 2."""
+        lattice = D2Q9 if len(shape) == 2 else D3Q19
+        cfg = dataclasses.replace(
+            two_component_config(lattice, backend="fused"),
+            geometry=ChannelGeometry(shape=shape, wall_axes=()),
+        )
+        fused = FusedBackend(cfg, shape, np.zeros(shape, dtype=bool))
+        f = np.random.default_rng(10).uniform(size=(2, lattice.Q) + shape)
+        axes = tuple(range(1, len(shape) + 1))
+        expected = [np.roll(f[:, k], lattice.shifts[k], axis=axes) for k in range(lattice.Q)]
+        assert fused.stream(f) is f
+        for k in range(lattice.Q):
+            assert np.array_equal(f[:, k], expected[k]), lattice.shifts[k]
+
     @pytest.mark.parametrize("lattice", [D2Q9, D3Q19], ids=lambda l: l.name)
     def test_stream_twice_round_trips_buffers(self, lattice):
-        """The fused double buffer must keep working across repeated calls
-        (the second call streams out of the swapped buffer)."""
+        """Repeated in-place calls keep streaming what the previous call
+        left behind (the saved wrapped faces must not leak across)."""
         ref, fused, cfg = _backend_pair(lattice)
         rng = np.random.default_rng(4)
         f = _random_f(rng, cfg)
@@ -506,6 +525,52 @@ class TestFusedPieceIndependence:
         )
         assert np.array_equal(feq_piece, feq_full[:, a:e])
 
+    @pytest.mark.parametrize("a, e", [(0, 37), (1, 38), (20, 41), (36, 37)])
+    def test_pieces_across_column_blocks(self, a, e):
+        """N = 18 450 columns (N mod 16 = 2): the full-grid calls walk two
+        column blocks, split inside plane 36, while these x-slab pieces
+        split elsewhere or not at all -- the bits must not notice."""
+        shape = (41, 30, 15)
+        cfg = LBMConfig(
+            geometry=ChannelGeometry(shape=shape, wall_axes=()),
+            components=(
+                ComponentSpec("water", tau=1.0, rho_init=1.0, mass=1.5),
+                ComponentSpec("air", tau=0.8, rho_init=0.03),
+            ),
+            g_matrix=np.array([[0.0, 0.9], [0.9, 0.0]]),
+            lattice=D3Q19,
+            backend="fused",
+        )
+        no_solid = np.zeros(shape, dtype=bool)
+        full = FusedBackend(cfg, shape, no_solid)
+        piece = FusedBackend(cfg, (e - a,) + shape[1:], no_solid[a:e])
+        rng = np.random.default_rng(a * 100 + e)
+        f = rng.uniform(0.01, 1.0, size=(2, D3Q19.Q) + shape)
+        rho = rng.uniform(0.1, 2.0, size=(2,) + shape)
+        u = rng.uniform(-0.05, 0.05, size=(2, 3) + shape)
+        mask = np.ones(shape)
+
+        rho_full, mom_full = np.empty_like(rho), np.empty_like(u)
+        full.moments(f, rho_full, mom_full)
+        rho_piece, mom_piece = np.empty_like(rho), np.empty_like(u)
+        full.moments(f[:, :, a:e], rho_piece[:, a:e], mom_piece[:, :, a:e])
+        assert np.array_equal(rho_piece[:, a:e], rho_full[:, a:e])
+        assert np.array_equal(mom_piece[:, :, a:e], mom_full[:, :, a:e])
+
+        f_full, f_piece = f.copy(), f.copy()
+        full.collide_bgk(f_full, rho, u, mask)
+        piece.collide_bgk(
+            f_piece[:, :, a:e], rho[:, a:e], u[:, :, a:e], mask[a:e]
+        )
+        assert np.array_equal(f_piece[:, :, a:e], f_full[:, :, a:e])
+
+        feq_full = full.equilibrium(rho[1], u[1])
+        feq_piece = piece.equilibrium(
+            np.ascontiguousarray(rho[1, a:e]),
+            np.ascontiguousarray(u[1][:, a:e]),
+        )
+        assert np.array_equal(feq_piece, feq_full[:, a:e])
+
 
 def _traced_peak(fn):
     """(peak, retained) traced bytes over one call of *fn*."""
@@ -517,6 +582,20 @@ def _traced_peak(fn):
     finally:
         tracemalloc.stop()
     return peak - baseline, current - baseline
+
+
+def _owned_nbytes(obj) -> int:
+    """Bytes of the distinct ndarrays *obj* owns (``base is None``),
+    reached through its attributes and any lists/tuples in them."""
+    seen, total, todo = set(), 0, list(vars(obj).values())
+    while todo:
+        x = todo.pop()
+        if isinstance(x, (list, tuple)):
+            todo.extend(x)
+        elif isinstance(x, np.ndarray) and x.base is None and id(x) not in seen:
+            seen.add(id(x))
+            total += x.nbytes
+    return total
 
 
 class TestFusedAllocationFree:
@@ -572,15 +651,41 @@ class TestFusedAllocationFree:
         assert peak < 64 * 1024
         assert retained < 16 * 1024
 
-    def test_scratch_reused_across_steps(self):
-        """The double buffer must alternate between exactly two arrays."""
-        cfg = two_component_config(D2Q9, backend="fused")
-        solver = MulticomponentLBM(cfg)
-        seen = set()
-        for _ in range(6):
-            solver.step()
-            seen.add(id(solver.f))
-        assert len(seen) == 2
+    @pytest.mark.parametrize(
+        "lattice, shape",
+        [(D2Q9, None), (D3Q19, None), (D3Q19, (10, 9, 7))],
+        ids=["D2Q9", "D3Q19", "D3Q19-tail"],
+    )
+    def test_stream_is_in_place(self, lattice, shape):
+        """Streaming shifts the populations where they lie: it returns
+        its argument, allocates no population-sized buffer, and still
+        gives ``np.roll``'s bits (630 points on the tail shape)."""
+        ref, fused, cfg = _backend_pair(lattice, shape=shape)
+        f = _random_f(np.random.default_rng(11), cfg)
+        expected = ref.stream(ref.stream(f.copy()))
+        fused.stream(f)  # warm
+        returned = []
+        peak, retained = _traced_peak(lambda: returned.append(fused.stream(f)))
+        assert returned[0] is f
+        assert np.array_equal(f, expected)
+        assert peak < 64 * 1024
+        assert retained < 16 * 1024
+
+    def test_backend_owned_scratch_is_near_one_population_array(self):
+        """The working-set pin: on the benchmark's 100x50x10 D3Q19
+        channel the arrays a backend owns (``base is None``; counted
+        before it first streams, after which it also references the
+        ``f`` it streams in place) total at most 1.3x the population
+        array -- no second population buffer, no grid-sized equilibrium
+        or moment rows, one ``n_solid``-long bounce-back index."""
+        cfg = dataclasses.replace(
+            two_component_config(D3Q19, backend="fused"),
+            geometry=ChannelGeometry(shape=(100, 50, 10), wall_axes=(1, 2)),
+        )
+        shape = cfg.geometry.shape
+        backend = FusedBackend(cfg, shape, cfg.geometry.solid_mask())
+        f_nbytes = cfg.n_components * cfg.lattice.Q * np.prod(shape) * 8
+        assert _owned_nbytes(backend) <= 1.3 * f_nbytes
 
     def test_disabled_observability_stays_allocation_free(self, monkeypatch):
         """The zero-overhead guarantee: with no trace requested, the solver

@@ -339,13 +339,25 @@ class TestAllocationFree:
         assert peak - baseline < 16 * 1024
         assert current - baseline < 16 * 1024
 
-    def test_double_buffer_alternates(self):
+    def test_stream_is_in_place(self):
+        """The stacked populations stream where they lie: ``stream``
+        returns its argument and allocates no stacked buffer."""
         eng = BatchedEnsemble(wall_sweep(2))
-        seen = set()
+        f = eng.f
+        eng.backend.stream(f)  # warm
+        returned = []
+        tracemalloc.start()
+        try:
+            baseline, _ = tracemalloc.get_traced_memory()
+            returned.append(eng.backend.stream(f))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert returned[0] is f
+        assert peak - baseline < 64 * 1024
         for _ in range(6):
             eng.step()
-            seen.add(id(eng.f))
-        assert len(seen) == 2
+            assert eng.f is f
 
 
 class TestObservability:

@@ -147,3 +147,29 @@ class TestFluidTailSites:
             )
         )
         assert np.array_equal(par.f, seq.f)
+
+
+class TestKernelPointCounts:
+    def test_moments_points_count_the_pieces_not_the_slab(self):
+        """The overlapped schedule takes moments on three x-slab pieces
+        per phase through the rank's full-slab backend: the counter must
+        add each piece's own points -- the interior, once per component
+        and pass -- not the padded slab three times over."""
+        from repro.obs import MemorySink, Observer
+
+        cfg = dataclasses.replace(
+            small_config("fused"),
+            geometry=ChannelGeometry(shape=(32, 18), wall_axes=(1,)),
+        )
+        observer = Observer(sink=MemorySink())
+        phases = 4
+        api.run(
+            api.RunSpec(
+                config=cfg, phases=phases, ranks=2, transport="threads",
+                policy="no-remap", halo_overlap=True, observer=observer,
+            )
+        )
+        metrics = observer.sink.events[-1]["metrics"]
+        # 4 phases plus the initial moment pass, C = 2 components.
+        interior_updates = (phases + 1) * 2 * 32 * 18
+        assert metrics["kernel.fused.moments.points"]["value"] == interior_updates
