@@ -62,6 +62,7 @@ __all__ = [
     "RunResult",
     "batch_compatible",
     "batch_exclusion_reason",
+    "batch_partners",
     "canonical_spec_doc",
     "run",
     "run_batch",
@@ -194,9 +195,22 @@ def canonical_spec_doc(spec: RunSpec) -> dict[str, Any]:
 def spec_fingerprint(spec: RunSpec) -> str:
     """SHA-256 hex digest of :func:`canonical_spec_doc` — the
     content-address under which :mod:`repro.serve` deduplicates
-    submissions and caches results."""
+    submissions and caches results.
+
+    Computed once per spec object and kept on it.  That memo cannot go
+    stale: a spec is frozen, and so is everything its document reads —
+    the config's coupling matrix is a read-only view that cannot be made
+    writable again.  A spec whose matrix is writable all the same (one
+    rebuilt by ``pickle`` or ``copy.deepcopy``) is hashed afresh on
+    every call."""
+    frozen = not spec.config.g_matrix.flags.writeable
+    if frozen and "_fingerprint" in spec.__dict__:
+        return spec.__dict__["_fingerprint"]
     doc = json.dumps(canonical_spec_doc(spec), sort_keys=True)
-    return sha256_bytes(doc.encode())
+    fingerprint = sha256_bytes(doc.encode())
+    if frozen:
+        object.__setattr__(spec, "_fingerprint", fingerprint)
+    return fingerprint
 
 
 @dataclass(repr=False)
@@ -409,7 +423,19 @@ def batch_compatible(base: RunSpec, other: RunSpec) -> bool:
     return (
         batch_exclusion_reason(base, env) is None
         and batch_exclusion_reason(other, env) is None
-        and base.phases == other.phases
+        and batch_partners(base, other)
+    )
+
+
+def batch_partners(base: RunSpec, other: RunSpec) -> bool:
+    """Whether two specs already overlaid from the environment and
+    eligible (:func:`batch_exclusion_reason` is ``None`` for both) can
+    share a group: equal phase targets, differing only in the swept
+    scalar knobs.  The part of :func:`batch_compatible` a caller that
+    overlaid and screened its specs once — the :mod:`repro.serve`
+    coalescer, at submit — probes per candidate pair."""
+    return (
+        base.phases == other.phases
         and _member_delta(base.config, other.config) is not None
     )
 

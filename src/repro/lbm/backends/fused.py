@@ -86,6 +86,7 @@ broadcasts): with NumPy >= 2 those broadcasts also buffer.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from math import prod
 
@@ -111,6 +112,7 @@ _STEP_SEGMENTS = {  # per-axis (dst, src) pairs, the non-wrapping one first
 }
 
 
+@lru_cache(maxsize=512)  # pure; every backend build asks again
 def _roll_plan(shape: tuple[int, ...], shift: tuple[int, ...]) -> tuple:
     """Flat-offset plan ``(dst_flat, src_flat, fixups)`` for
     ``buf = np.roll(f, shift)`` on the spatial axes of a ``(C, *S)`` slab
@@ -127,13 +129,13 @@ def _roll_plan(shape: tuple[int, ...], shift: tuple[int, ...]) -> tuple:
         s = 0 if n == 1 else int(s)
         off += s * stride
         per_axis.append(_STEP_SEGMENTS[s])
-    fixups = [
+    fixups = tuple(
         (
             (_FULL,) + tuple(p[0] for p in combo),
             (_FULL,) + tuple(p[1] for p in combo),
         )
         for combo in list(product(*per_axis))[1:]  # [0] wraps nowhere
-    ]
+    )
     if off >= 0:
         return slice(off, None), slice(0, n_pts - off), fixups
     return slice(0, n_pts + off), slice(-off, None), fixups

@@ -74,20 +74,22 @@ def _extract_lines(
         geo.centerline_index(d) if other_index is None else other_index
         for d in range(geo.ndim)
     ]
-    idx[axis] = slice(None)
-    coord = geo.wall_coordinate(axis)
+    idx[0] = idx[axis] = slice(None)
+    sheet = tuple(idx)  # every line of the cross-section: (nx, n) views
     fluid = getattr(source, "fluid", None)  # a result carries no mask
     if fluid is None:
         fluid = ~solid_mask_field(source.config, geo)
+    # The coordinate along *axis* is the same on every line.
+    coord = geo.wall_coordinate(axis)[sheet][0]
+    values, keeps = field[sheet], fluid[sheet]
     lines: list[Profile] = []
     made: dict[tuple[bytes, bytes], Profile] = {}
     for x_index in x_indices:
-        idx[0] = geo.centerline_index(0) if x_index is None else x_index
-        line = tuple(idx)
-        keep = fluid[line]
-        key = (keep.tobytes(), field[line].tobytes())
+        x = geo.centerline_index(0) if x_index is None else x_index
+        keep, row = keeps[x], values[x]
+        key = (keep.tobytes(), row.tobytes())
         if key not in made:  # bit-identical planes share one Profile
-            made[key] = Profile(coord[line][keep], field[line][keep])
+            made[key] = Profile(coord[keep], row[keep])
         lines.append(made[key])
     return lines
 
@@ -149,13 +151,16 @@ def slip_fraction(profile: Profile) -> float:
     """
     if profile.values.size < 3:
         raise ValueError("profile too short to measure slip")
-    u0 = float(np.max(np.abs(profile.values)))
+    # The ndarray method and Python floats: the same reduction and IEEE
+    # double arithmetic as np.max and NumPy scalars, without their
+    # per-call overhead (this runs once per distinct plane of a sample).
+    u0 = float(np.abs(profile.values).max())
     if u0 == 0.0:
         raise ValueError("zero free-stream velocity")
-    d0, d1 = profile.positions[:2]
-    u_first, u_second = profile.values[:2]
+    d0, d1 = profile.positions[:2].tolist()
+    u_first, u_second = profile.values[:2].tolist()
     u_wall = u_first - (u_second - u_first) / (d1 - d0) * d0
-    return float(u_wall / u0)
+    return u_wall / u0
 
 
 def apparent_slip_fraction(profile: Profile, *, boundary_layer: float = 8.0) -> float:
@@ -227,15 +232,18 @@ def streamwise_slip_profile(
     :func:`streamwise_velocity_profiles`): positions are the x indices,
     values the per-plane slip.  The per-stripe view behind
     :func:`effective_slip_fraction` (and the fig-pattern stripe plots);
-    bit-identical planes (all, on x-invariant walls) are measured once."""
+    a :class:`Profile` several planes share — every bit-identical plane
+    shares one, so all of them on x-invariant walls — is measured once."""
     lines = solver if isinstance(solver, list) else streamwise_velocity_profiles(
         solver, axis=axis, flow_axis=flow_axis, other_index=other_index
     )
-    keys = [(line.positions.tobytes(), line.values.tobytes()) for line in lines]
-    measured = {key: measure(line) for key, line in dict(zip(keys, lines)).items()}
+    measured: dict[int, float] = {}
+    for line in lines:
+        if id(line) not in measured:
+            measured[id(line)] = measure(line)
     return Profile(
         positions=np.arange(len(lines), dtype=np.float64),
-        values=np.asarray([measured[key] for key in keys], dtype=np.float64),
+        values=np.asarray([measured[id(line)] for line in lines], dtype=np.float64),
     )
 
 

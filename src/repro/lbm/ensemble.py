@@ -160,7 +160,7 @@ class EnsembleSpec:
             updates["scenario"] = params.scenario
         if not updates:
             return self.base
-        return dataclasses.replace(self.base, **updates)
+        return self.base.replace(**updates)
 
 
 @dataclass
@@ -231,11 +231,12 @@ class BatchedEnsemble:
         self.fluid = ~self.solid
 
         # Stacked per-member coefficient fields, built from the same
-        # member_config the standalone solver would see.
+        # member_config the standalone solver would see (and the member
+        # results carry).
+        self._configs = [spec.member_config(b) for b in range(spec.size)]
         self._accel = np.empty((C, D) + stacked, dtype=np.float64)
         self._g_matrices = np.empty((spec.size, C, C), dtype=np.float64)
-        for b in range(spec.size):
-            cfg = spec.member_config(b)
+        for b, cfg in enumerate(self._configs):
             self._g_matrices[b] = cfg.g_matrix
             self._accel[:, :, b] = acceleration_field(cfg, geo)
 
@@ -365,7 +366,7 @@ class BatchedEnsemble:
         members = tuple(
             MemberResult(
                 index=b,
-                config=spec.member_config(b),
+                config=self._configs[b],
                 params=spec.members[b],
                 f=snapshots[b][0],
                 u=snapshots[b][1],

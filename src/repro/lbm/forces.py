@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.lbm.geometry import ChannelGeometry
+from repro.lbm.geometry import ChannelGeometry, geometry_cached
 from repro.util.validation import check_nonnegative, check_positive
 
 if TYPE_CHECKING:  # repro.lbm.solver imports this module
@@ -54,6 +54,11 @@ class WallForceSpec:
             raise ValueError("component name must be non-empty")
 
 
+def _fluid_mask(geometry: ChannelGeometry) -> np.ndarray:
+    """The geometry's own fluid mask, read-only, built once per geometry."""
+    return geometry_cached(("fluid", geometry), geometry.fluid_mask)
+
+
 def wall_force_field(
     geometry: ChannelGeometry, spec: WallForceSpec
 ) -> np.ndarray:
@@ -69,7 +74,7 @@ def wall_force_field(
     force = np.zeros((ndim,) + geometry.shape, dtype=np.float64)
     if spec.amplitude == 0.0:
         return force
-    fluid = geometry.fluid_mask()
+    fluid = _fluid_mask(geometry)
     for ax in geometry.wall_axes:
         n = geometry.shape[ax]
         t = geometry.wall_thickness
@@ -103,7 +108,7 @@ def body_force_field(
         raise ValueError(
             f"acceleration must have shape ({geometry.ndim},), got {acc.shape}"
         )
-    fluid = geometry.fluid_mask()
+    fluid = _fluid_mask(geometry)
     force = np.zeros((geometry.ndim,) + geometry.shape, dtype=np.float64)
     for d in range(geometry.ndim):
         force[d] = acc[d] * fluid

@@ -9,11 +9,53 @@ the geometry also exposes per-axis distance fields.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import Any, TypeVar
 
 import numpy as np
 
 from repro.util.validation import check_integer
+
+T = TypeVar("T")
+
+#: Bytes of geometry-derived arrays :func:`geometry_cached` keeps, least
+#: recently used out first; a larger entry is rebuilt at every call.
+GEOMETRY_CACHE_BYTES = 64 * 2**20
+_geometry_cache: OrderedDict[tuple, tuple[Any, int]] = OrderedDict()
+_geometry_cache_bytes = 0
+_geometry_cache_lock = threading.Lock()
+
+
+def geometry_cached(key: tuple, build: Callable[[], T]) -> T:
+    """``build()`` — an array or a dict of arrays — computed once per
+    *key* and shared read-only by every caller and thread.  *key* is a
+    value (what the data is, the geometry signature, the geometry and
+    any further parameter), so every scenario that shapes the walls
+    alike — a sweep's samples, a batch's members — shares one solid mask
+    and one height draw (:meth:`repro.scenarios.Scenario.solid_mask`).
+    Geometry-derived arrays only, never a run's state."""
+    global _geometry_cache_bytes
+    with _geometry_cache_lock:
+        if key in _geometry_cache:
+            _geometry_cache.move_to_end(key)
+            return _geometry_cache[key][0]
+    value = build()
+    arrays = list(value.values()) if isinstance(value, dict) else [value]
+    for array in arrays:
+        array.flags.writeable = False
+    nbytes = sum(array.nbytes for array in arrays)
+    if nbytes > GEOMETRY_CACHE_BYTES:
+        return value
+    with _geometry_cache_lock:
+        if key not in _geometry_cache:  # another thread may have won
+            _geometry_cache[key] = (value, nbytes)
+            _geometry_cache_bytes += nbytes
+            while _geometry_cache_bytes > GEOMETRY_CACHE_BYTES:
+                _geometry_cache_bytes -= _geometry_cache.popitem(last=False)[1][1]
+        return _geometry_cache[key][0]
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ communication points.
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -98,31 +99,68 @@ class LBMConfig:
     backend: str | None = None
 
     def __post_init__(self) -> None:
-        if self.lattice.D != self.geometry.ndim:
+        self._check(None)
+
+    def replace(self, **changes) -> "LBMConfig":
+        """``dataclasses.replace(self, **changes)`` that re-checks only
+        what *changes* can break: every check that reads none of the
+        changed fields held when this config was built and still holds.
+        The ensemble derives one config per member and a sweep one per
+        sample this way, without re-validating what they inherit."""
+        unknown = set(changes) - set(_CONFIG_FIELDS)
+        if unknown:
+            raise TypeError(f"LBMConfig has no fields {sorted(unknown)}")
+        new = object.__new__(LBMConfig)
+        new.__dict__.update(self.__dict__)
+        new.__dict__.update(changes)
+        new._check(frozenset(changes))
+        return new
+
+    def _check(self, changed: frozenset[str] | None) -> None:
+        """Validate and normalise the fields; with *changed* set, only
+        the checks that read one of those fields run."""
+
+        def reads(*fields: str) -> bool:
+            return changed is None or not changed.isdisjoint(fields)
+
+        if reads("lattice", "geometry") and self.lattice.D != self.geometry.ndim:
             raise ValueError(
                 f"lattice {self.lattice.name} is {self.lattice.D}-D but the "
                 f"geometry is {self.geometry.ndim}-D"
             )
-        if not self.components:
-            raise ValueError("at least one component is required")
         names = [c.name for c in self.components]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate component names: {names}")
-        g = validate_g_matrix(np.asarray(self.g_matrix), len(self.components))
-        object.__setattr__(self, "g_matrix", g)
-        if self.wall_force is not None and self.wall_force.component not in names:
+        if reads("components"):
+            if not self.components:
+                raise ValueError("at least one component is required")
+            if len(set(names)) != len(names):
+                raise ValueError(f"duplicate component names: {names}")
+        if reads("g_matrix", "components"):
+            # A read-only view of a private read-only copy: nobody can
+            # write the coupling of a config (or a fingerprint of it)
+            # after the fact, nor switch writing back on.
+            g = np.array(
+                validate_g_matrix(np.asarray(self.g_matrix), len(names)),
+                dtype=np.float64,
+            )
+            g.flags.writeable = False
+            object.__setattr__(self, "g_matrix", g.view())
+        if (
+            reads("wall_force", "components")
+            and self.wall_force is not None
+            and self.wall_force.component not in names
+        ):
             raise ValueError(
                 f"wall force targets unknown component "
                 f"{self.wall_force.component!r}; have {names}"
             )
-        if self.body_acceleration is not None:
+        if reads("body_acceleration", "geometry") and self.body_acceleration is not None:
             acc = tuple(float(a) for a in self.body_acceleration)
             if len(acc) != self.geometry.ndim:
                 raise ValueError(
                     f"body_acceleration must have {self.geometry.ndim} entries"
                 )
             object.__setattr__(self, "body_acceleration", acc)
-        if self.adhesion is not None:
+        if reads("adhesion", "components") and self.adhesion is not None:
             adh = tuple(float(a) for a in self.adhesion)
             if len(adh) != len(self.components):
                 raise ValueError(
@@ -130,7 +168,7 @@ class LBMConfig:
                     f"({len(self.components)}), got {len(adh)}"
                 )
             object.__setattr__(self, "adhesion", adh)
-        if self.scenario is not None:
+        if reads("scenario", "wall_force", "components") and self.scenario is not None:
             if self.wall_force is not None:
                 raise ValueError(
                     "pass either wall_force or scenario, not both — the "
@@ -141,7 +179,8 @@ class LBMConfig:
                     f"scenario targets unknown component "
                     f"{self.scenario.component!r}; have {names}"
                 )
-        object.__setattr__(self, "backend", resolve_backend_name(self.backend))
+        if reads("backend"):
+            object.__setattr__(self, "backend", resolve_backend_name(self.backend))
 
     @property
     def n_components(self) -> int:
@@ -152,6 +191,9 @@ class LBMConfig:
             if c.name == name:
                 return i
         raise KeyError(name)
+
+
+_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(LBMConfig))
 
 
 class MulticomponentLBM:

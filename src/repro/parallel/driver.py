@@ -334,7 +334,7 @@ class ParallelLBM:
         boundary piece is the whole padded slab on the rank's own
         backend and there is no interior.  A piece carries stable views
         of the derived fields; ``f`` itself is re-sliced at every use
-        because streaming rebinds it."""
+        because migration and restore (``_adopt_interior``) rebind it."""
         self._mid_piece: tuple | None = None
         if not self._overlap:
             self._edge_pieces = [self._make_piece(slice(None), self.backend)]

@@ -37,14 +37,14 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+from collections.abc import Callable
 from typing import Any, ClassVar
 
 import numpy as np
 
-from repro.lbm.geometry import ChannelGeometry
+from repro.lbm.geometry import ChannelGeometry, geometry_cached
 
 _REGISTRY: dict[str, type["Scenario"]] = {}
-
 
 def register_scenario(cls: type["Scenario"]) -> type["Scenario"]:
     """Class decorator: add *cls* to the registry under ``cls.name``."""
@@ -111,12 +111,27 @@ class Scenario(abc.ABC):
 
     # ------------------------------------------------------------ fields
     def solid_mask(self, geometry: ChannelGeometry) -> np.ndarray:
-        """Boolean solid-node field for *geometry* under this scenario.
+        """Boolean solid-node field for *geometry* under this scenario,
+        read-only and computed once per geometry signature and geometry
+        (:func:`geometry_cached`).
 
         The default keeps the base geometry's walls; geometry-altering
-        scenarios (rough walls) override it.
+        scenarios (rough walls) override :meth:`_build_solid_mask`.
         """
+        return self._geometry_data("solid", geometry, self._build_solid_mask)
+
+    def _build_solid_mask(self, geometry: ChannelGeometry) -> np.ndarray:
         return geometry.solid_mask()
+
+    def _geometry_data(
+        self, kind: str, geometry: ChannelGeometry, build: Callable, *params: Any
+    ) -> Any:
+        """``build(geometry)`` through :func:`geometry_cached`, keyed by
+        *kind*, the geometry signature, *geometry* and *params*."""
+        signature = self.geometry_signature()
+        signature = None if signature is None else tuple(sorted(signature.items()))
+        key = (kind, signature, geometry, params)
+        return geometry_cached(key, lambda: build(geometry))
 
     @abc.abstractmethod
     def wall_accel(self, geometry: ChannelGeometry) -> np.ndarray:

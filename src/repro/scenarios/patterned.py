@@ -103,7 +103,7 @@ class PatternedScenario(Scenario):
             shape = [1] * ndim
             shape[ax] = n
             force[ax] += mod * unit.reshape(shape)
-        force *= geometry.fluid_mask()  # no force inside the solid
+        force *= ~self.solid_mask(geometry)  # no force inside the solid
         return force
 
     def expected_trends(self) -> dict[str, str]:

@@ -83,7 +83,11 @@ class RoughScenario(Scenario):
     # ------------------------------------------------------------ fields
     def _heights(self, geometry: ChannelGeometry) -> dict[tuple[int, str], np.ndarray]:
         """Integer height field per (wall axis, side), shaped like the
-        geometry with that axis dropped.  Deterministic in ``seed``."""
+        geometry with that axis dropped.  Deterministic in ``seed``, so
+        drawn once per geometry signature and geometry."""
+        return self._geometry_data("heights", geometry, self._draw_heights)
+
+    def _draw_heights(self, geometry: ChannelGeometry) -> dict[tuple[int, str], np.ndarray]:
         for ax in geometry.wall_axes:
             needed = 2 * (geometry.wall_thickness + self.max_height) + 1
             if geometry.shape[ax] < needed:
@@ -103,7 +107,7 @@ class RoughScenario(Scenario):
                 heights[(ax, side)] = h.astype(np.int64)
         return heights
 
-    def solid_mask(self, geometry: ChannelGeometry) -> np.ndarray:
+    def _build_solid_mask(self, geometry: ChannelGeometry) -> np.ndarray:
         mask = geometry.solid_mask()
         heights = self._heights(geometry)
         for ax in geometry.wall_axes:
@@ -118,16 +122,16 @@ class RoughScenario(Scenario):
             mask |= idx >= n - t - h_hi
         return mask
 
-    def wall_accel(self, geometry: ChannelGeometry) -> np.ndarray:
-        ndim = geometry.ndim
-        force = np.zeros((ndim,) + geometry.shape, dtype=np.float64)
-        if self.amplitude == 0.0:
-            return force
+    def _decay_profiles(self, geometry: ChannelGeometry) -> dict[int, np.ndarray]:
+        """Per wall axis, the unit-amplitude repulsion from both
+        displaced surfaces — geometry and ``decay_length`` only, so a
+        sweep over ``amplitude`` computes it once."""
         heights = self._heights(geometry)
+        profiles: dict[int, np.ndarray] = {}
         for ax in geometry.wall_axes:
             n = geometry.shape[ax]
             t = geometry.wall_thickness
-            shape = [1] * ndim
+            shape = [1] * geometry.ndim
             shape[ax] = n
             idx = np.arange(n, dtype=np.float64).reshape(shape)
             h_lo = np.expand_dims(heights[(ax, "lo")], ax)
@@ -138,10 +142,21 @@ class RoughScenario(Scenario):
             hi_surface = (n - 1 - t - h_hi) + 0.5
             d_lo = np.maximum(idx - lo_surface, 0.0)
             d_hi = np.maximum(hi_surface - idx, 0.0)
-            force[ax] += self.amplitude * (
-                np.exp(-d_lo / self.decay_length)
-                - np.exp(-d_hi / self.decay_length)
+            profiles[ax] = np.exp(-d_lo / self.decay_length) - np.exp(
+                -d_hi / self.decay_length
             )
+        return profiles
+
+    def wall_accel(self, geometry: ChannelGeometry) -> np.ndarray:
+        ndim = geometry.ndim
+        force = np.zeros((ndim,) + geometry.shape, dtype=np.float64)
+        if self.amplitude == 0.0:
+            return force
+        profiles = self._geometry_data(
+            "decay", geometry, self._decay_profiles, float(self.decay_length)
+        )
+        for ax in geometry.wall_axes:
+            force[ax] += self.amplitude * profiles[ax]
         force *= ~self.solid_mask(geometry)  # no force inside the solid
         return force
 

@@ -50,8 +50,8 @@ import repro.config as config_mod
 from repro.api import (
     RunResult,
     RunSpec,
-    batch_compatible,
     batch_exclusion_reason,
+    batch_partners,
     run,
     run_batch,
     spec_fingerprint,
@@ -116,6 +116,8 @@ class _Entry:
 
     key: str
     spec: RunSpec
+    #: ``spec`` overlaid from the environment once, at submit.
+    overlaid: RunSpec
     coalescible: bool
     jobs: list["_Job"] = field(default_factory=list)
     state: JobState = JobState.QUEUED
@@ -290,10 +292,12 @@ class Scheduler:
             return job_id
 
         env = config_mod.from_env()
+        overlaid = env.overlay(spec)
         entry = _Entry(
             key=key,
             spec=spec,
-            coalescible=batch_exclusion_reason(env.overlay(spec), env) is None,
+            overlaid=overlaid,
+            coalescible=batch_exclusion_reason(overlaid, env) is None,
         )
         entry.jobs.append(job)
         job.entry = entry
@@ -413,7 +417,7 @@ class Scheduler:
                 if (
                     candidate.state is JobState.QUEUED
                     and candidate.coalescible
-                    and batch_compatible(primary.spec, candidate.spec)
+                    and batch_partners(primary.overlaid, candidate.overlaid)
                 ):
                     batch.append(candidate)
                 else:

@@ -157,8 +157,8 @@ class SweepSpec:
         base = self.base_config
         specs = [
             RunSpec(
-                config=dataclasses.replace(
-                    base, scenario=dataclasses.replace(base.scenario, **sample)
+                config=base.replace(
+                    scenario=dataclasses.replace(base.scenario, **sample)
                 ),
                 phases=self.phases,
             )

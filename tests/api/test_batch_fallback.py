@@ -303,6 +303,25 @@ class TestEnvironmentReadOncePerCall:
 
         assert asyncio.run(main()) == [1, 0]
 
+    def test_coalescer_probe_reads_nothing(self, two_component_config, env_reads):
+        """A worker's batch probe uses what submit settled: no read per
+        candidate (there were two, plus two overlays)."""
+        import asyncio
+
+        from repro.serve import Scheduler
+
+        specs = sweep_specs(two_component_config, [0.02, 0.05, 0.08], phases=3)
+
+        async def main() -> tuple[int, list[int]]:
+            sched = Scheduler(workers=1, coalesce=8)  # not started
+            for spec in specs:
+                await sched.submit(spec)
+            before = len(env_reads)
+            batch = sched._take_batch()
+            return len(env_reads) - before, [len(e.jobs) for e in batch]
+
+        assert asyncio.run(main()) == (0, [1, 1, 1])
+
     def test_still_read_at_call_time(
         self, two_component_config, monkeypatch, tmp_path
     ):

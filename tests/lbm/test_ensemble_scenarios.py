@@ -136,3 +136,84 @@ class TestRunBatchGrouping:
         assert results[-1].batch_fallback_reason == "no-compatible-partner"
         for spec, result in zip([*same_wall, loner], results):
             assert np.array_equal(result.f, run(spec).f)
+
+
+class TestSharedSetUp:
+    """What a batch's members share is built once: one config per
+    member, one height draw per rough wall geometry."""
+
+    @pytest.fixture
+    def fresh_geometry_cache(self, monkeypatch):
+        from collections import OrderedDict
+
+        import repro.lbm.geometry as geometry_module
+
+        monkeypatch.setattr(geometry_module, "_geometry_cache", OrderedDict())
+        monkeypatch.setattr(geometry_module, "_geometry_cache_bytes", 0)
+
+    @pytest.fixture
+    def height_draws(self, monkeypatch, fresh_geometry_cache):
+        """One entry per rough height draw (each seeds its generators)."""
+        import repro.scenarios.rough as rough
+
+        draws = []
+        original = rough.spawn_rngs
+
+        def counting(seed, n):
+            draws.append(seed)
+            return original(seed, n)
+
+        monkeypatch.setattr(rough, "spawn_rngs", counting)
+        return draws
+
+    @pytest.mark.parametrize(
+        "scenarios",
+        [HOMOGENEOUS, PATTERNED, ROUGH],
+        ids=["homogeneous", "patterned", "rough"],
+    )
+    def test_member_config_runs_once_per_member(self, scenarios, monkeypatch):
+        calls = []
+        original = EnsembleSpec.member_config
+
+        def counting(self, i):
+            calls.append(i)
+            return original(self, i)
+
+        monkeypatch.setattr(EnsembleSpec, "member_config", counting)
+        spec = scenario_sweep(scenarios)
+        result = run_ensemble(spec, 2)
+        assert sorted(calls) == list(range(spec.size))  # was 2B
+        monkeypatch.undo()
+        for i, member in enumerate(result.members):
+            assert member.config == spec.member_config(i)
+
+    def test_rough_heights_drawn_once_per_geometry(self, height_draws):
+        result = run_ensemble(scenario_sweep(ROUGH), 2)
+        for member in result.members:
+            member.solver()
+        assert len(height_draws) == 1  # 16 while every use drew its own
+
+    def test_run_sweep_draws_rough_heights_once(self, height_draws):
+        from repro.sweep import SweepParameter, SweepSpec, Uniform, run_sweep
+
+        spec = SweepSpec(
+            base_config=base_config(ROUGH[0]),
+            phases=2,
+            parameters=(SweepParameter("amplitude", Uniform(0.02, 0.1)),),
+            n_samples=4,
+            seed=1,
+            sampler="lhs",
+            repeats=2,
+        )
+        for via in ("batch", "serve"):
+            run_sweep(spec, via=via)
+        assert len(height_draws) == 1
+
+    def test_two_wall_draws_are_two_entries(self, height_draws):
+        other = dataclasses.replace(ROUGH[0], seed=42)
+        masks = [
+            MulticomponentLBM(base_config(s)).solid for s in (ROUGH[0], other, ROUGH[1])
+        ]
+        assert len(height_draws) == 2
+        assert masks[0] is masks[2]  # same signature: one shared mask
+        assert not np.array_equal(masks[0], masks[1])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.lbm.forces import WallForceSpec
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import D2Q9, D3Q19
 from repro.lbm.solver import LBMConfig, MulticomponentLBM
+from repro.scenarios import HomogeneousScenario
 
 
 class TestConfigValidation:
@@ -62,6 +65,46 @@ class TestConfigValidation:
                 g_matrix=np.zeros((0, 0)),
                 lattice=D2Q9,
             )
+
+
+class TestConfigReplace:
+    """``LBMConfig.replace`` re-checks only what the changes can break:
+    the result equals ``dataclasses.replace``'s, and a change that
+    breaks a check still raises."""
+
+    def test_equals_dataclasses_replace(self, two_component_config):
+        base = dataclasses.replace(
+            two_component_config,
+            wall_force=None,
+            scenario=HomogeneousScenario(amplitude=0.05),
+        )
+        changes = [
+            {"scenario": HomogeneousScenario(amplitude=0.07)},
+            {"body_acceleration": [3e-6, 0]},
+            {"g_matrix": [[0.0, 0.5], [0.5, 0.0]]},
+            {"scenario": None, "wall_force": WallForceSpec(amplitude=0.1)},
+        ]
+        for change in changes:
+            fast, full = base.replace(**change), dataclasses.replace(base, **change)
+            for name in ("geometry", "components", "lattice", "wall_force",
+                         "body_acceleration", "adhesion", "scenario", "backend"):
+                assert getattr(fast, name) == getattr(full, name), name
+            assert np.array_equal(fast.g_matrix, full.g_matrix)
+            assert not fast.g_matrix.flags.writeable
+        assert base.replace().scenario is base.scenario
+
+    def test_broken_changes_still_raise(self, two_component_config):
+        cfg = two_component_config
+        with pytest.raises(ValueError, match="symmetric"):
+            cfg.replace(g_matrix=np.array([[0.0, 0.5], [0.4, 0.0]]))
+        with pytest.raises(ValueError, match="entries"):
+            cfg.replace(body_acceleration=(1e-6,))
+        with pytest.raises(ValueError, match="not both"):
+            cfg.replace(scenario=HomogeneousScenario())
+        with pytest.raises(ValueError, match="unknown component"):
+            cfg.replace(wall_force=None, scenario=HomogeneousScenario(component="oil"))
+        with pytest.raises(TypeError, match="no fields"):
+            cfg.replace(amplitude=0.1)
 
 
 class TestInitialization:
