@@ -13,9 +13,8 @@ starts a lap, exiting records the lap duration into a histogram named
 body raises records nothing (the Timer discards aborted laps) but emits
 an ``error`` event so the trace shows where a run died.
 
-Enable tracing globally by setting ``REPRO_OBS_TRACE=/path/to/trace.jsonl``
-in the environment, or explicitly by passing an :class:`Observer` to the
-instrumented constructors (solver, parallel driver, cluster simulator).
+Enable tracing with ``REPRO_OBS_TRACE=/path/to/trace.jsonl`` or by
+passing an :class:`Observer` to the instrumented constructors.
 """
 
 from __future__ import annotations
@@ -91,6 +90,8 @@ class NullObserver:
 
 #: The shared disabled observer.
 NULL_OBSERVER = NullObserver()
+#: "No trace", already read from the environment (:func:`resolve_observer`).
+TRACE_OFF = NullObserver()
 
 
 class Span:
@@ -189,14 +190,9 @@ _env_observers: dict[str, Observer] = {}
 
 
 def observer_from_env(environ=None) -> Observer | NullObserver:
-    """The process-default observer.
-
-    Returns :data:`NULL_OBSERVER` unless ``REPRO_OBS_TRACE`` (parsed by
-    :func:`repro.config.from_env`) names a trace path, in which case one
-    :class:`Observer` per distinct path is created (and cached, so
-    several solvers in one process append to a single trace rather than
-    truncating each other).
-    """
+    """The process-default observer: :data:`NULL_OBSERVER` unless
+    ``REPRO_OBS_TRACE`` names a trace path, then one cached :class:`Observer`
+    per path (solvers in one process append to one trace, not truncate it)."""
     path = from_env(environ).trace
     if not path:
         return NULL_OBSERVER
@@ -213,17 +209,20 @@ ObserverLike = Observer | NullObserver
 
 
 def resolve_observer(
-    observer: "Observer | NullObserver | None" = NULL_OBSERVER,
+    observer: "Observer | NullObserver | None" = NULL_OBSERVER, *, once: bool = False
 ) -> "Observer | NullObserver":
     """Resolve an observer parameter to a concrete handle.
 
     The shared :data:`NULL_OBSERVER` sentinel (the parameter default
     everywhere, enforced by the REP004 static rule) and ``None`` both
     mean "unspecified" and resolve against ``REPRO_OBS_TRACE``; any
-    other observer — including a *fresh* ``NullObserver()``, which
-    force-disables tracing even when the environment requests it —
-    passes through unchanged.
+    other observer — including a *fresh* ``NullObserver()`` such as
+    :data:`TRACE_OFF`, which force-disables tracing — passes through
+    unchanged.  With *once*, "no trace" resolves to :data:`TRACE_OFF`:
+    a handle to pass down a call tree that reads the environment once
+    (a served sweep: its scheduler, cache and ensembles).
     """
     if observer is None or observer is NULL_OBSERVER:
-        return observer_from_env()
+        obs = observer_from_env()
+        return TRACE_OFF if once and obs is NULL_OBSERVER else obs
     return observer

@@ -248,7 +248,8 @@ class ParallelLBM:
         for ci, comp in enumerate(config.components):
             rho0 = np.where(fluid3, comp.rho_init / comp.mass, 0.0)
             rest_equilibrium(rho0, lat, out=self.f[ci])
-        self.f = pad_with_ghosts(self._interior_view(), self._padded)
+        # Zero the ghosts in place: the pieces already hold views of f.
+        self.f[...] = pad_with_ghosts(self._interior_view(), self._padded)
         self.phase = 0
         self.planes_sent = 0
         self.planes_received = 0
@@ -332,9 +333,9 @@ class ParallelLBM:
         pieces are the one-plane strips, each with its own backend
         instance — kernel scratch is shape-bound; blocking, the one
         boundary piece is the whole padded slab on the rank's own
-        backend and there is no interior.  A piece carries stable views
-        of the derived fields; ``f`` itself is re-sliced at every use
-        because migration and restore (``_adopt_interior``) rebind it."""
+        backend and there is no interior.  A piece holds stable views of
+        ``f`` and the derived fields, its backend's bound operands;
+        migration and restore rebind ``f``, then rebuild the pieces."""
         self._mid_piece: tuple | None = None
         if not self._overlap:
             self._edge_pieces = [self._make_piece(slice(None), self.backend)]
@@ -354,8 +355,8 @@ class ParallelLBM:
                 self.config, solid.shape, solid, observer=self.observer
             )
         return (
-            sl,
             backend,
+            self.f[:, :, sl],
             self._collide_mask[sl],
             self.rho[:, sl],
             self.u_eq[:, :, sl],
@@ -364,15 +365,14 @@ class ParallelLBM:
 
     # -------------------------------------------------------------- physics
     def _collide_piece(self, piece: tuple) -> None:
-        sl, backend, mask, rho, u_eq, _ = piece
-        backend.collide_bgk(self.f[:, :, sl], rho, u_eq, mask)
+        backend, f, mask, rho, u_eq, _ = piece
+        backend.collide_bgk(f, rho, u_eq, mask)
 
     def _moments_piece(self, piece: tuple) -> None:
-        # Moments accept any x-slab of the grid, so the full backend
-        # serves every piece; collision cannot (its omega cache is sized
-        # to, and keyed on, one mask), hence the per-piece instances.
-        sl, _, _, rho, _, mom = piece
-        self.backend.moments(self.f[:, :, sl], rho, mom)
+        # On the piece's own backend: one backend taking every piece's
+        # moments would rebind its call list at each piece.
+        backend, f, _, rho, _, mom = piece
+        backend.moments(f, rho, mom)
 
     def _moments_and_forces(self, tag: object) -> tuple[float, float]:
         """The second half of a phase — boundary moments, density halo

@@ -185,7 +185,7 @@ class Scheduler:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         self.check_every = check_every
         self.tol = tol
-        self._obs = resolve_observer(observer)
+        self._obs = resolve_observer(observer, once=True)  # cache, batches
         self.cache = (
             cache
             if cache is not None
@@ -439,8 +439,7 @@ class Scheduler:
                 return list(
                     run_batch(
                         [entry.spec for entry in batch],
-                        check_every=self.check_every,
-                        tol=self.tol,
+                        check_every=self.check_every, tol=self.tol, observer=self._obs,
                     )
                 )
             except Exception:

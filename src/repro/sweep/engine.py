@@ -168,7 +168,7 @@ def run_sweep(
     the caller what an explicit bitwise check needs)."""
     if via not in SUBSTRATES:
         raise ValueError(f"via must be one of {SUBSTRATES}, got {via!r}")
-    obs = resolve_observer(observer)
+    obs = resolve_observer(observer, once=True)  # the sweep's one read
     params, distinct = spec.compile()
     start = time.perf_counter()
     if via == "serve":

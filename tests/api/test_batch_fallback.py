@@ -263,6 +263,7 @@ class TestEnvironmentReadOncePerCall:
     @pytest.fixture
     def env_reads(self, monkeypatch):
         import repro.config as config_mod
+        import repro.obs.observer as observer_mod
 
         reads = []
         original = config_mod.from_env
@@ -272,6 +273,8 @@ class TestEnvironmentReadOncePerCall:
             return original(environ)
 
         monkeypatch.setattr(config_mod, "from_env", counting)
+        # The observer module reads through its own name for it.
+        monkeypatch.setattr(observer_mod, "from_env", counting)
         return reads
 
     def test_batch_compatible(self, two_component_config, env_reads):
@@ -321,6 +324,21 @@ class TestEnvironmentReadOncePerCall:
             return len(env_reads) - before, [len(e.jobs) for e in batch]
 
         assert asyncio.run(main()) == (0, [1, 1, 1])
+
+    def test_served_sweep(self, env_reads):
+        """The observer is read once per served sweep and handed down
+        resolved (it was read four times: by the sweep, its scheduler,
+        the scheduler's cache and the ensemble); the rest is one read
+        for the scheduler's knobs, one per missed submit and one for the
+        one batch the six samples coalesce into."""
+        from repro.sweep import run_sweep
+        from tests.sweep.test_engine import small_sweep
+
+        result = run_sweep(
+            small_sweep(repeats=3, n_samples=6), via="serve", workers=1, coalesce=8
+        )
+        assert (result.submissions, result.executions) == (18, 6)
+        assert len(env_reads) == 1 + 1 + 6 + 1
 
     def test_still_read_at_call_time(
         self, two_component_config, monkeypatch, tmp_path
