@@ -50,8 +50,8 @@ def test_bench_migration_roundtrip(benchmark):
     f[:, :, 1:-1] = rng.random((2, 19, 20, 200, 20))
 
     def roundtrip():
-        package, rest = pack_band(f, 2, "high", 5, (2,))
-        return unpack_band(rest, package, 2, "high", (2,))
+        package, rest = pack_band(f, "high", 5)
+        return unpack_band(rest, package, "high")
 
     benchmark(roundtrip)
     plane_bytes = 2 * 19 * 200 * 20 * 8

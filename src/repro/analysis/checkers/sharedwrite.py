@@ -58,7 +58,6 @@ MUTATOR_METHODS = {
 #: finding (``tests/analysis/test_rep002_sharedwrite.py`` checks it).
 SANCTIONED: dict[str, frozenset[str]] = {
     "repro/parallel/threads.py": frozenset({"ThreadCommunicator.isend"}),
-    "repro/parallel/halo.py": frozenset({"HaloExchanger._exchange_y"}),
     "repro/parallel/migration.py": frozenset({"pad_with_ghosts"}),
     "repro/parallel/process.py": frozenset(
         {"_Link.pull_bytes", "_rank_entry"}

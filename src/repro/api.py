@@ -10,8 +10,6 @@ the parallel driver (``ranks > 1``) on either transport::
 
     spec = RunSpec(config=cfg, phases=1000, ranks=4, transport="processes")
     result = run(spec)
-    spec2d = RunSpec(config=cfg, phases=1000, decomp=(2, 2))  # ranks derived
-    result = run(spec2d)
     result.f          # global populations (C, Q, nx, *cross)
     result.velocity() # the final mixture velocity (D, nx, *cross)
     result.solver()   # a sequential solver holding the final state
@@ -76,10 +74,9 @@ class RunSpec:
 
     Sequential runs (``ranks == 1``, the default) execute on the
     in-process :class:`~repro.lbm.solver.MulticomponentLBM`; parallel
-    runs (``ranks > 1``) on the domain-decomposed driver over the chosen
-    *transport*, laid out per ``decomp`` (1-D slabs by default, or a
-    2-D rank grid).  Fields left at their defaults are overlaid from
-    the environment by :func:`run` (see :mod:`repro.config`).
+    runs (``ranks > 1``) on the slab-decomposed driver over the chosen
+    *transport*.  Fields left at their defaults are overlaid from the
+    environment by :func:`run` (see :mod:`repro.config`).
     """
 
     #: Physics/geometry configuration (shared by every rank).
@@ -87,15 +84,11 @@ class RunSpec:
     #: Total phase target.  With ``resume=True`` this is absolute: a
     #: restored run executes only the remainder.
     phases: int
-    #: 1 = sequential solver; > 1 = parallel decomposition.  Derived
-    #: from ``decomp`` when that is an explicit ``(rows, cols)`` grid.
+    #: 1 = sequential solver; > 1 = parallel, one x slab per rank.
     ranks: int = 1
-    #: Parallel decomposition: ``"auto"`` (1-D slab over ``ranks``, the
-    #: historical layout), ``"slab"`` (explicit alias), ``"grid"``
-    #: (most-square 2-D factorization of ``ranks``), or an explicit
-    #: ``(rows, cols)`` tuple.  With a tuple and ``ranks`` left at its
-    #: default, ``ranks`` is derived as ``rows * cols``.
-    decomp: str | tuple[int, int] = "auto"
+    #: Parallel decomposition: ``"auto"`` or ``"slab"``, both the 1-D x
+    #: slabs — the only layout (2-D rank grids were removed).
+    decomp: str = "auto"
     #: Overlap interior kernel compute with halo exchange (parallel
     #: only; bit-identical to the blocking schedule by construction).
     halo_overlap: bool = True
@@ -129,28 +122,11 @@ class RunSpec:
             raise ValueError(
                 f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
             )
-        if isinstance(self.decomp, str):
-            if self.decomp not in ("auto", "slab", "grid"):
-                raise ValueError(
-                    f"decomp must be 'auto', 'slab', 'grid' or a "
-                    f"(rows, cols) tuple, got {self.decomp!r}"
-                )
-        else:
-            grid = tuple(int(n) for n in self.decomp)
-            if len(grid) != 2 or grid[0] < 1 or grid[1] < 1:
-                raise ValueError(
-                    f"decomp grid must be two positive integers "
-                    f"(rows, cols), got {self.decomp!r}"
-                )
-            object.__setattr__(self, "decomp", grid)
-            if self.ranks == 1:
-                # ranks left at its default: derive it from the grid.
-                object.__setattr__(self, "ranks", grid[0] * grid[1])
-            elif self.ranks != grid[0] * grid[1]:
-                raise ValueError(
-                    f"decomp grid {grid} needs {grid[0] * grid[1]} ranks "
-                    f"but ranks={self.ranks}"
-                )
+        if self.decomp not in ("auto", "slab"):
+            raise ValueError(
+                f"decomp must be 'auto' or 'slab' (1-D x slabs), got "
+                f"{self.decomp!r}: 2-D rank grids were removed"
+            )
         if self.checkpoint_store is not None and self.checkpoint_dir is not None:
             raise ValueError(
                 "pass either checkpoint_store or checkpoint_dir, not both"
@@ -177,9 +153,9 @@ def canonical_spec_doc(spec: RunSpec) -> dict[str, Any]:
     result.  (A checkpoint is state, not a result, so
     ``config_fingerprint`` itself stays blind to the backend and a run
     may resume under the other one.)  Execution knobs — rank count,
-    decomposition layout, halo-overlap schedule, transport, remapping
+    decomposition knob, halo-overlap schedule, transport, remapping
     policy, checkpoint/trace/observer machinery — are deliberately
-    absent: the transports, decompositions and schedules are
+    absent: the transports, rank counts and schedules are
     bit-identical by contract, so two specs differing only there produce
     the same populations.  Consequently the environment overlay
     (:meth:`repro.config.EnvConfig.overlay`), which touches only
@@ -222,7 +198,7 @@ class RunResult:
     carries the per-rank
     :class:`~repro.parallel.driver.ParallelRunResult` records for
     parallel runs (``None`` for sequential ones) — their ownership
-    rectangles, migration counts and timings, with ``f_interior``
+    slabs, migration counts and timings, with ``f_interior``
     dropped once ``f`` is assembled.  :meth:`velocity` is
     the final mixture velocity: sequential runs and batched members
     carry it from the run's own moments, parallel runs derive it through

@@ -7,18 +7,21 @@ shard per writer plus a ``manifest.json``.  The manifest is written
 without a parseable manifest is an aborted write and is ignored by
 :meth:`repro.ckpt.store.CheckpointStore.latest_good`.
 
-Shards are rectangles of the global domain.  The manifest records each
-shard's ``plane_start``/``plane_count`` (and ``col_start``/``col_count``)
-explicitly, so a checkpoint written by a parallel run *after dynamic
-remapping has moved planes between ranks* restores correctly into any
-target decomposition — the ownership map travels with the data instead
-of being implied by rank order; :func:`tile` checks and places it.
+Shards are x slabs of the global domain.  The manifest records each
+shard's ``plane_start``/``plane_count`` explicitly, so a checkpoint
+written by a parallel run *after dynamic remapping has moved planes
+between ranks* restores correctly into any rank count — the ownership
+map travels with the data instead of being implied by rank order;
+:func:`tile` checks and places it.  A shard entry may carry fields this
+build does not know only at their empty values (``0``/``null``): the
+column fields of generations written while 2-D rank grids existed parse
+unchanged for a slab, and a column band is refused.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -56,58 +59,50 @@ class CheckpointRejected(CheckpointError):
 
 def tile(
     spatial: Sequence[int],
-    rects: Sequence[tuple[int, int, int, int | None]],
+    slabs: Sequence[tuple[int, int]],
     blocks: Iterable[np.ndarray] | None = None,
     *,
     error: type[Exception] = ValueError,
 ) -> np.ndarray | None:
-    """Check that the ownership rectangles *rects* — ``(plane_start,
-    plane_count, col_start, col_count)``, ``col_count=None`` for the full
-    cross extent — tile the ``nx × ny`` extent of the *spatial* domain
-    exactly once, else raise *error*.  With *blocks* (one array per
-    rectangle, read only after the check) return the ``(C, Q, *spatial)``
-    field they make up, copying each block once."""
-    nx, ny = int(spatial[0]), int(spatial[1])
-    spans = [(ps, pc, cs, ny if cc is None else cc) for ps, pc, cs, cc in rects]
-    owners = np.zeros((nx, ny), dtype=np.int64)
-    for ps, pc, cs, cc in spans:
-        if min(ps, cs, pc - 1, cc - 1) < 0 or ps + pc > nx or cs + cc > ny:
+    """Check that the ownership slabs *slabs* — ``(plane_start,
+    plane_count)`` — tile the x extent of the *spatial* domain exactly
+    once, else raise *error*.  With *blocks* (one array per slab, read
+    only after the check) return the ``(C, Q, *spatial)`` field they
+    make up, copying each block once."""
+    nx = int(spatial[0])
+    owners = np.zeros(nx, dtype=np.int64)
+    for ps, pc in slabs:
+        if ps < 0 or pc < 1 or ps + pc > nx:
             raise error(
-                f"the ownership map does not tile the {nx}x{ny} domain: "
-                f"({ps}, {pc}, {cs}, {cc}) is empty or reaches outside it"
+                f"the ownership map does not tile the {nx} x planes: "
+                f"({ps}, {pc}) is empty or reaches outside them"
             )
-        owners[ps : ps + pc, cs : cs + cc] += 1
+        owners[ps : ps + pc] += 1
     if not (owners == 1).all():
         raise error(
-            f"the ownership map does not tile the {nx}x{ny} domain: "
-            f"{int((owners == 0).sum())} lines unowned, "
+            f"the ownership map does not tile the {nx} x planes: "
+            f"{int((owners == 0).sum())} unowned, "
             f"{int((owners > 1).sum())} owned more than once"
         )
     if blocks is None:
         return None
     out = None
-    for (ps, pc, cs, cc), piece in zip(spans, blocks, strict=True):
-        if piece.shape[2:] != (pc, cc, *spatial[2:]):
+    for (ps, pc), piece in zip(slabs, blocks, strict=True):
+        if piece.shape[2:] != (pc, *spatial[1:]):
             raise error(
-                f"the ownership map gives a {pc}x{cc} rectangle a block "
-                f"of shape {piece.shape[2:]}"
+                f"the ownership map gives a {pc}-plane slab a block of "
+                f"shape {piece.shape[2:]}"
             )
         if out is None:
             out = np.empty(piece.shape[:2] + tuple(spatial), dtype=piece.dtype)
-        out[:, :, ps : ps + pc, cs : cs + cc] = piece
+        out[:, :, ps : ps + pc] = piece
     return out
 
 
 @dataclass(frozen=True)
 class ShardInfo:
-    """One shard's entry in the manifest.
-
-    ``plane_start``/``plane_count`` delimit the shard's x band;
-    ``col_start``/``col_count`` its band along the first cross-section
-    axis.  ``col_count=None`` means the full cross extent — the 1-D slab
-    layout, and what every pre-2-D manifest implicitly carried, so old
-    generations parse unchanged.
-    """
+    """One shard's entry in the manifest: ``plane_start``/``plane_count``
+    delimit the shard's x slab."""
 
     filename: str
     rank: int
@@ -115,19 +110,30 @@ class ShardInfo:
     plane_count: int
     sha256: str
     nbytes: int
-    col_start: int = 0
-    col_count: int | None = None
 
     @property
-    def rectangle(self) -> tuple[int, int, int, int | None]:
-        return self.plane_start, self.plane_count, self.col_start, self.col_count
+    def slab(self) -> tuple[int, int]:
+        return self.plane_start, self.plane_count
 
     def to_json(self) -> dict[str, Any]:
         return asdict(self)
 
     @classmethod
-    def from_json(cls, doc: dict[str, Any]) -> "ShardInfo":
-        col_count = doc.get("col_count")
+    def from_json(cls, doc: dict[str, Any], step: int) -> "ShardInfo":
+        """Parse one shard entry of generation *step*.  An entry with an
+        unknown field set to anything but ``0``/``null`` — a column band
+        of a 2-D rank grid — raises :class:`CorruptCheckpointError`
+        naming the step and the shard: restoring it as a slab would
+        mis-tile the field."""
+        known = {f.name for f in fields(cls)}
+        extra = {k: v for k, v in doc.items() if k not in known and v not in (0, None)}
+        if extra:
+            raise CorruptCheckpointError(
+                f"step {step}: shard {doc.get('filename')} (rank "
+                f"{doc.get('rank')}) carries {extra}, which this build "
+                f"cannot place: 2-D rank grids were removed, only x-slab "
+                f"generations restore"
+            )
         return cls(
             filename=str(doc["filename"]),
             rank=int(doc["rank"]),
@@ -135,8 +141,6 @@ class ShardInfo:
             plane_count=int(doc["plane_count"]),
             sha256=str(doc["sha256"]),
             nbytes=int(doc["nbytes"]),
-            col_start=int(doc.get("col_start", 0)),
-            col_count=None if col_count is None else int(col_count),
         )
 
 
@@ -159,16 +163,14 @@ class Manifest:
         return sum(s.nbytes for s in self.shards)
 
     def shards_in_x_order(self) -> tuple[ShardInfo, ...]:
-        return tuple(
-            sorted(self.shards, key=lambda s: (s.plane_start, s.col_start))
-        )
+        return tuple(sorted(self.shards, key=lambda s: s.plane_start))
 
     def validate_coverage(self) -> None:
-        """Shard rectangles must tile the domain exactly once, in any
-        rank order (:func:`tile`)."""
+        """Shard slabs must tile the x axis exactly once, in any rank
+        order (:func:`tile`)."""
         tile(
             self.fingerprint["shape"],
-            [shard.rectangle for shard in self.shards],
+            [shard.slab for shard in self.shards],
             error=CorruptCheckpointError,
         )
 
@@ -192,12 +194,13 @@ class Manifest:
                     f"unsupported checkpoint format {fmt} "
                     f"(this build reads format {CKPT_FORMAT})"
                 )
+            step = int(doc["step"])
             return cls(
                 format=fmt,
-                step=int(doc["step"]),
+                step=step,
                 fingerprint=dict(doc["fingerprint"]),
                 shards=tuple(
-                    ShardInfo.from_json(s) for s in doc["shards"]
+                    ShardInfo.from_json(s, step) for s in doc["shards"]
                 ),
                 rng_state=(
                     dict(doc["rng_state"])

@@ -4,7 +4,7 @@ Layout under one store root::
 
     root/
       step-00000040/
-        shard-r0000.npz     # one rectangle of the global state (+ extras)
+        shard-r0000.npz     # one x slab of the global state (+ extras)
         shard-r0001.npz
         manifest.json       # written last, atomically: the commit point
       step-00000080/
@@ -253,37 +253,27 @@ class CheckpointStore:
         map is known to tile the domain."""
         f = tile(
             manifest.fingerprint["shape"],
-            [shard.rectangle for shard in manifest.shards],
+            [shard.slab for shard in manifest.shards],
             (self.load_shard_arrays(manifest, s, verify=verify)["f"] for s in manifest.shards),
             error=CorruptCheckpointError,
         )
         assert f is not None  # blocks were given
         return f
 
-    def load_rectangle(
-        self, manifest: Manifest, rows: int, cols: int, rank: int,
-        rectangle: tuple[int, int, int, int],
-    ) -> tuple[dict[str, np.ndarray], int, int]:
-        """What *rank* of a ``rows × cols`` rank grid adopts on restore,
-        and the global plane and column it starts at: its own shard in
-        row-major order (``f``, remap counters and histories) when the
-        shards form a ``rows × cols`` grid, else ``{"f": ...}`` cut to
-        *rectangle* ``(plane_start, plane_count, col_start, col_count)``."""
+    def load_slab(
+        self, manifest: Manifest, ranks: int, rank: int, slab: tuple[int, int]
+    ) -> tuple[dict[str, np.ndarray], int]:
+        """What *rank* of a *ranks*-rank run adopts on restore, and the
+        global plane it starts at: its own shard in x order (``f``, remap
+        counters and histories) when the generation has one shard per
+        rank, else ``{"f": ...}`` cut to *slab* ``(plane_start,
+        plane_count)``."""
         shards = manifest.shards_in_x_order()
-        rects = [shard.rectangle for shard in shards]
-        # Each run of `cols` shards is one x band, and every band repeats
-        # the first band's columns.
-        if len(rects) == rows * cols and all(
-            rect[:2] == rects[i - i % cols][:2]
-            and rect[2:] == rects[i % cols][2:]
-            for i, rect in enumerate(rects)
-        ):
+        if len(shards) == ranks:
             mine = shards[rank]
-            arrays = self.load_shard_arrays(manifest, mine)
-            return arrays, mine.plane_start, mine.col_start
-        ps, pc, cs, cc = rectangle
-        f = self.load_global_f(manifest)
-        return {"f": f[:, :, ps : ps + pc, cs : cs + cc]}, ps, cs
+            return self.load_shard_arrays(manifest, mine), mine.plane_start
+        ps, pc = slab
+        return {"f": self.load_global_f(manifest)[:, :, ps : ps + pc]}, ps
 
     # ------------------------------------------------------------ writing
     def write_shard(
@@ -294,13 +284,9 @@ class CheckpointStore:
         *,
         plane_start: int,
         plane_count: int,
-        col_start: int = 0,
-        col_count: int | None = None,
     ) -> ShardInfo:
         """Atomically write one shard ``.npz`` and return its manifest
-        entry (checksummed).  ``col_start``/``col_count`` record a 2-D
-        ownership rectangle; the defaults mean the full cross extent
-        (the 1-D slab layout).  Safe to call concurrently from rank
+        entry (checksummed).  Safe to call concurrently from rank
         threads — filenames are rank-disjoint."""
         if "f" not in arrays:
             raise ValueError("a shard must carry the 'f' population array")
@@ -319,8 +305,6 @@ class CheckpointStore:
             plane_count=plane_count,
             sha256=sha256_file(path),
             nbytes=nbytes,
-            col_start=col_start,
-            col_count=col_count,
         )
 
     def commit(

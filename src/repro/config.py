@@ -13,10 +13,6 @@ is parsed here into one immutable :class:`EnvConfig` snapshot:
 ``REPRO_TRANSPORT``
     Default parallel transport, ``threads`` or ``processes``
     (:mod:`repro.parallel.launch`).
-``REPRO_DECOMP``
-    Default parallel decomposition for specs that leave ``decomp`` at
-    ``"auto"``: ``slab`` (1-D), ``grid`` (most-square 2-D), or an
-    explicit ``RxC`` grid such as ``2x2``.
 ``REPRO_CKPT_DIR`` / ``REPRO_CKPT_EVERY`` / ``REPRO_CKPT_RESUME`` /
 ``REPRO_CKPT_KEEP``
     Checkpoint store root, snapshot interval, resume flag and retention
@@ -53,7 +49,6 @@ from typing import Any
 ENV_BACKEND = "REPRO_LBM_BACKEND"
 ENV_TRACE = "REPRO_OBS_TRACE"
 ENV_TRANSPORT = "REPRO_TRANSPORT"
-ENV_DECOMP = "REPRO_DECOMP"
 ENV_CKPT_DIR = "REPRO_CKPT_DIR"
 ENV_CKPT_EVERY = "REPRO_CKPT_EVERY"
 ENV_CKPT_RESUME = "REPRO_CKPT_RESUME"
@@ -68,7 +63,6 @@ ALL_ENV_VARS = (
     ENV_BACKEND,
     ENV_TRACE,
     ENV_TRANSPORT,
-    ENV_DECOMP,
     ENV_CKPT_DIR,
     ENV_CKPT_EVERY,
     ENV_CKPT_RESUME,
@@ -97,7 +91,6 @@ class EnvConfig:
     backend: str | None = None
     trace: str | None = None
     transport: str | None = None
-    decomp: str | tuple[int, int] | None = None
     ckpt_dir: str | None = None
     ckpt_every: int = 0
     ckpt_resume: bool = False
@@ -122,19 +115,6 @@ class EnvConfig:
         if spec.transport is None and self.transport is not None:
             updates["transport"] = self.transport
         if (
-            self.decomp is not None
-            and getattr(spec, "decomp", "auto") == "auto"
-            and spec.ranks > 1
-            and (
-                isinstance(self.decomp, str)
-                or self.decomp[0] * self.decomp[1] == spec.ranks
-            )
-        ):
-            # Never changes the rank count: a sequential spec stays
-            # sequential, and an explicit grid that contradicts the
-            # spec's ranks is ignored rather than raising.
-            updates["decomp"] = self.decomp
-        if (
             self.ckpt_dir is not None
             and spec.checkpoint_dir is None
             and spec.checkpoint_store is None
@@ -151,27 +131,6 @@ class EnvConfig:
         return dataclasses.replace(spec, **updates)
 
 
-def _parse_decomp(raw: str) -> str | tuple[int, int] | None:
-    """Parse ``REPRO_DECOMP``: ``slab``, ``grid``, or ``RxC``."""
-    if not raw:
-        return None
-    lowered = raw.lower()
-    if lowered in ("slab", "grid"):
-        return lowered
-    parts = lowered.split("x")
-    if len(parts) == 2:
-        try:
-            rows, cols = int(parts[0]), int(parts[1])
-        except ValueError:
-            rows = cols = 0
-        if rows >= 1 and cols >= 1:
-            return (rows, cols)
-    raise ValueError(
-        f"{ENV_DECOMP} must be 'slab', 'grid' or 'RxC' "
-        f"(e.g. '2x2'), got {raw!r}"
-    )
-
-
 def from_env(environ: Mapping[str, str] | None = None) -> EnvConfig:
     """Parse the ``REPRO_*`` family from *environ* (default: the real
     process environment) into an :class:`EnvConfig`."""
@@ -181,7 +140,6 @@ def from_env(environ: Mapping[str, str] | None = None) -> EnvConfig:
         backend=_clean(environ, ENV_BACKEND) or None,
         trace=_clean(environ, ENV_TRACE) or None,
         transport=_clean(environ, ENV_TRANSPORT) or None,
-        decomp=_parse_decomp(_clean(environ, ENV_DECOMP)),
         ckpt_dir=_clean(environ, ENV_CKPT_DIR) or None,
         ckpt_every=int(_clean(environ, ENV_CKPT_EVERY) or 0),
         ckpt_resume=_clean(environ, ENV_CKPT_RESUME).lower() in _TRUTHY,

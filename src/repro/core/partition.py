@@ -68,8 +68,8 @@ class SlicePartition:
         base, extra = divmod(total_planes, n_nodes)
         if base < min_planes:
             raise ValueError(
-                f"{total_planes} planes over {n_nodes} nodes violates "
-                f"min_planes={min_planes}"
+                f"cannot split {total_planes} planes over {n_nodes} nodes "
+                f"with min_planes={min_planes}"
             )
         counts = [base + (1 if i < extra else 0) for i in range(n_nodes)]
         return cls(counts, plane_points, min_planes=min_planes)

@@ -7,10 +7,9 @@ integer *edge flows*: ``flows[i]`` planes move from node i to node i+1
 the virtual-time cluster simulator and the real parallel driver both call
 them and then charge/perform the migration themselves.
 
-Wherever the driver has gathered the load indices (a 2-D grid's rows and
-columns, the ``global`` scheme) it calls ``make_policy(name,
-cfg).decide(...)`` — the simulator's own objects.  A 1-D chain running a
-windowed scheme keeps the paper's neighbour-only exchange and never sees
+Where the driver has gathered the load indices (the ``global`` scheme)
+it calls ``make_policy(name, cfg).decide(...)`` — the simulator's own
+objects.  A windowed scheme keeps the paper's neighbour-only exchange and never sees
 global arrays; there each rank evaluates its own slice of the same
 pipeline — :func:`window_proposal` on its three-node window, the
 per-edge netting, :func:`~repro.core.conflict.flows_to_planes` and

@@ -25,7 +25,6 @@ from repro.parallel.launch import TRANSPORTS
 
 from repro.experiments import (
     ext_adaptation,
-    ext_decomposition,
     ext_resolution,
     ext_scenarios,
     ext_slip_sweep,
@@ -54,7 +53,6 @@ EXPERIMENTS: dict[str, Callable[..., Report]] = {
     "ext-adaptation": ext_adaptation.run,
     "ext-slip-sweep": ext_slip_sweep.run,
     "ext-resolution": ext_resolution.run,
-    "ext-decomposition": ext_decomposition.run,
     "ext-heterogeneous": ext_heterogeneous.run,
     "fig-roughness": ext_scenarios.run_roughness,
     "fig-pattern": ext_scenarios.run_pattern,
@@ -70,7 +68,6 @@ ORDER = (
     "fig9",
     "fig10",
     "table1",
-    "ext-decomposition",
     "ext-heterogeneous",
     "ext-adaptation",
     "ext-slip-sweep",

@@ -1,5 +1,5 @@
-"""Message-passing substrate: an MPI-like communicator, the cartesian
-decomposition with ghost planes, halo exchange, band migration, and the
+"""Message-passing substrate: an MPI-like communicator, the x-slab
+decomposition with ghost planes, halo exchange, plane migration, and the
 parallel LBM driver mirroring the paper's Figure 2 pseudocode.
 
 mpi4py and a physical cluster are unavailable in this reproduction, so

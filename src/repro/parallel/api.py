@@ -1,7 +1,7 @@
 """The communicator abstraction.
 
 A tiny MPI subset sufficient for the paper's algorithm — generalized to
-the nonblocking style the 2-D overlapped halo exchange needs.  The
+the nonblocking style the overlapped halo exchange needs.  The
 abstract primitives are ``isend``/``irecv``, both returning a waitable
 :class:`Request` handle; the blocking ``send``/``recv``/``sendrecv``
 calls are derived wrappers (post + wait), so a transport implements only

@@ -1,19 +1,20 @@
 """The parallel multicomponent LBM driver — Figure 2 of the paper, for real.
 
-Each rank owns an x-slab of the channel — or, under a 2-D
-:class:`~repro.parallel.decomposition.CartTopology`, a rectangle of x
-planes × cross-section columns — plus ghost cells, and runs, per phase,
+Each rank owns an x-slab of the channel — a contiguous run of planes,
+the paper's 1-D decomposition, whose ownership is a
+:class:`~repro.core.partition.SlicePartition` like everywhere else in
+the repository — plus one ghost plane on each side, and runs, per phase,
 one sequence (:meth:`ParallelLBM.step_phase`): collide the boundary
 pieces, post the halo exchange of their distribution functions, collide
 the interior while the messages fly, wait, stream + bounce back, then
 the same split for the moment update around the exchange of the number
 densities, and finally forces and velocities.  Every
 ``REMAPPING_INTERVAL`` phases the ranks plan plane transfers — from
-load indices exchanged with their chain neighbours only (1-D windowed
-schemes, the paper's protocol) or from one allgather (``global``, and a
-2-D grid, which rebalances each axis' bands) — with the planner of
-:mod:`repro.core.policies`, and migrate raw population bands along each
-decomposed axis (:meth:`ParallelLBM.maybe_remap`).
+load indices exchanged with their chain neighbours only (the windowed
+schemes, the paper's protocol) or from one allgather (``global``) —
+with the planner of :mod:`repro.core.policies`, and migrate raw
+population planes to their chain neighbours
+(:meth:`ParallelLBM.maybe_remap`).
 
 ``halo_overlap`` chooses the piece list, not the code path: overlapped
 (the default), the boundary pieces are the one-plane x strips and the
@@ -32,7 +33,7 @@ jobs (the physics is unaffected — only the remapping decisions see it).
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -66,7 +67,6 @@ from repro.obs.observer import (
 )
 from repro.obs.sink import JsonlSink, MemorySink
 from repro.parallel.api import Communicator
-from repro.parallel.decomposition import CartTopology, grid_for
 from repro.parallel.halo import HaloExchanger
 from repro.parallel.launch import launch_spmd, resolve_transport
 from repro.parallel.migration import (
@@ -80,14 +80,12 @@ from repro.util.validation import check_integer
 #: Load-index hook: (rank, phase, points) -> seconds.
 LoadTimeFn = Callable[[int, int, int], float]
 
-#: One edge of a rank's subdomain in a remap round: ``(peer, due, out)``.
-#: *due* is the signed band count the netted proposals call for (> 0:
+#: One edge of a rank's slab in a remap round: ``(peer, due, out)``.
+#: *due* is the signed plane count the netted proposals call for (> 0:
 #: this rank sends, < 0: it receives); *out* is what it actually ships
 #: once clamped to what it owns (0 <= out <= due when sending, else 0).
 Edge = tuple[int | None, int, int]
 SIDES = ("low", "high")
-#: Decomposed axes of ``f`` as named in trace events.
-AXIS_NAMES = {2: "x", 3: "y"}
 
 
 @dataclass
@@ -98,10 +96,7 @@ class ParallelRunResult:
     global x axis — the plane-ownership map after all dynamic remapping,
     carried explicitly so reassembly never has to assume rank order
     equals x order (it does, for chain migration, and
-    :func:`assemble_global_f` verifies it).  Under a 2-D decomposition
-    ``col_start``/``col_count`` delimit the rank's band of the first
-    cross-section axis (``col_count=None``: the full extent, i.e. a 1-D
-    slab).  ``exposed_wait_s`` is the cumulative time this rank spent
+    :func:`assemble_global_f` verifies it).  ``exposed_wait_s`` is the cumulative time this rank spent
     blocked in halo waits — communication the compute did not hide;
     ``phases`` is the rank's final (absolute) phase counter.  The
     array and per-phase list fields stay out of ``repr()``.  ``f_interior``
@@ -118,20 +113,22 @@ class ParallelRunResult:
     planes_received: int
     mass: float
     phases: int
-    col_start: int = 0
-    col_count: int | None = None
     exposed_wait_s: float = 0.0
 
 
 class ParallelLBM:
-    """One rank's share of the parallel multicomponent LBM."""
+    """One rank's share of the parallel multicomponent LBM.
+
+    *plane_counts* is the initial layout — planes per rank, in rank
+    order along x; ``None`` is the even split
+    (:meth:`~repro.core.partition.SlicePartition.even`)."""
 
     def __init__(
         self,
         comm: Communicator,
         config: LBMConfig,
         *,
-        topo: CartTopology | None = None,
+        plane_counts: Sequence[int] | None = None,
         policy: str = "filtered",
         remap_config: RemappingConfig | None = None,
         load_time_fn: LoadTimeFn | None = None,
@@ -142,21 +139,20 @@ class ParallelLBM:
         halo_overlap: bool = True,
     ):
         geo = config.geometry
-        if topo is None:
-            topo = CartTopology.from_shape(geo.shape, comm.size, 1)
-        if topo.size != comm.size:
+        self.cross = geo.shape[1:]
+        self.plane_points = int(np.prod(self.cross))
+        layout = (
+            SlicePartition.even(geo.shape[0], comm.size, self.plane_points)
+            if plane_counts is None
+            else SlicePartition(plane_counts, self.plane_points)
+        )
+        if layout.n_nodes != comm.size:
             raise ValueError(
-                f"topology has {topo.size} subdomains for {comm.size} ranks"
+                f"plane_counts lays out {layout.n_nodes} subdomains for "
+                f"{comm.size} ranks"
             )
-        if topo.total_planes != geo.shape[0]:
-            raise ValueError(
-                "topology row extents must sum to the global x extent"
-            )
-        if topo.total_cols != geo.shape[1]:
-            raise ValueError(
-                "topology column extents must sum to the first "
-                "cross-section extent"
-            )
+        if layout.total_planes != geo.shape[0]:
+            raise ValueError("plane_counts must sum to the global x extent")
         if checkpoint_every < 0:
             raise ValueError(
                 f"checkpoint_every must be >= 0, got {checkpoint_every}"
@@ -171,12 +167,6 @@ class ParallelLBM:
         #: own object (an unknown policy name fails here, not mid-run).
         self._policy = make_policy(policy, self.remap_config)
         self.load_time_fn = load_time_fn
-        self.topo = topo
-        self.rows = topo.rows
-        self.cols = topo.cols
-        self.row, self.col = topo.coords(comm.rank)
-        #: Axes of ``f`` that carry ghost cells.
-        self._padded = (2, 3) if self.cols > 1 else (2,)
         #: Checkpointing (see :mod:`repro.ckpt`): a shared store plus the
         #: interval in phases; 0 disables periodic snapshots.
         self.checkpoint_every = checkpoint_every
@@ -188,13 +178,11 @@ class ParallelLBM:
         #: injection forces the blocking one: the ``mid_phase`` fault
         #: point's contract is that no messages are in flight.
         self._overlap = bool(halo_overlap) and faults is None
-        #: Global indices of this rank's first interior plane/column.
-        #: Maintained incrementally through migrations (the topology
-        #: snapshot is not updated after init) — chain migration keeps
-        #: ranks ordered along each axis, so low-edge transfers are the
-        #: only thing that moves them.
-        self.plane_start = topo.plane_start(self.row)
-        self.col_start = topo.col_start(self.col)
+        #: Global index of this rank's first interior plane, maintained
+        #: through migrations — chain migration keeps ranks ordered
+        #: along x, so low-edge transfers are the only thing that moves
+        #: it.
+        self.plane_start = int(layout.plane_counts()[: comm.rank].sum())
 
         # Rank-scoped observability handle; the shared NULL_OBSERVER when
         # neither an observer nor REPRO_OBS_TRACE is provided.
@@ -204,11 +192,7 @@ class ParallelLBM:
         self.observer = obs
 
         lat = config.lattice
-        self.cross = geo.shape[1:]
-        self.plane_points = int(np.prod(self.cross))
-        #: Lattice points per (plane, first-cross-axis column) line.
-        self._line_points = int(np.prod(self.cross[1:]))
-        self.halo = HaloExchanger(lat, comm, topo, observer=obs)
+        self.halo = HaloExchanger(lat, comm, observer=obs)
         self.history = PhaseTimeHistory(self.remap_config.history)
 
         # Geometry/force provider.  x-invariant configurations (the
@@ -216,7 +200,7 @@ class ParallelLBM:
         # single cross-section pattern, broadcast along x; an x-varying
         # scenario gets the full global fields, assembled in exactly the
         # sequential solver's order and sliced (with periodic wrap) to
-        # each rank's current rectangle by ``_local_patterns``.
+        # each rank's current slab by ``_local_patterns``.
         self._x_invariant = (
             config.scenario is None or config.scenario.x_invariant
         )
@@ -234,14 +218,9 @@ class ParallelLBM:
         self._accel_src = acceleration_field(config, src_geo)
 
         self.taus = np.array([c.tau for c in config.components])
-        ln = topo.planes(self.row)
-        if self.cols > 1:
-            lc = topo.cols_of(self.col)
-            shape = (ln + 2, lc + 2, *self.cross[1:])
-        else:
-            shape = (ln + 2, *self.cross)
+        ln = layout.planes(comm.rank)
         self.f = np.zeros(
-            (config.n_components, lat.Q, *shape), dtype=np.float64
+            (config.n_components, lat.Q, ln + 2, *self.cross), dtype=np.float64
         )
         self._alloc_state()
         fluid3 = ~self._solid3
@@ -249,7 +228,7 @@ class ParallelLBM:
             rho0 = np.where(fluid3, comp.rho_init / comp.mass, 0.0)
             rest_equilibrium(rho0, lat, out=self.f[ci])
         # Zero the ghosts in place: the pieces already hold views of f.
-        self.f[...] = pad_with_ghosts(self._interior_view(), self._padded)
+        self.f[...] = pad_with_ghosts(self._interior_view())
         self.phase = 0
         self.planes_sent = 0
         self.planes_received = 0
@@ -261,14 +240,6 @@ class ParallelLBM:
     @property
     def local_planes(self) -> int:
         return self.f.shape[2] - 2
-
-    @property
-    def local_cols(self) -> int:
-        """This rank's extent along the first cross-section axis (the
-        full extent under a 1-D slab)."""
-        if self.cols > 1:
-            return self.f.shape[3] - 2
-        return int(self.cross[0]) if self.cross else 1
 
     @staticmethod
     def _wrap_take(
@@ -283,17 +254,14 @@ class ParallelLBM:
         self, shape: tuple[int, ...]
     ) -> tuple[np.ndarray, np.ndarray]:
         """The local (ghost-padded) solid mask and acceleration field for
-        this rank's current rectangle: slices of the provider arrays with
-        periodic wrap on every decomposed axis, broadcast along x when
-        the configuration is x-invariant."""
+        this rank's current slab: slices of the provider arrays with
+        periodic wrap along x, or broadcast along x when the
+        configuration is x-invariant."""
         solid = self._solid_src
         accel = self._accel_src
         if not self._x_invariant:
             solid = self._wrap_take(solid, 0, self.plane_start - 1, shape[0])
             accel = self._wrap_take(accel, 2, self.plane_start - 1, shape[0])
-        if self.cols > 1:
-            solid = self._wrap_take(solid, 1, self.col_start - 1, shape[1])
-            accel = self._wrap_take(accel, 3, self.col_start - 1, shape[1])
         solid3 = np.broadcast_to(solid, shape).copy()
         return solid3, np.ascontiguousarray(accel)
 
@@ -315,10 +283,9 @@ class ParallelLBM:
         # data needed by the S-C force).
         psi_mask = (~solid3).astype(np.float64)
         self._psi_mask = psi_mask
-        spatial = tuple(axis - 2 for axis in self._padded)
-        self._collide_mask = pad_with_ghosts(
-            interior_of(psi_mask, spatial), spatial
-        )
+        collide_mask = psi_mask.copy()
+        collide_mask[[0, -1]] = 0.0
+        self._collide_mask = collide_mask
         # Ranks inherit the backend from the shared config; scratch is
         # sized for the local slab, so rebuild after every migration.
         self.backend = create_backend(
@@ -462,7 +429,7 @@ class ParallelLBM:
 
     def _interior_view(self) -> np.ndarray:
         """This rank's ghost-free populations."""
-        return interior_of(self.f, self._padded)
+        return interior_of(self.f)
 
     def _interior_invariants(self) -> tuple[list[float], list[list[float]]]:
         """Per-component interior mass and momentum — the conserved
@@ -490,8 +457,7 @@ class ParallelLBM:
     def maybe_remap(self) -> None:
         """Run the remapping protocol if this phase sits on the interval
         boundary (call after :meth:`step_phase`): plan the round's
-        transfers, migrate along each decomposed axis, refresh the
-        derived state."""
+        transfers, migrate planes, refresh the derived state."""
         if self.policy_name == "no-remap":
             return
         if self.phase % self.remap_config.interval != 0:
@@ -500,12 +466,7 @@ class ParallelLBM:
         traced = self.observer.enabled
         if traced:
             self._emit_remap_state("remap_begin", rnd)
-        moved = False
-        # Rows before columns: a column package spans the x extent its
-        # row has just settled on.
-        for axis, edges in self._plan_remap(rnd):
-            moved |= self._migrate_axis(rnd, axis, edges)
-        if moved:
+        if self._migrate(rnd, self._plan_remap(rnd)):
             # Once per round however many transfers took part, and not
             # at all on a quiet round: rebuilding the fields and kernel
             # scratch every round measurably slows a run and grows it.
@@ -515,18 +476,14 @@ class ParallelLBM:
             self._emit_remap_state("remap_end", rnd)
         self.plane_history.append(self.local_planes)
 
-    def _plan_remap(self, rnd: int) -> list[tuple[int, list[Edge]]]:
-        """This round's transfers as ``(axis of f, [low edge, high
-        edge])`` per decomposed axis.
+    def _plan_remap(self, rnd: int) -> list[Edge]:
+        """This round's transfers: ``[low edge, high edge]``.
 
-        A 1-D chain running a windowed scheme decides the paper's way,
-        from neighbour messages only (:func:`neighbour_window_edges`).
-        Everything else decides from one allgather: ``global`` needs all
-        load indices by definition, and a grid's row must move its planes
-        in lock-step across all its columns (and vice versa), which a
-        per-rank window cannot guarantee."""
+        The windowed schemes decide the paper's way, from neighbour
+        messages only (:func:`neighbour_window_edges`); ``global`` needs
+        every load index by definition and decides from one allgather."""
         load_index = self.remap_config.predictor.predict(self.history)
-        if self.cols == 1 and self.policy_name in ("filtered", "conservative"):
+        if self.policy_name in ("filtered", "conservative"):
             edges = neighbour_window_edges(
                 self.comm,
                 rnd,
@@ -536,69 +493,44 @@ class ParallelLBM:
                 self.policy_name,
                 self.remap_config,
             )
-            plan = [(2, edges)]
         else:
             gathered = self.comm.allgather(
-                (self.local_planes, self.local_cols, load_index),
-                ("remap", rnd),
+                (self.local_planes, load_index), ("remap", rnd)
             )
-            # Rank order is row-major: (rows, cols) load indices, and a
-            # band's extent read off its first member.
-            times = np.array([g[2] for g in gathered]).reshape(
-                self.rows, self.cols
+            edges = self._gathered_edges(
+                [g[0] for g in gathered], np.array([g[1] for g in gathered])
             )
-            planes = [g[0] for g in gathered[:: self.cols]]
-            plan = [(2, self._gathered_edges(0, planes, self.plane_points, times))]
-            if self.cols > 1:
-                bands = [g[1] for g in gathered[: self.cols]]
-                column_points = self.config.geometry.shape[0] * self._line_points
-                plan.append(
-                    (3, self._gathered_edges(1, bands, column_points, times.T))
-                )
         if self.observer.enabled:
             self.observer.emit(
                 "remap_decision",
                 round=rnd,
                 policy=self.policy_name,
                 load_index=float(load_index),
-                points=self.local_planes * self.local_cols * self._line_points,
-                # per axis: [due, out] on the low and the high edge
-                edges={
-                    AXIS_NAMES[axis]: [edge[1:] for edge in edges]
-                    for axis, edges in plan
-                },
+                points=self.local_planes * self.plane_points,
+                # [due, out] on the low and the high edge
+                edges=[edge[1:] for edge in edges],
             )
-        return plan
+        return edges
 
-    def _gathered_edges(
-        self, axis: int, counts: list[int], band_points: int, times: np.ndarray
-    ) -> list[Edge]:
-        """This rank's two edges along grid axis *axis* (0: rows, 1:
-        columns) from the gathered band extents *counts* and the
-        ``(bands, ranks per band)`` load indices *times*.  Every rank
-        evaluates the same :mod:`repro.core.policies` planner on the same
-        numbers, so all agree without a further message."""
-        partition = SlicePartition(counts, band_points)
-        # A band's load index is the mean over the ranks in it.
-        band_times = np.array([float(np.mean(band)) for band in times])
-        flows = self._policy.decide(partition, band_times)
-        # No-op after a windowed decide, which ends with this clamp; it
-        # cuts the relayed through-traffic ``global`` may plan — which a
-        # send-first executor cannot ship — to what each band owns now.
+    def _gathered_edges(self, counts: list[int], times: np.ndarray) -> list[Edge]:
+        """This rank's two edges from the gathered plane counts and load
+        indices.  Every rank evaluates the same :mod:`repro.core.policies`
+        planner on the same numbers, so all agree without a further
+        message."""
+        partition = SlicePartition(counts, self.plane_points)
+        flows = self._policy.decide(partition, times)
+        # Cuts the relayed through-traffic ``global`` may plan — which a
+        # send-first executor cannot ship — to what each slab owns now.
         flows = clamp_to_owned(flows, partition)
-        mine = (self.row, self.col)[axis]
-        low = -int(flows[mine - 1]) if mine > 0 else 0
-        high = int(flows[mine]) if mine < len(flows) else 0
         rank = self.comm.rank
-        return [
-            (self.topo.neighbour(rank, axis, -1), low, max(low, 0)),
-            (self.topo.neighbour(rank, axis, +1), high, max(high, 0)),
-        ]
+        low = -int(flows[rank - 1]) if rank > 0 else 0
+        high = int(flows[rank]) if rank < len(flows) else 0
+        low_peer, high_peer = chain_peers(rank, self.comm.size)
+        return [(low_peer, low, max(low, 0)), (high_peer, high, max(high, 0))]
 
-    def _migrate_axis(self, rnd: int, axis: int, edges: list[Edge]) -> bool:
-        """Ship and receive this round's bands along one decomposed axis
-        of ``f`` (2: x planes, 3: cross-section columns); returns whether
-        this rank's subdomain changed.
+    def _migrate(self, rnd: int, edges: list[Edge]) -> bool:
+        """Ship and receive this round's planes; returns whether this
+        rank's slab changed.
 
         All sends go out before any receive, so no rank waits on a chain
         of relays.  A sender whose clamp cut a due transfer to nothing
@@ -611,55 +543,45 @@ class ParallelLBM:
                 continue
             package = None
             if out > 0:
-                package, self.f = pack_band(
-                    self.f, axis, side, out, self._padded
-                )
-                self._account_transfer(rnd, axis, side, "send", package)
+                package, self.f = pack_band(self.f, side, out)
+                self._account_transfer(rnd, side, "send", package)
                 moved = True
-            comm.send(peer, ("migrate", rnd, axis, side), package)
+            comm.send(peer, ("migrate", rnd, side), package)
         for side, other, (peer, due, _) in zip(SIDES, SIDES[::-1], edges):
             if due >= 0:
                 continue
-            package = comm.recv(peer, ("migrate", rnd, axis, other))
+            package = comm.recv(peer, ("migrate", rnd, other))
             if package is not None:
-                self.f = unpack_band(
-                    self.f, package, axis, side, self._padded
-                )
-                self._account_transfer(rnd, axis, side, "recv", package)
+                self.f = unpack_band(self.f, package, side)
+                self._account_transfer(rnd, side, "recv", package)
                 moved = True
         return moved
 
     def _account_transfer(
-        self, rnd: int, axis: int, side: str, action: str, package: np.ndarray
+        self, rnd: int, side: str, action: str, package: np.ndarray
     ) -> None:
         """Ownership bookkeeping for one packed/unpacked package, done on
         the spot because reallocation re-slices an x-varying scenario's
-        geometry from ``plane_start``/``col_start``."""
-        bands = int(package.shape[axis])
+        geometry from ``plane_start``."""
+        planes = int(package.shape[2])
         if side == "low":
-            # Chain migration keeps ranks ordered along each axis, so
-            # low-edge transfers are the only thing that moves an origin.
-            shift = bands if action == "send" else -bands
-            if axis == 2:
-                self.plane_start += shift
-            else:
-                self.col_start += shift
-        if axis == 2:
-            if action == "send":
-                self.planes_sent += bands
-            else:
-                self.planes_received += bands
+            # Chain migration keeps ranks ordered along x, so low-edge
+            # transfers are the only thing that moves the origin.
+            self.plane_start += planes if action == "send" else -planes
+        if action == "send":
+            self.planes_sent += planes
+        else:
+            self.planes_received += planes
         if self.observer.enabled:
             self.observer.emit(
                 "migrate",
                 round=rnd,
                 action=action,
-                axis=AXIS_NAMES[axis],
                 direction=side,
-                planes=bands,
+                planes=planes,
                 bytes=int(package.nbytes),
             )
-            self.observer.counter("migration.planes").add(bands)
+            self.observer.counter("migration.planes").add(planes)
             if action == "send":
                 self.observer.counter("migration.bytes").add(package.nbytes)
 
@@ -724,31 +646,24 @@ class ParallelLBM:
                 self._shard_arrays(),
                 plane_start=self.plane_start,
                 plane_count=self.local_planes,
-                col_start=self.col_start,
-                col_count=self.local_cols if self.cols > 1 else None,
             )
             infos = comm.allgather(shard.to_json(), ("ckpt_shards", step))
             if comm.rank == 0:
                 store.commit(
                     step,
                     config_fingerprint(self.config),
-                    [ShardInfo.from_json(doc) for doc in infos],
+                    [ShardInfo.from_json(doc, step) for doc in infos],
                 )
 
     def _adopt_interior(
-        self,
-        f_interior: np.ndarray,
-        plane_start: int,
-        col_start: int,
-        tag: object,
+        self, f_interior: np.ndarray, plane_start: int, tag: object
     ) -> None:
-        """Replace this rank's subdomain with *f_interior* (no ghosts)
-        starting at global plane *plane_start* and column *col_start*,
-        then refresh all derived state — the same sequence a migration
-        uses, so the next phase continues bit-identically."""
-        self.f = pad_with_ghosts(f_interior, self._padded)
+        """Replace this rank's slab with *f_interior* (no ghosts)
+        starting at global plane *plane_start*, then refresh all derived
+        state — the same sequence a migration uses, so the next phase
+        continues bit-identically."""
+        self.f = pad_with_ghosts(f_interior)
         self.plane_start = int(plane_start)
-        self.col_start = int(col_start)
         self._alloc_state()
         self._moments_and_forces(tag)
 
@@ -756,13 +671,12 @@ class ParallelLBM:
         """Collective restore from the store's latest good generation (or
         an explicit *manifest*).
 
-        When the generation's shards form this run's ``rows × cols``
-        grid, each rank re-adopts its own shard: ownership, remap history
-        and counters resume exactly where they were.  Otherwise the
-        field is reassembled and each rank cuts its rectangle of this
-        run's topology from it; the physics is unchanged (decomposition
-        invariance), only the remapping bookkeeping restarts (see
-        :meth:`repro.ckpt.CheckpointStore.load_rectangle`).
+        When the generation has one shard per rank, each rank re-adopts
+        its own shard: ownership, remap history and counters resume
+        exactly where they were.  Otherwise the field is reassembled and
+        each rank cuts its current slab from it; the physics is unchanged
+        (decomposition invariance), only the remapping bookkeeping
+        restarts (see :meth:`repro.ckpt.CheckpointStore.load_slab`).
         """
         store = self.checkpoint_store
         if store is None:
@@ -776,11 +690,14 @@ class ParallelLBM:
         check_fingerprint(manifest, self.config)
         rank = self.comm.rank
         with self.observer.span("ckpt.restore", step=manifest.step):
-            arrays, plane_start, col_start = store.load_rectangle(
-                manifest, self.rows, self.cols, rank, self.topo.rectangle(rank)
+            arrays, plane_start = store.load_slab(
+                manifest,
+                self.comm.size,
+                rank,
+                (self.plane_start, self.local_planes),
             )
             self._adopt_interior(
-                arrays["f"], plane_start, col_start, ("restore", manifest.step)
+                arrays["f"], plane_start, ("restore", manifest.step)
             )
             self.planes_sent = int(arrays.get("planes_sent", 0))
             self.planes_received = int(arrays.get("planes_received", 0))
@@ -839,8 +756,6 @@ class ParallelLBM:
                 )
             ),
             phases=self.phase,
-            col_start=self.col_start,
-            col_count=self.local_cols if self.cols > 1 else None,
             exposed_wait_s=exposed,
         )
 
@@ -866,10 +781,7 @@ def neighbour_window_edges(
     planes, and the clamp to what it owns.  Needs only a communicator,
     so the parity test runs it on bare threads."""
     rank = comm.rank
-    peers = (
-        rank - 1 if rank > 0 else None,
-        rank + 1 if rank < comm.size - 1 else None,
-    )
+    peers = chain_peers(rank, comm.size)
     mine = (planes * band_points, load_index)
     infos = comm.exchange_with_neighbours(mine, mine, ("loadidx", rnd))
     window = [info for info in (infos[0], mine, infos[1]) if info is not None]
@@ -898,6 +810,12 @@ def neighbour_window_edges(
     return list(zip(peers, due, outs))
 
 
+def chain_peers(rank: int, size: int) -> tuple[int | None, int | None]:
+    """*rank*'s low and high neighbour on the linear remapping chain
+    (``None`` past either end; the halo ring wraps, the chain does not)."""
+    return (rank - 1 if rank > 0 else None, rank + 1 if rank < size - 1 else None)
+
+
 def _spec_observer(spec: Any) -> tuple[ObserverLike, bool]:
     """Resolve a RunSpec's observer/trace_path pair to a concrete
     observer; the bool says whether this run owns (must close) it."""
@@ -919,20 +837,6 @@ def _slot_bytes_for(config: LBMConfig) -> int:
     return min(max(plane_bytes, 1 << 12), 1 << 26)
 
 
-def resolve_decomp(
-    decomp: Any, shape: tuple[int, ...], n_ranks: int
-) -> tuple[int, int]:
-    """Map a RunSpec's ``decomp`` knob (validated by ``RunSpec``) to
-    concrete ``(rows, cols)`` grid dimensions: ``"auto"``/``"slab"``
-    keep the 1-D slab, ``"grid"`` picks the most-square factorization
-    that fits the domain, an explicit tuple is the grid."""
-    if decomp == "grid":
-        return grid_for(n_ranks, shape)
-    if isinstance(decomp, str):
-        return (n_ranks, 1)
-    return decomp
-
-
 def _run_parallel(spec: Any, store: Any) -> list[ParallelRunResult]:
     """Execute a parallel RunSpec (the engine behind
     :func:`repro.api.run`; *store* is its resolved checkpoint store)."""
@@ -940,10 +844,12 @@ def _run_parallel(spec: Any, store: Any) -> list[ParallelRunResult]:
     if config.adhesion is not None:
         raise ValueError("the parallel driver does not apply wall adhesion")
     n_ranks = spec.ranks
-    shape = config.geometry.shape
+    geo = config.geometry
     transport = resolve_transport(spec.transport)
-    rows, cols = resolve_decomp(spec.decomp, shape, n_ranks)
-    topo = CartTopology.from_shape(shape, rows, cols)
+    # The even slab split; more ranks than planes fails here, before launch.
+    plane_counts = SlicePartition.even(
+        geo.shape[0], n_ranks, int(np.prod(geo.shape[1:]))
+    ).plane_counts().tolist()
 
     resume_manifest = None
     phases_to_run = spec.phases
@@ -963,11 +869,10 @@ def _run_parallel(spec: Any, store: Any) -> list[ParallelRunResult]:
             transport=transport,
             backend=config.backend,
             policy=spec.policy,
-            shape=list(config.geometry.shape),
+            shape=list(geo.shape),
             n_components=config.n_components,
             phases=spec.phases,
-            initial_counts=topo.row_counts(),
-            decomp=[rows, cols],
+            initial_counts=plane_counts,
         )
 
     # Rank processes cannot share the parent's sink object, so under the
@@ -987,7 +892,7 @@ def _run_parallel(spec: Any, store: Any) -> list[ParallelRunResult]:
         driver = ParallelLBM(
             comm,
             config,
-            topo=topo,
+            plane_counts=plane_counts,
             policy=spec.policy,
             remap_config=spec.remap_config,
             load_time_fn=spec.load_time_fn,
@@ -1035,23 +940,17 @@ def _run_parallel(spec: Any, store: Any) -> list[ParallelRunResult]:
 
 def assemble_global_f(results: list[ParallelRunResult]) -> np.ndarray:
     """Reassemble per-rank interiors into the global population array
-    ``(C, Q, nx, *cross)`` from each rank's final ownership rectangle,
-    verified to tile the domain exactly (:func:`repro.ckpt.manifest.tile`;
-    ``ValueError`` otherwise).  Results carry no domain shape: it is as
-    far as their rectangles and blocks reach."""
+    ``(C, Q, nx, *cross)`` from each rank's final slab, verified to tile
+    the x axis exactly (:func:`repro.ckpt.manifest.tile`; ``ValueError``
+    otherwise).  Results carry no domain shape: it is as far as their
+    slabs reach, with the cross-section of their blocks."""
     blocks = [r.f_interior for r in results if r.f_interior is not None]
     if len(blocks) != len(results):
         raise ValueError("rank records without slabs (an api.run result's f is assembled)")
     spatial = (
         max(r.plane_start + r.plane_count for r in results),
-        max(r.col_start + b.shape[3] for r, b in zip(results, blocks)),
-        *blocks[0].shape[4:],
+        *blocks[0].shape[3:],
     )
-    f = tile(
-        spatial,
-        [(r.plane_start, r.plane_count, r.col_start, r.col_count) for r in results],
-        blocks,
-    )
+    f = tile(spatial, [(r.plane_start, r.plane_count) for r in results], blocks)
     assert f is not None  # blocks were given
     return f
-

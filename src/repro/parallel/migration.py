@@ -1,111 +1,85 @@
-"""Band migration: serializing lattice planes (or cross-section columns)
-for transfer between ranks.
+"""Plane migration: serializing lattice planes for transfer between ranks.
 
 A migration package carries the raw populations of *k* contiguous interior
-bands taken from one side of a subdomain.  Moments, forces and equilibrium
+x planes taken from one side of a slab.  Moments, forces and equilibrium
 velocities are recomputed by the receiver (cheaper than shipping them, and
 it keeps a single source of truth).
 
-Every helper takes *padded*: the axes of ``f`` that carry ghost cells at
-index 0 and -1 — ``(2,)`` for a 1-D slab (x planes only), ``(2, 3)`` for
-a 2-D rectangle (x planes and y columns).
+Every helper works on axis 2 of ``f`` (shape ``(C, Q, ln+2, *cross)``):
+the x planes, with one ghost plane at index 0 and one at -1.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-
-def interior_of(f: np.ndarray, padded: tuple[int, ...]) -> np.ndarray:
-    """View of *f* without the ghost cells of its *padded* axes."""
-    index = [slice(None)] * f.ndim
-    for axis in padded:
-        index[axis] = slice(1, -1)
-    return f[tuple(index)]
+#: The x axis of ``f``: the one axis that carries ghost planes.
+X_AXIS = 2
 
 
-def pad_with_ghosts(interior: np.ndarray, padded: tuple[int, ...]) -> np.ndarray:
-    """Wrap an interior block with zeroed ghost cells on the *padded*
-    axes (refilled by the next halo exchange before use)."""
+def interior_of(f: np.ndarray) -> np.ndarray:
+    """View of *f* without its two ghost planes."""
+    return f[:, :, 1:-1]
+
+
+def pad_with_ghosts(interior: np.ndarray) -> np.ndarray:
+    """Wrap an interior block with two zeroed ghost planes (refilled by
+    the next halo exchange before use)."""
     shape = list(interior.shape)
-    for axis in padded:
-        shape[axis] += 2
+    shape[X_AXIS] += 2
     out = np.zeros(shape, dtype=interior.dtype)
-    interior_of(out, padded)[...] = interior
+    interior_of(out)[...] = interior
     return out
 
 
-def pack_band(
-    f: np.ndarray, axis: int, side: str, k: int, padded: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split *k* interior bands off one side of a padded subdomain.
+def pack_band(f: np.ndarray, side: str, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split *k* interior planes off one side of a padded slab.
 
     Parameters
     ----------
     f:
-        Local populations, shape ``(C, Q, ln+2, *cross)`` (slab) or
-        ``(C, Q, ln+2, lc+2, *rest)`` (rectangle).
-    axis:
-        The padded axis to take bands from: 2 (x planes) or 3 (y columns).
+        Local populations, shape ``(C, Q, ln+2, *cross)``.
     side:
-        ``"low"`` takes the lowest-index interior bands (to send to the
+        ``"low"`` takes the lowest-index interior planes (to send to the
         low neighbour), ``"high"`` the highest-index ones.
     k:
-        Number of bands to extract (1 <= k <= n - 1; a rank always keeps
-        at least one interior band).
+        Number of planes to extract (1 <= k <= ln - 1; a rank always
+        keeps at least one interior plane).
 
     Returns
     -------
-    (package, remainder): the extracted bands — interior data only, no
-    ghosts on any axis — and a new padded subdomain with fresh (zeroed)
-    ghosts all round.
+    (package, remainder): the extracted planes — interior data only, no
+    ghosts — and a new padded slab with fresh (zeroed) ghosts.
     """
-    _check_band_args(axis, side, padded)
-    interior = interior_of(f, padded)
-    n = interior.shape[axis]
+    _check_side(side)
+    interior = interior_of(f)
+    n = interior.shape[X_AXIS]
     if not 1 <= k <= n - 1:
-        raise ValueError(
-            f"cannot extract {k} of {n} interior bands along axis {axis}"
-        )
-    take = [slice(None)] * interior.ndim
-    keep = [slice(None)] * interior.ndim
+        raise ValueError(f"cannot extract {k} of {n} interior planes")
     if side == "low":
-        take[axis] = slice(0, k)
-        keep[axis] = slice(k, None)
+        take, keep = interior[:, :, :k], interior[:, :, k:]
     else:
-        take[axis] = slice(n - k, None)
-        keep[axis] = slice(0, n - k)
-    package = np.ascontiguousarray(interior[tuple(take)])
-    return package, pad_with_ghosts(interior[tuple(keep)], padded)
+        take, keep = interior[:, :, n - k :], interior[:, :, : n - k]
+    return np.ascontiguousarray(take), pad_with_ghosts(keep)
 
 
-def unpack_band(
-    f: np.ndarray,
-    package: np.ndarray,
-    axis: int,
-    side: str,
-    padded: tuple[int, ...],
-) -> np.ndarray:
-    """Attach received bands to one side of a padded subdomain; returns a
-    new padded array (all ghosts zeroed, refilled at the next halo
+def unpack_band(f: np.ndarray, package: np.ndarray, side: str) -> np.ndarray:
+    """Attach received planes to one side of a padded slab; returns a new
+    padded array (both ghosts zeroed, refilled at the next halo
     exchange)."""
-    _check_band_args(axis, side, padded)
-    interior = interior_of(f, padded)
+    _check_side(side)
+    interior = interior_of(f)
     expect = list(interior.shape)
-    expect[axis] = package.shape[axis]
+    expect[X_AXIS] = package.shape[X_AXIS]
     if list(package.shape) != expect:
         raise ValueError(
-            f"package shape {package.shape} incompatible with subdomain "
-            f"{interior.shape} along axis {axis}"
+            f"package shape {package.shape} incompatible with slab "
+            f"{interior.shape}"
         )
     parts = [package, interior] if side == "low" else [interior, package]
-    return pad_with_ghosts(np.concatenate(parts, axis=axis), padded)
+    return pad_with_ghosts(np.concatenate(parts, axis=X_AXIS))
 
 
-def _check_band_args(axis: int, side: str, padded: tuple[int, ...]) -> None:
-    if axis not in padded:
-        raise ValueError(
-            f"axis {axis} is not decomposed here (padded axes: {padded})"
-        )
+def _check_side(side: str) -> None:
     if side not in ("low", "high"):
         raise ValueError(f"side must be 'low' or 'high', got {side!r}")

@@ -98,8 +98,8 @@ class Scenario(abc.ABC):
         True when both the solid mask and the force field are constant
         along the (periodic) flow axis.  A memory optimization hint for
         the parallel driver: x-invariant scenarios are stored as one
-        shared cross-section, x-varying ones are sliced per subdomain
-        rectangle.  Every scenario runs under every decomposition.
+        shared cross-section, x-varying ones are sliced per slab.
+        Every scenario runs under every rank count.
     """
 
     name: ClassVar[str] = ""

@@ -5,7 +5,7 @@ spec fingerprint (:func:`repro.api.spec_fingerprint`) — a SHA-256 over
 the canonical physics document, the kernel backend and the phase
 target.  Two submissions whose specs differ only in execution knobs
 (rank count, transport, remapping policy, observability) address the
-same entry, because the transports and decompositions are bit-identical
+same entry, because the transports and rank counts are bit-identical
 by contract: the cached populations *are* the answer either spec would
 have produced.  The backend is not such a knob — ``fused`` is close to
 ``reference``, not the same bits — so each backend has its own entry.

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.api import RunSpec, run
+from repro.api import RunSpec, execute_parallel, run
 from repro.config import (
     ENV_CKPT_DIR,
     ENV_CKPT_EVERY,
@@ -48,6 +48,20 @@ class TestRunSpecValidation:
     def test_zero_ranks_rejected(self, two_component_config):
         with pytest.raises(ValueError, match="ranks"):
             RunSpec(config=two_component_config, phases=1, ranks=0)
+
+    @pytest.mark.parametrize("decomp", ["grid", (2, 2)])
+    def test_2d_rank_grids_are_refused(self, two_component_config, decomp):
+        with pytest.raises(ValueError, match="2-D rank grids were removed"):
+            RunSpec(config=two_component_config, phases=1, decomp=decomp)
+
+    @pytest.mark.parametrize("decomp", ["auto", "slab"])
+    def test_slab_decomp_runs_the_slabs(self, two_component_config, decomp):
+        spec = RunSpec(
+            config=two_component_config, phases=2, ranks=2, decomp=decomp,
+            policy="no-remap",
+        )
+        records = execute_parallel(spec)
+        assert [(r.plane_start, r.plane_count) for r in records] == [(0, 6), (6, 6)]
 
     def test_store_and_dir_are_exclusive(self, two_component_config, tmp_path):
         from repro.ckpt import CheckpointStore
@@ -206,5 +220,4 @@ class TestEnvOverlay:
             trace=env.trace,
             backend=env.backend,
             ckpt_keep=env.ckpt_keep,
-            decomp=env.decomp,
         )

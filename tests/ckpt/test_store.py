@@ -29,15 +29,12 @@ from repro.util.rng import make_rng, restore_generator
 
 
 #: Ownership maps of the 12 × 18 test channel that do not tile it, as
-#: ``(plane_start, plane_count, col_start, col_count)`` rectangles
-#: (``col_count=None``: the full cross extent, a 1-D slab).
+#: ``(plane_start, plane_count)`` slabs.
 BROKEN_OWNERSHIP_MAPS = {
-    "gap": [(0, 5, 0, None), (7, 5, 0, None)],
-    "overlap": [(0, 7, 0, None), (5, 7, 0, None)],
-    "band-short-of-cross-extent": [
-        (0, 6, 0, 9), (0, 6, 9, 8), (6, 6, 0, 9), (6, 6, 9, 9),
-    ],
-    "slab-and-rectangle": [(0, 6, 0, 9), (6, 6, 0, None)],
+    "gap": [(0, 5), (7, 5)],
+    "overlap": [(0, 7), (5, 7)],
+    "plane-0-unowned": [(1, 5), (6, 6)],
+    "empty-slab": [(0, 6), (6, 0), (6, 6)],
 }
 
 
@@ -308,15 +305,11 @@ class TestBrokenOwnershipMap:
             store.write_shard(
                 3,
                 rank,
-                {"f": np.ascontiguousarray(
-                    f[:, :, ps:ps + pc, cs:None if cc is None else cs + cc]
-                )},
+                {"f": np.ascontiguousarray(f[:, :, ps:ps + pc])},
                 plane_start=ps,
                 plane_count=pc,
-                col_start=cs,
-                col_count=cc,
             )
-            for rank, (ps, pc, cs, cc) in enumerate(
+            for rank, (ps, pc) in enumerate(
                 BROKEN_OWNERSHIP_MAPS[request.param]
             )
         ]
@@ -339,3 +332,92 @@ class TestBrokenOwnershipMap:
         # map is the one problem.
         atomic_write_json(store.manifest_path(3), manifest.to_json())
         assert store.verify_generation(3) == [str(refused.value)]
+
+
+def _legacy_generation(solver, store, step, columns):
+    """Two real slab shards of *solver* at *step*, committed by a
+    hand-written manifest document in the layout 2-D rank grids wrote:
+    every shard entry carries a column band, here ``columns[rank]`` as
+    ``(col_start, col_count)``."""
+    f, nx = solver.f, solver.config.geometry.shape[0]
+    split = nx // 2
+    shards = []
+    for rank, (ps, pc) in enumerate([(0, split), (split, nx - split)]):
+        info = store.write_shard(
+            step, rank, {"f": np.ascontiguousarray(f[:, :, ps:ps + pc])},
+            plane_start=ps, plane_count=pc,
+        )
+        col_start, col_count = columns[rank]
+        shards.append({
+            "filename": info.filename,
+            "rank": rank,
+            "plane_start": ps,
+            "plane_count": pc,
+            "sha256": info.sha256,
+            "nbytes": info.nbytes,
+            "col_start": col_start,
+            "col_count": col_count,
+        })
+    atomic_write_json(store.manifest_path(step), {
+        "format": CKPT_FORMAT,
+        "step": step,
+        "fingerprint": config_fingerprint(solver.config),
+        "shards": shards,
+    })
+
+
+class TestLegacyManifests:
+    def test_slab_generation_with_empty_column_fields_restores_bit_exact(
+        self, two_component_config, store
+    ):
+        solver = MulticomponentLBM(two_component_config)
+        solver.run(6)
+        _legacy_generation(solver, store, 6, [(0, None), (0, None)])
+        solver.run(4)
+
+        resumed = MulticomponentLBM(two_component_config)
+        manifest = store.restore_solver(resumed)
+        assert manifest is not None and manifest.step == 6
+        resumed.run(4)
+        assert np.array_equal(resumed.f, solver.f)
+
+    def test_slab_generation_resumes_a_parallel_run_bit_exact(
+        self, two_component_config, store
+    ):
+        """Two shards for two ranks: each rank adopts its own shard."""
+        from repro.api import RunSpec, run
+
+        solver = MulticomponentLBM(two_component_config)
+        solver.run(6)
+        _legacy_generation(solver, store, 6, [(0, None), (0, None)])
+        solver.run(4)
+        assert store.latest_good().step == 6
+        result = run(RunSpec(
+            config=two_component_config, phases=10, ranks=2,
+            policy="no-remap", checkpoint_store=store, resume=True,
+        ))
+        assert [len(r.comp_times) for r in result.rank_results] == [4, 4]
+        assert np.array_equal(result.f, solver.f)
+
+    @pytest.mark.parametrize(
+        "columns",
+        [[(0, 9), (9, 9)], [(0, None), (9, None)]],
+        ids=["column-count", "column-start"],
+    )
+    def test_column_band_generation_is_refused_by_step_and_shard(
+        self, columns, small_solver, store
+    ):
+        store.save_solver(small_solver)  # a good slab generation at step 0
+        small_solver.run(3)
+        _legacy_generation(small_solver, store, 3, columns)
+
+        with pytest.raises(CorruptCheckpointError) as refused:
+            store.read_manifest(3)
+        message = str(refused.value)
+        assert "step 3" in message
+        bad_rank = 0 if columns[0] != (0, None) else 1
+        assert store.shard_filename(bad_rank) in message
+        assert "2-D rank grids were removed" in message
+        # Never restored as a slab: recovery skips to the good generation.
+        assert store.verify_generation(3) == [message]
+        assert store.latest_good().step == 0

@@ -3,32 +3,7 @@ the paper's own evaluation)."""
 
 import pytest
 
-from repro.experiments import ext_decomposition, ext_heterogeneous
-
-
-class TestDecompositionAnalysis:
-    @pytest.fixture(scope="class")
-    def report(self):
-        return ext_decomposition.run()
-
-    def test_paper_grid_slice_cheapest(self, report):
-        entry = report.data["paper channel 400x200x20"]
-        costs = {k: v["cost_ms"] for k, v in entry.items()}
-        assert costs["slice"] == min(costs.values())
-
-    def test_paper_grid_box_smallest_surface(self, report):
-        entry = report.data["paper channel 400x200x20"]
-        surfaces = {k: v["surface"] for k, v in entry.items()}
-        assert surfaces["box"] == min(surfaces.values())
-
-    def test_slice_has_two_neighbours(self, report):
-        entry = report.data["paper channel 400x200x20"]
-        assert entry["slice"]["neighbours"] == 2
-        assert entry["cubic"]["neighbours"] == 6
-
-    def test_isotropic_box_beats_slice_on_surface(self, report):
-        entry = report.data["isotropic control 128x128x128"]
-        assert entry["box"]["surface"] < entry["slice"]["surface"]
+from repro.experiments import ext_heterogeneous
 
 
 class TestHeterogeneousCluster:

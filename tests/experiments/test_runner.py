@@ -11,7 +11,7 @@ class TestRegistry:
             assert name in EXPERIMENTS
 
     def test_extensions_registered(self):
-        for name in ("ext-decomposition", "ext-heterogeneous", "ext-adaptation"):
+        for name in ("ext-heterogeneous", "ext-adaptation", "ext-slip-sweep"):
             assert name in EXPERIMENTS
 
     def test_order_covers_registry(self):
@@ -20,9 +20,9 @@ class TestRegistry:
 
 class TestCli:
     def test_single_experiment(self, capsys):
-        assert main(["ext-decomposition"]) == 0
+        assert main(["ext-adaptation"]) == 0
         out = capsys.readouterr().out
-        assert "slice" in out
+        assert "filtered" in out
         assert "completed in" in out
 
     def test_fast_flag(self, capsys):
@@ -31,7 +31,7 @@ class TestCli:
         assert "disturbance" in out
 
     def test_multiple_experiments(self, capsys):
-        assert main(["ext-decomposition", "ext-heterogeneous", "--fast"]) == 0
+        assert main(["ext-adaptation", "ext-heterogeneous", "--fast"]) == 0
         out = capsys.readouterr().out
         assert out.count("completed in") == 2
 
@@ -58,7 +58,7 @@ class TestCheckpointFlags:
         assert (
             main(
                 [
-                    "ext-decomposition",
+                    "ext-adaptation",
                     "--checkpoint-dir",
                     str(root),
                     "--checkpoint-every",
@@ -75,8 +75,8 @@ class TestCheckpointFlags:
 
     def test_interval_without_dir_rejected(self):
         with pytest.raises(SystemExit):
-            main(["ext-decomposition", "--checkpoint-every", "10"])
+            main(["ext-adaptation", "--checkpoint-every", "10"])
 
     def test_resume_without_dir_rejected(self):
         with pytest.raises(SystemExit):
-            main(["ext-decomposition", "--resume"])
+            main(["ext-adaptation", "--resume"])

@@ -19,7 +19,6 @@ from repro.lbm.components import ComponentSpec
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import D2Q9
 from repro.lbm.solver import LBMConfig, MulticomponentLBM
-from repro.parallel.decomposition import CartTopology
 from repro.parallel.driver import (
     ParallelLBM,
     ParallelRunResult,
@@ -83,8 +82,7 @@ class TestPeriodicParallelCheckpoints:
         cfg = config()
         store = CheckpointStore(tmp_path / "ckpt", keep_last=0)
         parallel_run(
-            3, cfg, 12, checkpoint_every=12, checkpoint_store=store,
-            decomp="slab", **REMAP  # shard bookkeeping asserted per plane
+            3, cfg, 12, checkpoint_every=12, checkpoint_store=store, **REMAP
         )
         manifest = store.latest_good()
         shards = manifest.shards_in_x_order()
@@ -95,11 +93,10 @@ class TestPeriodicParallelCheckpoints:
 
 
 def ownership(result):
-    """Per rank: the final rectangle and the remap bookkeeping a resume
-    must carry over from its checkpoint."""
+    """Per rank: the final slab and the remap bookkeeping a resume must
+    carry over from its checkpoint."""
     return [
-        (r.plane_start, r.plane_count, r.col_start, r.col_count,
-         r.plane_history, r.planes_sent)
+        (r.plane_start, r.plane_count, r.plane_history, r.planes_sent)
         for r in sorted(result.rank_results, key=lambda r: r.rank)
     ]
 
@@ -143,11 +140,6 @@ class TestKillAndResume:
 
     def test_job_killed_mid_run_resumes_bit_exact(self, tmp_path):
         self._kill_and_resume(tmp_path, config(), 3)
-
-    def test_2x2_grid_killed_mid_run_resumes_bit_exact(self, tmp_path):
-        self._kill_and_resume(
-            tmp_path, config(nx=20, ny=14), 4, decomp=(2, 2)
-        )
 
     def test_mid_phase_kill_never_corrupts_the_store(self, tmp_path):
         """Dying after collision but before the halo exchange — the state
@@ -276,7 +268,7 @@ class TestCollectiveRejection:
             driver = ParallelLBM(
                 comm,
                 cfg,
-                topo=CartTopology([6, 5, 5], [10]),
+                plane_counts=[6, 5, 5],
                 checkpoint_every=0,
                 checkpoint_store=store,
             )
@@ -297,10 +289,9 @@ class TestCollectiveRejection:
 
 class TestOwnershipMap:
     def test_results_carry_a_tiling_ownership_map(self):
-        # The walk below checks the 1-D x-axis tiling contract.
         # The raw records: api.run's result keeps only the global f.
         results = execute_parallel(
-            RunSpec(config=config(), phases=12, ranks=3, decomp="slab", **REMAP)
+            RunSpec(config=config(), phases=12, ranks=3, **REMAP)
         )
         ordered = sorted(results, key=lambda r: r.plane_start)
         expect = 0
@@ -310,6 +301,18 @@ class TestOwnershipMap:
             expect += r.plane_count
         assert expect == 16
 
+    def test_records_of_two_layouts_are_rejected(self):
+        # Raw records of a 2-rank (8 + 8) and a 3-rank (6 + 5 + 5) run:
+        # their slabs overlap.
+        two = execute_parallel(
+            RunSpec(config=config(), phases=3, ranks=2, policy="no-remap")
+        )
+        three = execute_parallel(
+            RunSpec(config=config(), phases=3, ranks=3, policy="no-remap")
+        )
+        with pytest.raises(ValueError, match="ownership map"):
+            assemble_global_f([two[0], three[1], three[2]])
+
     @pytest.mark.parametrize("name", sorted(BROKEN_OWNERSHIP_MAPS))
     def test_assemble_rejects_a_broken_ownership_map(self, name):
         # The maps are drawn on a 12 x 18 channel; D2Q9, two components.
@@ -317,7 +320,7 @@ class TestOwnershipMap:
             ParallelRunResult(
                 rank=rank,
                 plane_start=ps,
-                f_interior=np.zeros((2, 9, pc, 18 if cc is None else cc)),
+                f_interior=np.zeros((2, 9, pc, 18)),
                 plane_count=pc,
                 plane_history=[pc],
                 comp_times=[],
@@ -325,10 +328,8 @@ class TestOwnershipMap:
                 planes_received=0,
                 mass=0.0,
                 phases=0,
-                col_start=cs,
-                col_count=cc,
             )
-            for rank, (ps, pc, cs, cc) in enumerate(BROKEN_OWNERSHIP_MAPS[name])
+            for rank, (ps, pc) in enumerate(BROKEN_OWNERSHIP_MAPS[name])
         ]
         with pytest.raises(ValueError):
             assemble_global_f(results)

@@ -1,7 +1,34 @@
+"""The slab decomposition: the even split the driver starts from, the
+layouts it accepts, and what every rank reports about its slab."""
+
 import numpy as np
 import pytest
 
-from repro.parallel.decomposition import CartTopology, even_split, grid_for
+from repro.api import RunSpec, execute_parallel
+from repro.core.partition import SlicePartition
+from repro.lbm.components import ComponentSpec
+from repro.lbm.geometry import ChannelGeometry
+from repro.lbm.lattice import D2Q9
+from repro.lbm.solver import LBMConfig
+from repro.parallel.driver import ParallelLBM
+from repro.parallel.threads import run_spmd
+
+
+def even_split(total, parts):
+    return SlicePartition.even(total, parts, 1).plane_counts().tolist()
+
+
+def config(nx=20, ny=14):
+    return LBMConfig(
+        geometry=ChannelGeometry(shape=(nx, ny), wall_axes=(1,)),
+        components=(
+            ComponentSpec("water", tau=1.0, rho_init=1.0),
+            ComponentSpec("air", tau=1.0, rho_init=0.03),
+        ),
+        g_matrix=np.array([[0.0, 0.9], [0.9, 0.0]]),
+        lattice=D2Q9,
+        body_acceleration=(1e-6, 0.0),
+    )
 
 
 class TestEvenSplit:
@@ -13,71 +40,39 @@ class TestEvenSplit:
         assert even_split(12, 4) == [3, 3, 3, 3]
 
     def test_too_many_parts_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot split 3 planes over 4"):
             even_split(3, 4)
 
 
-class TestGridFor:
-    def test_most_square_factorization(self):
-        assert grid_for(4, (20, 14)) == (2, 2)
-        assert grid_for(6, (20, 14)) == (2, 3)
+class TestDriverLayout:
+    def test_default_layout_is_the_even_split(self):
+        cfg = config()
 
-    def test_narrow_domain_forces_slab(self):
-        # Only one cross-section column: no 2-D grid fits.
-        assert grid_for(4, (20, 1)) == (4, 1)
+        def rank_main(comm):
+            driver = ParallelLBM(comm, cfg)
+            return driver.plane_start, driver.local_planes
 
-    def test_impossible_grid_rejected(self):
-        with pytest.raises(ValueError, match="fits"):
-            grid_for(8, (4, 1))
+        assert run_spmd(3, rank_main) == [(0, 7), (7, 7), (14, 6)]
 
+    def test_explicit_plane_counts_set_the_layout(self):
+        cfg = config(nx=21)
 
-class TestCartTopology:
-    def test_row_major_rank_layout(self):
-        topo = CartTopology.from_shape((20, 14), rows=2, cols=3)
-        assert topo.size == 6
-        for rank in range(topo.size):
-            row, col = topo.coords(rank)
-            assert topo.rank_of(row, col) == rank
-        assert topo.coords(4) == (1, 1)
+        def rank_main(comm):
+            driver = ParallelLBM(comm, cfg, plane_counts=[10, 1, 10])
+            return driver.plane_start, driver.local_planes, driver.f.shape[2]
 
-    def test_ownership_rectangles_tile_the_domain(self):
-        topo = CartTopology.from_shape((20, 14), rows=3, cols=2)
-        seen = np.zeros((20, 14), dtype=int)
-        for rank in range(topo.size):
-            ps, pc, cs, cc = topo.rectangle(rank)
-            seen[ps:ps + pc, cs:cs + cc] += 1
-        assert (seen == 1).all()
+        assert run_spmd(3, rank_main) == [(0, 10, 12), (10, 1, 3), (11, 10, 12)]
 
-    def test_neighbour_rings_are_periodic_on_both_axes(self):
-        topo = CartTopology.from_shape((20, 14), rows=2, cols=2)
-        # rank 0 is (row 0, col 0); the grid is a torus.
-        assert topo.neighbour(0, 0, +1) == topo.rank_of(1, 0)
-        assert topo.neighbour(0, 0, -1) == topo.rank_of(1, 0)
-        assert topo.neighbour(0, 1, +1) == topo.rank_of(0, 1)
-        assert topo.neighbour(3, 0, +1) == topo.rank_of(0, 1)
-        with pytest.raises(ValueError):
-            topo.neighbour(0, 2, +1)
+    def test_more_ranks_than_planes_fail_before_launch(self):
+        with pytest.raises(ValueError, match="cannot split 20 planes over 40"):
+            execute_parallel(RunSpec(config=config(), phases=2, ranks=40))
 
-    def test_degenerate_single_column_matches_slab(self):
-        topo = CartTopology([7, 7, 6], [14])
-        assert topo.cols == 1
-        for rank, (planes, start) in enumerate([(7, 0), (7, 7), (6, 14)]):
-            assert topo.coords(rank) == (rank, 0)
-            assert topo.planes(rank) == planes
-            assert topo.plane_start(rank) == start
-            # The x ring of the paper's 1-D scheme.
-            assert topo.neighbour(rank, 0, +1) == (rank + 1) % 3
-            assert topo.neighbour(rank, 0, -1) == (rank - 1) % 3
-
-    def test_rank_and_band_bounds_checked(self):
-        topo = CartTopology.from_shape((20, 14), rows=2, cols=2)
-        with pytest.raises(IndexError):
-            topo.coords(4)
-        with pytest.raises(IndexError):
-            topo.rank_of(2, 0)
-        with pytest.raises(ValueError):
-            CartTopology([], [14])
-
-    def test_2d_needs_a_cross_axis(self):
-        with pytest.raises(ValueError, match="cross-section"):
-            CartTopology.from_shape((20,), rows=2, cols=2)
+    def test_every_rank_reports_its_exposed_wait(self):
+        records = execute_parallel(
+            RunSpec(config=config(), phases=5, ranks=4, policy="no-remap")
+        )
+        assert [(r.plane_start, r.plane_count) for r in records] == [
+            (0, 5), (5, 5), (10, 5), (15, 5),
+        ]
+        for r in records:
+            assert r.exposed_wait_s >= 0.0

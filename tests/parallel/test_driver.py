@@ -8,7 +8,6 @@ from repro.lbm.forces import WallForceSpec
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import D2Q9, D3Q19
 from repro.lbm.solver import LBMConfig, MulticomponentLBM
-from repro.parallel.decomposition import CartTopology
 from repro.parallel.driver import ParallelLBM, assemble_global_f
 from repro.parallel.threads import run_spmd
 
@@ -113,7 +112,6 @@ class TestMigrationBehaviour:
             policy="filtered",
             remap_config=RemappingConfig(interval=5, history=5),
             load_time_fn=slow_rank_load_fn(1),
-            decomp="slab",  # evacuation is asserted in whole planes
         )
         by_rank = sorted(results, key=lambda r: r.rank)
         assert by_rank[1].plane_count == 1
@@ -128,7 +126,6 @@ class TestMigrationBehaviour:
             policy="filtered",
             remap_config=RemappingConfig(interval=5, history=5),
             load_time_fn=slow_rank_load_fn(2),
-            decomp="slab",  # every plane owned once across the ring
         )
         assert sum(r.plane_count for r in results) == 20
 
@@ -195,7 +192,7 @@ class TestMigrationBehaviour:
 
         def rank_main(comm):
             return ParallelLBM(
-                comm, cfg, topo=CartTopology([10, 1, 10], [14]),
+                comm, cfg, plane_counts=[10, 1, 10],
                 policy="global",
                 remap_config=RemappingConfig(interval=5, history=5),
                 load_time_fn=load_fn,
@@ -213,9 +210,7 @@ class TestDriverValidation:
 
         def fn(comm):
             with pytest.raises(ValueError, match="sum"):
-                ParallelLBM(
-                    comm, cfg, topo=CartTopology([5] * comm.size, [14])
-                )
+                ParallelLBM(comm, cfg, plane_counts=[5] * comm.size)
             return True
 
         assert all(run_spmd(2, fn))
@@ -225,7 +220,7 @@ class TestDriverValidation:
 
         def fn(comm):
             with pytest.raises(ValueError, match="subdomains"):
-                ParallelLBM(comm, cfg, topo=CartTopology([20], [14]))
+                ParallelLBM(comm, cfg, plane_counts=[20])
             return True
 
         assert all(run_spmd(2, fn))
@@ -242,10 +237,8 @@ class TestDriverValidation:
 
     def test_more_ranks_than_planes(self):
         cfg = small_config(nx=3)
-        # A 2-D grid could legally place 5 ranks on 3 planes (1x5), so
-        # pin the slab: this test is about the 1-D plane-count limit.
-        with pytest.raises(ValueError, match="cannot split"):
-            parallel_results(5, cfg, 2, decomp="slab")
+        with pytest.raises(ValueError, match="cannot split 3 planes over 5"):
+            parallel_results(5, cfg, 2)
 
     def test_history_reported(self):
         cfg = small_config()
@@ -256,7 +249,6 @@ class TestDriverValidation:
             policy="filtered",
             remap_config=RemappingConfig(interval=10, history=5),
             load_time_fn=lambda r, p, n: n * 1e-6,
-            decomp="slab",  # history entries below count slab planes
         )
         for r in results:
             assert len(r.comp_times) == 20

@@ -28,11 +28,8 @@ def config(nx=24, ny=14):
     )
 
 
-def remapped_run(
-    cfg, phases, load_fn, policy="filtered", decomp="slab", **knobs
-):
-    """A 3-rank run with a 5-phase remap interval and history; the slab
-    is pinned wherever the caller's assertions count x planes."""
+def remapped_run(cfg, phases, load_fn, policy="filtered", **knobs):
+    """A 3-rank run with a 5-phase remap interval and history."""
     remap_config = RemappingConfig(interval=5, history=5, **knobs)
     return run(
         RunSpec(
@@ -42,7 +39,6 @@ def remapped_run(
             policy=policy,
             remap_config=remap_config,
             load_time_fn=load_fn,
-            decomp=decomp,
         )
     )
 
@@ -75,9 +71,7 @@ class TestRecovery:
         cfg = config()
         seq = MulticomponentLBM(cfg)
         seq.run(160)
-        result = remapped_run(
-            cfg, 160, load_fn, decomp="auto", fast_to_slow_tolerance=0.1
-        )
+        result = remapped_run(cfg, 160, load_fn, fast_to_slow_tolerance=0.1)
         assert np.array_equal(result.f, seq.f)
 
     def test_alternating_slow_ranks(self):

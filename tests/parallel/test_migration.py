@@ -3,17 +3,6 @@ import pytest
 
 from repro.parallel.migration import pack_band, unpack_band
 
-#: A 1-D slab pads the x axis of ``f`` only.
-SLAB = (2,)
-
-
-def split_off(f, side, k):
-    return pack_band(f, 2, side, k, SLAB)
-
-
-def attach(f, package, side):
-    return unpack_band(f, package, 2, side, SLAB)
-
 
 def padded(values):
     """Build a (1, 2, len+2, 3) slab whose interior planes carry *values*."""
@@ -31,30 +20,30 @@ def interior_values(f):
 class TestPackPlanes:
     def test_pack_left(self):
         f = padded([10, 11, 12, 13])
-        package, rest = split_off(f, "low", 2)
+        package, rest = pack_band(f, "low", 2)
         assert package.shape[2] == 2
         assert float(package[0, 0, 0, 0]) == 10
         assert interior_values(rest) == [12, 13]
 
     def test_pack_right(self):
         f = padded([10, 11, 12, 13])
-        package, rest = split_off(f, "high", 1)
+        package, rest = pack_band(f, "high", 1)
         assert float(package[0, 0, 0, 0]) == 13
         assert interior_values(rest) == [10, 11, 12]
 
     def test_keeps_at_least_one_plane(self):
         f = padded([1, 2])
         with pytest.raises(ValueError):
-            split_off(f, "low", 2)
+            pack_band(f, "low", 2)
 
     def test_invalid_side(self):
         with pytest.raises(ValueError):
-            split_off(padded([1, 2]), "up", 1)
+            pack_band(padded([1, 2]), "up", 1)
 
     def test_ghosts_zeroed(self):
         f = padded([1, 2, 3])
         f[:, :, 0] = 99
-        _, rest = split_off(f, "low", 1)
+        _, rest = pack_band(f, "low", 1)
         assert not rest[:, :, 0].any()
         assert not rest[:, :, -1].any()
 
@@ -63,23 +52,23 @@ class TestUnpackPlanes:
     def test_attach_left(self):
         f = padded([20, 21])
         package = np.full((1, 2, 2, 3), 5.0)
-        out = attach(f, package, "low")
+        out = unpack_band(f, package, "low")
         assert interior_values(out) == [5, 5, 20, 21]
 
     def test_attach_right(self):
         f = padded([20, 21])
         package = np.full((1, 2, 1, 3), 7.0)
-        out = attach(f, package, "high")
+        out = unpack_band(f, package, "high")
         assert interior_values(out) == [20, 21, 7]
 
     def test_shape_mismatch(self):
         f = padded([20, 21])
         with pytest.raises(ValueError):
-            attach(f, np.zeros((1, 2, 1, 4)), "low")
+            unpack_band(f, np.zeros((1, 2, 1, 4)), "low")
 
     def test_invalid_side(self):
         with pytest.raises(ValueError):
-            attach(padded([1]), np.zeros((1, 2, 1, 3)), "middle")
+            unpack_band(padded([1]), np.zeros((1, 2, 1, 3)), "middle")
 
 
 class TestRoundTrip:
@@ -88,8 +77,8 @@ class TestRoundTrip:
         f = np.zeros((2, 9, 7, 4))
         f[:, :, 1:-1] = rng.random((2, 9, 5, 4))
         original = f[:, :, 1:-1].copy()
-        package, rest = split_off(f, "high", 2)
-        restored = attach(rest, package, "high")
+        package, rest = pack_band(f, "high", 2)
+        restored = unpack_band(rest, package, "high")
         assert np.array_equal(restored[:, :, 1:-1], original)
 
     def test_mass_preserved(self):
@@ -97,22 +86,5 @@ class TestRoundTrip:
         f = np.zeros((1, 9, 8, 3))
         f[:, :, 1:-1] = rng.random((1, 9, 6, 3))
         total = f.sum()
-        package, rest = split_off(f, "low", 3)
+        package, rest = pack_band(f, "low", 3)
         assert package.sum() + rest.sum() == pytest.approx(total)
-
-    def test_column_bands_of_a_rectangle(self):
-        """A 2-D subdomain pads x and y; bands move along either, and an
-        axis without ghosts is not decomposed."""
-        rng = np.random.default_rng(2)
-        grid = (2, 3)
-        f = np.zeros((1, 9, 6, 7, 3))
-        f[:, :, 1:-1, 1:-1] = rng.random((1, 9, 4, 5, 3))
-        original = f[:, :, 1:-1, 1:-1].copy()
-        package, rest = pack_band(f, 3, "low", 2, grid)
-        assert package.shape == (1, 9, 4, 2, 3)
-        assert rest.shape == (1, 9, 6, 5, 3)
-        assert not rest[:, :, 0].any() and not rest[:, :, :, -1].any()
-        restored = unpack_band(rest, package, 3, "low", grid)
-        assert np.array_equal(restored[:, :, 1:-1, 1:-1], original)
-        with pytest.raises(ValueError, match="not decomposed"):
-            pack_band(f, 3, "low", 1, SLAB)

@@ -53,9 +53,6 @@ def traced_run(n_ranks=2, phases=10, interval=5, policy="filtered"):
             remap_config=RemappingConfig(interval=interval, history=interval),
             load_time_fn=forced_migration_load_fn,
             observer=observer,
-            # Plane migration needs >1 row band: pin the slab so a forced
-            # REPRO_DECOMP=grid overlay cannot leave 2 ranks in one row.
-            decomp="slab",
         )
     )
     return observer.sink.events

@@ -22,7 +22,6 @@ from repro.lbm.lattice import D2Q9
 from repro.lbm.solver import LBMConfig
 from repro.obs import MemorySink, Observer
 from repro.parallel.api import Communicator
-from repro.parallel.decomposition import CartTopology
 from repro.parallel.driver import ParallelLBM
 from repro.parallel.threads import run_spmd
 
@@ -79,7 +78,7 @@ def slow_second_rank(rank, phase, points):
     return t / 0.3 if rank == 1 else t
 
 
-def remap_round_logs(policy, topo=None, rounds=2):
+def remap_round_logs(policy, rounds=2):
     """Per rank: the messages of each remap round (everything
     :meth:`ParallelLBM.maybe_remap` posted) and the planes it sent."""
     cfg = config()
@@ -88,7 +87,7 @@ def remap_round_logs(policy, topo=None, rounds=2):
     def rank_main(comm):
         counting = CountingComm(comm)
         driver = ParallelLBM(
-            counting, cfg, topo=topo, policy=policy,
+            counting, cfg, policy=policy,
             remap_config=RemappingConfig(interval=interval, history=interval),
             load_time_fn=slow_second_rank,
         )
@@ -121,17 +120,9 @@ class TestNeighbourLocalRemapping:
                         assert tag[0] in ("loadidx", "proposal", "migrate")
                         assert peer in (rank - 1, rank + 1) and 0 <= peer < 4
 
-    @pytest.mark.parametrize(
-        "policy, topo",
-        [
-            ("global", None),
-            ("filtered", CartTopology.from_shape((40, 14), rows=2, cols=2)),
-            ("global", CartTopology.from_shape((40, 14), rows=2, cols=2)),
-        ],
-        ids=["global-chain", "filtered-grid", "global-grid"],
-    )
-    def test_gathered_round_is_one_allgather(self, policy, topo):
-        for rounds, _ in remap_round_logs(policy, topo):
+    @pytest.mark.parametrize("policy", ["global"], ids=["global-chain"])
+    def test_gathered_round_is_one_allgather(self, policy):
+        for rounds, _ in remap_round_logs(policy):
             for log in rounds:
                 calls = [e[0] for e in log]
                 assert calls.count("allgather") == 1

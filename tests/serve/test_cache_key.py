@@ -4,7 +4,7 @@ The serve layer's correctness rests on one invariant: two
 :class:`~repro.api.RunSpec` submissions share a fingerprint *iff* they
 describe the same result.  Hypothesis drives both directions — any
 execution knob (ranks, transport, policy, checkpoints, trace, timeout)
-must leave the key unchanged, because every transport and decomposition
+must leave the key unchanged, because every transport and rank count
 is bit-identical by contract; any physics knob (geometry, components,
 coupling, forcing, adhesion, phase target) must change it,
 and so must the kernel backend (``fused`` is within 1e-12 of
@@ -44,7 +44,7 @@ phase_targets = st.integers(min_value=1, max_value=64)
 execution_knobs = st.fixed_dictionaries(
     {
         "ranks": st.integers(1, 4),
-        "decomp": st.sampled_from(["auto", "slab", "grid"]),
+        "decomp": st.sampled_from(["auto", "slab"]),
         "halo_overlap": st.booleans(),
         "transport": st.sampled_from([None, "threads", "processes"]),
         "policy": st.sampled_from(
@@ -138,22 +138,6 @@ def test_execution_knobs_never_change_the_key(amplitude, phases, knobs):
     dressed = RunSpec(config=cfg, phases=phases, **knobs)
     assert spec_fingerprint(dressed) == spec_fingerprint(plain)
     assert dressed.fingerprint() == plain.fingerprint()
-
-
-@settings(deadline=None)
-@given(
-    amplitude=amplitudes,
-    phases=phase_targets,
-    grid=st.sampled_from([(2, 1), (1, 3), (2, 2), (4, 1)]),
-)
-def test_explicit_decomp_grid_never_changes_the_key(amplitude, phases, grid):
-    # An explicit (rows, cols) grid — including its derived rank count —
-    # is pure execution layout; the cached result is decomposition-blind.
-    cfg = _with_amplitude(BASE, amplitude)
-    plain = RunSpec(config=cfg, phases=phases)
-    gridded = RunSpec(config=cfg, phases=phases, decomp=grid)
-    assert gridded.ranks == grid[0] * grid[1]
-    assert spec_fingerprint(gridded) == spec_fingerprint(plain)
 
 
 @settings(deadline=None)
