@@ -34,7 +34,7 @@ def run_channel(*, wall_force=None, adhesion=None, steps=6000):
         body_acceleration=(2e-7, 0.0),
     )
     solver = MulticomponentLBM(cfg)
-    solver.run(steps, check_interval=steps // 4)
+    solver.run(steps, check_every=steps // 4)
     return solver, geo
 
 

@@ -46,7 +46,7 @@ def main() -> None:
     results = {}
     for label, forced in (("hydrophobic walls", True), ("plain walls", False)):
         solver = MulticomponentLBM(build_config(forced))
-        solver.run(6000, check_interval=1000)
+        solver.run(6000, check_every=1000)
         water = density_profile(solver, "water")
         slip = apparent_slip_fraction(velocity_profile(solver))
         results[label] = (water, slip)

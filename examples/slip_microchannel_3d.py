@@ -13,6 +13,7 @@ scaling.
 
 import argparse
 
+from repro.api import run_batch
 from repro.experiments import channel
 from repro.lbm.diagnostics import (
     density_profile,
@@ -37,7 +38,7 @@ def main() -> None:
         scale = channel.PAPER
     else:
         scale = channel.FAST if args.fast else channel.DEFAULT
-    forced, control = channel.run_checked(channel.slip_pair(*scale))
+    forced, control = (r.solver() for r in run_batch(channel.slip_pair(*scale)))
 
     # --- Figure 6: densities near the side wall ---------------------------
     water = density_profile(forced, "water").near_wall(8.0)

@@ -14,6 +14,11 @@ the parallel driver (``ranks > 1``) on either transport::
     result.velocity() # the final mixture velocity (D, nx, *cross)
     result.solver()   # a sequential solver holding the final state
 
+Stop and health rules (:mod:`repro.lbm.loop`) are part of the spec, so
+a spec stops on the same phase alone, stacked, served or parallel, and a
+diverged run raises :class:`~repro.lbm.loop.NumericalInstability`
+naming the phase, the rank and the spec's fingerprint.
+
 Environment overlay: unset dispatch fields are filled from the
 ``REPRO_*`` variables via :func:`repro.config.from_env` (transport from
 ``REPRO_TRANSPORT``, checkpointing from the ``REPRO_CKPT_*`` family);
@@ -44,6 +49,7 @@ import repro.config as config_mod
 from repro.ckpt.io import sha256_bytes
 from repro.ckpt.manifest import config_fingerprint
 from repro.core.policies import RemappingConfig
+from repro.lbm.loop import NumericalInstability, check_stop_rule
 from repro.lbm.solver import LBMConfig, MulticomponentLBM
 from repro.obs.observer import NULL_OBSERVER, ObserverLike
 from repro.parallel.driver import (
@@ -81,9 +87,18 @@ class RunSpec:
 
     #: Physics/geometry configuration (shared by every rank).
     config: LBMConfig
-    #: Total phase target.  With ``resume=True`` this is absolute: a
-    #: restored run executes only the remainder.
+    #: Total phase target (the cap, under a stop rule).  With
+    #: ``resume=True`` this is absolute: a restored run executes only the
+    #: remainder.
     phases: int
+    #: Health (and, with ``tol``, convergence) check cadence in absolute
+    #: phases; 0 checks health at the last phase only.
+    check_every: int = 0
+    #: Stop at the first check where no velocity component at any node
+    #: changed by ``tol`` since the previous one (0: run to ``phases``).
+    #: In the fingerprint when set.  A resumed run restarts this window
+    #: (the velocity sample is not checkpointed).
+    tol: float = 0.0
     #: 1 = sequential solver; > 1 = parallel, one x slab per rank.
     ranks: int = 1
     #: Parallel decomposition: ``"auto"`` or ``"slab"``, both the 1-D x
@@ -118,6 +133,7 @@ class RunSpec:
             raise ValueError(f"phases must be >= 0, got {self.phases}")
         if self.ranks < 1:
             raise ValueError(f"ranks must be >= 1, got {self.ranks}")
+        check_stop_rule(self.check_every, self.tol)
         if self.checkpoint_every < 0:
             raise ValueError(
                 f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
@@ -147,7 +163,9 @@ def canonical_spec_doc(spec: RunSpec) -> dict[str, Any]:
     and the wall scenario — its registry name plus *every*
     parameter, including a rough scenario's RNG seed, so the serve cache
     can never conflate two scenarios that share the remaining knobs),
-    the kernel backend and the phase target.  The backend is in because
+    the kernel backend, the phase target, and the stop rule when it can
+    stop a run (``tol > 0``; absent otherwise, so specs without one keep
+    their fingerprints).  The backend is in because
     ``fused`` is within 1e-12 of ``reference``, not the same bits: a
     ``reference`` submission must never be answered with a ``fused``
     result.  (A checkpoint is state, not a result, so
@@ -161,11 +179,14 @@ def canonical_spec_doc(spec: RunSpec) -> dict[str, Any]:
     (:meth:`repro.config.EnvConfig.overlay`), which touches only
     dispatch fields, never changes a fingerprint.
     """
-    return {
+    doc = {
         "physics": config_fingerprint(spec.config),
         "kernel": spec.config.backend,
         "phases": int(spec.phases),
     }
+    if spec.tol > 0:
+        doc["stop"] = {"check_every": int(spec.check_every), "tol": float(spec.tol)}
+    return doc
 
 
 def spec_fingerprint(spec: RunSpec) -> str:
@@ -281,7 +302,8 @@ def run(spec: RunSpec) -> RunResult:
     """Execute *spec* and return a :class:`RunResult`.
 
     Applies the environment overlay, resolves the checkpoint store
-    once, then dispatches on ``spec.ranks``.
+    once, then dispatches on ``spec.ranks``.  A diverged run raises
+    :class:`~repro.lbm.loop.NumericalInstability` on either transport.
     """
     spec = config_mod.from_env().overlay(spec)
     store = _store_for(spec)
@@ -291,8 +313,13 @@ def run(spec: RunSpec) -> RunResult:
         for name in ("load_time_fn", "faults"):
             if getattr(spec, name) is not None:
                 raise ValueError(f"{name} requires ranks > 1")
-        return _run_sequential(spec, store)
-    results = _run_parallel(spec, store)
+    try:
+        if spec.ranks == 1:
+            return _run_sequential(spec, store)
+        results = _run_parallel(spec, store)
+    except NumericalInstability as exc:
+        exc.fingerprint = spec_fingerprint(spec)
+        raise
     f = assemble_global_f(results)
     for record in results:
         record.f_interior = None  # f holds the only copy
@@ -390,9 +417,9 @@ def batch_exclusion_reason(
 def batch_compatible(base: RunSpec, other: RunSpec) -> bool:
     """Whether two specs could share one batched-ensemble group: both
     eligible (:func:`batch_exclusion_reason` is ``None``), equal phase
-    targets, and differing only in the swept scalar knobs.  The
-    :mod:`repro.serve` coalescer uses this to group queued jobs before
-    handing them to :func:`run_batch`."""
+    targets and stop rules, and differing only in the swept scalar
+    knobs.  The :mod:`repro.serve` coalescer uses this to group queued
+    jobs before handing them to :func:`run_batch`."""
     env = config_mod.from_env()
     base = env.overlay(base)
     other = env.overlay(other)
@@ -406,25 +433,26 @@ def batch_compatible(base: RunSpec, other: RunSpec) -> bool:
 def batch_partners(base: RunSpec, other: RunSpec) -> bool:
     """Whether two specs already overlaid from the environment and
     eligible (:func:`batch_exclusion_reason` is ``None`` for both) can
-    share a group: equal phase targets, differing only in the swept
-    scalar knobs.  The part of :func:`batch_compatible` a caller that
-    overlaid and screened its specs once — the :mod:`repro.serve`
-    coalescer, at submit — probes per candidate pair."""
-    return (
-        base.phases == other.phases
-        and _member_delta(base.config, other.config) is not None
-    )
+    share a group: equal phase targets and stop rules, differing only
+    in the swept scalar knobs.  The part of :func:`batch_compatible` a
+    caller that overlaid and screened its specs once — the
+    :mod:`repro.serve` coalescer, at submit — probes per candidate pair."""
+    return _member_delta(base, other) is not None
 
 
-def _member_delta(base: LBMConfig, config: LBMConfig):
-    """The :class:`~repro.lbm.ensemble.MemberParams` turning *base* into
-    *config*, or ``None`` when they differ beyond the swept knobs
-    (coupling matrix, wall-force amplitude, body acceleration, wall
-    scenario with an unchanged solid mask)."""
+def _member_delta(base_spec: RunSpec, spec: RunSpec):
+    """The :class:`~repro.lbm.ensemble.MemberParams` turning *base_spec*
+    into *spec*, or ``None`` when their phase caps or stop rules differ,
+    or their configs differ beyond the swept knobs (coupling matrix,
+    wall-force amplitude, body acceleration, wall scenario with an
+    unchanged solid mask)."""
     from repro.lbm.ensemble import MemberParams
 
+    base, config = base_spec.config, spec.config
     if (
-        base.geometry != config.geometry
+        (base_spec.phases, base_spec.check_every, base_spec.tol)
+        != (spec.phases, spec.check_every, spec.tol)
+        or base.geometry != config.geometry
         or base.components != config.components
         or base.lattice is not config.lattice
         or base.adhesion != config.adhesion
@@ -472,8 +500,6 @@ def _member_delta(base: LBMConfig, config: LBMConfig):
 def run_batch(
     specs: list[RunSpec] | tuple[RunSpec, ...],
     *,
-    check_every: int = 0,
-    tol: float = 0.0,
     observer: ObserverLike = NULL_OBSERVER,
 ) -> list[RunResult]:
     """Execute many specs, batching compatible ones into stacked
@@ -482,8 +508,8 @@ def run_batch(
     Specs that are sequential, carry no checkpoint/fault/trace
     machinery, run the default ``fused`` backend, and differ only in
     the swept scalar knobs — coupling matrix, wall-force amplitude, body
-    acceleration — with equal phase targets are grouped and advanced as
-    one ``(C, Q, N, *S)`` array pass per step
+    acceleration — with equal phase targets and stop rules are grouped
+    and advanced as one ``(C, Q, N, *S)`` array pass per step
     (:func:`repro.lbm.ensemble.run_ensemble`).  Everything else falls
     back to :func:`run`, with the reason on the result
     (:func:`batch_exclusion_reason`).  Results come back in input order
@@ -491,23 +517,15 @@ def run_batch(
     ensemble's kernels are the ``fused`` kernels over a batch axis,
     which is why a ``reference`` spec is never stacked onto them.
 
-    Parameters
-    ----------
-    check_every / tol:
-        Per-member early-exit: every *check_every* steps a member whose
-        mixture-velocity residual fell below *tol* is snapshotted and
-        retired from the batch (0 disables; see
-        :class:`repro.lbm.ensemble.BatchedEnsemble`).
-    observer:
-        Ensemble-level observability (per-kernel timings, active-member
-        gauge, aggregate µs/point) for the batched groups.
+    A diverged spec raises :class:`~repro.lbm.loop.NumericalInstability`
+    as under :func:`run`.  *observer*: ensemble-level observability
+    (per-kernel timings, aggregate µs/point) for the batched groups.
     """
     from repro.lbm.ensemble import EnsembleSpec, run_ensemble
 
     specs = list(specs)
     env = config_mod.from_env()
     overlaid = [env.overlay(s) for s in specs]
-    configs = [s.config for s in overlaid]
     results: list[RunResult | None] = [None] * len(specs)
     fallback_reasons: dict[int, str] = {
         i: reason
@@ -527,9 +545,7 @@ def run_batch(
         for j in range(i + 1, len(specs)):
             if assigned[j] or j in fallback_reasons:
                 continue
-            if overlaid[j].phases != overlaid[i].phases:
-                continue
-            delta = _member_delta(configs[i], configs[j])
+            delta = _member_delta(overlaid[i], overlaid[j])
             if delta is None:
                 continue
             group.append((j, delta))
@@ -544,22 +560,20 @@ def run_batch(
             fallback_reasons[idx] = "no-compatible-partner"
             results[idx] = run(specs[idx])
             continue
-        base_idx = group[0][0]
-        ens_spec = EnsembleSpec(
-            base=configs[base_idx],
-            members=tuple(params for _, params in group),
-        )
-        ens_result = run_ensemble(
-            ens_spec,
-            overlaid[base_idx].phases,
-            check_every=check_every,
-            tol=tol,
-            observer=observer,
-        )
+        base = overlaid[group[0][0]]
+        members = tuple(params for _, params in group)
+        ens_spec = EnsembleSpec(base.config, members, base.check_every, base.tol)
+        try:
+            ens_result = run_ensemble(ens_spec, base.phases, observer=observer)
+        except NumericalInstability as exc:
+            idx = group[exc.member][0]
+            exc.member = None
+            exc.fingerprint = spec_fingerprint(overlaid[idx])
+            raise
         for (idx, _), member in zip(group, ens_result.members):
             results[idx] = EnsembleRunResult(
                 spec=overlaid[idx],
-                config=configs[idx],
+                config=overlaid[idx].config,
                 f=member.f,
                 rank_results=None,
                 member=member,
@@ -592,8 +606,10 @@ def _run_sequential(spec: RunSpec, store: Any) -> RunResult:
             if manifest is not None:
                 store.restore_solver(solver, manifest=manifest)
         remaining = max(0, spec.phases - solver.step_count)
-        solver.run(
+        velocity[...] = solver.run(
             remaining,
+            check_every=spec.check_every,
+            tol=spec.tol,
             checkpoint_every=spec.checkpoint_every if store is not None else 0,
             checkpoint_store=store,
         )
@@ -602,7 +618,6 @@ def _run_sequential(spec: RunSpec, store: Any) -> RunResult:
     finally:
         if owns_observer:
             obs.close()
-    velocity[...] = solver.velocity()
     return RunResult(
         spec=spec,
         config=spec.config,

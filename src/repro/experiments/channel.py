@@ -2,8 +2,9 @@
 
 Figures 6 and 7, ext-slip-sweep, ext-resolution and fig-pattern run this
 channel as :class:`~repro.api.RunSpec` lists through
-:func:`repro.api.run_batch`.  The paper's 400 x 200 x 20 grid
-(:data:`PAPER`) needs ~500k phases to reach steady state; :data:`DEFAULT`
+:func:`repro.api.run_batch`, which health-checks every run (a diverged
+one raises :class:`~repro.lbm.loop.NumericalInstability`).  The paper's
+400 x 200 x 20 grid (:data:`PAPER`) needs ~500k phases to reach steady state; :data:`DEFAULT`
 is a scaled 3-D channel in the same aspect regime (thin in z, wide in y)
 that runs in about a minute on one core, and :data:`FAST` a 2-D
 cross-section whose width and phase count let the Poiseuille profile
@@ -15,11 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api import RunSpec, run_batch
+from repro.api import RunSpec
 from repro.lbm.components import water_air_pair
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import D2Q9, D3Q19
-from repro.lbm.solver import LBMConfig, MulticomponentLBM
+from repro.lbm.solver import LBMConfig
 from repro.lbm.units import PAPER_GRID_SHAPE
 from repro.scenarios import HomogeneousScenario, Scenario
 
@@ -55,11 +56,3 @@ def slip_pair(
         RunSpec(config=channel_config(shape), phases=phases),
     ]
 
-
-def run_checked(specs: list[RunSpec]) -> list[MulticomponentLBM]:
-    """The final solvers of *specs* run through :func:`run_batch`, each
-    health-checked once: a diverged state never turns finite again."""
-    solvers = [result.solver() for result in run_batch(specs)]
-    for solver in solvers:
-        solver.check_health()
-    return solvers

@@ -16,7 +16,8 @@ longer runs and their residuals).
 
 from __future__ import annotations
 
-from repro.experiments.channel import run_checked, slip_pair
+from repro.api import run_batch
+from repro.experiments.channel import slip_pair
 from repro.experiments.report import Report
 from repro.lbm.diagnostics import slip_fraction, velocity_profile
 from repro.util.tables import format_table
@@ -44,7 +45,9 @@ def run(
         # Scale the decay length with the cross-section so the physical
         # layer thickness relative to the channel stays fixed.
         decay = 2.5 * shape[1] / 80.0
-        forced, control = run_checked(slip_pair(shape, steps, amplitude, decay))
+        forced, control = (
+            r.solver() for r in run_batch(slip_pair(shape, steps, amplitude, decay))
+        )
         slip_f = slip_fraction(velocity_profile(forced))
         slip_c = slip_fraction(velocity_profile(control))
         series.append(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.api import run_batch
 from repro.experiments import channel
 from repro.experiments.report import Report
 from repro.lbm.diagnostics import (
@@ -26,7 +27,7 @@ from repro.util.tables import format_table
 def run(fast: bool = False) -> Report:
     """Run the channel's forced/control pair and report it."""
     pair = channel.slip_pair(*(channel.FAST if fast else channel.DEFAULT))
-    return report(*channel.run_checked(pair))
+    return report(*(result.solver() for result in run_batch(pair)))
 
 
 def report(

@@ -36,6 +36,7 @@ from repro.lbm.forces import (
 )
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import Lattice, D3Q19
+from repro.lbm.loop import NumericalInstability, StepLoop, health_verdict
 from repro.lbm.macroscopic import mixture_velocity
 from repro.lbm.shan_chen import validate_g_matrix
 from repro.obs.observer import NULL_OBSERVER, ObserverLike, resolve_observer
@@ -349,39 +350,32 @@ class MulticomponentLBM:
         self.step_count += 1
 
     def run(
-        self,
-        n_steps: int,
-        *,
+        self, n_steps: int, *, check_every: int = 0, tol: float = 0.0,
         callback: Callable[["MulticomponentLBM"], None] | None = None,
-        check_interval: int = 0,
-        checkpoint_every: int = 0,
-        checkpoint_store=None,
-    ) -> None:
-        """Run *n_steps* phases; optionally call *callback(self)* after each
-        and check numerical health every *check_interval* steps (0 = never).
+        checkpoint_every: int = 0, checkpoint_store=None,
+    ) -> np.ndarray:
+        """Run up to *n_steps* phases under the stop and health rules of
+        :class:`~repro.lbm.loop.StepLoop`, calling *callback(self)* after
+        each and saving to *checkpoint_store* whenever the absolute step
+        is a multiple of *checkpoint_every* (the ``REPRO_CKPT_*``
+        environment policy applies to :func:`repro.api.run`, not here).
+        Returns the final mixture velocity."""
 
-        Checkpointing: with *checkpoint_store* (a
-        :class:`repro.ckpt.CheckpointStore`) and ``checkpoint_every > 0``,
-        the full state is snapshotted whenever the absolute step count hits
-        a multiple of the interval.  The ``REPRO_CKPT_*`` environment
-        policy applies to :func:`repro.api.run`, not here.
-        """
-        if n_steps < 0:
-            raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-        if checkpoint_every < 0:
-            raise ValueError(
-                f"checkpoint_every must be >= 0, got {checkpoint_every}"
-            )
-        if checkpoint_every and checkpoint_store is None:
-            raise ValueError("checkpoint_every > 0 needs a checkpoint_store")
-        for i in range(n_steps):
+        def advance() -> int:
             self.step()
-            if check_interval and (i + 1) % check_interval == 0:
-                self.check_health()
             if callback is not None:
                 callback(self)
-            if checkpoint_every and self.step_count % checkpoint_every == 0:
-                checkpoint_store.save_solver(self)
+            return self.step_count
+
+        def probe() -> tuple[np.ndarray, dict]:
+            u = self.velocity()
+            return u, {None: (u, self.fluid)}
+
+        save = None if checkpoint_store is None else lambda: checkpoint_store.save_solver(self)
+        return StepLoop(check_every, tol).run(
+            n_steps, self.step_count, advance, probe,
+            checkpoint_every=checkpoint_every, save=save,
+        )
 
     def collide(self) -> None:
         """BGK-relax every component toward its forced equilibrium,
@@ -426,19 +420,9 @@ class MulticomponentLBM:
             return float(self.rho.sum())
         return float(self.rho[component].sum())
 
-    def check_health(self, max_velocity: float = 0.4) -> None:
-        """Raise ``FloatingPointError`` if the state went non-finite or the
-        flow became supersonic-ish (|u| approaching lattice sound speed)."""
-        if not np.isfinite(self.f).all():
-            raise FloatingPointError(
-                f"non-finite populations at step {self.step_count}"
-            )
-        u = self.velocity()
-        # Solid nodes transiently hold bounced-back populations whose formal
-        # "velocity" is meaningless; health only concerns fluid nodes.
-        umax = float(np.abs(u[:, self.fluid]).max()) if self.fluid.any() else 0.0
-        if umax > max_velocity:
-            raise FloatingPointError(
-                f"velocity {umax:.3f} exceeds stability bound {max_velocity} "
-                f"at step {self.step_count}"
-            )
+    def check_health(self) -> None:
+        """Raise :class:`~repro.lbm.loop.NumericalInstability` on an
+        unhealthy state (:func:`~repro.lbm.loop.health_verdict`)."""
+        verdict = health_verdict(self.velocity(), self.fluid, self.f)
+        if verdict is not None:
+            raise NumericalInstability(verdict, self.step_count)

@@ -57,6 +57,7 @@ from repro.lbm.backends import create_backend
 from repro.lbm.equilibrium import rest_equilibrium
 from repro.lbm.forces import acceleration_field, solid_mask_field
 from repro.lbm.geometry import ChannelGeometry
+from repro.lbm.loop import NumericalInstability, StepLoop, health_verdict
 from repro.lbm.macroscopic import mixture_velocity
 from repro.lbm.solver import LBMConfig
 from repro.obs.observer import (
@@ -75,7 +76,6 @@ from repro.parallel.migration import (
     pad_with_ghosts,
     unpack_band,
 )
-from repro.util.validation import check_integer
 
 #: Load-index hook: (rank, phase, points) -> seconds.
 LoadTimeFn = Callable[[int, int, int], float]
@@ -92,16 +92,12 @@ SIDES = ("low", "high")
 class ParallelRunResult:
     """What one rank reports back after a run.
 
-    ``plane_start``/``plane_count`` are the rank's final slice of the
-    global x axis — the plane-ownership map after all dynamic remapping,
-    carried explicitly so reassembly never has to assume rank order
-    equals x order (it does, for chain migration, and
-    :func:`assemble_global_f` verifies it).  ``exposed_wait_s`` is the cumulative time this rank spent
-    blocked in halo waits — communication the compute did not hide;
-    ``phases`` is the rank's final (absolute) phase counter.  The
-    array and per-phase list fields stay out of ``repr()``.  ``f_interior``
-    (the rank's slab) is ``None`` once :func:`repro.api.run` has assembled
-    its ``f``; :func:`repro.api.execute_parallel` keeps it."""
+    ``plane_start``/``plane_count``: the rank's final slice of the x
+    axis, so reassembly never assumes rank order is x order
+    (:func:`assemble_global_f` verifies it).  ``exposed_wait_s``: time
+    blocked in halo waits the compute did not hide.  ``phases``: the
+    final absolute phase.  ``f_interior`` (the slab) is ``None`` once
+    :func:`repro.api.run` assembled its ``f``."""
 
     rank: int
     plane_start: int
@@ -114,6 +110,9 @@ class ParallelRunResult:
     mass: float
     phases: int
     exposed_wait_s: float = 0.0
+    #: The verdict on a diverged run, the same on every rank (it is
+    #: voted); :func:`repro.api.run` raises it in the caller.
+    instability: NumericalInstability | None = None
 
 
 class ParallelLBM:
@@ -153,12 +152,6 @@ class ParallelLBM:
             )
         if layout.total_planes != geo.shape[0]:
             raise ValueError("plane_counts must sum to the global x extent")
-        if checkpoint_every < 0:
-            raise ValueError(
-                f"checkpoint_every must be >= 0, got {checkpoint_every}"
-            )
-        if checkpoint_every and checkpoint_store is None:
-            raise ValueError("checkpoint_every > 0 needs a checkpoint_store")
         self.comm = comm
         self.config = config
         self.policy_name = policy
@@ -228,12 +221,13 @@ class ParallelLBM:
             rho0 = np.where(fluid3, comp.rho_init / comp.mass, 0.0)
             rest_equilibrium(rho0, lat, out=self.f[ci])
         # Zero the ghosts in place: the pieces already hold views of f.
-        self.f[...] = pad_with_ghosts(self._interior_view())
+        self.f[...] = pad_with_ghosts(interior_of(self.f))
         self.phase = 0
         self.planes_sent = 0
         self.planes_received = 0
         self.plane_history: list[int] = [ln]
         self.comp_times: list[float] = []
+        self._loop = StepLoop()
         self._moments_and_forces(("init", 0))
 
     # ----------------------------------------------------------- state mgmt
@@ -427,15 +421,11 @@ class ParallelLBM:
         self.history.record(sample)
         return sample
 
-    def _interior_view(self) -> np.ndarray:
-        """This rank's ghost-free populations."""
-        return interior_of(self.f)
-
     def _interior_invariants(self) -> tuple[list[float], list[list[float]]]:
         """Per-component interior mass and momentum — the conserved
         quantities migration must not create or destroy (trace payload
         for ``remap_begin``/``remap_end`` events)."""
-        interior = self._interior_view()
+        interior = interior_of(self.f)
         c_count, q_count = interior.shape[0], interior.shape[1]
         per_q = interior.reshape(c_count, q_count, -1).sum(axis=2)  # (C, Q)
         masses = [comp.mass for comp in self.config.components]
@@ -537,6 +527,7 @@ class ParallelLBM:
         still sends ``None``: under the neighbour-only protocol the
         receiver cannot know the sender's clamp and would wait in vain."""
         comm = self.comm
+        samples = self._loop.samples  # the residual's: they travel with their planes
         moved = False
         for side, (peer, due, out) in zip(SIDES, edges):
             if due <= 0:
@@ -546,12 +537,21 @@ class ParallelLBM:
                 package, self.f = pack_band(self.f, side, out)
                 self._account_transfer(rnd, side, "send", package)
                 moved = True
+                if samples:
+                    cut = out if side == "low" else samples[None].shape[1] - out
+                    low, high = samples[None][:, :cut], samples[None][:, cut:]
+                    band, samples[None] = (low, high) if side == "low" else (high, low)
+                    package = (package, np.ascontiguousarray(band))
             comm.send(peer, ("migrate", rnd, side), package)
         for side, other, (peer, due, _) in zip(SIDES, SIDES[::-1], edges):
             if due >= 0:
                 continue
             package = comm.recv(peer, ("migrate", rnd, other))
             if package is not None:
+                if samples:
+                    package, band = package
+                    parts = [band, samples[None]][:: 1 if side == "low" else -1]
+                    samples[None] = np.concatenate(parts, axis=1)
                 self.f = unpack_band(self.f, package, side)
                 self._account_transfer(rnd, side, "recv", package)
                 moved = True
@@ -586,32 +586,12 @@ class ParallelLBM:
                 self.observer.counter("migration.bytes").add(package.nbytes)
 
     # ---------------------------------------------------------- checkpoints
-    def check_health(self, max_velocity: float = 0.4) -> None:
-        """Raise ``FloatingPointError`` if this rank's interior went
-        non-finite or too fast — the gate in front of every checkpoint
-        write (a snapshot of a diverged state is worse than none)."""
-        rank = self.comm.rank
-        if not np.isfinite(self._interior_view()).all():
-            raise FloatingPointError(
-                f"rank {rank}: non-finite populations at phase {self.phase}"
-            )
-        u = mixture_velocity(self.rho, self.mom, self.force)
-        mask = self._collide_mask > 0.0  # interior fluid nodes
-        umax = float(np.abs(u[:, mask]).max()) if mask.any() else 0.0
-        if umax > max_velocity:
-            raise FloatingPointError(
-                f"rank {rank}: velocity {umax:.3f} exceeds stability bound "
-                f"{max_velocity} at phase {self.phase}"
-            )
-
     def _shard_arrays(self) -> dict[str, np.ndarray]:
         return {
-            "f": np.ascontiguousarray(self._interior_view()),
+            "f": np.ascontiguousarray(interior_of(self.f)),
             "step": np.asarray(self.phase, dtype=np.int64),
             "planes_sent": np.asarray(self.planes_sent, dtype=np.int64),
-            "planes_received": np.asarray(
-                self.planes_received, dtype=np.int64
-            ),
+            "planes_received": np.asarray(self.planes_received, dtype=np.int64),
             "plane_history": np.asarray(self.plane_history, dtype=np.int64),
             "history": np.asarray(self.history.times(), dtype=np.float64),
         }
@@ -630,13 +610,10 @@ class ParallelLBM:
         """
         comm, store = self.comm, self.checkpoint_store
         step = self.phase
-        try:
-            self.check_health()
-            verdict = None
-        except FloatingPointError as exc:
-            verdict = str(exc)
+        _, rows = self._probe()
+        verdict = health_verdict(*rows[None], interior_of(self.f))
         verdicts = comm.allgather(verdict, ("ckpt_health", step))
-        bad = [v for v in verdicts if v is not None]
+        bad = [f"rank {r}: {v} at phase {step}" for r, v in enumerate(verdicts) if v]
         if bad:
             raise CheckpointRejected("; ".join(bad))
         with self.observer.span("ckpt.save", step=step):
@@ -713,21 +690,43 @@ class ParallelLBM:
         return manifest
 
     # ------------------------------------------------------------------ run
-    def run(self, phases: int) -> ParallelRunResult:
-        check_integer(phases, "phases", minimum=0)
-        for _ in range(phases):
-            if self.faults is not None:
-                self.faults.fire(
-                    "phase_start", rank=self.comm.rank, at=self.phase
-                )
-            self.step_phase()
-            self.maybe_remap()
-            if (
-                self.checkpoint_every
-                and self.phase % self.checkpoint_every == 0
-            ):
-                self._write_checkpoint()
-        interior = np.ascontiguousarray(self._interior_view())
+    def _advance(self) -> int:
+        """One phase and its hooks: fault point and remap."""
+        if self.faults is not None:
+            self.faults.fire("phase_start", rank=self.comm.rank, at=self.phase)
+        self.step_phase()
+        self.maybe_remap()
+        return self.phase
+
+    def _probe(self) -> tuple[np.ndarray, dict]:
+        """The interior's mixture velocity and its fluid mask."""
+        u = mixture_velocity(self.rho, self.mom, self.force)[:, 1:-1]
+        return u, {None: (u, self._collide_mask[1:-1] > 0.0)}
+
+    def _vote(self, at: int, local: dict) -> dict:
+        """One allgather: the first unhealthy rank's verdict and the
+        largest residual (``None`` while a rank has no sample yet)."""
+        votes = self.comm.allgather(local[None], ("check", at))
+        bad = [(v, rank) for rank, (v, _, _) in enumerate(votes) if v] or [(None, None)]
+        residuals = [res for _, _, res in votes]
+        return {None: (*bad[0], None if None in residuals else max(residuals))}
+
+    def run(self, phases: int, *, check_every: int = 0, tol: float = 0.0) -> ParallelRunResult:
+        """Run up to *phases* phases through the one step loop
+        (:class:`~repro.lbm.loop.StepLoop`), the ranks voting on each
+        check.  A diverged run does not raise here: every rank returns
+        the same :attr:`ParallelRunResult.instability`."""
+        self._loop = StepLoop(check_every, tol)
+        save = None if self.checkpoint_store is None else self._write_checkpoint
+        instability = None
+        try:
+            self._loop.run(
+                phases, self.phase, self._advance, self._probe, reduce=self._vote,
+                checkpoint_every=self.checkpoint_every, save=save,
+            )
+        except NumericalInstability as exc:
+            instability = exc.with_traceback(None)  # its frames hold this rank
+        interior = np.ascontiguousarray(interior_of(self.f))
         exposed = sum(self.halo.wait_seconds.values())
         if self.observer.enabled:
             self.observer.emit(
@@ -749,14 +748,10 @@ class ParallelLBM:
             comp_times=self.comp_times,
             planes_sent=self.planes_sent,
             planes_received=self.planes_received,
-            mass=float(
-                sum(
-                    comp.mass * interior[ci].sum()
-                    for ci, comp in enumerate(self.config.components)
-                )
-            ),
+            mass=float(sum(c.mass * f.sum() for c, f in zip(self.config.components, interior))),
             phases=self.phase,
             exposed_wait_s=exposed,
+            instability=instability,
         )
 
 
@@ -904,7 +899,7 @@ def _run_parallel(spec: Any, store: Any) -> list[ParallelRunResult]:
         )
         if resume_manifest is not None:
             driver.restore_checkpoint(manifest=resume_manifest)
-        result = driver.run(phases_to_run)
+        result = driver.run(phases_to_run, check_every=spec.check_every, tol=spec.tol)
         if rank_sink is not None:
             # This rank's metrics snapshot, emitted unbound (no rank key)
             # exactly like the thread transport's single shared snapshot,
@@ -932,6 +927,10 @@ def _run_parallel(spec: Any, store: Any) -> list[ParallelRunResult]:
             results = raw
             if obs.enabled:
                 obs.emit_metrics()
+        failed = results[0].instability
+        if failed is not None:
+            del raw, results  # the traceback keeps this frame: not the slabs
+            raise failed
         return results
     finally:
         if owns_observer:

@@ -14,8 +14,9 @@ solver executions:
 - **in-flight dedup** — a submission matching a queued or running job
   joins it as a *follower*: one execution, many futures resolved;
 - **coalescing** — a worker taking a queued job scans the rest of the
-  queue for batch-compatible specs (:func:`repro.api.batch_compatible`)
-  and executes up to ``coalesce`` of them as one stacked ensemble via
+  queue for batch-compatible specs (:func:`repro.api.batch_compatible`:
+  same phase cap and stop rule, swept knobs only) and executes up to
+  ``coalesce`` of them as one stacked ensemble via
   :func:`repro.api.run_batch`.
 
 Failure handling: a worker whose execution dies (an
@@ -24,7 +25,10 @@ retries the job up to ``retries`` times, resuming from the last good
 :mod:`repro.ckpt` generation when the spec (or the environment) carries
 a checkpoint store — the fault plan is dropped on the retry, modelling a
 transient worker death.  Only when the budget is exhausted does the
-client see a :class:`JobFailed`.
+client see a :class:`JobFailed`.  A diverged run
+(:class:`~repro.lbm.loop.NumericalInstability`) is not retried; a
+stacked batch with a diverged member reruns entry by entry.  A failure
+is never cached: re-submitting it executes it again.
 
 Cancellation: cancelling a follower never touches its siblings; the
 primary execution proceeds while any member job still wants the result.
@@ -56,6 +60,7 @@ from repro.api import (
     run_batch,
     spec_fingerprint,
 )
+from repro.lbm.loop import NumericalInstability
 from repro.obs.observer import NULL_OBSERVER, ObserverLike, resolve_observer
 from repro.serve.cache import ResultCache
 
@@ -170,8 +175,6 @@ class Scheduler:
         retries: int | None = None,
         cache: ResultCache | None = None,
         observer: ObserverLike = NULL_OBSERVER,
-        check_every: int = 0,
-        tol: float = 0.0,
     ):
         env = config_mod.from_env()
         self.workers = env.serve_workers if workers is None else workers
@@ -183,8 +186,6 @@ class Scheduler:
             raise ValueError(f"coalesce must be >= 1, got {self.coalesce}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        self.check_every = check_every
-        self.tol = tol
         self._obs = resolve_observer(observer, once=True)  # cache, batches
         self.cache = (
             cache
@@ -436,12 +437,7 @@ class Scheduler:
         exception) per entry, never raising itself."""
         if len(batch) > 1:
             try:
-                return list(
-                    run_batch(
-                        [entry.spec for entry in batch],
-                        check_every=self.check_every, tol=self.tol, observer=self._obs,
-                    )
-                )
+                return list(run_batch([entry.spec for entry in batch], observer=self._obs))
             except Exception:
                 # A whole-batch failure falls back to per-entry
                 # execution so one poisoned spec cannot fail its
@@ -469,6 +465,8 @@ class Scheduler:
             entry.attempts = attempt + 1
             try:
                 return run(spec)
+            except NumericalInstability:
+                raise  # the physics' failure, not the worker's
             except Exception:
                 if attempt >= self.retries or not _resumable(spec):
                     raise

@@ -105,8 +105,6 @@ def _serve_rounds(
     workers: int,
     coalesce: int | None,
     observer: ObserverLike,
-    check_every: int,
-    tol: float,
 ) -> tuple[list[list[RunResult]], list[str], dict[str, Any]]:
     """Serve *specs* on one Scheduler *repeats* times over, awaiting
     each round before the next — the repeated-study client shape: round
@@ -126,11 +124,7 @@ def _serve_rounds(
     # payload in it.
     async def _main() -> None:
         async with Scheduler(
-            workers=workers,
-            coalesce=coalesce,
-            observer=observer,
-            check_every=check_every,
-            tol=tol,
+            workers=workers, coalesce=coalesce, observer=observer
         ) as sched:
             for _ in range(repeats):
                 job_ids = [await sched.submit(s) for s in specs]
@@ -153,8 +147,6 @@ def run_sweep(
     spec: SweepSpec,
     *,
     via: str = "batch",
-    check_every: int = 0,
-    tol: float = 0.0,
     observer: ObserverLike = NULL_OBSERVER,
     workers: int = 2,
     coalesce: int | None = None,
@@ -180,8 +172,6 @@ def run_sweep(
             workers=workers,
             coalesce=coalesce,
             observer=obs,
-            check_every=check_every,
-            tol=tol,
         )
         # Back to the sample-major order of spec.run_specs().
         results = [
@@ -191,9 +181,7 @@ def run_sweep(
         ]
     else:
         specs = [s for s in distinct for _ in range(spec.repeats)]
-        results = run_batch(
-            specs, check_every=check_every, tol=tol, observer=obs
-        )
+        results = run_batch(specs, observer=obs)
         fingerprints = [s.fingerprint() for s in distinct]
         stats = {
             "submissions": len(specs),

@@ -40,7 +40,7 @@ def test_golden_pins_current_schema_version():
 # ------------------------------------------------------------------- CLI
 def _cli(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-m", "repro.analysis", *args],
+        [sys.executable, "-B", "-m", "repro.analysis", *args],
         capture_output=True,
         text=True,
         env={"PYTHONPATH": str(SRC_ROOT), "PATH": "/usr/bin:/bin"},

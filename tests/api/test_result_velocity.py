@@ -70,8 +70,11 @@ def test_batched_members_carry_their_velocity(config, solver_calls):
 def test_a_member_retired_early_carries_its_snapshot_velocity(
     two_component_config, solver_calls
 ):
-    specs = sweep_specs(two_component_config, [0.01, 0.155, 0.3], phases=300)
-    results = run_batch(specs, check_every=10, tol=5e-5)
+    specs = [
+        dataclasses.replace(s, check_every=10, tol=5e-5)
+        for s in sweep_specs(two_component_config, [0.01, 0.155, 0.3], phases=300)
+    ]
+    results = run_batch(specs)
     steps = [r.member.steps for r in results]
     assert min(steps) < 300 and max(steps) == 300, steps
     for result in results:

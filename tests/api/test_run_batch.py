@@ -160,8 +160,11 @@ class TestEnsembleRunResult:
             assert result.rank_results is None
 
     def test_convergence_knobs_forwarded(self, two_component_config):
-        specs = sweep_specs(two_component_config, [0.02, 0.07], phases=5_000)
-        results = run_batch(specs, check_every=5, tol=1.0)
+        specs = [
+            dataclasses.replace(s, check_every=5, tol=1.0)
+            for s in sweep_specs(two_component_config, [0.02, 0.07], phases=5_000)
+        ]
+        results = run_batch(specs)
         # tol=1.0 converges everyone at the second check.
         assert all(r.member.converged for r in results)
         assert all(r.member.steps == 10 for r in results)

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 import repro.experiments
+from repro.api import run_batch
 from repro.experiments.channel import (
     DEFAULT,
     FAST,
     PAPER,
     channel_config,
-    run_checked,
     slip_pair,
 )
+from repro.lbm.loop import NumericalInstability
 from repro.lbm.lattice import D2Q9, D3Q19
 
 
@@ -61,9 +62,9 @@ class TestChannelConfig:
 class TestRunChecked:
     def test_divergence_raises(self):
         # A wall force far past the paper's 0.2 blows the state up; the
-        # single end-of-run health check must catch it.
-        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
-            run_checked(slip_pair((16, 42), 400, amplitude=3.0))
+        # run's own end-of-run health check must catch it.
+        with np.errstate(all="ignore"), pytest.raises(NumericalInstability):
+            run_batch(slip_pair((16, 42), 400, amplitude=3.0))
 
 
 def test_no_experiment_builds_a_solver():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from repro.experiments import fig6_density, fig7_velocity
-from repro.experiments.channel import FAST, run_checked, slip_pair
+from repro.api import run_batch
+from repro.experiments.channel import FAST, slip_pair
 from repro.lbm.diagnostics import (
     apparent_slip_fraction,
     density_profile,
@@ -15,7 +16,7 @@ from repro.lbm.diagnostics import (
 
 @pytest.fixture(scope="module")
 def pair():
-    return run_checked(slip_pair(*FAST))
+    return [result.solver() for result in run_batch(slip_pair(*FAST))]
 
 
 class TestDensities:

@@ -55,7 +55,7 @@ class TestSolverIntegration:
             adhesion=(g_ads_water, 0.0),
         )
         solver = MulticomponentLBM(cfg)
-        solver.run(1200, check_interval=300)
+        solver.run(1200, check_every=300)
         return solver, geo
 
     def test_repulsion_depletes_water_at_wall(self):

@@ -6,6 +6,8 @@ bound to the old array."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -101,9 +103,9 @@ def test_ensemble_repack_continues_bit_identically():
 def test_retired_members_and_survivors_stay_exact():
     """Retirement through ``run`` (snapshot, then repack) on the stepping
     engine: every member equals its stand-alone run at its own step."""
-    spec = wall_sweep(3, lo=0.01, hi=0.3)
+    spec = dataclasses.replace(wall_sweep(3, lo=0.01, hi=0.3), check_every=10, tol=5e-5)
     eng = BatchedEnsemble(spec)
-    result = eng.run(200, check_every=10, tol=5e-5)
+    result = eng.run(200)
     assert len({m.steps for m in result.members}) > 1, "nothing retired early"
     for i, member in enumerate(result.members):
         solo = MulticomponentLBM(spec.member_config(i))

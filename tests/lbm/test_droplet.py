@@ -58,7 +58,7 @@ def run_droplet(
     solver.initialize_equilibrium(
         rhos, np.zeros((config.lattice.D,) + shape, dtype=np.float64)
     )
-    solver.run(steps, check_interval=max(1, steps // 4))
+    solver.run(steps, check_every=max(1, steps // 4))
     return solver
 
 

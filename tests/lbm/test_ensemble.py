@@ -95,7 +95,7 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="n_steps"):
             eng.run(-1)
         with pytest.raises(ValueError, match="check_every"):
-            eng.run(1, check_every=-1)
+            dataclasses.replace(eng.spec, check_every=-1)
 
 
 class TestMemberConfig:
@@ -262,8 +262,10 @@ class TestRaggedConvergence:
     def test_converged_members_retire_early_and_stay_exact(self):
         # A loose tolerance retires the weakly-forced members first; the
         # survivors must continue bit-identically through the repack.
-        spec = wall_sweep(3, lo=0.01, hi=0.3)
-        result = run_ensemble(spec, 300, check_every=10, tol=5e-5)
+        spec = dataclasses.replace(
+            wall_sweep(3, lo=0.01, hi=0.3), check_every=10, tol=5e-5
+        )
+        result = run_ensemble(spec, 300)
         steps = [m.steps for m in result.members]
         assert any(m.converged for m in result.members)
         for i, member in enumerate(result.members):
@@ -276,8 +278,8 @@ class TestRaggedConvergence:
                 assert member.residual is not None and member.residual < 5e-5
 
     def test_all_members_converged_stops_stepping(self):
-        spec = wall_sweep(2)
-        result = run_ensemble(spec, 10_000, check_every=5, tol=1.0)
+        spec = dataclasses.replace(wall_sweep(2), check_every=5, tol=1.0)
+        result = run_ensemble(spec, 10_000)
         # tol=1.0 retires everyone at the second check (first check only
         # seeds u_prev).
         assert all(m.converged for m in result.members)
@@ -299,16 +301,14 @@ class TestRaggedConvergence:
         member run as a width-1 ensemble (which TestBatchedExactness ties
         to the standalone solver)."""
         tol = 10.0**exponent
-        spec = wall_sweep(n, lo=0.01, hi=0.25)
-        batched = run_ensemble(
-            spec, n_steps, check_every=check_every, tol=tol
+        spec = dataclasses.replace(
+            wall_sweep(n, lo=0.01, hi=0.25), check_every=check_every, tol=tol
         )
+        batched = run_ensemble(spec, n_steps)
         for i in range(n):
             single = run_ensemble(
-                EnsembleSpec(base=spec.base, members=(spec.members[i],)),
+                dataclasses.replace(spec, members=(spec.members[i],)),
                 n_steps,
-                check_every=check_every,
-                tol=tol,
             )
             assert batched.members[i].steps == single.members[0].steps
             assert batched.members[i].converged == single.members[0].converged

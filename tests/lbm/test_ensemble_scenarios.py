@@ -100,8 +100,10 @@ class TestBatchedExactness:
             assert np.array_equal(member.f, solo.f), f"member {i}"
 
     def test_ragged_convergence_stays_exact(self, scenarios):
-        spec = scenario_sweep(scenarios)
-        result = run_ensemble(spec, 300, check_every=10, tol=5e-5)
+        spec = dataclasses.replace(
+            scenario_sweep(scenarios), check_every=10, tol=5e-5
+        )
+        result = run_ensemble(spec, 300)
         for i, member in enumerate(result.members):
             solo = MulticomponentLBM(spec.member_config(i))
             solo.run(member.steps)

@@ -214,7 +214,7 @@ class TestFlowDevelopment:
 
 class TestHealthCheck:
     def test_healthy_run_passes(self, small_solver):
-        small_solver.run(10, check_interval=5)
+        small_solver.run(10, check_every=5)
 
     def test_nan_detected(self, small_solver):
         small_solver.f[0, 0, 3, 3] = np.nan

@@ -25,6 +25,7 @@ import pytest
 
 from repro.api import EnsembleRunResult, RunResult, run
 from repro.ckpt import FaultPlan
+from repro.lbm.loop import NumericalInstability
 from repro.lbm.solver import MulticomponentLBM
 from repro.parallel.driver import ParallelLBM
 from repro.scenarios import HomogeneousScenario
@@ -111,6 +112,37 @@ class TestNoCyclicGarbage:
             for result in results:
                 result.solver()  # the solver a client caches on it
             del results, result
+        assert heavy(found) == []
+
+    def test_parallel_run_with_checkpoints_and_a_stop_rule(self, tmp_path):
+        # The step loop holds a rank's checkpoint writer and residual
+        # sample only while the rank runs.
+        spec = dataclasses.replace(
+            spec_with_amplitude(0.05, phases=8),
+            ranks=2,
+            transport="threads",
+            checkpoint_every=4,
+            check_every=2,
+            tol=1e-12,
+        )
+        run(dataclasses.replace(spec, checkpoint_dir=tmp_path / "warm"))
+        with unreachable_after() as found:
+            result = run(dataclasses.replace(spec, checkpoint_dir=tmp_path / "run"))
+            del result
+        assert heavy(found) == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_parallel_run(self):
+        spec = dataclasses.replace(
+            spec_with_amplitude(3.0, phases=400), ranks=2, transport="threads"
+        )
+        with unreachable_after() as found, np.errstate(all="ignore"):
+            try:
+                run(spec)
+            except NumericalInstability:
+                pass
+            else:
+                raise AssertionError("the run did not diverge")
         assert heavy(found) == []
 
     def test_failed_job_awaited_by_its_clients(self):
