@@ -9,8 +9,10 @@
 5. Replay the same scenario on the virtual-time cluster model to estimate
    the wall-clock the remapping would save on the paper's hardware.
 
-    python examples/full_pipeline.py
+    python examples/full_pipeline.py [--phases 3000]
 """
+
+import argparse
 
 import numpy as np
 
@@ -32,7 +34,12 @@ SLOW_RANK = 1  # residual transient slightly inflates the slip reading)
 
 
 def main() -> None:
-    forced, _ = slip_pair((16, 42), PHASES, amplitude=0.1)
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--phases", type=int, default=PHASES,
+                        help=f"LBM phases of the channel runs (default {PHASES})")
+    phases = parser.parse_args().phases
+
+    forced, _ = slip_pair((16, 42), phases, amplitude=0.1)
     config = forced.config
 
     # --- parallel run with an injected slow rank -------------------------
@@ -40,11 +47,11 @@ def main() -> None:
         t = points * 1e-6
         return t / 0.35 if rank == SLOW_RANK else t
 
-    print(f"running {PHASES} phases on {N_RANKS} in-process ranks "
+    print(f"running {phases} phases on {N_RANKS} in-process ranks "
           f"(rank {SLOW_RANK} slowed to 35%)...")
     result = run(RunSpec(
         config=config,
-        phases=PHASES,
+        phases=phases,
         ranks=N_RANKS,
         policy="filtered",
         remap_config=RemappingConfig(interval=10, history=10),

@@ -6,7 +6,9 @@ hardware with a deterministic model: per-node CPU-availability traces, a
 neighbour-synchronized phase engine mirroring the parallel LBM's
 communication structure, and a network cost model with CPU-contention
 ("sluggish communication") penalties.  The remapping policies from
-:mod:`repro.core` run unchanged inside the engine.
+:mod:`repro.core` run unchanged inside the engine.  The experiments
+runner drives it (Figs 3 and 8-10, Table 1, ext-heterogeneous,
+ext-adaptation); it has no command line of its own.
 """
 
 from repro.cluster.trace import AvailabilityTrace, TraceCursor

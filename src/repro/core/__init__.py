@@ -11,9 +11,6 @@ from repro.core.prediction import (
     Predictor,
     HarmonicMeanPredictor,
     LastPhasePredictor,
-    ArithmeticMeanPredictor,
-    ExponentialPredictor,
-    LinearTrendPredictor,
 )
 from repro.core.partition import SlicePartition
 from repro.core.exchange import window_targets, desired_transfer
@@ -36,9 +33,6 @@ __all__ = [
     "Predictor",
     "HarmonicMeanPredictor",
     "LastPhasePredictor",
-    "ArithmeticMeanPredictor",
-    "ExponentialPredictor",
-    "LinearTrendPredictor",
     "SlicePartition",
     "window_targets",
     "desired_transfer",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api import RunSpec
+from repro.api import RunResult, RunSpec, run_batch, spec_fingerprint
 from repro.lbm.components import water_air_pair
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import D2Q9, D3Q19
@@ -56,3 +56,14 @@ def slip_pair(
         RunSpec(config=channel_config(shape), phases=phases),
     ]
 
+
+def run_slip_pair(fast: bool, cache: dict | None = None) -> list[RunResult]:
+    """The :data:`FAST` or :data:`DEFAULT` pair's results, run once per
+    *cache* (keyed by the specs' fingerprints): Figures 6 and 7 read the
+    same pair."""
+    pair = slip_pair(*(FAST if fast else DEFAULT))
+    cache = {} if cache is None else cache
+    key = tuple(spec_fingerprint(spec) for spec in pair)
+    if key not in cache:
+        cache[key] = run_batch(pair)
+    return cache[key]

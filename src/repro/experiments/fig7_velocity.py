@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api import run_batch
 from repro.experiments import channel
 from repro.experiments.report import Report
 from repro.lbm.diagnostics import (
@@ -24,10 +23,10 @@ from repro.lbm.solver import MulticomponentLBM
 from repro.util.tables import format_table
 
 
-def run(fast: bool = False) -> Report:
-    """Run the channel's forced/control pair and report it."""
-    pair = channel.slip_pair(*(channel.FAST if fast else channel.DEFAULT))
-    return report(*(result.solver() for result in run_batch(pair)))
+def run(fast: bool = False, cache: dict | None = None) -> Report:
+    """Run the channel's forced/control pair (or read it from *cache*,
+    see :func:`~repro.experiments.channel.run_slip_pair`) and report it."""
+    return report(*(result.solver() for result in channel.run_slip_pair(fast, cache)))
 
 
 def report(

@@ -18,6 +18,7 @@ import argparse
 import sys
 import time
 from collections.abc import Callable
+from functools import partial
 
 from repro.config import set_discovery_env
 from repro.obs.observer import observer_from_env
@@ -36,7 +37,6 @@ from repro.experiments import (
     fig9_profile,
     fig10_schemes,
     table1_spikes,
-    validation,
 )
 from repro.experiments.report import Report
 
@@ -49,7 +49,6 @@ EXPERIMENTS: dict[str, Callable[..., Report]] = {
     "fig9": fig9_profile.run,
     "fig10": fig10_schemes.run,
     "table1": table1_spikes.run,
-    "validation": validation.run,
     "ext-adaptation": ext_adaptation.run,
     "ext-slip-sweep": ext_slip_sweep.run,
     "ext-resolution": ext_resolution.run,
@@ -59,7 +58,6 @@ EXPERIMENTS: dict[str, Callable[..., Report]] = {
 }
 
 ORDER = (
-    "validation",
     "fig3",
     "fig6",
     "fig7",
@@ -159,11 +157,17 @@ def main(argv: list[str] | None = None) -> int:
     obs = observer_from_env()
 
     names = list(ORDER) if "all" in args.experiments else args.experiments
+    pair: dict = {}  # Figures 6 and 7 read one forced/control pair
+    experiments = {
+        **EXPERIMENTS,
+        "fig6": partial(fig6_density.run, cache=pair),
+        "fig7": partial(fig7_velocity.run, cache=pair),
+    }
     for name in names:
         start = time.perf_counter()
         if obs.enabled:
             obs.emit("experiment_start", name=name, fast=args.fast)
-        report = EXPERIMENTS[name](fast=args.fast)
+        report = experiments[name](fast=args.fast)
         elapsed = time.perf_counter() - start
         if obs.enabled:
             obs.emit("experiment_end", name=name, duration=elapsed)

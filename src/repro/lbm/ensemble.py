@@ -55,9 +55,7 @@ class MemberParams:
     """Per-member scalar knobs of one ensemble member; unset fields
     inherit the base config."""
 
-    #: Multiplier applied to the base Shan-Chen coupling matrix.
-    g_scale: float = 1.0
-    #: Full replacement coupling matrix (wins over ``g_scale``).
+    #: Replacement Shan-Chen coupling matrix.
     g_matrix: np.ndarray | None = None
     #: Hydrophobic wall-force amplitude (the base needs a ``wall_force``).
     wall_amplitude: float | None = None
@@ -118,8 +116,6 @@ class EnsembleSpec:
         updates: dict = {}
         if params.g_matrix is not None:
             updates["g_matrix"] = np.asarray(params.g_matrix, dtype=np.float64)
-        elif params.g_scale != 1.0:
-            updates["g_matrix"] = np.asarray(self.base.g_matrix, dtype=np.float64) * params.g_scale
         if params.wall_amplitude is not None:
             updates["wall_force"] = dataclasses.replace(
                 self.base.wall_force, amplitude=float(params.wall_amplitude)

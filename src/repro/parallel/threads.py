@@ -7,6 +7,7 @@ lock-step LBM protocol is deterministic under any thread scheduling.
 
 from __future__ import annotations
 
+import contextvars
 import queue
 import threading
 from collections import defaultdict
@@ -144,8 +145,9 @@ class LocalCluster:
                 # GIL and the single consumer reads only after join()
                 errors.append((rank, exc))
 
+        # Ranks run in copies of the caller's context, where ``np.errstate`` lives.
         threads = [
-            threading.Thread(target=worker, args=(r,), daemon=True)
+            threading.Thread(target=contextvars.copy_context().run, args=(worker, r), daemon=True)
             for r in range(self.size)
         ]
         for t in threads:

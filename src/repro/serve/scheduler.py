@@ -83,12 +83,16 @@ class JobState(str, enum.Enum):
 
 
 class JobFailed(RuntimeError):
-    """The job's execution failed after exhausting the retry budget."""
+    """The job's execution failed after exhausting the retry budget.
 
-    def __init__(self, job_id: str, error: str):
+    ``diverged`` tells the physics' failure (the run raised
+    :class:`~repro.lbm.loop.NumericalInstability`) from the worker's."""
+
+    def __init__(self, job_id: str, error: str, diverged: bool = False):
         super().__init__(f"{job_id} failed: {error}")
         self.job_id = job_id
         self.error = error
+        self.diverged = diverged
 
 
 class JobCancelled(RuntimeError):
@@ -338,7 +342,7 @@ class Scheduler:
             # through this frame and the client's, would reference both
             # from its traceback — a cycle through the scheduler and
             # every result it holds.
-            raise JobFailed(job_id, failure.error)
+            raise JobFailed(job_id, failure.error, failure.diverged)
         return future.result()
 
     def cancel(self, job_id: str) -> bool:
@@ -487,11 +491,12 @@ class Scheduler:
         if isinstance(outcome, BaseException):
             entry.state = JobState.FAILED
             entry.error = f"{type(outcome).__name__}: {outcome}"
+            diverged = isinstance(outcome, NumericalInstability)
             for job in jobs:
                 if job.future.done():
                     continue
                 job.state = JobState.FAILED
-                job.future.set_exception(JobFailed(job.id, entry.error))
+                job.future.set_exception(JobFailed(job.id, entry.error, diverged))
                 if self._obs.enabled:
                     self._obs.counter("serve.jobs.failed").add()
                     self._obs.emit(

@@ -16,7 +16,8 @@ Either way the final velocity each distinct sample's result carries is
 reduced to the effective slip measures of :mod:`repro.lbm.diagnostics`
 (streamwise averaged, so rough and patterned walls are measured correctly),
 and the engine reports submissions/executions/dedup accounting plus ``sweep.*``
-observability.
+observability.  A sample whose run diverged is reported as failed, with
+its error and a NaN slip; the other samples are kept.
 """
 
 from __future__ import annotations
@@ -29,12 +30,14 @@ from typing import Any
 
 import numpy as np
 
-from repro.api import RunResult, RunSpec, run_batch
+import repro.config as config_mod
+from repro.api import RunResult, RunSpec, run_batch, spec_fingerprint
 from repro.lbm.diagnostics import (
     apparent_slip_fraction,
     effective_slip_fraction,
     streamwise_velocity_profiles,
 )
+from repro.lbm.loop import NumericalInstability
 from repro.obs.observer import NULL_OBSERVER, ObserverLike, resolve_observer
 from repro.sweep.spec import SweepSpec
 
@@ -54,6 +57,8 @@ class SampleResult:
     #: core fit, or while the core profile is not concave (still a transient).
     apparent_slip: float | None
     steps: int
+    #: Why the sample's run failed (then ``slip`` is NaN and ``steps`` 0).
+    error: str | None = None
 
 
 @dataclass
@@ -73,10 +78,10 @@ class SweepResult:
     dedup_ratio: float
     cache_hit_rate: float
     metrics: dict[str, Any] = field(default_factory=dict)
-    #: Per-submission :class:`RunResult` records, submission order; kept
-    #: only when :func:`run_sweep` ran with ``keep_results=True`` (so a
+    #: Per-submission :class:`RunResult` records (a failed one's error),
+    #: submission order; kept only with ``keep_results=True`` (so a
     #: caller can check served samples bitwise against direct runs).
-    results: list[RunResult] | None = None
+    results: list[RunResult | Exception] | None = None
 
     def slip_array(self) -> np.ndarray:
         return np.asarray([s.slip for s in self.samples], dtype=np.float64)
@@ -98,6 +103,28 @@ class SweepResult:
         return self.elapsed_s / max(points, 1) * 1e6
 
 
+def _run_each(
+    specs: list[RunSpec], observer: ObserverLike
+) -> tuple[list[RunResult | Exception], int]:
+    """:func:`run_batch`'s results with a diverged spec's error in its
+    place, and how many runs were started: a divergence fails its whole
+    batch, so the specs it did not name are batched again."""
+    outcomes: dict[int, RunResult | Exception] = {}
+    executions = 0
+    while todo := [i for i in range(len(specs)) if i not in outcomes]:
+        executions += len(todo)
+        try:
+            outcomes.update(zip(todo, run_batch([specs[i] for i in todo], observer=observer)))
+        except NumericalInstability as exc:
+            env = config_mod.from_env()  # the error names the spec as run_batch overlaid it
+            key = exc.fingerprint
+            diverged = [i for i in todo if spec_fingerprint(env.overlay(specs[i])) == key]
+            if not diverged:
+                raise
+            outcomes.update(dict.fromkeys(diverged, exc.with_traceback(None)))
+    return [outcomes[i] for i in range(len(specs))], executions
+
+
 def _serve_rounds(
     specs: list[RunSpec],
     repeats: int,
@@ -105,18 +132,26 @@ def _serve_rounds(
     workers: int,
     coalesce: int | None,
     observer: ObserverLike,
-) -> tuple[list[list[RunResult]], list[str], dict[str, Any]]:
+) -> tuple[list[list[RunResult | Exception]], list[str], dict[str, Any]]:
     """Serve *specs* on one Scheduler *repeats* times over, awaiting
     each round before the next — the repeated-study client shape: round
     one executes (duplicate samples join in flight), later rounds land
     in the content-addressed cache.  Returns per-round results, the
     fingerprint the scheduler computed for each spec, and its dedup
     accounting."""
-    from repro.serve import Scheduler
+    from repro.serve import JobFailed, Scheduler
 
-    rounds: list[list[RunResult]] = []
+    rounds: list[list[RunResult | Exception]] = []
     keys: list[str] = []
     stats: dict[str, Any] = {}
+
+    async def _outcome(sched: Scheduler, job_id: str) -> RunResult | Exception:
+        try:
+            return await sched.result(job_id)
+        except JobFailed as exc:
+            if not exc.diverged:
+                raise  # the worker's failure, not the sample's
+            return exc.with_traceback(None)  # the sweep goes on
 
     # Everything leaves through the closure and the coroutine returns
     # nothing: whatever describes the finished main task (CPython
@@ -128,7 +163,7 @@ def _serve_rounds(
         ) as sched:
             for _ in range(repeats):
                 job_ids = [await sched.submit(s) for s in specs]
-                rounds.append([await sched.result(j) for j in job_ids])
+                rounds.append([await _outcome(sched, j) for j in job_ids])
             # Every round submits the same specs, so any round's jobs
             # carry their keys; the last one's are at hand.
             keys.extend(sched.status(j).key for j in job_ids)
@@ -181,11 +216,11 @@ def run_sweep(
         ]
     else:
         specs = [s for s in distinct for _ in range(spec.repeats)]
-        results = run_batch(specs, observer=obs)
+        results, executions = _run_each(specs, obs)
         fingerprints = [s.fingerprint() for s in distinct]
         stats = {
             "submissions": len(specs),
-            "executions": len(specs),
+            "executions": executions,
             "dedup_ratio": 0.0,
             "cache_hit_rate": 0.0,
         }
@@ -197,24 +232,20 @@ def run_sweep(
     samples: list[SampleResult] = []
     for i in range(spec.n_samples):
         result = results[i * spec.repeats]
-        # One extraction of the streamwise lines serves both measures.
-        lines = streamwise_velocity_profiles(result)
-        slip = effective_slip_fraction(lines)
-        try:
-            apparent: float | None = effective_slip_fraction(
-                lines, measure=apparent_measure
-            )
-        except ValueError:
-            apparent = None  # too narrow for a core fit, or not concave yet
+        if isinstance(result, Exception):
+            error = f"{type(result).__name__}: {result}"
+            measured = dict(slip=float("nan"), apparent_slip=None, steps=0, error=error)
+        else:
+            # One extraction of the streamwise lines serves both measures.
+            lines = streamwise_velocity_profiles(result)
+            try:
+                apparent = effective_slip_fraction(lines, measure=apparent_measure)
+            except ValueError:
+                apparent = None  # too narrow for a core fit, or not concave yet
+            slip = effective_slip_fraction(lines)
+            measured = dict(slip=slip, apparent_slip=apparent, steps=result.steps)
         samples.append(
-            SampleResult(
-                index=i,
-                params=params[i],
-                fingerprint=fingerprints[i],
-                slip=slip,
-                apparent_slip=apparent,
-                steps=result.steps,
-            )
+            SampleResult(index=i, params=params[i], fingerprint=fingerprints[i], **measured)
         )
 
     sweep_result = SweepResult(

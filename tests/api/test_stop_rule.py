@@ -129,8 +129,8 @@ def diverging(amplitude: float, **knobs) -> RunSpec:
 
 
 @pytest.mark.parametrize("amplitude", [1.0, 3.0])
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+# Every substrate honours the caller's np.errstate, rank threads included.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestDivergenceIsAnError:
     @pytest.mark.parametrize(
         "knobs",

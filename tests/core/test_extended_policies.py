@@ -6,48 +6,8 @@ from repro.core.policies import (
     POLICY_NAMES,
     DiffusionPolicy,
     FilteredPolicy,
-    RemappingConfig,
     make_policy,
 )
-from repro.core.prediction import LinearTrendPredictor
-from repro.core.history import PhaseTimeHistory
-
-
-def history_of(times):
-    h = PhaseTimeHistory(capacity=max(10, len(times)))
-    for t in times:
-        h.record(t)
-    return h
-
-
-class TestLinearTrendPredictor:
-    def test_constant_series(self):
-        assert LinearTrendPredictor().predict(history_of([2.0] * 5)) == pytest.approx(
-            2.0
-        )
-
-    def test_extrapolates_trend(self):
-        p = LinearTrendPredictor()
-        rising = p.predict(history_of([1.0, 2.0, 3.0, 4.0]))
-        assert rising == pytest.approx(5.0)
-
-    def test_single_sample(self):
-        assert LinearTrendPredictor().predict(history_of([3.0])) == 3.0
-
-    def test_floor_on_negative_extrapolation(self):
-        p = LinearTrendPredictor(floor=1e-6)
-        falling = p.predict(history_of([10.0, 5.0, 1.0, 0.1]))
-        assert falling >= 1e-6
-
-    def test_registered_in_factory(self):
-        # A remapping policy takes it wherever the paper's harmonic mean goes.
-        config = RemappingConfig(predictor=LinearTrendPredictor())
-        policy = make_policy("filtered", config)
-        assert isinstance(policy.config.predictor, LinearTrendPredictor)
-
-    def test_invalid_floor(self):
-        with pytest.raises(ValueError):
-            LinearTrendPredictor(floor=0.0)
 
 
 class TestDiffusionPolicy:

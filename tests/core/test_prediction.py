@@ -2,8 +2,6 @@ import pytest
 
 from repro.core.history import PhaseTimeHistory
 from repro.core.prediction import (
-    ArithmeticMeanPredictor,
-    ExponentialPredictor,
     HarmonicMeanPredictor,
     LastPhasePredictor,
     harmonic_mean,
@@ -60,30 +58,7 @@ class TestOtherPredictors:
         p = LastPhasePredictor()
         assert p.predict(history_of([1.0] * 9 + [100.0])) == 100.0
 
-    def test_arithmetic_mean(self):
-        p = ArithmeticMeanPredictor()
-        assert p.predict(history_of([1.0, 3.0])) == pytest.approx(2.0)
-
-    def test_exponential_weights_recent(self):
-        p = ExponentialPredictor(alpha=0.5)
-        rising = p.predict(history_of([1.0, 1.0, 2.0]))
-        assert 1.0 < rising < 2.0
-        assert rising > ArithmeticMeanPredictor().predict(
-            history_of([1.0, 1.0, 2.0])
-        )
-
-    def test_exponential_alpha_validated(self):
-        with pytest.raises(ValueError):
-            ExponentialPredictor(alpha=0.0)
-        with pytest.raises(ValueError):
-            ExponentialPredictor(alpha=1.0)
-
     def test_single_sample_all_agree(self):
         h = history_of([2.5])
-        for p in (
-            HarmonicMeanPredictor(),
-            LastPhasePredictor(),
-            ArithmeticMeanPredictor(),
-            ExponentialPredictor(),
-        ):
+        for p in (HarmonicMeanPredictor(), LastPhasePredictor()):
             assert p.predict(h) == pytest.approx(2.5)

@@ -35,6 +35,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count("completed in") == 2
 
+    def test_fig6_and_fig7_share_one_pair(self, capsys, monkeypatch):
+        from repro.experiments import channel
+
+        runs = []
+        real = channel.run_batch
+        monkeypatch.setattr(channel, "FAST", ((16, 42), 100, 0.1))
+        monkeypatch.setattr(
+            channel, "run_batch", lambda specs: runs.append(specs) or real(specs)
+        )
+        assert main(["fig6", "fig7", "--fast"]) == 0
+        assert capsys.readouterr().out.count("completed in") == 2
+        assert len(runs) == 1
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["fig99"])

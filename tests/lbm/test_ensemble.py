@@ -60,10 +60,15 @@ def wall_sweep(n, lattice=D2Q9, lo=0.02, hi=0.12):
     )
 
 
+def scaled_g(base, scale):
+    """*base*'s coupling matrix times *scale*; ``None`` (inherit) at 1."""
+    return None if scale == 1.0 else np.asarray(base.g_matrix) * scale
+
+
 def g_sweep(base, scales):
     """Members that scale the base Shan-Chen coupling matrix."""
     return EnsembleSpec(
-        base=base, members=tuple(MemberParams(g_scale=s) for s in scales)
+        base=base, members=tuple(MemberParams(g_matrix=scaled_g(base, s)) for s in scales)
     )
 
 
@@ -113,16 +118,8 @@ class TestMemberConfig:
             spec.member_config(1).g_matrix,
             np.asarray(spec.base.g_matrix) * 1.5,
         )
-        # Scale 1.0 is the identity: the base config is reused as-is.
+        # An unset matrix inherits: the base config is reused as-is.
         assert spec.member_config(0) is spec.base
-
-    def test_explicit_g_matrix_wins_over_scale(self):
-        g = np.array([[0.0, 0.5], [0.5, 0.0]])
-        spec = EnsembleSpec(
-            base=base_config(),
-            members=(MemberParams(g_scale=3.0, g_matrix=g),),
-        )
-        assert np.array_equal(spec.member_config(0).g_matrix, g)
 
     def test_body_acceleration_override(self):
         spec = EnsembleSpec(
@@ -198,14 +195,15 @@ class TestBatchedExactness:
         BLAS block x one coupling matrix for all / runs of members with
         their own (members 0-1 share one, so a run spans two members)."""
         assert shape == (32, 48) or int(np.prod(shape)) % 16
+        base = base_config(lattice, shape=shape)
         members = tuple(
             MemberParams(
                 wall_amplitude=0.02 + 0.01 * i,
-                g_scale=1.0 if shared_g else 1.0 + 0.05 * (i // 2),
+                g_matrix=scaled_g(base, 1.0 if shared_g else 1.0 + 0.05 * (i // 2)),
             )
             for i in range(batch)
         )
-        spec = EnsembleSpec(base=base_config(lattice, shape=shape), members=members)
+        spec = EnsembleSpec(base=base, members=members)
         result = run_ensemble(spec, 8)
         for i, member in enumerate(result.members):
             solo = MulticomponentLBM(spec.member_config(i))

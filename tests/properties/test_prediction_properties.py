@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from repro.core.history import PhaseTimeHistory
 from repro.core.prediction import (
-    ArithmeticMeanPredictor,
     HarmonicMeanPredictor,
+    LastPhasePredictor,
     harmonic_mean,
 )
 
@@ -38,7 +38,7 @@ def test_harmonic_mean_bounded_by_extremes(times):
 def test_harmonic_leq_arithmetic(times):
     h = history_of(times)
     hm = HarmonicMeanPredictor().predict(h)
-    am = ArithmeticMeanPredictor().predict(h)
+    am = sum(times) / len(times)
     assert hm <= am * (1 + 1e-9)
 
 
@@ -69,4 +69,4 @@ def test_single_spike_bounded_influence(base, spike, k):
 def test_predictors_positive(times):
     h = history_of(times)
     assert HarmonicMeanPredictor().predict(h) > 0
-    assert ArithmeticMeanPredictor().predict(h) > 0
+    assert LastPhasePredictor().predict(h) > 0

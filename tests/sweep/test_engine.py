@@ -200,3 +200,48 @@ def test_samples_are_measured_without_building_a_solver(monkeypatch, via):
     result = run_sweep(small_sweep(repeats=2), via=via)
     assert len(result.samples) == 3
     assert calls == []
+
+
+@pytest.mark.parametrize("via", ["batch", "serve"])
+def test_a_diverged_sample_fails_alone(via):
+    """Amplitude 3.0 blows up within 400 phases: those samples report
+    the error and a NaN slip, and the 0.1 samples are measured."""
+    from repro.experiments.channel import channel_config
+
+    spec = SweepSpec(
+        base_config=channel_config((16, 42), HomogeneousScenario(amplitude=0.1)),
+        phases=400,
+        parameters=(SweepParameter("amplitude", Discrete((0.1, 3.0))),),
+        n_samples=6,
+        seed=1,
+    )
+    with np.errstate(all="ignore"):
+        result = run_sweep(spec, via=via)
+    failed = [s for s in result.samples if s.error is not None]
+    healthy = [s for s in result.samples if s.error is None]
+    assert failed and healthy
+    assert {s.params["amplitude"] for s in failed} == {3.0}
+    assert all("NumericalInstability" in s.error for s in failed)
+    assert np.isnan([s.slip for s in failed]).all()
+    assert np.isfinite([s.slip for s in healthy]).all()
+    assert all(s.steps == 400 for s in healthy)
+    if via == "batch":  # the healthy samples ran again, in a batch of their own
+        assert result.executions == result.submissions + len(healthy)
+
+
+@pytest.mark.parametrize("via", ["batch", "serve"])
+def test_a_failure_other_than_divergence_fails_the_sweep(monkeypatch, via):
+    """Only the physics' failure becomes a failed sample: a crashed
+    worker (or a bug) still raises out of :func:`run_sweep`."""
+    import repro.serve.scheduler as scheduler
+    import repro.sweep.engine as engine
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("worker died")
+
+    monkeypatch.setattr(engine, "run_batch", crash)
+    monkeypatch.setattr(scheduler, "run_batch", crash)
+    monkeypatch.setattr(scheduler, "run", crash)
+    expected = scheduler.JobFailed if via == "serve" else RuntimeError
+    with pytest.raises(expected, match="worker died"):
+        run_sweep(small_sweep(), via=via)

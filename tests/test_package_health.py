@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,21 @@ import repro
 
 REPO_ROOT = Path(repro.__file__).resolve().parents[2]
 EXAMPLES = sorted((REPO_ROOT / "examples").glob("*.py"))
+#: Each example's arguments for a run of a few seconds at most, and a
+#: line its output must hold.
+EXAMPLE_RUNS = {
+    "checkpoint_demo.py": (
+        ["--store", "ckpt", "--phases", "24"], "bit-exact vs uninterrupted run: True"
+    ),
+    "full_pipeline.py": (["--phases", "100"], "bitwise equal to sequential: True"),
+    "quickstart.py": ([], "slip attributable to the hydrophobic wall force"),
+    "serve_demo.py": (["--jobs", "6"], "served results bit-identical to run()"),
+    "slip_microchannel_3d.py": (["--fast"], "hydrophobic slip gain"),
+    "traced_parallel_run.py": (
+        ["--ranks", "2", "--phases", "20", "--trace", "run.jsonl"],
+        "trace written to run.jsonl",
+    ),
+}
 
 
 class TestImports:
@@ -51,7 +69,23 @@ class TestImports:
 
 class TestExamples:
     def test_examples_exist(self):
-        assert len(EXAMPLES) >= 8
+        assert len(EXAMPLES) >= 6
+
+    @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
+    def test_example_runs_at_a_small_size(self, path, tmp_path):
+        args, expected = EXAMPLE_RUNS[path.name]
+        src = str(REPO_ROOT / "src")
+        path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, str(path), *args],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": path_var},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert expected in proc.stdout
 
     @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
     def test_example_parses_and_has_main(self, path):

@@ -26,9 +26,6 @@ ALLOWLIST = {
         cluster.analysis.expected_speedup cluster.analysis.paper_sanity_check
         lbm.solver.MulticomponentLBM.initialize_equilibrium lbm.units.UnitSystem.to_lattice_length
         lbm.solver.MulticomponentLBM.kinetic_energy""",
-    "load-index filter the paper argues against (docs/ALGORITHM.md §1)": """
-        core.prediction.ArithmeticMeanPredictor core.prediction.ExponentialPredictor
-        core.prediction.LinearTrendPredictor""",
     "fault-injection vocabulary of the recovery tests": """
         ckpt.faults.FaultPlan.also ckpt.faults.FaultPlan.kill_rank
         ckpt.faults.FaultPlan.stall_writer ckpt.faults.truncate_file""",
