@@ -24,12 +24,12 @@ from repro.lbm.solver import LBMConfig, MulticomponentLBM
 from repro.lbm.units import UnitSystem, PAPER_UNITS
 from repro.lbm.diagnostics import (
     Profile,
+    StreamwiseLines,
     apparent_slip_fraction,
     density_profile,
     effective_slip_fraction,
     normalized_velocity_profile,
     slip_fraction,
-    streamwise_slip_profile,
     streamwise_velocity_profiles,
     velocity_profile,
 )
@@ -53,12 +53,12 @@ __all__ = [
     "contact_density_ratio",
     "wall_indicator_field",
     "Profile",
+    "StreamwiseLines",
     "apparent_slip_fraction",
     "density_profile",
     "effective_slip_fraction",
     "normalized_velocity_profile",
     "slip_fraction",
-    "streamwise_slip_profile",
     "streamwise_velocity_profiles",
     "velocity_profile",
 ]

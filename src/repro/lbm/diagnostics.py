@@ -10,7 +10,7 @@ coordinate from the low wall surface ("distance from the side wall").
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -57,22 +57,48 @@ class Profile:
         return Profile(self.positions[keep], self.values[keep])
 
 
-def _extract_lines(
-    source: VelocitySource,
-    field: np.ndarray,
-    axis: int,
-    x_indices: Iterable[int | None],
-    other_index: int | None,
-) -> list[Profile]:
-    """*field* along *axis*, fluid nodes only, on the line through each
-    of the *x_indices* planes of the requested cross-section (``None``
-    indices: channel midpoints, like the paper)."""
+@dataclass(frozen=True)
+class StreamwiseLines:
+    """The line across the channel on every streamwise plane of one
+    cross-section: ``coord`` ``(n,)`` is the distance from the low wall
+    surface, ``values`` and ``fluid`` ``(nx, n)`` the field and the fluid
+    mask on each plane's line, and ``lines[x]`` plane ``x``'s profile."""
+
+    coord: np.ndarray
+    values: np.ndarray
+    fluid: np.ndarray
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    def __getitem__(self, x: int) -> Profile:
+        return Profile(self.coord[self.fluid[x]], self.values[x][self.fluid[x]])
+
+    def measured(self, measure: Callable[[Profile], float]) -> np.ndarray:
+        """*measure* of every plane: :func:`slip_fraction` on the whole
+        block at once, any other measure once per bit-distinct plane in
+        plane order, the first plane it refuses raising before the next."""
+        if measure is slip_fraction:
+            return _wall_slips(self.coord, self.values, self.fluid)
+        out = np.empty(len(self), dtype=np.float64)
+        seen: dict[tuple[bytes, bytes], float] = {}
+        for x, (keep, row) in enumerate(zip(self.fluid, self.values)):
+            key = (keep.tobytes(), row.tobytes())
+            if key not in seen:  # bit-identical planes are measured once
+                seen[key] = measure(Profile(self.coord[keep], row[keep]))
+            out[x] = seen[key]
+        return out
+
+
+def _cross_section(
+    source: VelocitySource, field: np.ndarray, axis: int, other_index: int | None
+) -> StreamwiseLines:
+    """*field* along *axis* on every plane (``None``: midpoints, like the paper)."""
     geo = source.config.geometry
     if not 1 <= axis < geo.ndim:
         raise ValueError(f"profile axis must be a wall axis in [1, {geo.ndim}), got {axis}")
     idx: list[object] = [
-        geo.centerline_index(d) if other_index is None else other_index
-        for d in range(geo.ndim)
+        geo.centerline_index(d) if other_index is None else other_index for d in range(geo.ndim)
     ]
     idx[0] = idx[axis] = slice(None)
     sheet = tuple(idx)  # every line of the cross-section: (nx, n) views
@@ -80,18 +106,14 @@ def _extract_lines(
     if fluid is None:
         fluid = ~solid_mask_field(source.config, geo)
     # The coordinate along *axis* is the same on every line.
-    coord = geo.wall_coordinate(axis)[sheet][0]
-    values, keeps = field[sheet], fluid[sheet]
-    lines: list[Profile] = []
-    made: dict[tuple[bytes, bytes], Profile] = {}
-    for x_index in x_indices:
-        x = geo.centerline_index(0) if x_index is None else x_index
-        keep, row = keeps[x], values[x]
-        key = (keep.tobytes(), row.tobytes())
-        if key not in made:  # bit-identical planes share one Profile
-            made[key] = Profile(coord[keep], row[keep])
-        lines.append(made[key])
-    return lines
+    return StreamwiseLines(geo.wall_coordinate(axis)[sheet][0], field[sheet], fluid[sheet])
+
+
+def _plane(
+    source: VelocitySource, field: np.ndarray, axis: int, x: int | None, other: int | None
+) -> Profile:
+    lines = _cross_section(source, field, axis, other)  # x None: the midpoint
+    return lines[source.config.geometry.centerline_index(0) if x is None else x]
 
 
 def density_profile(
@@ -105,7 +127,7 @@ def density_profile(
     """Density of *component* along *axis* at the given cross-section
     (the paper's Figure 6), fluid nodes only."""
     ci = solver.config.component_index(component)
-    return _extract_lines(solver, solver.rho[ci], axis, [x_index], other_index)[0]
+    return _plane(solver, solver.rho[ci], axis, x_index, other_index)
 
 
 def velocity_profile(
@@ -118,8 +140,7 @@ def velocity_profile(
 ) -> Profile:
     """Streamwise mixture velocity along *axis* at the cross-section
     (Figure 7 before normalization)."""
-    u = solver.velocity()[flow_axis]
-    return _extract_lines(solver, u, axis, [x_index], other_index)[0]
+    return _plane(solver, solver.velocity()[flow_axis], axis, x_index, other_index)
 
 
 def normalized_velocity_profile(
@@ -149,18 +170,26 @@ def slip_fraction(profile: Profile) -> float:
     curvature); the paper reports approximately 10% for the hydrophobic
     channel.
     """
-    if profile.values.size < 3:
-        raise ValueError("profile too short to measure slip")
-    # The ndarray method and Python floats: the same reduction and IEEE
-    # double arithmetic as np.max and NumPy scalars, without their
-    # per-call overhead (this runs once per distinct plane of a sample).
-    u0 = float(np.abs(profile.values).max())
-    if u0 == 0.0:
+    keep = np.ones((1, profile.values.size), dtype=bool)
+    return float(_wall_slips(profile.positions, profile.values[None], keep)[0])
+
+
+def _wall_slips(coord: np.ndarray, values: np.ndarray, fluid: np.ndarray) -> np.ndarray:
+    """:func:`slip_fraction` of each row of *values* ``(k, n)`` on its
+    *fluid* nodes at *coord* ``(n,)``, all rows in one pass: the same
+    IEEE operations, in the same order, as on one row alone."""
+    u0 = np.abs(values).max(axis=1, where=fluid, initial=0.0)
+    short = fluid.sum(axis=1) < 3
+    bad = short | (u0 == 0.0)
+    if bad.any():
+        if short[bad.argmax()]:
+            raise ValueError("profile too short to measure slip")
         raise ValueError("zero free-stream velocity")
-    d0, d1 = profile.positions[:2].tolist()
-    u_first, u_second = profile.values[:2].tolist()
-    u_wall = u_first - (u_second - u_first) / (d1 - d0) * d0
-    return u_wall / u0
+    first, second = fluid.argmax(axis=1), (fluid.cumsum(axis=1) == 2).argmax(axis=1)
+    rows = np.arange(values.shape[0], dtype=np.intp)
+    d0, d1 = coord[first], coord[second]
+    u_first, u_second = values[rows, first], values[rows, second]
+    return (u_first - (u_second - u_first) / (d1 - d0) * d0) / u0  # the wall's u over u0
 
 
 def apparent_slip_fraction(profile: Profile, *, boundary_layer: float = 8.0) -> float:
@@ -183,25 +212,24 @@ def apparent_slip_fraction(profile: Profile, *, boundary_layer: float = 8.0) -> 
             f"boundary_layer={boundary_layer} leaves too few core points "
             f"({int(core.sum())}) in a channel of width {width}"
         )
-    coef = np.polyfit(d[core], u[core], 2)
-    if coef[0] >= 0:
+    a, b, c = np.polyfit(d[core], u[core], 2).tolist()
+    if a >= 0:
         raise ValueError("core profile is not concave; flow not developed")
-    u_wall = float(np.polyval(coef, 0.0))
-    apex = -coef[1] / (2.0 * coef[0])
-    u_max = float(np.polyval(coef, apex))
+
+    def parabola(x: float) -> float:  # np.polyval's steps, on Python floats
+        return ((0.0 * x + a) * x + b) * x + c
+
+    u_wall = parabola(0.0)
+    u_max = parabola(-b / (2.0 * a))
     if u_max == 0.0:
         raise ValueError("zero fitted free-stream velocity")
     return u_wall / u_max
 
 
 # --------------------------------------------------- inhomogeneous walls
-#
-# The single-cross-section measures above assume the paper's flat,
-# x-invariant walls, where every streamwise plane sees the same profile.
-# Rough and patterned scenarios (repro.scenarios) break that: the local
-# slip varies along the flow axis, so one midpoint sample is an
-# arbitrary stripe, not the channel's effective slip.  The helpers below
-# reduce over *all* streamwise planes instead.
+# On rough and patterned walls (repro.scenarios) the local slip varies
+# along the flow axis, so one midpoint sample is an arbitrary stripe: the
+# helpers below reduce over *all* streamwise planes instead.
 
 
 def streamwise_velocity_profiles(
@@ -210,50 +238,21 @@ def streamwise_velocity_profiles(
     axis: int = 1,
     flow_axis: int = 0,
     other_index: int | None = None,
-) -> list[Profile]:
+) -> StreamwiseLines:
     """The velocity profile of **every** streamwise plane of a solver or
-    a run result (bit-identical planes share one :class:`Profile`) — the
-    list :func:`streamwise_slip_profile` and :func:`effective_slip_fraction`
-    take in place of the source when several measures share one extraction."""
-    u = solver.velocity()[flow_axis]
-    return _extract_lines(solver, u, axis, range(u.shape[0]), other_index)
-
-
-def streamwise_slip_profile(
-    solver: VelocitySource | list[Profile],
-    *,
-    axis: int = 1,
-    flow_axis: int = 0,
-    other_index: int | None = None,
-    measure=slip_fraction,
-) -> Profile:
-    """*measure* evaluated on the velocity profile of every streamwise
-    plane (of *solver*, or as already extracted by
-    :func:`streamwise_velocity_profiles`): positions are the x indices,
-    values the per-plane slip.  The per-stripe view behind
-    :func:`effective_slip_fraction` (and the fig-pattern stripe plots);
-    a :class:`Profile` several planes share — every bit-identical plane
-    shares one, so all of them on x-invariant walls — is measured once."""
-    lines = solver if isinstance(solver, list) else streamwise_velocity_profiles(
-        solver, axis=axis, flow_axis=flow_axis, other_index=other_index
-    )
-    measured: dict[int, float] = {}
-    for line in lines:
-        if id(line) not in measured:
-            measured[id(line)] = measure(line)
-    return Profile(
-        positions=np.arange(len(lines), dtype=np.float64),
-        values=np.asarray([measured[id(line)] for line in lines], dtype=np.float64),
-    )
+    a run result, read once, for several measures to share: the per-plane
+    slip is :meth:`StreamwiseLines.measured`, its average
+    :func:`effective_slip_fraction`."""
+    return _cross_section(solver, solver.velocity()[flow_axis], axis, other_index)
 
 
 def effective_slip_fraction(
-    solver: VelocitySource | list[Profile],
+    solver: VelocitySource | StreamwiseLines,
     *,
     axis: int = 1,
     flow_axis: int = 0,
     other_index: int | None = None,
-    measure=slip_fraction,
+    measure: Callable[[Profile], float] = slip_fraction,
 ) -> float:
     """Effective (channel-averaged) slip for possibly inhomogeneous
     walls: *measure* (default :func:`slip_fraction`) averaged over all
@@ -264,7 +263,8 @@ def effective_slip_fraction(
     — no floating-point averaging error — so the homogeneous scenario
     reproduces the historical midpoint measurement bit-for-bit.
     """
-    values = streamwise_slip_profile(
-        solver, axis=axis, flow_axis=flow_axis, other_index=other_index, measure=measure
-    ).values
+    lines = solver if isinstance(solver, StreamwiseLines) else streamwise_velocity_profiles(
+        solver, axis=axis, flow_axis=flow_axis, other_index=other_index
+    )
+    values = lines.measured(measure)
     return float(values[0] if np.all(values == values[0]) else values.mean())

@@ -62,6 +62,7 @@ from repro.api import (
 )
 from repro.lbm.loop import NumericalInstability
 from repro.obs.observer import NULL_OBSERVER, ObserverLike, resolve_observer
+from repro.serve.blocking import run_blocking
 from repro.serve.cache import ResultCache
 
 __all__ = [
@@ -573,13 +574,10 @@ def serve_many(
 ) -> list[RunResult]:
     """Synchronous convenience: run *specs* through a scheduler and
     return their results in input order (the blocking counterpart of
-    the async client API, used by the CLI and the benchmark)."""
-
+    the async client API, used by the benchmark), on a kept event loop
+    (:func:`~repro.serve.blocking.run_blocking`)."""
     results: list[RunResult] = []
 
-    # The coroutine returns nothing: whatever describes the finished
-    # main task (CPython 3.11's ``asyncio.run`` does, on the way out)
-    # must not find the payload in it.
     async def _main() -> None:
         async with Scheduler(
             workers=workers,
@@ -590,5 +588,5 @@ def serve_many(
             ids = [await sched.submit(spec) for spec in specs]
             results.extend([await sched.result(job_id) for job_id in ids])
 
-    asyncio.run(_main())
+    run_blocking(_main())
     return results

@@ -7,22 +7,26 @@ it on one of two substrates:
   which stacks batch-compatible samples (same scenario geometry, swept
   scalar knobs) into ``(N, C, Q, *S)`` ensemble passes;
 - ``via="serve"`` — the specs are submitted to a
-  :class:`repro.serve.Scheduler`, whose content-addressed cache and
-  in-flight joining collapse repeated samples (``repeats > 1`` or a
-  duplicate-heavy ``Discrete`` prior) into single executions, and whose
-  coalescer still batches what remains.
+  :class:`repro.serve.Scheduler` on a kept event loop
+  (:func:`repro.serve.blocking.run_blocking`: no loop or thread is built
+  per call).  Its content-addressed cache and in-flight joining collapse
+  repeated samples (``repeats > 1`` or a duplicate-heavy ``Discrete``
+  prior) into single executions, its coalescer batches what remains, and
+  a sample that diverged in round one is not run again in later rounds.
 
 Either way the final velocity each distinct sample's result carries is
-reduced to the effective slip measures of :mod:`repro.lbm.diagnostics`
-(streamwise averaged, so rough and patterned walls are measured correctly),
-and the engine reports submissions/executions/dedup accounting plus ``sweep.*``
-observability.  A sample whose run diverged is reported as failed, with
-its error and a NaN slip; the other samples are kept.
+read once, as the line across the channel on every streamwise plane
+(:class:`~repro.lbm.diagnostics.StreamwiseLines`), and reduced to the
+effective slip measures of :mod:`repro.lbm.diagnostics` — the wall slip
+of all planes in one pass, the apparent core fit plane by plane until it
+refuses one — averaged over the planes, so rough and patterned walls are
+measured correctly.  The engine reports submissions/executions/dedup
+accounting plus ``sweep.*`` observability.  A sample whose run diverged
+is reported as failed, with its error and a NaN slip; the others are kept.
 """
 
 from __future__ import annotations
 
-import asyncio
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -136,10 +140,12 @@ def _serve_rounds(
     """Serve *specs* on one Scheduler *repeats* times over, awaiting
     each round before the next — the repeated-study client shape: round
     one executes (duplicate samples join in flight), later rounds land
-    in the content-addressed cache.  Returns per-round results, the
-    fingerprint the scheduler computed for each spec, and its dedup
-    accounting."""
+    in the content-addressed cache.  A failure is never cached, and a
+    diverged run diverges again: later rounds repeat round one's error
+    instead of resubmitting it.  Returns per-round outcomes, the key the
+    scheduler computed for each spec, and the dedup accounting."""
     from repro.serve import JobFailed, Scheduler
+    from repro.serve.blocking import run_blocking
 
     rounds: list[list[RunResult | Exception]] = []
     keys: list[str] = []
@@ -153,28 +159,27 @@ def _serve_rounds(
                 raise  # the worker's failure, not the sample's
             return exc.with_traceback(None)  # the sweep goes on
 
-    # Everything leaves through the closure and the coroutine returns
-    # nothing: whatever describes the finished main task (CPython
-    # 3.11's ``asyncio.run`` does, on the way out) must not find the
-    # payload in it.
     async def _main() -> None:
         async with Scheduler(
             workers=workers, coalesce=coalesce, observer=observer
         ) as sched:
+            known: list[Any] = [None] * len(specs)  # the last round's outcomes
             for _ in range(repeats):
-                job_ids = [await sched.submit(s) for s in specs]
-                rounds.append([await _outcome(sched, j) for j in job_ids])
-            # Every round submits the same specs, so any round's jobs
-            # carry their keys; the last one's are at hand.
-            keys.extend(sched.status(j).key for j in job_ids)
-            stats.update(
-                submissions=sched.submissions,
-                executions=sched.executions,
-                dedup_ratio=sched.dedup_ratio(),
-                cache_hit_rate=sched.cache.hit_rate(),
-            )
+                job_ids = [
+                    None if isinstance(k, Exception) else await sched.submit(s)
+                    for s, k in zip(specs, known)
+                ]
+                known = [
+                    k if j is None else await _outcome(sched, j) for j, k in zip(job_ids, known)
+                ]
+                rounds.append(known)
+                if not keys:  # round one submits every spec
+                    keys.extend(sched.status(j).key for j in job_ids)
+            stats.update(executions=sched.executions, cache_hit_rate=sched.cache.hit_rate())
 
-    asyncio.run(_main())
+    run_blocking(_main())
+    submissions = len(specs) * repeats  # a repeated error is answered too
+    stats.update(submissions=submissions, dedup_ratio=1.0 - stats["executions"] / submissions)
     return rounds, keys, stats
 
 
@@ -218,17 +223,12 @@ def run_sweep(
         specs = [s for s in distinct for _ in range(spec.repeats)]
         results, executions = _run_each(specs, obs)
         fingerprints = [s.fingerprint() for s in distinct]
-        stats = {
-            "submissions": len(specs),
-            "executions": executions,
-            "dedup_ratio": 0.0,
-            "cache_hit_rate": 0.0,
-        }
+        stats = dict(
+            submissions=len(specs), executions=executions, dedup_ratio=0.0, cache_hit_rate=0.0
+        )
     elapsed = time.perf_counter() - start
 
-    apparent_measure = partial(
-        apparent_slip_fraction, boundary_layer=boundary_layer
-    )
+    apparent_measure = partial(apparent_slip_fraction, boundary_layer=boundary_layer)
     samples: list[SampleResult] = []
     for i in range(spec.n_samples):
         result = results[i * spec.repeats]
@@ -236,7 +236,7 @@ def run_sweep(
             error = f"{type(result).__name__}: {result}"
             measured = dict(slip=float("nan"), apparent_slip=None, steps=0, error=error)
         else:
-            # One extraction of the streamwise lines serves both measures.
+            # One read of the streamwise lines serves both measures.
             lines = streamwise_velocity_profiles(result)
             try:
                 apparent = effective_slip_fraction(lines, measure=apparent_measure)

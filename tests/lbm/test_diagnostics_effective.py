@@ -18,7 +18,6 @@ from repro.lbm.diagnostics import (
     apparent_slip_fraction,
     effective_slip_fraction,
     slip_fraction,
-    streamwise_slip_profile,
     streamwise_velocity_profiles,
     velocity_profile,
 )
@@ -73,33 +72,35 @@ def test_homogeneous_reproduces_single_plane_value_exactly(
     assert effective == historical  # bitwise, not approx
 
 
+def per_plane_slip(source, **where) -> np.ndarray:
+    return streamwise_velocity_profiles(source, **where).measured(slip_fraction)
+
+
 def test_homogeneous_planes_are_all_identical(homogeneous_solver):
-    prof = streamwise_slip_profile(homogeneous_solver)
-    assert prof.values.shape == (SHAPE[0],)
-    assert np.all(prof.values == prof.values[0])
+    values = per_plane_slip(homogeneous_solver)
+    assert values.shape == (SHAPE[0],)
+    assert np.all(values == values[0])
 
 
 def test_patterned_planes_vary_and_effective_is_their_mean(
     patterned_solver,
 ):
-    prof = streamwise_slip_profile(patterned_solver)
-    assert not np.all(prof.values == prof.values[0])
-    assert effective_slip_fraction(patterned_solver) == float(
-        prof.values.mean()
-    )
+    values = per_plane_slip(patterned_solver)
+    assert not np.all(values == values[0])
+    assert effective_slip_fraction(patterned_solver) == float(values.mean())
 
 
 def test_patterned_effective_sits_between_the_extremes(patterned_solver):
-    prof = streamwise_slip_profile(patterned_solver)
+    values = per_plane_slip(patterned_solver)
     effective = effective_slip_fraction(patterned_solver)
-    assert prof.values.min() < effective < prof.values.max()
+    assert values.min() < effective < values.max()
 
 
 # ------------------------------------------- one extraction, many measures
 #
-# ``streamwise_velocity_profiles`` extracts every plane's line in one
-# pass (one ``wall_coordinate`` field, one ``velocity()``); the measures
-# then run on that list.  The reference below is the historical
+# ``streamwise_velocity_profiles`` reads every plane's line in one pass
+# (one ``wall_coordinate`` field, one ``velocity()``); the measures then
+# run on that block.  The reference below is the historical
 # spelling: one public single-plane ``velocity_profile`` call per plane
 # and per measure.
 
@@ -171,10 +172,7 @@ def test_shared_lines_equal_the_per_plane_loop(fixture, where, request):
         assert expected == value_or_refusal(
             lambda: effective_slip_fraction(solver, measure=measure, **where)
         )
-    assert np.array_equal(
-        streamwise_slip_profile(lines).values,
-        streamwise_slip_profile(solver, **where).values,
-    )
+    assert np.array_equal(lines.measured(slip_fraction), per_plane_slip(solver, **where))
 
 
 def test_wall_coordinate_is_built_once_per_extraction(

@@ -245,3 +245,36 @@ def test_a_failure_other_than_divergence_fails_the_sweep(monkeypatch, via):
     expected = scheduler.JobFailed if via == "serve" else RuntimeError
     with pytest.raises(expected, match="worker died"):
         run_sweep(small_sweep(), via=via)
+
+
+def test_a_diverged_sample_is_not_served_again_in_later_rounds():
+    """A physics failure is deterministic and the Scheduler caches no
+    failure: rounds 2..R answer a sample that diverged in round one with
+    that same error instead of running it again."""
+    from repro.experiments.channel import channel_config
+
+    spec = SweepSpec(
+        base_config=channel_config((16, 42), HomogeneousScenario(amplitude=0.1)),
+        phases=400,
+        parameters=(SweepParameter("amplitude", Discrete((0.1, 3.0))),),
+        n_samples=6,
+        seed=1,
+        repeats=3,
+    )
+    with np.errstate(all="ignore"):
+        served = run_sweep(spec, via="serve", keep_results=True)
+        once = run_sweep(dataclasses.replace(spec, repeats=1), via="serve")
+    assert served.submissions == 18  # every repeat is still answered
+    assert served.executions == 2  # one 0.1 run, one 3.0 run (was 4)
+    assert served.dedup_ratio == 1.0 - 2 / 18
+
+    def measured(result):  # the slip's bits: NaN for a failed sample
+        return [(s.slip.hex(), s.apparent_slip, s.steps, s.error) for s in result.samples]
+
+    assert measured(served) == measured(once)
+    for i, sample in enumerate(served.samples):
+        rounds = served.results[i * 3 : i * 3 + 3]
+        if sample.error is not None:
+            assert rounds[1] is rounds[0] and rounds[2] is rounds[0]
+        else:
+            assert all(np.array_equal(r.f, rounds[0].f) for r in rounds)
