@@ -36,10 +36,14 @@ Shan-Chen          18 mostly diagonal rolls        12 unit-axis rolls
    one overlapping 1-D copy (a memmove) per component row, the wrapped
    faces' sources saved first.  ``array_equal`` to ``np.roll``.
 5. **Column blocks.**  Collision, equilibrium and moments walk the grid
-   in blocks of ``min(16 384, N rounded up to 16)`` columns: one block
-   of scratch, boundaries at multiples of 16 (the rule below).  At 2 048
-   columns ``channel_nonded``'s four GIL-sharing thread ranks convoyed
-   across the short calls (0.67x MLUPS); at 16 384 it ties.
+   in blocks of ``min(cap, N rounded up to 16)`` columns: one block of
+   scratch, boundaries at multiples of 16 (the rule below), so the cap
+   changes no bit.  It is 4 096: D3Q19's equilibrium and basis block,
+   0.62 + 0.33 MB, stays in a 2 MiB L2, where 16 384 columns (3.8 MB)
+   re-read it from L3 at every row op (``channel_seq`` MLUPS x1.09-1.13).
+   Ranks sharing one interpreter (``shares_interpreter``: thread ranks)
+   keep 16 384: each extra call is a GIL hand-off, and at 4 096 / 2 048
+   ``channel_nonded``'s four thread ranks convoyed (~0.86x / 0.67x).
 6. **A batch is a leading axis nothing streams along.**  Built with
    ``g_matrices`` ``(B, C, C)``, the grid is ``(B, *S)``: B members
    sharing the solid mask, every kernel unchanged (a zero batch shift;
@@ -98,9 +102,11 @@ _FULL = slice(None)
 #: Column granularity of every BLAS call (see the module docstring).
 _BLOCK = 16
 
-#: Widest column block of collision, equilibrium and moments scratch; a
-#: multiple of ``_BLOCK`` (module docstring, item 5).
-_MAX_COLUMNS = 16_384
+#: Widest column block of collision, equilibrium and moments scratch, a
+#: multiple of ``_BLOCK``: L2-sized, or wide for GIL-sharing ranks
+#: (module docstring, item 5).
+_CACHE_COLUMNS = 4_096
+_GIL_COLUMNS = 16_384
 
 
 _STEP_SEGMENTS = {  # per-axis (dst, src) pairs, the non-wrapping one first
@@ -202,9 +208,10 @@ class FusedBackend(KernelBackend):
 
     name = "fused"
 
-    def __init__(self, config, shape, solid_mask, *, g_matrices=None):
+    def __init__(self, config, shape, solid_mask, *, g_matrices=None, shares_interpreter=False):
         """*g_matrices* ``(B, C, C)``: *shape* is ``(B, *S)``, a stack of
-        B members with their own coupling matrices (module docstring)."""
+        B members with their own coupling matrices; *shares_interpreter*:
+        the wide column blocks (module docstring, items 5 and 6)."""
         # What the batch axis adds in front of a lattice shift: nothing.
         batch = () if g_matrices is None else (0,)
         super().__init__(config, shape, solid_mask, batch_axes=len(batch))
@@ -243,7 +250,8 @@ class FusedBackend(KernelBackend):
 
         # --- equilibrium / collision (one column block of scratch) --------
         # feq = _feq_mat @ [n, n u_i, n u_i u_j (i <= j)]; nb <= Q rows.
-        self._width = min(_MAX_COLUMNS, -(-N // _BLOCK) * _BLOCK)
+        cap = _GIL_COLUMNS if shares_interpreter else _CACHE_COLUMNS
+        self.columns = min(cap, -(-N // _BLOCK) * _BLOCK)
         self._pairs = [(i, j) for i in range(D) for j in range(i, D)]
         nb = 1 + D + len(self._pairs)
         inv_cs2 = 1.0 / lat.cs2
@@ -255,8 +263,8 @@ class FusedBackend(KernelBackend):
             if i == j:
                 mat[:, col] = 0.5 * mat[:, col] - 0.5 * inv_cs2
         self._feq_mat = mat * lat.w[:, None]
-        self._basis = np.empty((nb, self._width), dtype=np.float64)
-        self._feq = np.empty((Q, self._width), dtype=np.float64)
+        self._basis = np.empty((nb, self.columns), dtype=np.float64)
+        self._feq = np.empty((Q, self.columns), dtype=np.float64)
         self._omega = np.empty((C, N), dtype=np.float64)
         self._one_minus_omega = np.empty((C, N), dtype=np.float64)
 
@@ -288,7 +296,7 @@ class FusedBackend(KernelBackend):
         # --- moments / forces / velocities --------------------------------
         # (1 + D, Q): the density row, then the momentum rows.
         self._mom_mat = np.vstack([np.ones((1, Q), dtype=np.float64), lat.cf.T])
-        self._mbuf = np.empty((1 + D, self._width), dtype=np.float64)
+        self._mbuf = np.empty((1 + D, self.columns), dtype=np.float64)
         self._inv_tau_row = (1.0 / self.taus).reshape(1, C)
         self._denom = np.empty(S, dtype=np.float64)
         self._ucommon = np.empty((D,) + S, dtype=np.float64)
@@ -329,7 +337,7 @@ class FusedBackend(KernelBackend):
 
     def _blocks(self, n: int):
         """``(cols, width)`` of each column block of an *n*-column call."""
-        w = self._width
+        w = self.columns
         return ((slice(i, i + w), min(w, n - i)) for i in range(0, n, w))
 
     # ------------------------------------------------------------ streaming

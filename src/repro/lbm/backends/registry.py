@@ -93,6 +93,8 @@ def create_backend(
     shape: tuple[int, ...],
     solid_mask: np.ndarray,
     observer: ObserverLike = NULL_OBSERVER,
+    *,
+    shares_interpreter: bool = False,
 ) -> "KernelBackend":
     """Instantiate the backend the config selects, for a (local) grid.
 
@@ -114,15 +116,17 @@ def create_backend(
         wrapped in an :class:`~repro.lbm.backends.instrumented.
         InstrumentedBackend` that times every kernel call; when disabled
         the raw backend is returned and the hot path is untouched.
+    shares_interpreter:
+        The caller shares its GIL with other ranks (a thread rank):
+        ``fused`` keeps wide column blocks (its module docstring, item 5).
     """
-    # Fast path: configs built through LBMConfig.__post_init__ carry an
-    # already-resolved backend name, so skip the environment read that
-    # resolve_backend_name would repeat (hoisted out of ensemble loops).
+    # Configs built through LBMConfig.__post_init__ carry a resolved
+    # name: no environment read (get_backend_class's) on the fast path.
     name = getattr(config, "backend", None)
-    cls = _BACKENDS.get(name) if name is not None else None
-    if cls is None:
-        cls = get_backend_class(name)
-    backend = cls(config, shape, solid_mask)
+    cls = _BACKENDS.get(name) or get_backend_class(name)
+    # Only fused has column blocks; the reference oracle takes no option.
+    options = {"shares_interpreter": shares_interpreter} if cls is FusedBackend else {}
+    backend = cls(config, shape, solid_mask, **options)
     if observer is not None and observer.enabled:
         from repro.lbm.backends.instrumented import InstrumentedBackend
 

@@ -157,9 +157,7 @@ class LBMConfig:
         if reads("body_acceleration", "geometry") and self.body_acceleration is not None:
             acc = tuple(float(a) for a in self.body_acceleration)
             if len(acc) != self.geometry.ndim:
-                raise ValueError(
-                    f"body_acceleration must have {self.geometry.ndim} entries"
-                )
+                raise ValueError(f"body_acceleration must have {self.geometry.ndim} entries")
             object.__setattr__(self, "body_acceleration", acc)
         if reads("adhesion", "components") and self.adhesion is not None:
             adh = tuple(float(a) for a in self.adhesion)
@@ -255,9 +253,7 @@ class MulticomponentLBM:
         #: :mod:`repro.lbm.backends`).  With an enabled observer it is
         #: wrapped for per-kernel timing; disabled runs get the raw
         #: backend, so the hot path pays nothing.
-        self.backend = create_backend(
-            config, shape, self.solid, observer=self.observer
-        )
+        self.backend = create_backend(config, shape, self.solid, observer=self.observer)
 
         self._wall_field: np.ndarray | None = None
         if config.adhesion is not None:
@@ -272,9 +268,7 @@ class MulticomponentLBM:
             self.restore_state(*state)
 
     # ----------------------------------------------------------- (re)init
-    def initialize_equilibrium(
-        self, rhos: np.ndarray, u: np.ndarray
-    ) -> None:
+    def initialize_equilibrium(self, rhos: np.ndarray, u: np.ndarray) -> None:
         """Reset the populations to the equilibrium of the given
         macroscopic state (used for validation flows like the Taylor-Green
         vortex, and by checkpoint restore).
@@ -293,9 +287,7 @@ class MulticomponentLBM:
         if rhos.shape != self.rho.shape:
             raise ValueError(f"rhos must have shape {self.rho.shape}")
         if u.shape != (lat.D,) + self.config.geometry.shape:
-            raise ValueError(
-                f"u must have shape {(lat.D,) + self.config.geometry.shape}"
-            )
+            raise ValueError(f"u must have shape {(lat.D,) + self.config.geometry.shape}")
         for ci, comp in enumerate(self.config.components):
             n = np.where(self.fluid, rhos[ci] / comp.mass, 0.0)
             equilibrium(n, u * self._fluid_f, lat, out=self.f[ci])
@@ -312,10 +304,7 @@ class MulticomponentLBM:
         """
         f = np.asarray(f, dtype=np.float64)
         if f.shape != self.f.shape:
-            raise ValueError(
-                f"checkpointed f has shape {f.shape}, solver expects "
-                f"{self.f.shape}"
-            )
+            raise ValueError(f"checkpointed f has shape {f.shape}, solver expects {self.f.shape}")
         step = int(step)
         if step < 0:
             raise ValueError(f"step must be >= 0, got {step}")
@@ -390,7 +379,6 @@ class MulticomponentLBM:
     def update_moments_and_forces(self) -> None:
         """Recompute densities, momenta, forces and equilibrium velocities
         from the current populations."""
-        cfg = self.config
         self.backend.moments(self.f, self.rho, self.mom)
         self.backend.forces_and_velocities(
             self.rho,
@@ -400,7 +388,7 @@ class MulticomponentLBM:
             accel=self._accel,
             psi_mask=self._fluid_f,  # neutral walls: psi = 0 inside the solid
             vel_mask=self._fluid_f,  # keep solid nodes at rest
-            adhesion=cfg.adhesion if self._wall_field is not None else None,
+            adhesion=self.config.adhesion if self._wall_field is not None else None,
             wall_field=self._wall_field,
         )
 

@@ -120,6 +120,10 @@ class Communicator(ABC):
     every transport by construction.
     """
 
+    #: This transport's ranks share one interpreter (one GIL), so their
+    #: kernels keep wide column blocks; a transport that does not say does.
+    shares_interpreter: bool = True
+
     @property
     @abstractmethod
     def rank(self) -> int:

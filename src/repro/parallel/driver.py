@@ -172,9 +172,7 @@ class ParallelLBM:
         #: point's contract is that no messages are in flight.
         self._overlap = bool(halo_overlap) and faults is None
         #: Global index of this rank's first interior plane, maintained
-        #: through migrations — chain migration keeps ranks ordered
-        #: along x, so low-edge transfers are the only thing that moves
-        #: it.
+        #: through migrations (see :meth:`_account_transfer`).
         self.plane_start = int(layout.plane_counts()[: comm.rank].sum())
 
         # Rank-scoped observability handle; the shared NULL_OBSERVER when
@@ -210,7 +208,6 @@ class ParallelLBM:
         self._solid_src = solid_mask_field(config, src_geo)
         self._accel_src = acceleration_field(config, src_geo)
 
-        self.taus = np.array([c.tau for c in config.components])
         ln = layout.planes(comm.rank)
         self.f = np.zeros(
             (config.n_components, lat.Q, ln + 2, *self.cross), dtype=np.float64
@@ -221,7 +218,7 @@ class ParallelLBM:
             rho0 = np.where(fluid3, comp.rho_init / comp.mass, 0.0)
             rest_equilibrium(rho0, lat, out=self.f[ci])
         # Zero the ghosts in place: the pieces already hold views of f.
-        self.f[...] = pad_with_ghosts(interior_of(self.f))
+        self.f[:, :, [0, -1]] = 0.0
         self.phase = 0
         self.planes_sent = 0
         self.planes_received = 0
@@ -270,20 +267,19 @@ class ParallelLBM:
         self.mom = np.zeros((n_comp, lat.D, *shape), dtype=np.float64)
         self.force = np.zeros_like(self.mom)
         self.u_eq = np.zeros_like(self.mom)
-        solid3, self._accel = self._local_patterns(shape)
-        self._solid3 = solid3
+        self._solid3, self._accel = self._local_patterns(shape)
         # Interior-only collide mask (ghosts excluded); psi keeps the
         # fluid pattern on ghosts (their densities are real neighbour
         # data needed by the S-C force).
-        psi_mask = (~solid3).astype(np.float64)
-        self._psi_mask = psi_mask
-        collide_mask = psi_mask.copy()
-        collide_mask[[0, -1]] = 0.0
-        self._collide_mask = collide_mask
+        self._psi_mask = (~self._solid3).astype(np.float64)
+        self._collide_mask = self._psi_mask.copy()
+        self._collide_mask[[0, -1]] = 0.0
         # Ranks inherit the backend from the shared config; scratch is
         # sized for the local slab, so rebuild after every migration.
+        # Thread ranks share one GIL: wide column blocks (fused, item 5).
         self.backend = create_backend(
-            self.config, shape, self._solid3, observer=self.observer
+            self.config, shape, self._solid3, observer=self.observer,
+            shares_interpreter=self.comm.shares_interpreter,
         )
         self._build_pieces(shape)
 
@@ -313,7 +309,8 @@ class ParallelLBM:
         if backend is None:
             solid = np.ascontiguousarray(self._solid3[sl])
             backend = create_backend(
-                self.config, solid.shape, solid, observer=self.observer
+                self.config, solid.shape, solid, observer=self.observer,
+                shares_interpreter=self.comm.shares_interpreter,
             )
         return (
             backend,
@@ -661,21 +658,13 @@ class ParallelLBM:
         if manifest is None:
             manifest = store.latest_good()
             if manifest is None:
-                raise CheckpointError(
-                    f"no restorable generation under {store.root}"
-                )
+                raise CheckpointError(f"no restorable generation under {store.root}")
         check_fingerprint(manifest, self.config)
-        rank = self.comm.rank
         with self.observer.span("ckpt.restore", step=manifest.step):
             arrays, plane_start = store.load_slab(
-                manifest,
-                self.comm.size,
-                rank,
-                (self.plane_start, self.local_planes),
+                manifest, self.comm.size, self.comm.rank, (self.plane_start, self.local_planes)
             )
-            self._adopt_interior(
-                arrays["f"], plane_start, ("restore", manifest.step)
-            )
+            self._adopt_interior(arrays["f"], plane_start, ("restore", manifest.step))
             self.planes_sent = int(arrays.get("planes_sent", 0))
             self.planes_received = int(arrays.get("planes_received", 0))
             self.plane_history = [

@@ -193,6 +193,8 @@ class ProcessCommunicator(Communicator):
     link are parked in a stash keyed by tag.
     """
 
+    shares_interpreter = False  # each rank is its own process
+
     def __init__(self, world: _ProcessWorld, rank: int):
         self._world = world
         self._rank = rank

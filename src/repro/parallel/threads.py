@@ -48,6 +48,8 @@ class ThreadCommunicator(Communicator):
     keyed by tag, so receives by (source, tag) never mis-deliver.
     """
 
+    shares_interpreter = True
+
     def __init__(self, world: _World, rank: int):
         self._world = world
         self._rank = rank
