@@ -1,11 +1,11 @@
-"""Benchmarks for the extension experiments (adaptation speed,
-heterogeneous clusters, all five policies side by side)."""
+"""Benchmarks for the extension experiments (adaptation speed, all
+five policies side by side)."""
 
 from repro.cluster.machine import paper_cluster
 from repro.cluster.simulator import simulate
 from repro.cluster.workload import fixed_slow_traces
 from repro.core.policies import POLICY_NAMES, make_policy
-from repro.experiments import ext_adaptation, ext_heterogeneous
+from repro.experiments import ext_adaptation
 
 
 def test_bench_all_policies_one_slow_node(benchmark, save_report):
@@ -38,15 +38,3 @@ def test_bench_ext_adaptation(benchmark, save_report):
         "reaction_phases"
     ]
     assert data["filtered"]["total"] < data["no-remap"]["total"]
-
-
-def test_bench_ext_heterogeneous(benchmark, save_report):
-    report = benchmark.pedantic(
-        lambda: ext_heterogeneous.run(phases=1000), rounds=1, iterations=1
-    )
-    save_report("ext_heterogeneous", str(report))
-    totals = report.data["totals"]
-    benchmark.extra_info["global_s"] = round(totals["global"], 1)
-    benchmark.extra_info["filtered_s"] = round(totals["filtered"], 1)
-    assert totals["global"] == min(totals.values())
-

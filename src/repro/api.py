@@ -16,8 +16,9 @@ the parallel driver (``ranks > 1``) on either transport::
 
 Stop and health rules (:mod:`repro.lbm.loop`) are part of the spec, so
 a spec stops on the same phase alone, stacked, served or parallel, and a
-diverged run raises :class:`~repro.lbm.loop.NumericalInstability`
-naming the phase, the rank and the spec's fingerprint.
+diverged run ends in a :class:`~repro.lbm.loop.NumericalInstability`
+naming the phase, the rank and the spec's fingerprint: :func:`run`
+raises it, :func:`run_batch` returns it in that spec's place.
 
 Environment overlay: unset dispatch fields are filled from the
 ``REPRO_*`` variables via :func:`repro.config.from_env` (transport from
@@ -30,8 +31,8 @@ Parameter sweeps: :func:`run_batch` takes a list of specs, groups the
 ones that differ only in the swept scalar knobs (coupling matrix, wall
 force amplitude, body force) into stacked ensembles
 (:mod:`repro.lbm.ensemble`), and runs the rest through :func:`run` —
-returning per-spec results, bit-identical to running each spec alone,
-in input order.  The ensemble's kernels are the ``fused`` arithmetic
+returning per-spec results (or divergence errors), bit-identical to
+running each spec alone, in input order.  The ensemble's kernels are the ``fused`` arithmetic
 over a batch axis, so a spec that names the ``reference`` oracle is
 never stacked.
 """
@@ -501,7 +502,7 @@ def run_batch(
     specs: list[RunSpec] | tuple[RunSpec, ...],
     *,
     observer: ObserverLike = NULL_OBSERVER,
-) -> list[RunResult]:
+) -> list[RunResult | NumericalInstability]:
     """Execute many specs, batching compatible ones into stacked
     ensembles.
 
@@ -517,16 +518,19 @@ def run_batch(
     ensemble's kernels are the ``fused`` kernels over a batch axis,
     which is why a ``reference`` spec is never stacked onto them.
 
-    A diverged spec raises :class:`~repro.lbm.loop.NumericalInstability`
-    as under :func:`run`.  *observer*: ensemble-level observability
-    (per-kernel timings, aggregate µs/point) for the batched groups.
+    A diverged spec's slot holds the
+    :class:`~repro.lbm.loop.NumericalInstability` that :func:`run` would
+    raise for it, without a traceback; the other specs' results are
+    unaffected, and nothing runs twice.  Any other exception raises.
+    *observer*: ensemble-level observability (per-kernel timings,
+    aggregate µs/point) for the batched groups.
     """
     from repro.lbm.ensemble import EnsembleSpec, run_ensemble
 
     specs = list(specs)
     env = config_mod.from_env()
     overlaid = [env.overlay(s) for s in specs]
-    results: list[RunResult | None] = [None] * len(specs)
+    results: list[RunResult | NumericalInstability | None] = [None] * len(specs)
     fallback_reasons: dict[int, str] = {
         i: reason
         for i in range(len(specs))
@@ -558,19 +562,18 @@ def run_batch(
             # keeps every sequential behaviour.
             idx = group[0][0]
             fallback_reasons[idx] = "no-compatible-partner"
-            results[idx] = run(specs[idx])
+            results[idx] = _run_or_error(specs[idx])
             continue
         base = overlaid[group[0][0]]
         members = tuple(params for _, params in group)
         ens_spec = EnsembleSpec(base.config, members, base.check_every, base.tol)
-        try:
-            ens_result = run_ensemble(ens_spec, base.phases, observer=observer)
-        except NumericalInstability as exc:
-            idx = group[exc.member][0]
-            exc.member = None
-            exc.fingerprint = spec_fingerprint(overlaid[idx])
-            raise
+        ens_result = run_ensemble(ens_spec, base.phases, observer=observer)
         for (idx, _), member in zip(group, ens_result.members):
+            if isinstance(member, NumericalInstability):
+                member.member = None  # the spec, not the batch row, failed
+                member.fingerprint = spec_fingerprint(overlaid[idx])
+                results[idx] = member
+                continue
             results[idx] = EnsembleRunResult(
                 spec=overlaid[idx],
                 config=overlaid[idx].config,
@@ -583,12 +586,21 @@ def run_batch(
 
     for i, spec in enumerate(specs):
         if results[i] is None:
-            results[i] = run(spec)
+            results[i] = _run_or_error(spec)
     for i, reason in fallback_reasons.items():
-        results[i].batch_fallback_reason = reason
+        if isinstance(results[i], RunResult):
+            results[i].batch_fallback_reason = reason
         if observer.enabled:
             observer.counter(f"api.batch.fallback.{reason}").add()
     return results
+
+
+def _run_or_error(spec: RunSpec) -> RunResult | NumericalInstability:
+    """:func:`run`'s result, or its divergence without a traceback."""
+    try:
+        return run(spec)
+    except NumericalInstability as exc:
+        return exc.with_traceback(None)
 
 
 def _run_sequential(spec: RunSpec, store: Any) -> RunResult:

@@ -7,8 +7,8 @@ neighbour-synchronized phase engine mirroring the parallel LBM's
 communication structure, and a network cost model with CPU-contention
 ("sluggish communication") penalties.  The remapping policies from
 :mod:`repro.core` run unchanged inside the engine.  The experiments
-runner drives it (Figs 3 and 8-10, Table 1, ext-heterogeneous,
-ext-adaptation); it has no command line of its own.
+runner drives it (Figs 3 and 8-10, Table 1, ext-adaptation); it has
+no command line of its own.
 """
 
 from repro.cluster.trace import AvailabilityTrace, TraceCursor
@@ -16,7 +16,6 @@ from repro.cluster.workload import (
     dedicated_traces,
     fixed_slow_traces,
     duty_cycle_trace,
-    heterogeneous_traces,
     transient_spike_traces,
 )
 from repro.cluster.costmodel import PhaseCostModel, PAPER_COST_MODEL
@@ -36,7 +35,6 @@ __all__ = [
     "dedicated_traces",
     "fixed_slow_traces",
     "duty_cycle_trace",
-    "heterogeneous_traces",
     "transient_spike_traces",
     "PhaseCostModel",
     "PAPER_COST_MODEL",

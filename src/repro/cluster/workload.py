@@ -150,23 +150,6 @@ def delayed_slow_traces(
     return traces
 
 
-def heterogeneous_traces(relative_speeds: Iterable[float]) -> list[AvailabilityTrace]:
-    """A permanently heterogeneous cluster (mixed hardware generations):
-    node i always runs at ``relative_speeds[i]`` of full speed.
-
-    Not a paper experiment, but the natural second use of the remapping
-    machinery: the filtered scheme converges to a speed-proportional
-    partition on such clusters (see the heterogeneous-cluster example).
-    """
-    speeds = [float(s) for s in relative_speeds]
-    if not speeds:
-        raise ValueError("need at least one node speed")
-    for s in speeds:
-        if not 0.0 < s <= 1.0:
-            raise ValueError(f"relative speed must be in (0, 1], got {s}")
-    return [AvailabilityTrace(tail=s, contended=False) for s in speeds]
-
-
 def transient_spike_traces(
     n_nodes: int,
     spike_length: float,

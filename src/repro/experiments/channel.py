@@ -1,10 +1,10 @@
 """The paper's water/air microchannel, stated once.
 
 Figures 6 and 7, ext-slip-sweep, ext-resolution and fig-pattern run this
-channel as :class:`~repro.api.RunSpec` lists through
-:func:`repro.api.run_batch`, which health-checks every run (a diverged
-one raises :class:`~repro.lbm.loop.NumericalInstability`).  The paper's
-400 x 200 x 20 grid (:data:`PAPER`) needs ~500k phases to reach steady state; :data:`DEFAULT`
+channel as :class:`~repro.api.RunSpec` lists through :func:`run_all`,
+which is :func:`repro.api.run_batch` (it health-checks every run) with a
+diverged run's :class:`~repro.lbm.loop.NumericalInstability` raised, so
+no figure plots a failed run.  The paper's 400 x 200 x 20 grid (:data:`PAPER`) needs ~500k phases to reach steady state; :data:`DEFAULT`
 is a scaled 3-D channel in the same aspect regime (thin in z, wide in y)
 that runs in about a minute on one core, and :data:`FAST` a 2-D
 cross-section whose width and phase count let the Poiseuille profile
@@ -20,6 +20,7 @@ from repro.api import RunResult, RunSpec, run_batch, spec_fingerprint
 from repro.lbm.components import water_air_pair
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import D2Q9, D3Q19
+from repro.lbm.loop import NumericalInstability
 from repro.lbm.solver import LBMConfig
 from repro.lbm.units import PAPER_GRID_SHAPE
 from repro.scenarios import HomogeneousScenario, Scenario
@@ -57,6 +58,16 @@ def slip_pair(
     ]
 
 
+def run_all(specs: list[RunSpec]) -> list[RunResult]:
+    """:func:`repro.api.run_batch`'s results; the first diverged spec's
+    error raises instead of taking its place."""
+    outcomes = run_batch(specs)
+    for outcome in outcomes:
+        if isinstance(outcome, NumericalInstability):
+            raise outcome
+    return outcomes
+
+
 def run_slip_pair(fast: bool, cache: dict | None = None) -> list[RunResult]:
     """The :data:`FAST` or :data:`DEFAULT` pair's results, run once per
     *cache* (keyed by the specs' fingerprints): Figures 6 and 7 read the
@@ -65,5 +76,5 @@ def run_slip_pair(fast: bool, cache: dict | None = None) -> list[RunResult]:
     cache = {} if cache is None else cache
     key = tuple(spec_fingerprint(spec) for spec in pair)
     if key not in cache:
-        cache[key] = run_batch(pair)
+        cache[key] = run_all(pair)
     return cache[key]

@@ -16,8 +16,7 @@ longer runs and their residuals).
 
 from __future__ import annotations
 
-from repro.api import run_batch
-from repro.experiments.channel import slip_pair
+from repro.experiments.channel import run_all, slip_pair
 from repro.experiments.report import Report
 from repro.lbm.diagnostics import slip_fraction, velocity_profile
 from repro.util.tables import format_table
@@ -46,7 +45,7 @@ def run(
         # layer thickness relative to the channel stays fixed.
         decay = 2.5 * shape[1] / 80.0
         forced, control = (
-            r.solver() for r in run_batch(slip_pair(shape, steps, amplitude, decay))
+            r.solver() for r in run_all(slip_pair(shape, steps, amplitude, decay))
         )
         slip_f = slip_fraction(velocity_profile(forced))
         slip_c = slip_fraction(velocity_profile(control))

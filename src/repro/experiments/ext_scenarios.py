@@ -5,9 +5,9 @@ questions: Kunert & Harting (2007) — what does wall *roughness* do to
 the apparent slip? — and the patterned-surface homogenization line
 (Philip; Lauga & Stone) — what effective slip does a wall striped with
 alternating slip produce?  These two figures answer both on the paper's
-own channel, riding the :mod:`repro.scenarios` registry and the
-:func:`repro.api.run_batch` ensemble substrate (compatible grid points
-share stacked passes).
+own channel, riding the :mod:`repro.scenarios` registry and
+:func:`repro.api.run_batch` (compatible grid points share stacked
+passes; a diverged one raises).
 
 Both figures use the *flow-gain* effective slip length: fit the
 measured per-column flux to plane Poiseuille with symmetric Navier
@@ -39,8 +39,8 @@ import dataclasses
 
 import numpy as np
 
-from repro.api import RunResult, RunSpec, run_batch
-from repro.experiments.channel import FAST, channel_config
+from repro.api import RunResult, RunSpec
+from repro.experiments.channel import FAST, channel_config, run_all
 from repro.experiments.report import Report
 from repro.lbm.components import ComponentSpec
 from repro.lbm.diagnostics import effective_slip_fraction
@@ -106,7 +106,7 @@ def run_roughness(fast: bool = False) -> Report:
     base = RoughScenario(
         amplitude=0.0, decay_length=2.5, rms=0.0, max_height=3, seed=11
     )
-    results = run_batch(
+    results = run_all(
         [
             RunSpec(
                 config=roughness_config(dataclasses.replace(base, rms=r)),
@@ -155,7 +155,7 @@ def run_roughness(fast: bool = False) -> Report:
             seed=5,
             sampler="lhs",
         )
-        result = run_sweep(sweep, via="batch")
+        result = run_sweep(sweep)
         eta2 = variance_sensitivity(
             [s.params for s in result.samples], result.slip_array()
         )
@@ -192,7 +192,7 @@ def run_pattern(fast: bool = False) -> Report:
         amplitude_hi=0.06, amplitude_lo=0.0, period=8, duty=0.5,
         decay_length=2.5,
     )
-    results = run_batch(
+    results = run_all(
         [
             RunSpec(
                 config=channel_config(SHAPE, dataclasses.replace(base, duty=d)),
@@ -225,7 +225,7 @@ def run_pattern(fast: bool = False) -> Report:
     }
     if not fast:
         period_grid = (4, 8, 16)
-        period_results = run_batch(
+        period_results = run_all(
             [
                 RunSpec(
                     config=channel_config(SHAPE, dataclasses.replace(base, period=p)),

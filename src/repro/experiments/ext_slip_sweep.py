@@ -11,8 +11,8 @@ the bulk-fit slip measure is exact.
 
 from __future__ import annotations
 
-from repro.api import RunSpec, run_batch
-from repro.experiments.channel import FAST, channel_config
+from repro.api import RunSpec
+from repro.experiments.channel import FAST, channel_config, run_all
 from repro.experiments.report import Report
 from repro.lbm.analytic import slip_fraction_to_slip_length
 from repro.lbm.diagnostics import apparent_slip_fraction, density_profile, velocity_profile
@@ -58,7 +58,7 @@ def run(
     # One batch: the forced points differ only in their wall scenario,
     # so they advance as one stacked ensemble.
     grid = [(a, 2.5) for a in amplitudes] + [(0.1, d) for d in decays]
-    solvers = [r.solver() for r in run_batch([_spec(a, d, steps) for a, d in grid])]
+    solvers = [r.solver() for r in run_all([_spec(a, d, steps) for a, d in grid])]
     points = [_point(s, a, d) for s, (a, d) in zip(solvers, grid)]
     amp_series, decay_series = points[: len(amplitudes)], points[len(amplitudes):]
 

@@ -29,7 +29,6 @@ from repro.experiments import (
     ext_resolution,
     ext_scenarios,
     ext_slip_sweep,
-    ext_heterogeneous,
     fig3_disturbance,
     fig6_density,
     fig7_velocity,
@@ -52,7 +51,6 @@ EXPERIMENTS: dict[str, Callable[..., Report]] = {
     "ext-adaptation": ext_adaptation.run,
     "ext-slip-sweep": ext_slip_sweep.run,
     "ext-resolution": ext_resolution.run,
-    "ext-heterogeneous": ext_heterogeneous.run,
     "fig-roughness": ext_scenarios.run_roughness,
     "fig-pattern": ext_scenarios.run_pattern,
 }
@@ -66,7 +64,6 @@ ORDER = (
     "fig9",
     "fig10",
     "table1",
-    "ext-heterogeneous",
     "ext-adaptation",
     "ext-slip-sweep",
     "ext-resolution",

@@ -14,8 +14,9 @@ configurations), stop rule included: under the spec's ``check_every`` /
 ``tol`` (:mod:`repro.lbm.loop`) a converged member is snapshotted and
 retired at the step its lone run stops at, and the survivors are
 **repacked** into a narrower batch (the kernels are batch-width
-independent).  A diverged member raises
-:class:`~repro.lbm.loop.NumericalInstability` for the whole batch.
+independent).  A diverged member retires the same way, at the check that
+finds it: its result is the :class:`~repro.lbm.loop.NumericalInstability`
+its lone run would raise, and the others run on.
 
 Usage::
 
@@ -41,7 +42,7 @@ import numpy as np
 from repro.lbm.backends.fused import FusedBackend
 from repro.lbm.equilibrium import rest_equilibrium
 from repro.lbm.forces import acceleration_field, solid_mask_field
-from repro.lbm.loop import StepLoop, check_stop_rule
+from repro.lbm.loop import NumericalInstability, StepLoop, check_stop_rule
 from repro.lbm.macroscopic import mixture_velocity
 from repro.lbm.solver import LBMConfig, MulticomponentLBM
 from repro.obs.observer import NULL_OBSERVER, ObserverLike, resolve_observer
@@ -154,7 +155,8 @@ class EnsembleResult:
     """All member results plus aggregate throughput accounting."""
 
     spec: EnsembleSpec
-    members: tuple[MemberResult, ...]
+    #: Per member, its result or the error of its divergence.
+    members: tuple[MemberResult | NumericalInstability, ...]
     elapsed_s: float
     #: Total member-steps advanced (each step of a width-B pass counts B).
     member_steps: int
@@ -286,12 +288,15 @@ class BatchedEnsemble:
             u = mixture_velocity(self.rho, self.mom, self.force)
             return u, {m: (u[:, r], self.fluid) for r, m in enumerate(self._active)}
 
-        def retire(members: list[int], u: np.ndarray) -> None:
-            for member in members:
+        def retire(outcomes: dict, u: np.ndarray) -> None:
+            for member, outcome in outcomes.items():
+                if isinstance(outcome, NumericalInstability):
+                    results[member] = outcome
+                    continue
                 finish(member, u, converged=True)
                 if obs.enabled:
                     obs.emit("ensemble.member_converged", member=member,
-                             step=self.step_count, residual=loop.residuals[member])
+                             step=self.step_count, residual=outcome)
             keep = [r for r, m in enumerate(self._active) if results[m] is None]
             if keep:
                 self._repack(keep)
@@ -305,7 +310,8 @@ class BatchedEnsemble:
         for member in list(self._active):  # still running at the cap
             finish(member, u_end, converged=False)
         members = tuple(results)
-        member_steps = sum(m.steps - first for m in members)
+        ended = [m.phase if isinstance(m, NumericalInstability) else m.steps for m in members]
+        member_steps = sum(steps - first for steps in ended)
         result = EnsembleResult(spec, members, elapsed, member_steps)
         if obs.enabled:
             obs.emit(
@@ -313,9 +319,9 @@ class BatchedEnsemble:
                 members=spec.size,
                 steps=self.step_count,
                 member_steps=member_steps,
-                converged=sum(m.converged for m in members),
+                converged=sum(getattr(m, "converged", False) for m in members),
                 us_per_point=result.us_per_point,
-                per_member_steps=[m.steps for m in members],
+                per_member_steps=ended,
             )
             obs.emit_metrics()
             result.metrics = {

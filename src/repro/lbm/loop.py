@@ -5,8 +5,9 @@ Every ``checkpoint_every`` steps it saves; every ``check_every`` steps
 it health-checks each *row* (an ensemble member, else the run, labelled
 ``None``), and with ``tol > 0`` stops a row whose residual — the largest
 change of any velocity component at any node since its previous check —
-is below ``tol``.  The last phase is always health-checked; an unhealthy
-row raises :class:`NumericalInstability`.
+is below ``tol``.  The last phase is always health-checked.  An
+unhealthy row raises :class:`NumericalInstability`, unless the caller
+retires rows (the batched ensemble): then the error retires it, unraised.
 """
 
 from __future__ import annotations
@@ -83,14 +84,15 @@ class StepLoop:
         probe: Callable[[], tuple[Any, dict]],
         *,
         reduce: Callable[[int, dict], dict] | None = None,
-        retire: Callable[[list, Any], None] | None = None,
+        retire: Callable[[dict, Any], None] | None = None,
         checkpoint_every: int = 0,
         save: Callable[[], None] | None = None,
     ) -> Any:
         """Advance up to *n_steps* phases from absolute step *start*;
         returns the final velocity (``None`` if every row retired).
         ``advance()`` runs a phase and its hooks and returns the step;
-        ``probe()`` returns ``(u, {row: (u_row, fluid)})``.  The
+        ``probe()`` returns ``(u, {row: (u_row, fluid)})`` and
+        ``retire({row: residual or error}, u)`` takes stopped rows.  The
         callbacks are not kept: a caller holding its loop is no cycle."""
         check_integer(n_steps, "n_steps", minimum=0)
         check_integer(checkpoint_every, "checkpoint_every", minimum=0)
@@ -106,13 +108,15 @@ class StepLoop:
                 if not live:
                     return u
         if u is None:
-            u, _ = self._check(at, probe, reduce, None, cadence=False)
+            u, live = self._check(at, probe, reduce, retire, cadence=False)
+            if u is None and live:  # a retire repacked the survivors
+                u = probe()[0]
         return u
 
     def _check(self, at, probe, reduce, retire, *, cadence: bool):
-        """Probe, vote, raise on an unhealthy row, retire converged ones;
-        returns the velocity (``None`` once a retire repacked the state)
-        and whether any row goes on."""
+        """Probe, vote, retire unhealthy and converged rows (raise on an
+        unhealthy one without *retire*); returns the velocity (``None``
+        once a retire repacked the state) and whether any row goes on."""
         u, rows = probe()
         votes = {}  # label -> (verdict, rank, residual)
         for label, (u_row, fluid) in rows.items():
@@ -125,14 +129,18 @@ class StepLoop:
             votes[label] = (health_verdict(u_row, fluid), None, residual)
         if reduce is not None:
             votes = reduce(at, votes)
-        done = []
+        done: dict = {}  # label -> residual, or the row's error
         for label, (verdict, rank, residual) in votes.items():
             if verdict is not None:
-                raise NumericalInstability(verdict, at, rank=rank, member=label)
-            if residual is not None:
+                error = NumericalInstability(verdict, at, rank=rank, member=label)
+                if retire is None:
+                    raise error
+                done[label] = error
+                self.samples.pop(label, None)
+            elif residual is not None:
                 self.residuals[label] = residual
                 if residual < self.tol:
-                    done.append(label)
+                    done[label] = residual
                     del self.samples[label]
         if done and retire is not None:
             retire(done, u)

@@ -26,9 +26,13 @@ retries the job up to ``retries`` times, resuming from the last good
 a checkpoint store — the fault plan is dropped on the retry, modelling a
 transient worker death.  Only when the budget is exhausted does the
 client see a :class:`JobFailed`.  A diverged run
-(:class:`~repro.lbm.loop.NumericalInstability`) is not retried; a
-stacked batch with a diverged member reruns entry by entry.  A failure
-is never cached: re-submitting it executes it again.
+(:class:`~repro.lbm.loop.NumericalInstability`) is not retried.  A
+coalesced batch's outcomes are :func:`~repro.api.run_batch`'s, one per
+entry: a diverged member fails its own jobs and its neighbours complete;
+an exception out of ``run_batch`` itself fails every entry, as it fails
+a lone job (coalescible specs carry no checkpoint store, so none would
+be retried).  A failure is never cached: re-submitting it executes it
+again.
 
 Cancellation: cancelling a follower never touches its siblings; the
 primary execution proceeds while any member job still wants the result.
@@ -440,25 +444,16 @@ class Scheduler:
     def _execute(self, batch: list[_Entry]) -> list[Any]:
         """Run a batch in the worker thread; one outcome (result or
         exception) per entry, never raising itself."""
-        if len(batch) > 1:
-            try:
-                return list(run_batch([entry.spec for entry in batch], observer=self._obs))
-            except Exception:
-                # A whole-batch failure falls back to per-entry
-                # execution so one poisoned spec cannot fail its
-                # coalesced neighbours.
-                pass
-        outcomes: list[Any] = []
-        for entry in batch:
-            try:
-                outcomes.append(self._run_one(entry))
-            except Exception as exc:
-                # Without its traceback: that holds this frame, whose
-                # ``outcomes`` holds the exception — a cycle through
-                # ``self`` that would keep every job of this scheduler
-                # for the garbage collector.  Only the message is used.
-                outcomes.append(exc.with_traceback(None))
-        return outcomes
+        try:
+            if len(batch) > 1:
+                return run_batch([entry.spec for entry in batch], observer=self._obs)
+            return [self._run_one(batch[0])]
+        except Exception as exc:
+            # Without its traceback: that holds this frame, which
+            # reaches every job of this scheduler through ``self``, and
+            # the frames it unwound, which hold the batch's populations.
+            # Only the message is used.
+            return [exc.with_traceback(None)] * len(batch)
 
     def _run_one(self, entry: _Entry) -> RunResult:
         """Execute one entry with the bounded retry budget: a failed

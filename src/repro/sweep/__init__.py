@@ -4,10 +4,10 @@ A :class:`SweepSpec` samples a :mod:`repro.scenarios` scenario's
 parameters from uniform / discrete priors (plain MC or
 Latin hypercube, seeded through :mod:`repro.util.rng`), compiles the
 samples to :class:`repro.api.RunSpec` lists, and :func:`run_sweep`
-executes them on the batched-ensemble substrate
-(:func:`repro.api.run_batch`) or through the :mod:`repro.serve`
-scheduler — where repeated samples deduplicate for free — then
-aggregates effective slip per sample.  :mod:`repro.sweep.sensitivity`
+serves them through a :mod:`repro.serve` scheduler — repeated samples
+deduplicate for free, and compatible ones are stacked into batched
+ensembles (:func:`repro.api.run_batch`) — then aggregates effective
+slip per sample.  :mod:`repro.sweep.sensitivity`
 adds a variance-based summary.  See
 docs/SCENARIOS.md; served sweeps are measured by the end-to-end
 benchmark's ``sweep_small`` workload (bench/README.md).

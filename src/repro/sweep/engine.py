@@ -1,21 +1,16 @@
 """The Monte Carlo sweep engine: compile, execute, aggregate.
 
-:func:`run_sweep` takes a :class:`~repro.sweep.spec.SweepSpec` and runs
-it on one of two substrates:
+:func:`run_sweep` takes a :class:`~repro.sweep.spec.SweepSpec` and
+submits its compiled specs to a :class:`repro.serve.Scheduler` on a kept
+event loop (:func:`repro.serve.blocking.run_blocking`: no loop or thread
+is built per call).  Its content-addressed cache and in-flight joining
+collapse repeated samples (``repeats > 1`` or a duplicate-heavy
+``Discrete`` prior) into single executions, its coalescer stacks what
+remains into :func:`repro.api.run_batch` ensembles, and a sample that
+diverged in round one is not run again in later rounds.
 
-- ``via="batch"`` — the compiled specs go to :func:`repro.api.run_batch`,
-  which stacks batch-compatible samples (same scenario geometry, swept
-  scalar knobs) into ``(N, C, Q, *S)`` ensemble passes;
-- ``via="serve"`` — the specs are submitted to a
-  :class:`repro.serve.Scheduler` on a kept event loop
-  (:func:`repro.serve.blocking.run_blocking`: no loop or thread is built
-  per call).  Its content-addressed cache and in-flight joining collapse
-  repeated samples (``repeats > 1`` or a duplicate-heavy ``Discrete``
-  prior) into single executions, its coalescer batches what remains, and
-  a sample that diverged in round one is not run again in later rounds.
-
-Either way the final velocity each distinct sample's result carries is
-read once, as the line across the channel on every streamwise plane
+The final velocity each distinct sample's result carries is read once,
+as the line across the channel on every streamwise plane
 (:class:`~repro.lbm.diagnostics.StreamwiseLines`), and reduced to the
 effective slip measures of :mod:`repro.lbm.diagnostics` — the wall slip
 of all planes in one pass, the apparent core fit plane by plane until it
@@ -34,19 +29,14 @@ from typing import Any
 
 import numpy as np
 
-import repro.config as config_mod
-from repro.api import RunResult, RunSpec, run_batch, spec_fingerprint
+from repro.api import RunResult, RunSpec
 from repro.lbm.diagnostics import (
     apparent_slip_fraction,
     effective_slip_fraction,
     streamwise_velocity_profiles,
 )
-from repro.lbm.loop import NumericalInstability
 from repro.obs.observer import NULL_OBSERVER, ObserverLike, resolve_observer
 from repro.sweep.spec import SweepSpec
-
-#: Recognized execution substrates.
-SUBSTRATES = ("batch", "serve")
 
 
 @dataclass(frozen=True)
@@ -70,15 +60,13 @@ class SweepResult:
     """Everything :func:`run_sweep` measured."""
 
     spec: SweepSpec
-    via: str
     samples: tuple[SampleResult, ...]
     elapsed_s: float
     #: RunSpecs submitted (distinct samples × repeats).
     submissions: int
-    #: Primary executions actually performed (serve: after dedup).
+    #: Primary executions actually performed, after dedup.
     executions: int
-    #: Fraction of submissions the serve layer absorbed without running
-    #: (0.0 on the batch substrate, which executes everything).
+    #: Fraction of submissions the serve layer absorbed without running.
     dedup_ratio: float
     cache_hit_rate: float
     metrics: dict[str, Any] = field(default_factory=dict)
@@ -105,28 +93,6 @@ class SweepResult:
             * int(np.prod(self.spec.base_config.geometry.shape))
         )
         return self.elapsed_s / max(points, 1) * 1e6
-
-
-def _run_each(
-    specs: list[RunSpec], observer: ObserverLike
-) -> tuple[list[RunResult | Exception], int]:
-    """:func:`run_batch`'s results with a diverged spec's error in its
-    place, and how many runs were started: a divergence fails its whole
-    batch, so the specs it did not name are batched again."""
-    outcomes: dict[int, RunResult | Exception] = {}
-    executions = 0
-    while todo := [i for i in range(len(specs)) if i not in outcomes]:
-        executions += len(todo)
-        try:
-            outcomes.update(zip(todo, run_batch([specs[i] for i in todo], observer=observer)))
-        except NumericalInstability as exc:
-            env = config_mod.from_env()  # the error names the spec as run_batch overlaid it
-            key = exc.fingerprint
-            diverged = [i for i in todo if spec_fingerprint(env.overlay(specs[i])) == key]
-            if not diverged:
-                raise
-            outcomes.update(dict.fromkeys(diverged, exc.with_traceback(None)))
-    return [outcomes[i] for i in range(len(specs))], executions
 
 
 def _serve_rounds(
@@ -186,46 +152,31 @@ def _serve_rounds(
 def run_sweep(
     spec: SweepSpec,
     *,
-    via: str = "batch",
+    via: str = "serve",
     observer: ObserverLike = NULL_OBSERVER,
     workers: int = 2,
     coalesce: int | None = None,
     boundary_layer: float = 4.0,
     keep_results: bool = False,
 ) -> SweepResult:
-    """Execute *spec* on the chosen substrate and aggregate slip
-    observables per distinct sample (the first repeat of each — repeats
-    are bit-identical by the determinism contract, which the serve cache
-    exploits rather than re-verifies here; ``keep_results=True`` hands
-    the caller what an explicit bitwise check needs)."""
-    if via not in SUBSTRATES:
-        raise ValueError(f"via must be one of {SUBSTRATES}, got {via!r}")
+    """Serve *spec* and aggregate slip observables per distinct sample
+    (the first repeat of each — repeats are bit-identical by the
+    determinism contract, which the serve cache exploits rather than
+    re-verifies here; ``keep_results=True`` hands the caller what an
+    explicit bitwise check needs).  *via* names the one substrate,
+    ``"serve"``; it stays a keyword for the callers that still pass it."""
+    if via != "serve":
+        raise ValueError(f"via must be 'serve', the one substrate, got {via!r}")
     obs = resolve_observer(observer, once=True)  # the sweep's one read
     params, distinct = spec.compile()
     start = time.perf_counter()
-    if via == "serve":
-        # Round-major submission: each repeat round re-submits every
-        # distinct sample, so rounds past the first are cache material.
-        round_results, fingerprints, stats = _serve_rounds(
-            distinct,
-            spec.repeats,
-            workers=workers,
-            coalesce=coalesce,
-            observer=obs,
-        )
-        # Back to the sample-major order of spec.run_specs().
-        results = [
-            round_results[r][i]
-            for i in range(spec.n_samples)
-            for r in range(spec.repeats)
-        ]
-    else:
-        specs = [s for s in distinct for _ in range(spec.repeats)]
-        results, executions = _run_each(specs, obs)
-        fingerprints = [s.fingerprint() for s in distinct]
-        stats = dict(
-            submissions=len(specs), executions=executions, dedup_ratio=0.0, cache_hit_rate=0.0
-        )
+    # Round-major submission: each repeat round re-submits every
+    # distinct sample, so rounds past the first are cache material.
+    round_results, fingerprints, stats = _serve_rounds(
+        distinct, spec.repeats, workers=workers, coalesce=coalesce, observer=obs
+    )
+    # Back to the sample-major order of spec.run_specs().
+    results = [round_results[r][i] for i in range(spec.n_samples) for r in range(spec.repeats)]
     elapsed = time.perf_counter() - start
 
     apparent_measure = partial(apparent_slip_fraction, boundary_layer=boundary_layer)
@@ -250,7 +201,6 @@ def run_sweep(
 
     sweep_result = SweepResult(
         spec=spec,
-        via=via,
         samples=tuple(samples),
         elapsed_s=elapsed,
         submissions=int(stats["submissions"]),
@@ -272,7 +222,6 @@ def run_sweep(
         obs.emit(
             "sweep.run",
             scenario=spec.base_config.scenario.name,
-            via=via,
             samples=spec.n_samples,
             submissions=sweep_result.submissions,
             executions=sweep_result.executions,

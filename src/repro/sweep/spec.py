@@ -4,12 +4,12 @@ A sweep is a base :class:`~repro.lbm.solver.LBMConfig` carrying a wall
 scenario, a set of :class:`SweepParameter` distributions over that
 scenario's fields, and a sampling plan (plain MC or Latin hypercube,
 seeded through :mod:`repro.util.rng`).  Compiling it yields plain
-:class:`repro.api.RunSpec` lists, so the samples run on whichever
-substrate the caller picks: :func:`repro.api.run_batch` stacks
-compatible samples into batched ensembles, and :mod:`repro.serve`
-additionally deduplicates repeated samples by content address — which
-``repeats > 1`` produces on purpose (measurement replicas are free when
-the physics is deterministic and cached).
+:class:`repro.api.RunSpec` lists, which :func:`repro.sweep.run_sweep`
+serves: :mod:`repro.serve` deduplicates repeated samples by content
+address — which ``repeats > 1`` produces on purpose (measurement
+replicas are free when the physics is deterministic and cached) — and
+stacks compatible ones into batched ensembles
+(:func:`repro.api.run_batch`).
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """The stop rule and the health rule live on the RunSpec, and run the same
 on every substrate (repro.lbm.loop): one spec stops on the same step with
 the same populations alone, stacked, served or parallel, and a diverged
-run raises NumericalInstability wherever it runs, and is never cached."""
+run ends in NumericalInstability wherever it runs (run raises it,
+run_batch returns it in the spec's place), and is never cached."""
 
 from __future__ import annotations
 
@@ -147,12 +148,30 @@ class TestDivergenceIsAnError:
         assert (exc.rank is not None) == ("ranks" in knobs)
         assert f"phase {exc.phase}" in str(exc)
 
-    def test_run_batch_raises_for_the_diverged_spec(self, amplitude):
+    def test_run_batch_returns_the_diverged_error(self, amplitude, monkeypatch):
+        import repro.lbm.ensemble as ensemble
+
+        built = []
+
+        class Counting(ensemble.BatchedEnsemble):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(ensemble, "BatchedEnsemble", Counting)
         healthy = diverging(0.1)
         bad = diverging(amplitude)
-        with np.errstate(all="ignore"), pytest.raises(NumericalInstability) as info:
-            run_batch([healthy, bad])
-        assert info.value.fingerprint == bad.fingerprint()
+        with np.errstate(all="ignore"):
+            result, error = run_batch([healthy, bad])
+            (alone,) = run_batch([bad])  # a lone spec runs through run()
+        assert len(built) == 1  # one stacked pass; nothing ran again
+        assert isinstance(result, EnsembleRunResult)
+        assert np.array_equal(result.f, run(healthy).f)
+        for failed in (error, alone):
+            assert isinstance(failed, NumericalInstability)
+            assert failed.fingerprint == bad.fingerprint()
+            assert failed.member is None
+            assert failed.__traceback__ is None
 
     def test_served_failure_is_never_cached(self, amplitude):
         healthy = diverging(0.1)
@@ -173,8 +192,9 @@ class TestDivergenceIsAnError:
 
         with np.errstate(all="ignore"):
             asyncio.run(main())
-        # The coalesced batch failed as a whole, and its healthy member
-        # was still answered; the re-submitted diverged spec ran again.
+        # The coalesced batch's diverged member failed alone, and its
+        # healthy member was answered from the same stacked run; the
+        # re-submitted diverged spec ran again.
         assert np.isfinite(outcomes[0].f).all()
         assert isinstance(outcomes[1], JobFailed)
         assert "NumericalInstability" in str(outcomes[1])

@@ -1,9 +1,7 @@
 """Contended vs. merely-slow trace semantics."""
 
-import pytest
-
 from repro.cluster.trace import AvailabilityTrace
-from repro.cluster.workload import fixed_slow_traces, heterogeneous_traces
+from repro.cluster.workload import fixed_slow_traces
 
 
 class TestPenaltyAvailability:
@@ -26,16 +24,8 @@ class TestWorkloadSemantics:
         assert traces[1].contended
 
     def test_heterogeneous_not_contended(self):
-        traces = heterogeneous_traces([1.0, 0.5])
+        traces = [AvailabilityTrace(tail=s, contended=False) for s in (1.0, 0.5)]
         assert not traces[1].contended
-
-    def test_heterogeneous_speed_validation(self):
-        with pytest.raises(ValueError):
-            heterogeneous_traces([1.5])
-        with pytest.raises(ValueError):
-            heterogeneous_traces([0.0])
-        with pytest.raises(ValueError):
-            heterogeneous_traces([])
 
 
 class TestSimulatorEffect:
@@ -47,7 +37,9 @@ class TestSimulatorEffect:
         from repro.cluster.simulator import simulate
         from repro.core import make_policy
 
-        het = paper_cluster(heterogeneous_traces([1.0] * 19 + [0.35]))
+        het = paper_cluster(
+            [AvailabilityTrace(tail=s, contended=False) for s in [1.0] * 19 + [0.35]]
+        )
         contended = paper_cluster(fixed_slow_traces(20, [19]))
         t_het = simulate(het, make_policy("no-remap"), 200).total_time
         t_cont = simulate(contended, make_policy("no-remap"), 200).total_time

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 import repro.experiments
-from repro.api import run_batch
+from repro.experiments import channel
 from repro.experiments.channel import (
     DEFAULT,
     FAST,
     PAPER,
     channel_config,
+    run_all,
     slip_pair,
 )
 from repro.lbm.loop import NumericalInstability
@@ -62,9 +63,17 @@ class TestChannelConfig:
 class TestRunChecked:
     def test_divergence_raises(self):
         # A wall force far past the paper's 0.2 blows the state up; the
-        # run's own end-of-run health check must catch it.
+        # run's own end-of-run health check must catch it, and the
+        # figures' runner raises what run_batch returns in its place.
         with np.errstate(all="ignore"), pytest.raises(NumericalInstability):
-            run_batch(slip_pair((16, 42), 400, amplitude=3.0))
+            run_all(slip_pair((16, 42), 400, amplitude=3.0))
+
+    def test_a_diverged_pair_is_not_cached(self, monkeypatch):
+        monkeypatch.setattr(channel, "FAST", ((16, 42), 400, 3.0))
+        cache: dict = {}
+        with np.errstate(all="ignore"), pytest.raises(NumericalInstability):
+            channel.run_slip_pair(True, cache)
+        assert cache == {}
 
 
 def test_no_experiment_builds_a_solver():

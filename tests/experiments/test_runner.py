@@ -11,7 +11,7 @@ class TestRegistry:
             assert name in EXPERIMENTS
 
     def test_extensions_registered(self):
-        for name in ("ext-heterogeneous", "ext-adaptation", "ext-slip-sweep"):
+        for name in ("ext-adaptation", "ext-slip-sweep", "ext-resolution"):
             assert name in EXPERIMENTS
 
     def test_order_covers_registry(self):
@@ -31,7 +31,7 @@ class TestCli:
         assert "disturbance" in out
 
     def test_multiple_experiments(self, capsys):
-        assert main(["ext-adaptation", "ext-heterogeneous", "--fast"]) == 0
+        assert main(["ext-adaptation", "fig3", "--fast"]) == 0
         out = capsys.readouterr().out
         assert out.count("completed in") == 2
 

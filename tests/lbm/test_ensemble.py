@@ -25,6 +25,7 @@ from repro.lbm.ensemble import (
 from repro.lbm.forces import WallForceSpec
 from repro.lbm.geometry import ChannelGeometry
 from repro.lbm.lattice import D2Q9, D3Q19, Lattice
+from repro.lbm.loop import NumericalInstability
 from repro.lbm.solver import LBMConfig, MulticomponentLBM
 
 from .test_backends import two_component_config
@@ -283,6 +284,47 @@ class TestRaggedConvergence:
         assert all(m.converged for m in result.members)
         assert all(m.steps == 10 for m in result.members)
         assert result.member_steps < 2 * 10_000
+
+    @pytest.mark.parametrize("check_every, phases", [(10, 140), (0, 120)])
+    def test_a_diverged_member_retires_and_the_others_run_on(self, check_every, phases):
+        """Amplitudes {0.05: converges at 110, 0.6: diverges at 70, 0.3:
+        runs to the cap}; without checks the 0.6 member is caught at the
+        last phase.  Its result is its lone run's error, and every other
+        member equals its lone run."""
+        tol = 5e-5 if check_every else 0.0
+        spec = dataclasses.replace(
+            wall_sweep(1),
+            members=tuple(MemberParams(wall_amplitude=a) for a in (0.05, 0.6, 0.3)),
+            check_every=check_every,
+            tol=tol,
+        )
+        with np.errstate(all="ignore"):
+            members = run_ensemble(spec, phases).members
+        expected = [(110, True), (phases, False)] if check_every else [(phases, False)] * 2
+        assert [(m.steps, m.converged) for m in members[::2]] == expected
+
+        lone = MulticomponentLBM(spec.member_config(1))
+        with np.errstate(all="ignore"), pytest.raises(NumericalInstability) as info:
+            lone.run(phases, check_every=check_every, tol=tol)
+        error = members[1]
+        assert isinstance(error, NumericalInstability)
+        assert (error.phase, error.reason) == (info.value.phase, info.value.reason)
+        assert error.phase == (70 if check_every else phases)
+        assert error.member == 1 and error.__traceback__ is None
+
+        for i in (0, 2):
+            member = members[i]
+            alone = run_ensemble(dataclasses.replace(spec, members=(spec.members[i],)), phases)
+            solo = alone.members[0]
+            assert (member.steps, member.converged, member.residual) == (
+                solo.steps, solo.converged, solo.residual
+            )
+            assert np.array_equal(member.f, solo.f)
+            assert np.array_equal(member.u, solo.u)
+            lone = MulticomponentLBM(spec.member_config(i))
+            lone.run(phases, check_every=check_every, tol=tol)
+            assert lone.step_count == member.steps
+            assert np.array_equal(lone.f, member.f)
 
     @settings(max_examples=8, deadline=None)
     @given(

@@ -207,8 +207,8 @@ class TestSharedSetUp:
             sampler="lhs",
             repeats=2,
         )
-        for via in ("batch", "serve"):
-            run_sweep(spec, via=via)
+        for workers in (1, 2):  # one stacked batch, then two
+            run_sweep(spec, workers=workers, coalesce=8)
         assert len(height_draws) == 1
 
     def test_two_wall_draws_are_two_entries(self, height_draws):

@@ -170,7 +170,7 @@ def test_an_apparent_fit_failing_on_plane_k_leaves_the_sample_without_one(monkey
         n_samples=1,
         seed=1,
     )
-    (sample,) = run_sweep(spec, via="batch").samples
+    (sample,) = run_sweep(spec).samples
     assert sample.apparent_slip is None
     assert sample.slip == effective_slip_fraction(lines)
 

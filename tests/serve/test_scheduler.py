@@ -300,6 +300,42 @@ class TestScheduler:
         for spec, result in zip(specs, results):
             assert np.array_equal(result.f, run(spec).f)
 
+    def test_a_crash_in_a_coalesced_batch_fails_every_job_of_it(self, monkeypatch):
+        """An exception out of ``run_batch`` itself is every entry's
+        outcome, as it is a lone job's: nothing is re-run entry by
+        entry, and the worker goes on serving."""
+        import repro.serve.scheduler as scheduler
+
+        calls = []
+
+        def crash(specs, **kwargs):
+            calls.append(len(specs))
+            raise RuntimeError("batch died")
+
+        monkeypatch.setattr(scheduler, "run_batch", crash)
+        specs = [spec_with_amplitude(0.02 + 0.01 * i) for i in range(3)]
+        after = spec_with_amplitude(0.09)
+
+        async def main():
+            sched = Scheduler(workers=1, coalesce=8)
+            jobs = [await sched.submit(s) for s in specs]
+            await sched.start()
+            errors = []
+            for job in jobs:
+                with pytest.raises(JobFailed) as err:
+                    await sched.result(job)
+                errors.append(err.value)
+            result = await sched.result(await sched.submit(after))
+            executions = sched.executions
+            await sched.close()
+            return errors, result, executions
+
+        errors, result, executions = asyncio.run(main())
+        assert calls == [3]
+        assert all(not e.diverged and "RuntimeError: batch died" in e.error for e in errors)
+        assert executions == 4
+        assert np.array_equal(result.f, run(after).f)
+
     def test_default_specs_coalesce_and_the_reference_oracle_runs_alone(self):
         """One queue holding the same three jobs twice, once on the
         default (``fused``) kernels and once naming ``reference``: the

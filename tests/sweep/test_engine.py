@@ -1,12 +1,17 @@
-"""Sweep engine: both substrates, serve-side dedup accounting,
-batch-vs-serve bitwise parity, and result bookkeeping."""
+"""Sweep engine: served samples equal direct runs, dedup accounting,
+divergence handling and result bookkeeping.
+
+``run_sweep`` has one substrate, the serve tier, and the shape-
+parametrised tests run on two scheduler shapes: ``batch`` stacks each
+round into one coalesced ``run_batch`` call on one worker; ``serve`` is
+``run_sweep``'s default."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.api import RunResult
+from repro.api import RunResult, run
 from repro.lbm.components import ComponentSpec
 from repro.lbm.diagnostics import (
     apparent_slip_fraction,
@@ -43,61 +48,53 @@ def small_sweep(*, repeats: int = 1, n_samples: int = 3) -> SweepSpec:
     )
 
 
-def test_batch_substrate_runs_every_submission():
-    spec = small_sweep()
-    result = run_sweep(spec, via="batch")
-    assert result.via == "batch"
-    assert len(result.samples) == 3
-    assert result.submissions == result.executions == 3
-    assert result.dedup_ratio == 0.0
-    assert all(s.steps == 4 for s in result.samples)
-    assert np.isfinite(result.slip_array()).all()
+#: Scheduler shapes, by the name of the substrate each stands in for.
+SHAPES = {"batch": dict(workers=1, coalesce=64), "serve": {}}
 
 
 def test_serve_substrate_dedups_the_repeat_rounds():
     spec = small_sweep(repeats=2)
-    result = run_sweep(spec, via="serve", workers=2)
+    result = run_sweep(spec, workers=2)
     assert result.submissions == 6
     assert result.executions == 3  # the second round is pure cache
     assert result.dedup_ratio > 0.0
     assert result.cache_hit_rate > 0.0
 
 
-def test_batch_and_serve_agree_bitwise():
+def test_served_samples_equal_direct_runs():
     spec = small_sweep(repeats=2)
-    batch = run_sweep(spec, via="batch", keep_results=True)
-    serve = run_sweep(spec, via="serve", keep_results=True)
-    assert len(batch.results) == len(serve.results) == 6
-    for a, b in zip(batch.results, serve.results):
-        assert np.array_equal(a.f, b.f)
-    for sa, sb, spec_run in zip(
-        batch.samples, serve.samples, spec.run_specs()[:: spec.repeats]
+    served = run_sweep(spec, keep_results=True)
+    run_specs = spec.run_specs()
+    assert len(served.results) == len(run_specs) == 6
+    for result, spec_run in zip(served.results, run_specs):
+        assert np.array_equal(result.f, run(spec_run).f)
+    for sample, result, spec_run in zip(
+        served.samples, served.results[:: spec.repeats], run_specs[:: spec.repeats]
     ):
-        assert sa.slip == sb.slip
-        assert sa.apparent_slip == sb.apparent_slip
-        assert sa.steps == sb.steps == spec.phases
-        assert sa.params == sb.params
-        # serve reports the key the scheduler hashed at submit; batch
-        # hashes the sample itself.
-        assert sa.fingerprint == sb.fingerprint == spec_run.fingerprint()
+        assert (sample.slip, sample.apparent_slip, sample.steps) == rebuilt_solver_measures(
+            result
+        )
+        assert sample.steps == spec.phases
+        assert sample.fingerprint == spec_run.fingerprint()
 
 
 def test_results_are_dropped_unless_requested():
-    assert run_sweep(small_sweep(), via="batch").results is None
-    kept = run_sweep(small_sweep(), via="batch", keep_results=True)
+    assert run_sweep(small_sweep()).results is None
+    kept = run_sweep(small_sweep(), keep_results=True)
     assert kept.results is not None and len(kept.results) == 3
 
 
 def test_throughput_accounting_is_positive():
-    result = run_sweep(small_sweep(), via="batch")
+    result = run_sweep(small_sweep())
     assert result.elapsed_s > 0.0
     assert result.samples_per_second > 0.0
     assert result.us_per_point > 0.0
 
 
 def test_unknown_substrate_rejected():
-    with pytest.raises(ValueError, match="serve"):
-        run_sweep(small_sweep(), via="mpi")
+    for via in ("mpi", "batch"):  # serve is the one substrate
+        with pytest.raises(ValueError, match="serve"):
+            run_sweep(small_sweep(), via=via)
 
 
 def test_the_sweep_is_compiled_once_per_call(monkeypatch):
@@ -111,10 +108,10 @@ def test_the_sweep_is_compiled_once_per_call(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(SweepSpec, "samples", counting)
-    for via in ("batch", "serve"):
+    for shape, kwargs in SHAPES.items():
         del draws[:]
-        run_sweep(small_sweep(repeats=2), via=via)
-        assert len(draws) == 1, via
+        run_sweep(small_sweep(repeats=2), **kwargs)
+        assert len(draws) == 1, shape
 
 
 def test_compile_matches_the_per_view_accessors():
@@ -177,18 +174,18 @@ def rebuilt_solver_measures(result: RunResult, boundary_layer: float = 4.0):
     return average(slip_fraction), apparent, solver.step_count
 
 
-@pytest.mark.parametrize("via", ["batch", "serve"])
+@pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("scenario", ["homogeneous", "rough", "patterned"])
-def test_samples_equal_the_rebuilt_solver_measures(scenario, via):
+def test_samples_equal_the_rebuilt_solver_measures(scenario, shape):
     spec = scenario_sweep(scenario)
-    result = run_sweep(spec, via=via, keep_results=True)
+    result = run_sweep(spec, keep_results=True, **SHAPES[shape])
     for sample in result.samples:
         expected = rebuilt_solver_measures(result.results[sample.index * spec.repeats])
         assert (sample.slip, sample.apparent_slip, sample.steps) == expected
 
 
-@pytest.mark.parametrize("via", ["batch", "serve"])
-def test_samples_are_measured_without_building_a_solver(monkeypatch, via):
+@pytest.mark.parametrize("shape", SHAPES)
+def test_samples_are_measured_without_building_a_solver(monkeypatch, shape):
     calls = []
     original = RunResult.solver
 
@@ -197,15 +194,16 @@ def test_samples_are_measured_without_building_a_solver(monkeypatch, via):
         return original(self)
 
     monkeypatch.setattr(RunResult, "solver", counting)
-    result = run_sweep(small_sweep(repeats=2), via=via)
+    result = run_sweep(small_sweep(repeats=2), **SHAPES[shape])
     assert len(result.samples) == 3
     assert calls == []
 
 
-@pytest.mark.parametrize("via", ["batch", "serve"])
-def test_a_diverged_sample_fails_alone(via):
+@pytest.mark.parametrize("shape", SHAPES)
+def test_a_diverged_sample_fails_alone(shape):
     """Amplitude 3.0 blows up within 400 phases: those samples report
-    the error and a NaN slip, and the 0.1 samples are measured."""
+    the error and a NaN slip, and the 0.1 samples are measured.  The
+    two distinct specs run once each, stacked or not."""
     from repro.experiments.channel import channel_config
 
     spec = SweepSpec(
@@ -216,7 +214,7 @@ def test_a_diverged_sample_fails_alone(via):
         seed=1,
     )
     with np.errstate(all="ignore"):
-        result = run_sweep(spec, via=via)
+        result = run_sweep(spec, **SHAPES[shape])
     failed = [s for s in result.samples if s.error is not None]
     healthy = [s for s in result.samples if s.error is None]
     assert failed and healthy
@@ -225,26 +223,22 @@ def test_a_diverged_sample_fails_alone(via):
     assert np.isnan([s.slip for s in failed]).all()
     assert np.isfinite([s.slip for s in healthy]).all()
     assert all(s.steps == 400 for s in healthy)
-    if via == "batch":  # the healthy samples ran again, in a batch of their own
-        assert result.executions == result.submissions + len(healthy)
+    assert result.executions == 2
 
 
-@pytest.mark.parametrize("via", ["batch", "serve"])
-def test_a_failure_other_than_divergence_fails_the_sweep(monkeypatch, via):
+@pytest.mark.parametrize("shape", SHAPES)
+def test_a_failure_other_than_divergence_fails_the_sweep(monkeypatch, shape):
     """Only the physics' failure becomes a failed sample: a crashed
     worker (or a bug) still raises out of :func:`run_sweep`."""
     import repro.serve.scheduler as scheduler
-    import repro.sweep.engine as engine
 
     def crash(*args, **kwargs):
         raise RuntimeError("worker died")
 
-    monkeypatch.setattr(engine, "run_batch", crash)
     monkeypatch.setattr(scheduler, "run_batch", crash)
     monkeypatch.setattr(scheduler, "run", crash)
-    expected = scheduler.JobFailed if via == "serve" else RuntimeError
-    with pytest.raises(expected, match="worker died"):
-        run_sweep(small_sweep(), via=via)
+    with pytest.raises(scheduler.JobFailed, match="worker died"):
+        run_sweep(small_sweep(), **SHAPES[shape])
 
 
 def test_a_diverged_sample_is_not_served_again_in_later_rounds():
@@ -262,8 +256,8 @@ def test_a_diverged_sample_is_not_served_again_in_later_rounds():
         repeats=3,
     )
     with np.errstate(all="ignore"):
-        served = run_sweep(spec, via="serve", keep_results=True)
-        once = run_sweep(dataclasses.replace(spec, repeats=1), via="serve")
+        served = run_sweep(spec, keep_results=True)
+        once = run_sweep(dataclasses.replace(spec, repeats=1))
     assert served.submissions == 18  # every repeat is still answered
     assert served.executions == 2  # one 0.1 run, one 3.0 run (was 4)
     assert served.dedup_ratio == 1.0 - 2 / 18
